@@ -12,18 +12,16 @@ defaulted configuration, the seed and SHA-256 digests of each output.
 Exit codes: 0 success, 1 domain error (bad data, no peak, out of range),
 2 usage, config or file format error.
 
-ODMR_THREADS caps the worker threads of the map command; results are
-reduced by grid index, so the thread count never changes the output.
+The map command runs its grid cells one after another, each with its own
+generator seeded by (seed, i, j) for grid indexes i and j.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +40,7 @@ from .errors import SchemaViolation
 from .io_formats import (
     ConfigDoc,
     FORMAT_VERSION,
-    format_float,
+    format_rows,
     load_config,
     load_sweep,
     write_json_record,
@@ -160,19 +158,11 @@ def cmd_spectrum(args) -> int:
                 spin, FieldVector(cfg.field["bx_t"], cfg.field["by_t"], bz)
             )
         )
-        for ln in transitions(levels, spin, include_hyperfine=False):
-            rows.append(
-                ",".join(
-                    (
-                        format_float(bz),
-                        ln.label,
-                        format_float(ln.lower_m),
-                        format_float(ln.upper_m),
-                        format_float(ln.frequency_hz),
-                        format_float(ln.rel_strength),
-                    )
-                )
-            )
+        table = [
+            (bz, ln.label, ln.lower_m, ln.upper_m, ln.frequency_hz, ln.rel_strength)
+            for ln in transitions(levels, spin, include_hyperfine=False)
+        ]
+        rows += format_rows(*zip(*table))
     transitions_path = _write_text(
         out_dir / "transitions.csv", "\n".join(rows) + "\n"
     )
@@ -188,9 +178,9 @@ def cmd_spectrum(args) -> int:
         freqs,
         hyperfine=hyperfine,
     )
-    spec_rows = ["frequency_hz,contrast"]
-    for f, v in zip(spectrum.frequency_hz, spectrum.values):
-        spec_rows.append(f"{format_float(f)},{format_float(v)}")
+    spec_rows = ["frequency_hz,contrast"] + format_rows(
+        spectrum.frequency_hz, spectrum.values
+    )
     spectrum_path = _write_text(
         out_dir / "spectrum.csv", "\n".join(spec_rows) + "\n"
     )
@@ -322,15 +312,6 @@ def _map_cell(
         )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ODMR_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
-
-
 def _point_payload(point) -> dict:
     return {
         "p_opt_w": point.p_opt_w,
@@ -369,13 +350,10 @@ def cmd_map(args) -> int:
         for j, pr in enumerate(p_rfs)
     ]
 
-    def run_cell(cell):
-        i, j, po, pr = cell
+    points = []
+    for i, j, po, pr in cells:
         seed = np.random.SeedSequence((args.seed, i, j))
-        return _map_cell(cfg, hyperfine, plan, lock_cfg, po, pr, seed, shot)
-
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        points = list(pool.map(run_cell, cells))
+        points.append(_map_cell(cfg, hyperfine, plan, lock_cfg, po, pr, seed, shot))
 
     map_path = write_map_csv(points, out_dir / "map.csv")
 
@@ -473,12 +451,7 @@ def cmd_steps(args) -> int:
     est = result.field_estimate.values[::decim]
     lockin = result.lockin.values[::decim]
     true = timeline.value_at(t)
-    rows = ["t_s,bz_true_t,bz_est_t,lockin_v"]
-    for ti, bt, be, lv in zip(t, true, est, lockin):
-        rows.append(
-            f"{format_float(ti)},{format_float(bt)},"
-            f"{format_float(be)},{format_float(lv)}"
-        )
+    rows = ["t_s,bz_true_t,bz_est_t,lockin_v"] + format_rows(t, true, est, lockin)
     tracking_path = _write_text(
         out_dir / "tracking.csv", "\n".join(rows) + "\n"
     )

@@ -35,6 +35,16 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def format_rows(*columns) -> list[str]:
+    """CSV lines from equal-length columns, one line per row.
+
+    Numbers render as format_float renders them; strings as they are.
+    """
+    columns = [np.asarray(column) for column in columns]
+    template = ",".join("{}" if c.dtype.kind == "U" else "{:.17g}" for c in columns)
+    return [template.format(*row) for row in zip(*(c.tolist() for c in columns))]
+
+
 def _cell(value: float) -> str:
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""

@@ -21,7 +21,11 @@ Modulation clocks
 The AM gate drives the RF on while cos(2 pi f_mod t) < 0 and the FM
 switcher sits at +deviation while cos(2 pi f_mod t) >= 0, so that with
 phase_rad = 0 an ODMR dip demodulates positive and the FM discriminator
-has positive slope for a carrier parked above resonance.
+has positive slope for a carrier parked above resonance.  Both clocks and
+the demodulator reference are read from one-cycle tables indexed by the
+sample number modulo samples_per_cycle, so every cycle is the same: cos
+evaluated at large sample numbers would let rounding flip the samples that
+sit exactly on cos = 0 when samples_per_cycle is divisible by 4.
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ SQUARE_AM_GAIN = 2.0 / math.pi
 GAUSSIAN_MEAN_THRESHOLD = 1e4
 
 _BLOCK = 1_000_000
+
+# AM sweeps run whole dwells in blocks of at most this many samples (at
+# least one dwell), which bounds the memory a cell needs.
+_AM_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -113,23 +121,6 @@ def photon_rate_from_voltage(v_dc: float, detector: DetectorModel) -> float:
 def voltage_from_photon_rate(rate_hz: float, detector: DetectorModel) -> float:
     """Inverse of photon_rate_from_voltage."""
     return rate_hz * detector.volts_per_photon_rate
-
-
-def sample_shot_noise(rate_hz: float, dt_s: float, seed) -> int:
-    """Draw one photon count for an interval dt at the given mean rate.
-
-    seed may be an int, a SeedSequence or a Generator.  Means above
-    GAUSSIAN_MEAN_THRESHOLD use a Gaussian approximation.
-    """
-    if rate_hz < 0:
-        raise ValueError("rate_hz must be non-negative")
-    if dt_s <= 0:
-        raise ValueError("dt_s must be positive")
-    rng = np.random.default_rng(seed)
-    mean = rate_hz * dt_s
-    if mean > GAUSSIAN_MEAN_THRESHOLD:
-        return int(round(max(rng.normal(mean, math.sqrt(mean)), 0.0)))
-    return int(rng.poisson(mean))
 
 
 def _shot_counts(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -278,55 +269,71 @@ class Scene:
         )
 
 
+def _cycle_cos(cfg: LockInConfig, phase_rad: float = 0.0) -> np.ndarray:
+    """cos(2 pi k / n + phase) over one modulation cycle of n samples."""
+    n = cfg.samples_per_cycle
+    return np.cos(2.0 * math.pi * np.arange(n) / n + phase_rad)
+
+
+def _periodic(cycle: np.ndarray, index: int, n: int) -> np.ndarray:
+    """Samples index .. index + n - 1 of a signal that repeats cycle."""
+    start = index % cycle.size
+    return np.tile(cycle, (start + n) // cycle.size + 1)[start : start + n]
+
+
+def _am_gate(cfg: LockInConfig, index: int, n: int) -> np.ndarray:
+    """RF-on flags of the AM gate (cos < 0) for samples index .. index + n - 1."""
+    return _periodic(_cycle_cos(cfg) < 0, index, n)
+
+
+def _fm_switch(cfg: LockInConfig, index: int, n: int) -> np.ndarray:
+    """FM deviation sign (+1 where cos >= 0) for samples index .. index + n - 1."""
+    return _periodic(np.where(_cycle_cos(cfg) >= 0, 1.0, -1.0), index, n)
+
+
+class _CycleMean:
+    """One-period moving average: the ripple-free DC reading and the comb.
+
+    It keeps the last n - 1 inputs rather than partial sums, so each output
+    is the same n-term sum however a series is split into blocks.
+    """
+
+    def __init__(self, cfg: LockInConfig):
+        n = cfg.samples_per_cycle
+        self._b = np.full(n, 1.0 / n)
+        self._history = np.zeros(n - 1)
+
+    def process(self, values: np.ndarray) -> np.ndarray:
+        padded = np.concatenate((self._history, values))
+        self._history = padded[values.size :].copy()
+        # For an empty block padded is shorter than the kernel, so
+        # np.convolve swaps its arguments; the slice keeps the output empty.
+        return np.convolve(padded, self._b, mode="valid")[: values.size]
+
+
 class _Demodulator:
     """Stateful demodulation chain usable on consecutive sample blocks."""
 
     def __init__(self, cfg: LockInConfig, phase_rad: float | None = None):
         self.cfg = cfg
-        self.phase = cfg.phase_rad if phase_rad is None else phase_rad
-        n = cfg.samples_per_cycle
-        self._b_comb = np.full(n, 1.0 / n)
-        self._zi_comb = np.zeros(n - 1)
+        phase = cfg.phase_rad if phase_rad is None else phase_rad
+        self._ref = 2.0 * _cycle_cos(cfg, phase)
+        self._comb = _CycleMean(cfg)
         beta = 1.0 - math.exp(-cfg.dt_s / cfg.time_constant_s)
         self._b_pole = np.array([beta])
         self._a_pole = np.array([1.0, beta - 1.0])
         self._zi_poles = [np.zeros(1) for _ in range(cfg.filter_order)]
         self.index = 0
 
-    def _theta(self, n: int) -> np.ndarray:
-        k = self.index + np.arange(n)
-        return 2.0 * math.pi * (self.cfg.mod_freq_hz * self.cfg.dt_s) * k
-
     def process(self, values: np.ndarray) -> np.ndarray:
-        ref = np.cos(self._theta(values.size) + self.phase)
-        prod = 2.0 * values * ref
-        out, self._zi_comb = lfilter(
-            self._b_comb, [1.0], prod, zi=self._zi_comb
-        )
+        prod = values * _periodic(self._ref, self.index, values.size)
+        out = self._comb.process(prod)
         for i in range(self.cfg.filter_order):
             out, self._zi_poles[i] = lfilter(
                 self._b_pole, self._a_pole, out, zi=self._zi_poles[i]
             )
         self.index += values.size
         return out
-
-
-class _CycleMean:
-    """One-period moving average, used for ripple-free DC readings."""
-
-    def __init__(self, cfg: LockInConfig):
-        n = cfg.samples_per_cycle
-        self._b = np.full(n, 1.0 / n)
-        self._zi = np.zeros(n - 1)
-
-    def process(self, values: np.ndarray) -> np.ndarray:
-        out, self._zi = lfilter(self._b, [1.0], values, zi=self._zi)
-        return out
-
-
-def _mod_cos(cfg: LockInConfig, index: int, n: int) -> np.ndarray:
-    k = index + np.arange(n)
-    return np.cos(2.0 * math.pi * (cfg.mod_freq_hz * cfg.dt_s) * k)
 
 
 def lockin_demodulate(
@@ -383,7 +390,8 @@ def simulate_am_sweep(
     discard, and dc_v is the cycle-averaged raw voltage over the same
     window.  An extra discarded lead-in dwell at the first frequency
     removes the initial filter transient.  With shot_noise False the
-    output equals the 2/pi-scaled synthesized lineshape.
+    output equals the 2/pi-scaled synthesized lineshape.  The chain is
+    stateful, so running whole dwells in blocks changes no simulated sample.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
@@ -410,25 +418,25 @@ def simulate_am_sweep(
     demod = _Demodulator(cfg)
     cycle_mean = _CycleMean(cfg)
 
-    lockin = np.empty(plan.n_points)
-    dc = np.empty(plan.n_points)
-    # Point -1 is the discarded lead-in at the first frequency.
-    for point in range(-1, plan.n_points):
-        level = depth[max(point, 0)]
-        gate = _mod_cos(cfg, demod.index, dwell_n) < 0
-        rate = rate0 * (1.0 - level * gate)
+    # Dwell 0 is the discarded lead-in at the first frequency.
+    levels = np.concatenate((depth[:1], depth))
+    lockin = np.empty(levels.size)
+    dc = np.empty(levels.size)
+    per_block = max(1, _AM_BLOCK // dwell_n)
+    for first in range(0, levels.size, per_block):
+        block = slice(first, first + per_block)
+        n_dwells = levels[block].size
+        gate = _am_gate(cfg, demod.index, n_dwells * dwell_n)
+        rate = rate0 * (1.0 - levels[block, None] * gate.reshape(n_dwells, dwell_n))
         if shot_noise:
-            volts = k_v * _shot_counts(rate * dt, rng) / dt
+            volts = k_v * _shot_counts(rate.ravel() * dt, rng) / dt
         else:
-            volts = k_v * rate
-        smooth_dc = cycle_mean.process(volts)
-        out = demod.process(volts)
-        if point < 0:
-            continue
-        window = slice(settle_n, dwell_n)
-        lockin[point] = float(np.mean(out[window]))
-        dc[point] = float(np.mean(smooth_dc[window]))
-    return SweepRecord(frequency_hz=freqs, lockin_v=lockin, dc_v=dc)
+            volts = k_v * rate.ravel()
+        smooth_dc = cycle_mean.process(volts).reshape(n_dwells, dwell_n)
+        out = demod.process(volts).reshape(n_dwells, dwell_n)
+        lockin[block] = out[:, settle_n:].mean(axis=1)
+        dc[block] = smooth_dc[:, settle_n:].mean(axis=1)
+    return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
 
 
 def _fm_settled_output(
@@ -437,7 +445,7 @@ def _fm_settled_output(
     """Noise-free settled demodulator output with the carrier detuned."""
     n = int(round(8.0 * cfg.time_constant_s * cfg.sample_rate_hz))
     demod = _Demodulator(cfg)
-    sign = np.where(_mod_cos(cfg, 0, n) >= 0, 1.0, -1.0)
+    sign = _fm_switch(cfg, 0, n)
     nu_inst = peak.center_hz + detuning_hz + cfg.fm_deviation_hz * sign
     volts = v_dc * (1.0 - lorentzian_value(peak, nu_inst))
     out = demod.process(volts)
@@ -521,9 +529,7 @@ def _field_noise_input_sigma(
     demod chain.  Inverting that linear model calibrates the input sigma.
     """
     n = cfg.samples_per_cycle
-    cosine = _mod_cos(cfg, 0, n)
-    sign = np.where(cosine >= 0, 1.0, -1.0)
-    nu_inst = carrier_hz + cfg.fm_deviation_hz * sign
+    nu_inst = carrier_hz + cfg.fm_deviation_hz * _fm_switch(cfg, 0, n)
     eps = 1e-8
     dv_db = np.zeros(n)
     for ln in lines:
@@ -533,7 +539,7 @@ def _field_noise_input_sigma(
         plus = lorentzian_value(peak, nu_inst - line_slope * eps)
         minus = lorentzian_value(peak, nu_inst + line_slope * eps)
         dv_db += -v_dc * (plus - minus) / (2.0 * eps)
-    gain = 2.0 * np.cos(2.0 * math.pi * np.arange(n) / n + cfg.phase_rad) * dv_db
+    gain = 2.0 * _cycle_cos(cfg, cfg.phase_rad) * dv_db
     mean_sq_gain = float(np.mean(gain**2))
     sigma_out_per_unit = math.sqrt(mean_sq_gain * _filter_energy_pure(cfg))
     field_gain = abs(slope_v_per_hz * gamma_eff)
@@ -640,8 +646,7 @@ def simulate_fm_tracking(
         db = timeline.value_at(t) - bias
         if sigma_in > 0:
             db = db + rng.normal(0.0, sigma_in, size=db.size)
-        sign = np.where(_mod_cos(cfg, start, stop - start) >= 0, 1.0, -1.0)
-        nu_inst = carrier + cfg.fm_deviation_hz * sign
+        nu_inst = carrier + cfg.fm_deviation_hz * _fm_switch(cfg, start, stop - start)
         depth = np.zeros(stop - start)
         for amp, center, line_slope in zip(amps, centers, line_slopes):
             detune = nu_inst - (center + line_slope * db)

@@ -9,7 +9,6 @@ reused by every check that needs them.
 
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -58,19 +57,9 @@ def finish(capfd):
     return _finish
 
 
-def run_cli(args, threads=None):
-    env_before = os.environ.get("ODMR_THREADS")
-    if threads is not None:
-        os.environ["ODMR_THREADS"] = str(threads)
+def run_cli(args):
     t0 = time.perf_counter()
-    try:
-        code = main(args)
-    finally:
-        if threads is not None:
-            if env_before is None:
-                os.environ.pop("ODMR_THREADS", None)
-            else:
-                os.environ["ODMR_THREADS"] = env_before
+    code = main(args)
     elapsed = time.perf_counter() - t0
     assert code == 0, f"command {args} exited with {code}"
     return elapsed
@@ -86,7 +75,7 @@ def map_quenched(workdir):
     out = workdir / "map_quenched"
     cfg = str(CONFIG_DIR / "sensitivity_map_quenched.json")
     elapsed = run_cli(
-        ["map", "--config", cfg, "--seed", "0", "--out", str(out)], threads=4
+        ["map", "--config", cfg, "--seed", "0", "--out", str(out)]
     )
     return {"out": out, "elapsed": elapsed, "config": cfg}
 
@@ -95,8 +84,7 @@ def map_quenched(workdir):
 def map_quenched_rerun(workdir, map_quenched):
     out = workdir / "map_quenched_rerun"
     elapsed = run_cli(
-        ["map", "--config", map_quenched["config"], "--seed", "0", "--out", str(out)],
-        threads=1,
+        ["map", "--config", map_quenched["config"], "--seed", "0", "--out", str(out)]
     )
     return {"out": out, "elapsed": elapsed}
 
@@ -106,7 +94,7 @@ def map_annealed(workdir):
     out = workdir / "map_annealed"
     cfg = str(CONFIG_DIR / "sensitivity_map_annealed.json")
     elapsed = run_cli(
-        ["map", "--config", cfg, "--seed", "0", "--out", str(out)], threads=4
+        ["map", "--config", cfg, "--seed", "0", "--out", str(out)]
     )
     return {"out": out, "elapsed": elapsed}
 

@@ -28,7 +28,7 @@ from odmrsim import (
     write_run_manifest,
     write_sweep,
 )
-from odmrsim.io_formats import dump_json, format_float
+from odmrsim.io_formats import dump_json, format_float, format_rows
 
 
 def make_record(n=7):
@@ -285,6 +285,26 @@ def test_format_float_round_trips():
     for value in rng.uniform(-1e12, 1e12, 50):
         assert float(format_float(value)) == value
     assert float(format_float(3.8829e-9)) == 3.8829e-9
+
+
+def test_format_rows_matches_format_float_bytes():
+    rng = np.random.default_rng(6)
+    numbers = np.concatenate(
+        (
+            [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1e22, -1e22, 2.0**53],
+            [123456789012345678.0, -7.0, -2.5e-9, 3.8829e-9, 0.1],
+            rng.uniform(-1e12, 1e12, 20),
+            rng.normal(0.0, 1e-6, 20),
+        )
+    )
+    labels = [f"nu{k % 3}" for k in range(numbers.size)]
+    whole = np.round(numbers[::-1] * 1e-3)
+    expected = [
+        f"{format_float(a)},{label},{format_float(b)}"
+        for a, label, b in zip(numbers, labels, whole)
+    ]
+    assert format_rows(numbers, labels, whole) == expected
+    assert format_rows(list(numbers)) == [format_float(v) for v in numbers]
 
 
 def test_dump_json_rejects_nan():

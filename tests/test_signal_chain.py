@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from odmrsim import (
     DetectorModel,
@@ -31,14 +32,20 @@ from odmrsim import (
     fm_discriminator_slope,
     lockin_demodulate,
     photon_rate_from_voltage,
-    sample_shot_noise,
     saturated_contrast,
     saturated_fwhm,
     simulate_am_sweep,
     simulate_fm_tracking,
+    synthesize_odmr,
     voltage_from_photon_rate,
 )
-from odmrsim.signal_chain import _mod_cos
+from odmrsim.signal_chain import (
+    GAUSSIAN_MEAN_THRESHOLD,
+    _am_gate,
+    _Demodulator,
+    _fm_switch,
+    _shot_counts,
+)
 
 # Planck constant times speed of light, frozen from CODATA.
 HC_JM = 6.62607015e-34 * 2.99792458e8
@@ -90,10 +97,7 @@ def test_detector_validation():
 
 def test_shot_noise_poisson_regime_statistics():
     mean = 80.0
-    draws = np.array(
-        [sample_shot_noise(800.0, 0.1, seed) for seed in range(3000)],
-        dtype=float,
-    )
+    draws = _shot_counts(np.full(3000, mean), np.random.default_rng(0))
     assert draws.mean() == pytest.approx(mean, rel=0.05)
     assert draws.var() == pytest.approx(mean, rel=0.15)
     assert np.all(draws == np.round(draws))
@@ -101,20 +105,17 @@ def test_shot_noise_poisson_regime_statistics():
 
 def test_shot_noise_gaussian_regime_statistics():
     mean = 4e6
-    draws = np.array(
-        [sample_shot_noise(4e8, 0.01, seed) for seed in range(400)],
-        dtype=float,
-    )
+    assert mean > GAUSSIAN_MEAN_THRESHOLD
+    draws = _shot_counts(np.full(400, mean), np.random.default_rng(0))
     assert draws.mean() == pytest.approx(mean, rel=0.01)
     assert draws.var() == pytest.approx(mean, rel=0.25)
+    # Gaussian draws are not rounded to whole counts.
+    assert np.any(draws != np.round(draws))
 
 
-def test_shot_noise_input_validation():
-    with pytest.raises(ValueError):
-        sample_shot_noise(-1.0, 0.1, 0)
-    with pytest.raises(ValueError):
-        sample_shot_noise(1.0, 0.0, 0)
-    assert sample_shot_noise(0.0, 1.0, 0) == 0
+def test_shot_noise_zero_mean_gives_zero():
+    draws = _shot_counts(np.zeros(50), np.random.default_rng(0))
+    np.testing.assert_array_equal(draws, np.zeros(50))
 
 
 def test_lockin_config_validation():
@@ -146,7 +147,7 @@ def am_config(**kw):
 def test_square_am_settles_to_two_over_pi():
     cfg = am_config()
     n = int(0.4 * cfg.sample_rate_hz)
-    gate = _mod_cos(cfg, 0, n) < 0
+    gate = _am_gate(cfg, 0, n)
     depth, v_dc = 0.01, 1.0
     raw = TimeSeries(0.0, cfg.dt_s, v_dc * (1.0 - depth * gate), "V")
     out = lockin_demodulate(raw, cfg)
@@ -198,13 +199,37 @@ def test_second_order_filter_narrows_noise():
 def test_reference_phase_inverts_output():
     cfg = am_config()
     n = 40000
-    gate = _mod_cos(cfg, 0, n) < 0
+    gate = _am_gate(cfg, 0, n)
     raw = TimeSeries(0.0, cfg.dt_s, 1.0 - 0.01 * gate, "V")
     out0 = lockin_demodulate(raw, cfg, phase_rad=0.0)
     outpi = lockin_demodulate(raw, cfg, phase_rad=math.pi)
     a = np.mean(out0.values[cfg.settle_samples :])
     b = np.mean(outpi.values[cfg.settle_samples :])
     assert b == pytest.approx(-a, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [10, 12, 20])
+def test_gate_and_switch_repeat_every_cycle(n):
+    # Samples that sit exactly on cos = 0 (n divisible by 4) must not flip
+    # from one cycle to the next.
+    cfg = am_config(mod_freq_hz=5e3, sample_rate_hz=5e3 * n, time_constant_s=1e-3)
+    n_cycles = -(-1_000_000 // n)
+    gate = _am_gate(cfg, 0, n_cycles * n).reshape(n_cycles, n)
+    switch = _fm_switch(cfg, 0, n_cycles * n).reshape(n_cycles, n)
+    assert np.all(gate == gate[0])
+    assert np.all(switch == switch[0])
+    assert gate[0].sum() == n // 2
+    np.testing.assert_array_equal(switch[0], np.where(gate[0], -1.0, 1.0))
+
+
+def test_demodulator_output_independent_of_block_split():
+    cfg = am_config(filter_order=2)
+    values = np.random.default_rng(4).normal(1.0, 0.01, 30_000)
+    whole = _Demodulator(cfg).process(values)
+    demod = _Demodulator(cfg)
+    bounds = [0, 1, 8, 2_500, 2_503, 16_384, 29_999, 30_000]
+    parts = [demod.process(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def test_sample_rate_mismatch_detected():
@@ -264,6 +289,88 @@ def test_am_sweep_noise_free_matches_lineshape():
     assert record.frequency_hz[center_idx] == pytest.approx(98.04e6, abs=0.2e6)
     # Away from resonance the DC column reads the full PL level.
     assert record.dc_v[0] == pytest.approx(v_dc, rel=0.01)
+
+
+def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
+    """The per-dwell simulator loop: cos per sample, lfilter with state.
+
+    Supports filter_order 1 only.
+    """
+    freqs = plan.frequencies()
+    depth = synthesize_odmr(
+        scene.lines(),
+        scene.broadening,
+        scene.p_rf_w,
+        scene.p_opt_w,
+        freqs,
+        hyperfine=scene.hyperfine,
+    ).values
+    rate0 = scene.photon_rate_hz()
+    k_v = scene.detector.volts_per_photon_rate
+    dt = cfg.dt_s
+    dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
+    settle_n = min(cfg.settle_samples, dwell_n - 1)
+    n = cfg.samples_per_cycle
+    comb = np.full(n, 1.0 / n)
+    beta = 1.0 - math.exp(-dt / cfg.time_constant_s)
+    omega = 2.0 * math.pi * (cfg.mod_freq_hz * dt)
+    zi_dc, zi_comb, zi_pole = np.zeros(n - 1), np.zeros(n - 1), np.zeros(1)
+    rng = np.random.default_rng(seed)
+    lockin, dc = [], []
+    for point in range(-1, plan.n_points):
+        k = (point + 1) * dwell_n + np.arange(dwell_n)
+        gate = np.cos(omega * k) < 0
+        rate = rate0 * (1.0 - depth[max(point, 0)] * gate)
+        if shot_noise:
+            volts = k_v * _shot_counts(rate * dt, rng) / dt
+        else:
+            volts = k_v * rate
+        smooth, zi_dc = lfilter(comb, [1.0], volts, zi=zi_dc)
+        prod = 2.0 * volts * np.cos(omega * k + cfg.phase_rad)
+        out, zi_comb = lfilter(comb, [1.0], prod, zi=zi_comb)
+        out, zi_pole = lfilter([beta], [1.0, beta - 1.0], out, zi=zi_pole)
+        if point >= 0:
+            lockin.append(np.mean(out[settle_n:]))
+            dc.append(np.mean(smooth[settle_n:]))
+    return np.array(lockin), np.array(dc)
+
+
+@pytest.mark.parametrize(
+    "p_opt, p_rf, dwell_s, time_constant_s",
+    [
+        # Cells of the shipped 20x20 map: its argmin and a corner.
+        (0.4, 0.9736842105263158, 0.05, 5e-3),
+        (0.02, 0.05, 0.05, 5e-3),
+        # 617-sample dwells: the gate phase carries across dwells and blocks.
+        (0.2, 1.0, 0.01234, 2e-3),
+    ],
+)
+@pytest.mark.parametrize("shot_noise", [False, True])
+def test_am_sweep_matches_per_dwell_reference(
+    p_opt, p_rf, dwell_s, time_constant_s, shot_noise
+):
+    scene = quenched_scene(p_opt=p_opt, p_rf=p_rf)
+    cfg = LockInConfig(
+        mode="am",
+        mod_freq_hz=5e3,
+        time_constant_s=time_constant_s,
+        sample_rate_hz=5e4,
+    )
+    plan = SweepPlan(
+        f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=41, dwell_s=dwell_s
+    )
+    # Shot noise stays in the Gaussian regime, whose draws do not depend on
+    # how the samples are grouped.
+    min_count = scene.photon_rate_hz() * cfg.dt_s
+    assert min_count * (1.0 - scene.broadening.contrast_max) > GAUSSIAN_MEAN_THRESHOLD
+    seed = np.random.SeedSequence((0, 3, 7))
+    record = simulate_am_sweep(scene, plan, cfg, seed=seed, shot_noise=shot_noise)
+    lockin, dc = reference_am_sweep(
+        scene, plan, cfg, np.random.SeedSequence((0, 3, 7)), shot_noise
+    )
+    np.testing.assert_array_equal(record.dc_v, dc)
+    peak = np.max(np.abs(lockin))
+    np.testing.assert_allclose(record.lockin_v, lockin, rtol=0, atol=1e-9 * peak)
 
 
 def test_am_sweep_seed_reproducibility():
