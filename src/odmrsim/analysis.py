@@ -18,7 +18,6 @@ from .errors import (
     NonPositiveInput,
     NoPeakFound,
     ScheduleMismatch,
-    WindowOutOfRange,
     ZeroDC,
 )
 from .lineshape import BroadeningModel, saturated_contrast, saturated_fwhm
@@ -28,7 +27,7 @@ from .signal_chain import (
     SQUARE_AM_GAIN,
     TimeSeries,
 )
-from .spin_model import gyromagnetic_ratio
+from .spin_model import G_FACTOR, gyromagnetic_ratio
 
 # 4 sqrt(2) / (3 sqrt(3)): photon shot-noise prefactor for a Lorentzian
 # resonance interrogated at the steepest-slope detuning.
@@ -207,7 +206,7 @@ def shot_noise_sensitivity(
     fwhm_hz: float,
     contrast: float,
     rate_hz: float,
-    g_factor: float = 2.0032,
+    g_factor: float = G_FACTOR,
     gradiometric: bool = False,
 ) -> float:
     """Photon shot-noise limited field sensitivity in T / sqrt(Hz).
@@ -255,7 +254,7 @@ def build_sensitivity_map(
     pl_rate_per_w: float,
     p_opt_values,
     p_rf_values,
-    g_factor: float = 2.0032,
+    g_factor: float = G_FACTOR,
     gradiometric: bool = False,
 ) -> SensitivityMap:
     """Closed-form sensitivity over a power grid (no signal simulation)."""
@@ -266,7 +265,7 @@ def build_sensitivity_map(
     points = []
     for po in p_opt:
         for pr in p_rf:
-            fwhm = saturated_fwhm(model, pr, po)
+            fwhm = saturated_fwhm(model, pr)
             contrast = saturated_contrast(model, pr, po)
             rate = pl_rate_per_w * po
             if contrast > 0 and rate > 0:
@@ -362,32 +361,3 @@ def analyze_steps(
         settle_discard_s=float(settle_discard_s),
         time_constant_s=float(cfg.time_constant_s),
     )
-
-
-def peak_ratio(
-    energy_ev,
-    intensity,
-    window_a: tuple[float, float] = (1.349, 1.359),
-    window_b: tuple[float, float] = (1.365, 1.375),
-) -> float:
-    """Peak-height ratio between two energy windows of an emission spectrum.
-
-    Raises WindowOutOfRange when either window contains no samples.
-    """
-    energy = np.asarray(energy_ev, dtype=float)
-    values = np.asarray(intensity, dtype=float)
-    if energy.size != values.size:
-        raise ValueError("energy and intensity arrays differ in length")
-    heights = []
-    for lo, hi in (window_a, window_b):
-        if hi <= lo:
-            raise ValueError("window bounds must satisfy lo < hi")
-        mask = (energy >= lo) & (energy <= hi)
-        if not mask.any():
-            raise WindowOutOfRange(
-                f"no samples in window [{lo}, {hi}] eV"
-            )
-        heights.append(float(np.max(values[mask])))
-    if heights[1] <= 0:
-        raise NonPositiveInput("reference window peak must be positive")
-    return heights[0] / heights[1]

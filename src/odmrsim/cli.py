@@ -22,6 +22,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,103 +36,31 @@ from .analysis import (
     odmr_contrast,
     shot_noise_sensitivity,
 )
+from .config import ConfigDoc, load_config
 from .errors import FormatError, NonConvergence, NoPeakFound, OdmrError
 from .errors import SchemaViolation
 from .io_formats import (
-    ConfigDoc,
     FORMAT_VERSION,
     format_rows,
-    load_config,
     load_sweep,
     write_json_record,
     write_map_csv,
     write_run_manifest,
     _write_text,
 )
-from .lineshape import BroadeningModel, synthesize_odmr
+from .lineshape import synthesize_odmr
 from .signal_chain import (
-    DetectorModel,
     FieldTimeline,
-    LockInConfig,
     Scene,
-    SweepPlan,
     photon_rate_from_voltage,
     simulate_am_sweep,
     simulate_fm_tracking,
 )
-from .spin_model import FieldVector, SpinParams, transitions, eigenlevels
+from .spin_model import transitions, eigenlevels
 from .spin_model import build_hamiltonian
 from .svgplot import heatmap, line_plot
 
 TRANSITIONS_HEADER = "bz_t,label,lower_m,upper_m,frequency_hz,rel_strength"
-
-
-def _spin_from_cfg(cfg: ConfigDoc) -> SpinParams:
-    return SpinParams(
-        zfs_hz=cfg.spin["zfs_hz"],
-        g_factor=cfg.spin["g_factor"],
-        hyperfine_offset_hz=cfg.spin["hyperfine_offset_hz"],
-        hyperfine_rel_amp=cfg.spin["hyperfine_rel_amp"],
-    )
-
-
-def _field_from_cfg(cfg: ConfigDoc) -> FieldVector:
-    return FieldVector(
-        bx_t=cfg.field["bx_t"], by_t=cfg.field["by_t"], bz_t=cfg.field["bz_t"]
-    )
-
-
-def _broadening_from_cfg(cfg: ConfigDoc) -> BroadeningModel:
-    return BroadeningModel(
-        fwhm0_hz=cfg.lineshape["fwhm0_hz"],
-        rf_sat_w=cfg.lineshape["rf_sat_w"],
-        contrast_max=cfg.lineshape["contrast_max"],
-        opt_sat_w=cfg.lineshape["opt_sat_w"],
-        rf_contrast_sat_w=cfg.lineshape["rf_contrast_sat_w"],
-    )
-
-
-def _detector_from_cfg(cfg: ConfigDoc) -> DetectorModel:
-    return DetectorModel(
-        responsivity_a_per_w=cfg.detector["responsivity_a_per_w"],
-        transimpedance_v_per_a=cfg.detector["transimpedance_v_per_a"],
-        effective_wavelength_m=cfg.detector["effective_wavelength_m"],
-        collection_note=cfg.detector["collection_note"],
-    )
-
-
-def _lockin_from_cfg(cfg: ConfigDoc) -> LockInConfig:
-    return LockInConfig(
-        mode=cfg.lockin["mode"],
-        mod_freq_hz=cfg.lockin["mod_freq_hz"],
-        time_constant_s=cfg.lockin["time_constant_s"],
-        sample_rate_hz=cfg.lockin["sample_rate_hz"],
-        fm_deviation_hz=cfg.lockin["fm_deviation_hz"],
-        filter_order=cfg.lockin["filter_order"],
-        phase_rad=cfg.lockin["phase_rad"],
-    )
-
-
-def _scene_from_cfg(
-    cfg: ConfigDoc,
-    hyperfine: bool,
-    p_opt_w: float | None = None,
-    p_rf_w: float | None = None,
-) -> Scene:
-    return Scene(
-        spin=_spin_from_cfg(cfg),
-        field=_field_from_cfg(cfg),
-        broadening=_broadening_from_cfg(cfg),
-        detector=_detector_from_cfg(cfg),
-        pl_rate_per_w=cfg.lineshape["pl_rate_per_w"],
-        p_opt_w=cfg.sweep["p_opt_w"] if p_opt_w is None else p_opt_w,
-        p_rf_w=cfg.sweep["p_rf_w"] if p_rf_w is None else p_rf_w,
-        hyperfine=hyperfine,
-    )
-
-
-def _hyperfine_enabled(cfg: ConfigDoc, args) -> bool:
-    return cfg.spin["hyperfine"] and not getattr(args, "no_hyperfine", False)
 
 
 def _prepare_out(args) -> Path:
@@ -143,21 +72,16 @@ def _prepare_out(args) -> Path:
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    hyperfine = _hyperfine_enabled(cfg, args)
-    scene = _scene_from_cfg(cfg, hyperfine)
+    scene = cfg.scene(hyperfine=not args.no_hyperfine)
     out_dir = _prepare_out(args)
 
     spin = scene.spin
     rows = [TRANSITIONS_HEADER]
     bz_values = np.linspace(
-        cfg.sweep["bz_start_t"], cfg.sweep["bz_stop_t"], cfg.sweep["n_fields"]
+        cfg.sweep.bz_start_t, cfg.sweep.bz_stop_t, cfg.sweep.n_fields
     )
     for bz in bz_values:
-        levels = eigenlevels(
-            build_hamiltonian(
-                spin, FieldVector(cfg.field["bx_t"], cfg.field["by_t"], bz)
-            )
-        )
+        levels = eigenlevels(build_hamiltonian(spin, replace(cfg.field, bz_t=bz)))
         table = [
             (bz, ln.label, ln.lower_m, ln.upper_m, ln.frequency_hz, ln.rel_strength)
             for ln in transitions(levels, spin, include_hyperfine=False)
@@ -167,16 +91,13 @@ def cmd_spectrum(args) -> int:
         out_dir / "transitions.csv", "\n".join(rows) + "\n"
     )
 
-    freqs = np.linspace(
-        cfg.sweep["f_start_hz"], cfg.sweep["f_stop_hz"], cfg.sweep["n_points"]
-    )
     spectrum = synthesize_odmr(
         scene.lines(),
         scene.broadening,
         scene.p_rf_w,
         scene.p_opt_w,
-        freqs,
-        hyperfine=hyperfine,
+        cfg.sweep.frequencies(),
+        hyperfine=scene.hyperfine,
     )
     spec_rows = ["frequency_hz,contrast"] + format_rows(
         spectrum.frequency_hz, spectrum.values
@@ -272,18 +193,11 @@ def cmd_fit(args) -> int:
 
 
 def _map_cell(
-    cfg: ConfigDoc,
-    hyperfine: bool,
-    plan: SweepPlan,
-    lock_cfg: LockInConfig,
-    p_opt: float,
-    p_rf: float,
-    seed,
-    shot_noise: bool,
+    cfg: ConfigDoc, scene: Scene, p_opt: float, p_rf: float, seed
 ) -> SensitivityPoint:
-    scene = _scene_from_cfg(cfg, hyperfine, p_opt_w=p_opt, p_rf_w=p_rf)
+    scene = replace(scene, p_opt_w=p_opt, p_rf_w=p_rf)
     record = simulate_am_sweep(
-        scene, plan, lock_cfg, seed=seed, shot_noise=shot_noise
+        scene, cfg.sweep, cfg.lockin, seed=seed, shot_noise=cfg.detector.shot_noise
     )
     try:
         fit = fit_lorentzian(record)
@@ -291,7 +205,7 @@ def _map_cell(
         contrast = odmr_contrast(fit, dc)
         rate = photon_rate_from_voltage(dc, scene.detector)
         eta = shot_noise_sensitivity(
-            fit.fwhm_hz, contrast, rate, g_factor=cfg.spin["g_factor"]
+            fit.fwhm_hz, contrast, rate, g_factor=cfg.spin.g_factor
         )
         return SensitivityPoint(
             p_opt_w=p_opt,
@@ -326,20 +240,12 @@ def _point_payload(point) -> dict:
 def cmd_map(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    grid = cfg.grid()
+    grid = cfg.sweep.grid
     if grid is None:
         raise SchemaViolation("sweep.grid: required by the map command")
-    if cfg.lockin["mode"] != "am":
+    if cfg.lockin.mode != "am":
         raise SchemaViolation("lockin.mode: map command needs 'am'")
-    hyperfine = _hyperfine_enabled(cfg, args)
-    lock_cfg = _lockin_from_cfg(cfg)
-    plan = SweepPlan(
-        f_start_hz=cfg.sweep["f_start_hz"],
-        f_stop_hz=cfg.sweep["f_stop_hz"],
-        n_points=cfg.sweep["n_points"],
-        dwell_s=cfg.sweep["dwell_s"],
-    )
-    shot = cfg.detector["shot_noise"]
+    scene = cfg.scene(hyperfine=not args.no_hyperfine)
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()
     out_dir = _prepare_out(args)
@@ -353,7 +259,7 @@ def cmd_map(args) -> int:
     points = []
     for i, j, po, pr in cells:
         seed = np.random.SeedSequence((args.seed, i, j))
-        points.append(_map_cell(cfg, hyperfine, plan, lock_cfg, po, pr, seed, shot))
+        points.append(_map_cell(cfg, scene, po, pr, seed))
 
     map_path = write_map_csv(points, out_dir / "map.csv")
 
@@ -363,11 +269,11 @@ def cmd_map(args) -> int:
     best = min(finite, key=lambda p: (p.eta_t_rthz, p.p_opt_w, p.p_rf_w))
 
     analytic = build_sensitivity_map(
-        _broadening_from_cfg(cfg),
-        cfg.lineshape["pl_rate_per_w"],
+        cfg.lineshape,
+        cfg.lineshape.pl_rate_per_w,
         p_opts,
         p_rfs,
-        g_factor=cfg.spin["g_factor"],
+        g_factor=cfg.spin.g_factor,
     )
     payload = {
         "format_version": FORMAT_VERSION,
@@ -414,39 +320,37 @@ def cmd_map(args) -> int:
 def cmd_steps(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
-    if cfg.lockin["mode"] != "fm":
+    if cfg.lockin.mode != "fm":
         raise SchemaViolation("lockin.mode: steps command needs 'fm'")
-    hyperfine = _hyperfine_enabled(cfg, args)
-    scene = _scene_from_cfg(cfg, hyperfine)
-    lock_cfg = _lockin_from_cfg(cfg)
+    scene = cfg.scene(hyperfine=not args.no_hyperfine)
     sched = cfg.schedule
     timeline = FieldTimeline.staircase(
-        bias_t=cfg.field["bz_t"],
-        step_t=sched["step_t"],
-        period_s=sched["step_period_s"],
-        n_steps=sched["n_steps"],
+        bias_t=cfg.field.bz_t,
+        step_t=sched.step_t,
+        period_s=sched.step_period_s,
+        n_steps=sched.n_steps,
     )
-    duration = sched["step_period_s"] * sched["n_steps"]
+    duration = sched.step_period_s * sched.n_steps
     out_dir = _prepare_out(args)
 
     result = simulate_fm_tracking(
         timeline,
         scene,
-        lock_cfg,
+        cfg.lockin,
         duration,
         seed=args.seed,
-        shot_noise=cfg.detector["shot_noise"],
-        field_noise_step_sigma_t=sched["field_noise_step_sigma_t"],
+        shot_noise=cfg.detector.shot_noise,
+        field_noise_step_sigma_t=sched.field_noise_step_sigma_t,
     )
-    discard = sched["settle_discard_s"]
+    discard = sched.settle_discard_s
     report = analyze_steps(
         result.field_estimate,
         timeline,
-        lock_cfg,
+        cfg.lockin,
         settle_discard_s=discard if discard > 0 else None,
     )
 
-    decim = sched["output_decimation"]
+    decim = sched.output_decimation
     t = result.field_estimate.times()[::decim]
     est = result.field_estimate.values[::decim]
     lockin = result.lockin.values[::decim]

@@ -71,10 +71,6 @@ class ScheduleMismatch(OdmrError):
     """Field time series does not cover the step schedule."""
 
 
-class WindowOutOfRange(OdmrError):
-    """Requested spectral window lies outside the data axis."""
-
-
 # file formats
 
 

@@ -110,7 +110,7 @@ def lorentzian_value(peak: PeakShape, frequency_hz):
     return out if out.ndim else float(out)
 
 
-def saturated_fwhm(model: BroadeningModel, p_rf_w, p_opt_w=0.0):
+def saturated_fwhm(model: BroadeningModel, p_rf_w):
     """RF-power-broadened linewidth; independent of optical power."""
     p_rf = np.asarray(p_rf_w, dtype=float)
     if np.any(p_rf < 0):
@@ -151,7 +151,7 @@ def synthesize_odmr(
     if not kept:
         raise EmptyTransitionList("no transition lines to synthesise")
     grid = np.asarray(grid_hz, dtype=float)
-    fwhm = saturated_fwhm(model, p_rf_w, p_opt_w)
+    fwhm = saturated_fwhm(model, p_rf_w)
     contrast = saturated_contrast(model, p_rf_w, p_opt_w)
     values = np.zeros_like(grid)
     for ln in kept:

@@ -24,6 +24,7 @@ which are out of scope here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,9 @@ from .errors import ConvergenceFailure, FieldOutOfRange
 MU_B_OVER_H = physical_constants["Bohr magneton in Hz/T"][0]
 
 MAX_FIELD_T = 0.1
+
+# Electron g-factor of the silicon vacancy, the default wherever one is taken.
+G_FACTOR = 2.0032
 
 M_VALUES = (1.5, 0.5, -0.5, -1.5)
 
@@ -81,7 +85,7 @@ class SpinParams:
     """
 
     zfs_hz: float = 70e6
-    g_factor: float = 2.0032
+    g_factor: float = G_FACTOR
     hyperfine_offset_hz: float = 5e6
     hyperfine_rel_amp: float = 0.05
 
@@ -98,11 +102,14 @@ class SpinParams:
 
 @dataclass(frozen=True)
 class FieldVector:
-    """Static magnetic field in tesla, z along the defect symmetry axis."""
+    """Static magnetic field in tesla, z along the defect symmetry axis.
+
+    The default is the 1 mT axial bias the simulator runs at.
+    """
 
     bx_t: float = 0.0
     by_t: float = 0.0
-    bz_t: float = 0.0
+    bz_t: float = 1e-3
 
     def __post_init__(self) -> None:
         if self.magnitude_t() > MAX_FIELD_T:
@@ -111,7 +118,7 @@ class FieldVector:
             )
 
     def magnitude_t(self) -> float:
-        return float(np.sqrt(self.bx_t**2 + self.by_t**2 + self.bz_t**2))
+        return math.hypot(self.bx_t, self.by_t, self.bz_t)
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,7 @@ class AxialFrequencies:
     dark_hz: float
 
 
-def gyromagnetic_ratio(g_factor: float = 2.0032) -> float:
+def gyromagnetic_ratio(g_factor: float = G_FACTOR) -> float:
     """Gyromagnetic ratio g * mu_B / h in Hz/T."""
     return g_factor * MU_B_OVER_H
 

@@ -223,19 +223,19 @@ def test_criterion_3_sensitivity_formula_oracle(finish):
 
     cfg = load_config(None)
     model = BroadeningModel(
-        fwhm0_hz=cfg.lineshape["fwhm0_hz"],
-        rf_sat_w=cfg.lineshape["rf_sat_w"],
-        contrast_max=cfg.lineshape["contrast_max"],
-        opt_sat_w=cfg.lineshape["opt_sat_w"],
-        rf_contrast_sat_w=cfg.lineshape["rf_contrast_sat_w"],
+        fwhm0_hz=cfg.lineshape.fwhm0_hz,
+        rf_sat_w=cfg.lineshape.rf_sat_w,
+        contrast_max=cfg.lineshape.contrast_max,
+        opt_sat_w=cfg.lineshape.opt_sat_w,
+        rf_contrast_sat_w=cfg.lineshape.rf_contrast_sat_w,
     )
-    p_opt = cfg.sweep["p_opt_w"]
-    p_rf = cfg.sweep["p_rf_w"]
+    p_opt = cfg.sweep.p_opt_w
+    p_rf = cfg.sweep.p_rf_w
     eta_quenched = shot_noise_sensitivity(
         float(saturated_fwhm(model, p_rf)),
         float(saturated_contrast(model, p_rf, p_opt)),
-        p_opt * cfg.lineshape["pl_rate_per_w"],
-        g_factor=cfg.spin["g_factor"],
+        p_opt * cfg.lineshape.pl_rate_per_w,
+        g_factor=cfg.spin.g_factor,
     )
     elapsed = time.perf_counter() - t0
     checks = [
@@ -326,19 +326,19 @@ def test_criterion_6_shot_noise_consistency(steps_shot_noise, finish):
 
     cfg = load_config(steps_shot_noise["config"])
     model = BroadeningModel(
-        fwhm0_hz=cfg.lineshape["fwhm0_hz"],
-        rf_sat_w=cfg.lineshape["rf_sat_w"],
-        contrast_max=cfg.lineshape["contrast_max"],
-        opt_sat_w=cfg.lineshape["opt_sat_w"],
-        rf_contrast_sat_w=cfg.lineshape["rf_contrast_sat_w"],
+        fwhm0_hz=cfg.lineshape.fwhm0_hz,
+        rf_sat_w=cfg.lineshape.rf_sat_w,
+        contrast_max=cfg.lineshape.contrast_max,
+        opt_sat_w=cfg.lineshape.opt_sat_w,
+        rf_contrast_sat_w=cfg.lineshape.rf_contrast_sat_w,
     )
-    p_opt = cfg.sweep["p_opt_w"]
-    p_rf = cfg.sweep["p_rf_w"]
+    p_opt = cfg.sweep.p_opt_w
+    p_rf = cfg.sweep.p_rf_w
     predicted = shot_noise_sensitivity(
         float(saturated_fwhm(model, p_rf)),
         float(saturated_contrast(model, p_rf, p_opt)),
-        p_opt * cfg.lineshape["pl_rate_per_w"],
-        g_factor=cfg.spin["g_factor"],
+        p_opt * cfg.lineshape.pl_rate_per_w,
+        g_factor=cfg.spin.g_factor,
     )
     ratio = measured / predicted
     elapsed = steps_shot_noise["elapsed"]

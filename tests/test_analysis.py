@@ -15,13 +15,11 @@ from odmrsim import (
     SQUARE_AM_GAIN,
     SweepRecord,
     TimeSeries,
-    WindowOutOfRange,
     ZeroDC,
     analyze_steps,
     build_sensitivity_map,
     fit_lorentzian,
     odmr_contrast,
-    peak_ratio,
     shot_noise_sensitivity,
 )
 
@@ -237,27 +235,3 @@ def test_analyze_steps_discard_floor():
     series = TimeSeries(0.0, cfg.dt_s, np.zeros(int(4.0 / cfg.dt_s)), "T")
     with pytest.raises(ValueError):
         analyze_steps(series, tl, cfg, settle_discard_s=0.1)
-
-
-def test_peak_ratio_of_two_lines():
-    energy = np.linspace(1.30, 1.42, 2400)
-    spectrum = 2.4 * np.exp(-((energy - 1.354) / 0.002) ** 2) + 1.2 * np.exp(
-        -((energy - 1.370) / 0.002) ** 2
-    )
-    assert peak_ratio(energy, spectrum) == pytest.approx(2.0, rel=1e-3)
-
-
-def test_peak_ratio_window_errors():
-    energy = np.linspace(1.36, 1.42, 100)
-    spectrum = np.ones(100)
-    with pytest.raises(WindowOutOfRange):
-        peak_ratio(energy, spectrum, window_a=(1.30, 1.31))
-    with pytest.raises(ValueError):
-        peak_ratio(energy, spectrum, window_a=(1.38, 1.37))
-
-
-def test_peak_ratio_reference_must_be_positive():
-    energy = np.linspace(1.34, 1.38, 400)
-    spectrum = np.where(np.abs(energy - 1.354) < 0.003, 1.0, 0.0)
-    with pytest.raises(NonPositiveInput):
-        peak_ratio(energy, spectrum)

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface (in-process)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -142,6 +143,31 @@ def test_bad_config_json_is_format_error(tmp_path, capsys):
 def test_unknown_config_key_is_format_error(tmp_path):
     cfg = write_config(tmp_path, {"spin": {"zfs_mhz": 70.0}})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        ("spectrum", {"sweep": {"p_opt_w": math.nan}}, "sweep.p_opt_w"),
+        ("spectrum", {"field": {"bz_t": math.nan}}, "field.bz_t"),
+        (
+            "steps",
+            {"lockin": {**MINI_STEPS_CONFIG["lockin"], "time_constant_s": math.inf}},
+            "lockin.time_constant_s",
+        ),
+        (
+            "spectrum",
+            {"detector": {"collection_note": 0.11}},
+            "detector.collection_note",
+        ),
+    ],
+)
+def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_map_requires_grid_and_am_mode(tmp_path):

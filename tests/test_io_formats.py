@@ -22,7 +22,6 @@ from odmrsim import (
     load_manifest,
     load_map_csv,
     load_sweep,
-    store_results,
     verify_manifest,
     write_map_csv,
     write_run_manifest,
@@ -124,16 +123,16 @@ def test_map_rows_sorted_by_powers(tmp_path):
 
 def test_config_defaults_and_sections():
     cfg = load_config(None)
-    assert cfg.spin["zfs_hz"] == 70e6
-    assert cfg.spin["g_factor"] == 2.0032
-    assert cfg.field["bz_t"] == 1e-3
-    assert cfg.sample_preset["name"] == "quenched"
-    assert cfg.lineshape["fwhm0_hz"] == PRESETS["quenched"].broadening.fwhm0_hz
-    assert cfg.detector["shot_noise"] is True
-    assert cfg.lockin["mode"] == "am"
-    assert cfg.sweep["n_points"] == 101
-    assert cfg.schedule["n_steps"] == 8
-    assert cfg.grid() is None
+    assert cfg.spin.zfs_hz == 70e6
+    assert cfg.spin.g_factor == 2.0032
+    assert cfg.field.bz_t == 1e-3
+    assert cfg.sample_preset.name == "quenched"
+    assert cfg.lineshape.fwhm0_hz == PRESETS["quenched"].broadening.fwhm0_hz
+    assert cfg.detector.shot_noise is True
+    assert cfg.lockin.mode == "am"
+    assert cfg.sweep.n_points == 101
+    assert cfg.schedule.n_steps == 8
+    assert cfg.sweep.grid is None
 
 
 def test_config_preset_null_override():
@@ -143,9 +142,9 @@ def test_config_preset_null_override():
             "lineshape": {"fwhm0_hz": 9e5, "contrast_max": None},
         }
     )
-    assert cfg.lineshape["fwhm0_hz"] == 9e5
+    assert cfg.lineshape.fwhm0_hz == 9e5
     assert (
-        cfg.lineshape["contrast_max"]
+        cfg.lineshape.contrast_max
         == PRESETS["annealed"].broadening.contrast_max
     )
 
@@ -211,7 +210,7 @@ def test_config_grid_requires_all_bounds():
             }
         }
     )
-    grid = cfg.grid()
+    grid = cfg.sweep.grid
     assert grid.p_opt_values().size == 4
     np.testing.assert_allclose(grid.p_rf_values(), [0.5, 1.0, 1.5])
 
@@ -227,7 +226,7 @@ def test_config_empty_file_means_defaults(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text("")
     cfg = load_config(path)
-    assert cfg.spin["zfs_hz"] == 70e6
+    assert cfg.spin.zfs_hz == 70e6
 
 
 def test_manifest_write_verify_and_tamper(tmp_path):
@@ -255,29 +254,6 @@ def test_load_manifest_rejects_other_json(tmp_path):
     path.write_text("{\"a\": 1}\n")
     with pytest.raises(SchemaViolation):
         load_manifest(path)
-
-
-def test_store_results_dispatch(tmp_path):
-    grid = SensitivityMap(
-        points=[SensitivityPoint(0.1, 0.5, 5e5, 0.01, 1e11, 4e-9)]
-    )
-    csv_path = tmp_path / "m.csv"
-    store_results(grid, csv_path, command="map")
-    assert load_map_csv(csv_path)[0]["p_opt_w"] == pytest.approx(0.1)
-    manifest = load_manifest(tmp_path / "m.csv.manifest.json")
-    assert manifest["command"] == "map"
-    assert verify_manifest(tmp_path / "m.csv.manifest.json") == {"m.csv": True}
-
-    class Dictish:
-        def to_dict(self):
-            return {"x": 1.5}
-
-    json_path = tmp_path / "r.json"
-    store_results(Dictish(), json_path)
-    assert json.loads(json_path.read_text()) == {"x": 1.5}
-
-    with pytest.raises(TypeError):
-        store_results(object(), tmp_path / "nope.bin")
 
 
 def test_format_float_round_trips():

@@ -52,10 +52,10 @@ def test_fwhm_square_root_power_broadening():
 
 def test_fwhm_ignores_optical_power():
     rng = np.random.default_rng(3)
+    grid = np.linspace(95e6, 101e6, 11)
     for p_opt in rng.uniform(0.0, 5.0, size=10):
-        assert saturated_fwhm(QUENCHED, 0.7, p_opt) == saturated_fwhm(
-            QUENCHED, 0.7, 0.0
-        )
+        spectrum = synthesize_odmr(lines_at(), QUENCHED, 0.7, p_opt, grid)
+        assert spectrum.meta["fwhm_hz"] == saturated_fwhm(QUENCHED, 0.7)
 
 
 def test_fwhm_rejects_negative_power():

@@ -232,6 +232,21 @@ def test_demodulator_output_independent_of_block_split():
     np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
+def test_demodulator_empty_block_keeps_state():
+    cfg = am_config(filter_order=2)
+    values = np.random.default_rng(5).normal(1.0, 0.01, 5_000)
+    plain = _Demodulator(cfg)
+    expected = [plain.process(values[:1_234]), plain.process(values[1_234:])]
+    demod = _Demodulator(cfg)
+    first = demod.process(values[:1_234])
+    empty = demod.process(values[:0])
+    second = demod.process(values[1_234:])
+    assert empty.size == 0
+    np.testing.assert_array_equal(
+        np.concatenate((first, second)), np.concatenate(expected)
+    )
+
+
 def test_sample_rate_mismatch_detected():
     cfg = am_config()
     raw = TimeSeries(0.0, 2.0 / cfg.sample_rate_hz, np.zeros(100), "V")
