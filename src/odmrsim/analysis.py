@@ -55,7 +55,8 @@ class LorentzFit:
         )
 
 
-def _lorentz_model_jac(params: np.ndarray, x: np.ndarray):
+def _lorentz_model(params: np.ndarray, x: np.ndarray):
+    """Model values and the intermediates _lorentz_jac reuses."""
     center, width, amp, offset = params
     half = 0.5 * width
     u = half * half
@@ -63,12 +64,18 @@ def _lorentz_model_jac(params: np.ndarray, x: np.ndarray):
     denom = dx * dx + u
     shape = u / denom
     model = offset + amp * shape
-    jac = np.empty((x.size, 4))
+    return model, (amp, half, u, dx, denom, shape)
+
+
+def _lorentz_jac(parts) -> np.ndarray:
+    """Jacobian of the model from the intermediates of _lorentz_model."""
+    amp, half, u, dx, denom, shape = parts
+    jac = np.empty((dx.size, 4))
     jac[:, 0] = amp * u * 2.0 * dx / (denom * denom)
     jac[:, 1] = amp * half * dx * dx / (denom * denom)
     jac[:, 2] = shape
     jac[:, 3] = 1.0
-    return model, jac
+    return jac
 
 
 def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -113,7 +120,8 @@ def fit_lorentzian(
     if params[2] == 0.0:
         raise NoPeakFound("input data are exactly flat")
 
-    model, jac = _lorentz_model_jac(params, x)
+    model, parts = _lorentz_model(params, x)
+    jac = _lorentz_jac(parts)
     resid = y - model
     rss = float(resid @ resid)
     lam = 1e-3
@@ -122,16 +130,17 @@ def fit_lorentzian(
     for n_iter in range(1, max_iter + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ resid
+        jtj_diag = np.diag(np.diag(jtj))
         accepted = False
         for _ in range(50):
-            damped = jtj + lam * np.diag(np.diag(jtj))
+            damped = jtj + lam * jtj_diag
             try:
                 step = np.linalg.solve(damped, jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             trial = params + step
-            trial_model, trial_jac = _lorentz_model_jac(trial, x)
+            trial_model, trial_parts = _lorentz_model(trial, x)
             trial_resid = y - trial_model
             trial_rss = float(trial_resid @ trial_resid)
             if trial_rss <= rss:
@@ -141,7 +150,8 @@ def fit_lorentzian(
         if not accepted:
             break
         rel_step = np.max(np.abs(step) / (np.abs(params) + rel_tol))
-        params, model, jac = trial, trial_model, trial_jac
+        # Only an accepted trial needs its Jacobian.
+        params, jac = trial, _lorentz_jac(trial_parts)
         resid, rss = trial_resid, trial_rss
         lam = max(lam / 10.0, 1e-12)
         if rel_step < rel_tol:

@@ -19,6 +19,7 @@ generator seeded by (seed, i, j) for grid indexes i and j.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -56,8 +57,7 @@ from .signal_chain import (
     simulate_am_sweep,
     simulate_fm_tracking,
 )
-from .spin_model import transitions, eigenlevels
-from .spin_model import build_hamiltonian
+from .spin_model import scan_transitions
 from .svgplot import heatmap, line_plot
 
 TRANSITIONS_HEADER = "bz_t,label,lower_m,upper_m,frequency_hz,rel_strength"
@@ -73,20 +73,22 @@ def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     scene = cfg.scene(hyperfine=not args.no_hyperfine)
-    out_dir = _prepare_out(args)
-
-    spin = scene.spin
-    rows = [TRANSITIONS_HEADER]
     bz_values = np.linspace(
         cfg.sweep.bz_start_t, cfg.sweep.bz_stop_t, cfg.sweep.n_fields
     )
-    for bz in bz_values:
-        levels = eigenlevels(build_hamiltonian(spin, replace(cfg.field, bz_t=bz)))
-        table = [
-            (bz, ln.label, ln.lower_m, ln.upper_m, ln.frequency_hz, ln.rel_strength)
-            for ln in transitions(levels, spin, include_hyperfine=False)
-        ]
-        rows += format_rows(*zip(*table))
+    tables = scan_transitions(scene.spin, cfg.field, bz_values)
+    out_dir = _prepare_out(args)
+
+    rows = [TRANSITIONS_HEADER]
+    for t in tables:
+        rows += format_rows(
+            bz_values[t.field_index],
+            t.label,
+            t.lower_m,
+            t.upper_m,
+            t.frequency_hz,
+            t.rel_strength,
+        )
     transitions_path = _write_text(
         out_dir / "transitions.csv", "\n".join(rows) + "\n"
     )
@@ -419,7 +421,13 @@ def _add_common(sub, with_hyperfine: bool = True) -> None:
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The odmr parser, built on first use and shared by later main() calls.
+
+    parse_args returns a fresh namespace each call and the parser keeps no
+    parsed state, so sharing it is safe; building it costs about 1 ms.
+    """
     parser = argparse.ArgumentParser(
         prog="odmr",
         description="CW ODMR magnetometry simulator for S=3/2 defects",

@@ -64,6 +64,8 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"cannot read {path}: not UTF-8 text: {exc}") from None
 
 
 def sha256_file(path) -> str:

@@ -25,7 +25,7 @@ which are out of scope here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.constants import physical_constants
@@ -160,6 +160,15 @@ def gyromagnetic_ratio(g_factor: float = G_FACTOR) -> float:
     return g_factor * MU_B_OVER_H
 
 
+def _hamiltonian_stack(
+    params: SpinParams, bx_t: float, by_t: float, bz_t: np.ndarray
+) -> np.ndarray:
+    """(n, 4, 4) Hamiltonians, one per axial field in bz_t, in Hz."""
+    gamma = gyromagnetic_ratio(params.g_factor)
+    h = 0.5 * params.zfs_hz * (_SZ @ _SZ - 1.25 * np.eye(4))
+    return h + gamma * (bx_t * _SX + by_t * _SY + bz_t[:, None, None] * _SZ)
+
+
 def build_hamiltonian(params: SpinParams, field: FieldVector) -> np.ndarray:
     """4x4 Hermitian spin Hamiltonian divided by h, in Hz.
 
@@ -169,10 +178,32 @@ def build_hamiltonian(params: SpinParams, field: FieldVector) -> np.ndarray:
     """
     if field.magnitude_t() > MAX_FIELD_T:
         raise FieldOutOfRange(f"|B| exceeds {MAX_FIELD_T} T")
-    gamma = gyromagnetic_ratio(params.g_factor)
-    h = 0.5 * params.zfs_hz * (_SZ @ _SZ - 1.25 * np.eye(4))
-    h = h + gamma * (field.bx_t * _SX + field.by_t * _SY + field.bz_t * _SZ)
-    return h
+    bz = np.array([field.bz_t], dtype=float)
+    return _hamiltonian_stack(params, field.bx_t, field.by_t, bz)[0]
+
+
+def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonalise a (n, 4, 4) stack of Hamiltonians in one call.
+
+    Returns the ascending energies (n, 4), the eigenvectors as columns
+    (n, 4, 4) and the index into M_VALUES of each level's dominant
+    component (n, 4).  Raises ValueError for a non-Hermitian matrix and
+    ConvergenceFailure when an eigenpair residual exceeds 1e-8 * ||H||.
+    """
+    scale = np.linalg.norm(h, 2, axis=(-2, -1))
+    skew = np.linalg.norm(h - np.conj(np.swapaxes(h, -1, -2)), 2, axis=(-2, -1))
+    if np.any((scale > 0) & (skew > 1e-12 * scale)):
+        raise ValueError("Hamiltonian is not Hermitian")
+    energies, states = np.linalg.eigh(h)
+    residual = np.linalg.norm(
+        h @ states - states * energies[..., None, :], 2, axis=(-2, -1)
+    )
+    failed = residual > 1e-8 * np.maximum(scale, 1.0)
+    if np.any(failed):
+        raise ConvergenceFailure(
+            f"eigenpair residual {residual[failed][0]:.3g} exceeds tolerance"
+        )
+    return energies, states, np.argmax(np.abs(states), axis=-2)
 
 
 def eigenlevels(hamiltonian_hz: np.ndarray) -> LevelSet:
@@ -184,17 +215,110 @@ def eigenlevels(hamiltonian_hz: np.ndarray) -> LevelSet:
     h = np.asarray(hamiltonian_hz, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {h.shape}")
-    scale = np.linalg.norm(h, 2)
-    if scale > 0 and np.linalg.norm(h - h.conj().T, 2) > 1e-12 * scale:
-        raise ValueError("Hamiltonian is not Hermitian")
-    energies, states = np.linalg.eigh(h)
-    residual = np.linalg.norm(h @ states - states @ np.diag(energies), 2)
-    if residual > 1e-8 * max(scale, 1.0):
-        raise ConvergenceFailure(
-            f"eigenpair residual {residual:.3g} exceeds tolerance"
-        )
-    dominant = tuple(M_VALUES[int(k)] for k in np.argmax(np.abs(states), axis=0))
-    return LevelSet(energies_hz=energies.real, states=states, dominant_m=dominant)
+    energies, states, dominant = _solve(h[None])
+    return LevelSet(
+        energies_hz=energies[0],
+        states=states[0],
+        dominant_m=tuple(M_VALUES[k] for k in dominant[0].tolist()),
+    )
+
+
+@dataclass(frozen=True)
+class LineTable:
+    """Transition lines of a stack of fields, one row per line.
+
+    Rows run field by field (field_index ascending); within a field they
+    are sorted by (frequency_hz, label), the order transitions() returns.
+    """
+
+    field_index: np.ndarray
+    label: np.ndarray
+    lower_m: np.ndarray
+    upper_m: np.ndarray
+    frequency_hz: np.ndarray
+    rel_strength: np.ndarray
+
+
+# Fields per stacked solve of a scan.  One stack of a whole 3000-field
+# scan raised peak RSS by about 4.5 MB in temporaries, and formatting a
+# block's rows at a time keeps the per-row Python objects few.
+_SCAN_BLOCK = 256
+
+# Level pairs (i, j), i < j, in the order lines are listed before sorting.
+_LOWER, _UPPER = np.triu_indices(4, k=1)
+# Label of a line between levels whose dominant components are M_VALUES[a]
+# and M_VALUES[b], in the mirrored (m -> -m) convention; "" for no line.
+_PAIR_LABEL = np.array(
+    [
+        [_LABEL_BY_M_PAIR.get(frozenset((-a, -b)), "") for b in M_VALUES]
+        for a in M_VALUES
+    ]
+)
+# Satellites are listed after the six pair lines: each pair's two, plus
+# then minus, with these labels, offset signs and pair indexes.
+_SAT_LABEL = np.char.add(_PAIR_LABEL[..., None], ["_sat_plus", "_sat_minus"])
+_SAT_SIGN = np.tile([1.0, -1.0], _LOWER.size)
+_SAT_PAIR = np.repeat(np.arange(_LOWER.size), 2)
+_MIRRORED_M = -np.array(M_VALUES)
+
+
+def _pairs_labelled(labels) -> np.ndarray:
+    """4x4 mask of the level pairs whose line label is in labels."""
+    return np.array([[lab in labels for lab in row] for row in _PAIR_LABEL.tolist()])
+
+
+def _line_table(
+    energies: np.ndarray,
+    states: np.ndarray,
+    dominant: np.ndarray,
+    params: SpinParams,
+    classes=ALL_CLASSES,
+    include_hyperfine: bool = False,
+    satellite_parents: tuple[str, ...] = ("nu2",),
+) -> LineTable:
+    """Label, weigh and sort the lines of a stack of eigensystems.
+
+    The one implementation of the line rules behind transitions() and
+    scan_transitions(); arguments as transitions() takes them, with the
+    output of _solve() for the levels.
+    """
+    lower, upper = dominant[:, _LOWER], dominant[:, _UPPER]
+    shown = _pairs_labelled(classes)[lower, upper]
+    label = np.where(shown, _PAIR_LABEL[lower, upper], "")
+    lower_m, upper_m = _MIRRORED_M[lower], _MIRRORED_M[upper]
+    freq = np.abs(energies[:, _UPPER] - energies[:, _LOWER])
+    sx = np.conj(np.swapaxes(states, -1, -2)) @ _SX @ states
+    # pow() per element, as float ** 2 computes it; array ** 2 squares by
+    # multiplication and moves the last bit of some strengths.
+    strength = np.float_power(np.abs(sx[:, _UPPER, _LOWER]), 2) / _NU_LINE_SX2
+
+    if include_hyperfine and params.hyperfine_rel_amp > 0:
+        parent = shown & _pairs_labelled(satellite_parents)[lower, upper]
+        parent = parent[:, _SAT_PAIR]
+        sat_freq = freq[:, _SAT_PAIR] + _SAT_SIGN * params.hyperfine_offset_hz
+        sat_label = _SAT_LABEL[lower, upper].reshape(sat_freq.shape)
+        sat_label = np.where(parent & (sat_freq > 0), sat_label, "")
+        label = np.concatenate((label, sat_label), axis=-1)
+        freq = np.concatenate((freq, sat_freq), axis=-1)
+        sat_strength = strength[:, _SAT_PAIR] * params.hyperfine_rel_amp
+        strength = np.concatenate((strength, sat_strength), axis=-1)
+        pair = np.concatenate((np.arange(_LOWER.size), _SAT_PAIR))
+        lower_m, upper_m = lower_m[:, pair], upper_m[:, pair]
+
+    # Flat indexes of each field's lines in order; the sort is stable, so
+    # lines equal in frequency and label keep their listed order.
+    n_lines = label.shape[-1]
+    order = np.lexsort((label, freq), axis=-1)
+    order = (order + n_lines * np.arange(len(order))[:, None]).ravel()
+    order = order[label.ravel()[order] != ""]
+    return LineTable(
+        field_index=order // n_lines,
+        label=label.ravel()[order],
+        lower_m=lower_m.ravel()[order],
+        upper_m=upper_m.ravel()[order],
+        frequency_hz=freq.ravel()[order],
+        rel_strength=strength.ravel()[order],
+    )
 
 
 def transitions(
@@ -218,58 +342,58 @@ def transitions(
 
     The dark transition's strength is computed from the eigenvectors, not
     assumed zero.  At exact axial field the |delta m| = 2 lines have zero
-    strength; they grow continuously as the field tilts.
+    strength; they grow continuously as the field tilts.  Lines are sorted
+    by (frequency_hz, label).
     """
     if classes is None:
         classes = ALL_CLASSES
     unknown = set(classes) - set(ALL_CLASSES)
     if unknown:
         raise ValueError(f"unknown transition classes: {sorted(unknown)}")
+    table = _line_table(
+        levels.energies_hz[None],
+        levels.states[None],
+        np.array([[M_VALUES.index(m) for m in levels.dominant_m]]),
+        params,
+        classes,
+        include_hyperfine,
+        satellite_parents,
+    )
+    return [
+        TransitionLine(*row)
+        for row in zip(
+            table.label.tolist(),
+            table.lower_m.tolist(),
+            table.upper_m.tolist(),
+            table.frequency_hz.tolist(),
+            table.rel_strength.tolist(),
+        )
+    ]
 
-    lines: list[TransitionLine] = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            # Mirror m -> -m to express labels in the plotting convention.
-            mu_i = -levels.dominant_m[i]
-            mu_j = -levels.dominant_m[j]
-            label = _LABEL_BY_M_PAIR.get(frozenset((mu_i, mu_j)))
-            if label is None or label not in classes:
-                continue
-            amp = levels.states[:, j].conj() @ _SX @ levels.states[:, i]
-            strength = float(np.abs(amp) ** 2) / _NU_LINE_SX2
-            freq = float(abs(levels.energies_hz[j] - levels.energies_hz[i]))
-            lines.append(
-                TransitionLine(
-                    label=label,
-                    lower_m=mu_i,
-                    upper_m=mu_j,
-                    frequency_hz=freq,
-                    rel_strength=strength,
-                )
-            )
 
-    if include_hyperfine and params.hyperfine_rel_amp > 0:
-        satellites: list[TransitionLine] = []
-        for parent in lines:
-            if parent.label not in satellite_parents:
-                continue
-            for sign, tag in ((+1.0, "sat_plus"), (-1.0, "sat_minus")):
-                freq = parent.frequency_hz + sign * params.hyperfine_offset_hz
-                if freq <= 0:
-                    continue
-                satellites.append(
-                    TransitionLine(
-                        label=f"{parent.label}_{tag}",
-                        lower_m=parent.lower_m,
-                        upper_m=parent.upper_m,
-                        frequency_hz=freq,
-                        rel_strength=parent.rel_strength * params.hyperfine_rel_amp,
-                    )
-                )
-        lines.extend(satellites)
+def scan_transitions(
+    params: SpinParams, field: FieldVector, bz_t: np.ndarray
+) -> list[LineTable]:
+    """Transition lines of every class at each axial field in bz_t.
 
-    lines.sort(key=lambda ln: (ln.frequency_hz, ln.label))
-    return lines
+    The transverse components come from field.  Returns one table per
+    block of up to _SCAN_BLOCK consecutive fields, each solved as one stack
+    with the checks of eigenlevels(); field_index counts from the start of
+    the scan.  The rows match what eigenlevels() and transitions() give
+    field by field.  Raises FieldOutOfRange, before any solve, when any
+    field of the scan exceeds MAX_FIELD_T.
+    """
+    bz = np.asarray(bz_t, dtype=float).reshape(-1)
+    if bz.size:
+        # |B| is largest at the largest |bz|; FieldVector checks the limit.
+        replace(field, bz_t=float(bz[np.argmax(np.abs(bz))]))
+    tables = []
+    for start in range(0, bz.size, _SCAN_BLOCK):
+        block_bz = bz[start : start + _SCAN_BLOCK]
+        h = _hamiltonian_stack(params, field.bx_t, field.by_t, block_bz)
+        table = _line_table(*_solve(h), params)
+        tables.append(replace(table, field_index=table.field_index + start))
+    return tables
 
 
 def axial_frequencies(params: SpinParams, bz_t: float) -> AxialFrequencies:

@@ -1,12 +1,19 @@
 """End-to-end checks of the command line interface (in-process)."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odmrsim import (
+    FormatError,
     SweepRecord,
     load_map_csv,
     load_sweep,
@@ -112,6 +119,60 @@ def test_fit_command_on_synthetic_sweep(tmp_path):
     assert all(verify_manifest(out / "manifest.json").values())
 
 
+cells = (
+    st.floats().map(repr)
+    | st.integers(-(10**6), 10**6).map(str)
+    | st.sampled_from(["", "nan", "inf", "-0", "1e999", "1_0", " 2 ", "x"])
+)
+rows = st.lists(cells, min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def lorentzian_sweeps(draw):
+    """A sweep CSV that fits, or nearly does, with a few bytes overwritten."""
+    n = draw(st.integers(0, 40))
+    freq = np.linspace(95e6, 101e6, n)
+    amp = draw(st.floats(-1e-3, 1e-3))
+    noise = np.random.default_rng(draw(st.integers(0, 9))).normal(0, 1e-5, n)
+    lockin = amp * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12) + noise
+    text = "frequency_hz,lockin_v,dc_v\n" + "".join(
+        f"{f!r},{v!r},0.0635\n" for f, v in zip(freq.tolist(), lockin.tolist())
+    )
+    data = bytearray(text.encode())
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+sweep_files = (
+    st.binary(max_size=200)
+    | st.lists(rows, max_size=12).map(
+        lambda lines: "\n".join(["frequency_hz,lockin_v,dc_v", *lines]).encode()
+    )
+    | st.binary(max_size=60).map(lambda tail: b"frequency_hz,lockin_v,dc_v\n" + tail)
+    | lorentzian_sweeps()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweep_files)
+def test_any_bytes_as_sweep_load_or_format_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        path.write_bytes(data)
+        try:
+            load_sweep(path)
+            loaded = True
+        except FormatError:
+            loaded = False
+        quiet = io.StringIO()
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            code = main(["fit", str(path), "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        if not loaded:
+            assert code == 2
+
+
 def test_fit_flat_data_is_domain_error(tmp_path, capsys):
     freq = np.linspace(95e6, 101e6, 101)
     record = SweepRecord(
@@ -130,6 +191,10 @@ def test_fit_malformed_csv_is_format_error(tmp_path, capsys):
     bad.write_text("wrong,header\n1,2\n")
     assert main(["fit", str(bad), "--out", str(tmp_path)]) == 2
     assert "error" in capsys.readouterr().err
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"frequency_hz,lockin_v,dc_v\n1.0,\xff,3.0\n")
+    assert main(["fit", str(binary), "--out", str(tmp_path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_bad_config_json_is_format_error(tmp_path, capsys):
@@ -167,6 +232,22 @@ def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"sweep": {"bz_stop_t": 0.2}},
+        {"field": {"bx_t": 0.08}, "sweep": {"bz_stop_t": 0.07}},
+    ],
+    ids=["axial", "transverse"],
+)
+def test_spectrum_scan_beyond_field_limit_writes_nothing(tmp_path, capsys, data):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    assert "exceeds 0.1 T" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -228,6 +309,33 @@ def test_usage_errors_and_version(capsys):
     assert main(["--version"]) == 0
     out = capsys.readouterr().out
     assert "0.1.0" in out
+
+
+def test_parser_shared_across_calls_keeps_no_state(tmp_path, capsys):
+    freq = np.linspace(95e6, 101e6, 101)
+    record = SweepRecord(
+        frequency_hz=freq,
+        lockin_v=4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12),
+        dc_v=np.full(freq.size, 0.0635),
+    )
+    sweep = str(tmp_path / "sweep.csv")
+    write_sweep(record, sweep)
+    with_svg, without_svg = tmp_path / "a", tmp_path / "b"
+    assert main(["fit", sweep, "--out", str(with_svg), "--svg"]) == 0
+    assert main(["fit", sweep, "--out", str(without_svg)]) == 0
+    assert (with_svg / "fit.svg").exists()
+    assert not (without_svg / "fit.svg").exists()
+    manifest = json.loads((without_svg / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == ["fit.json"]
+    assert manifest["seed"] == 0
+
+    assert main(["fit", "--seed", "x", sweep]) == 2
+    assert main(["spectrum", "--out", str(tmp_path / "s")]) == 0
+    assert main(["--version"]) == 0
+    assert "0.1.0" in capsys.readouterr().out
+    assert main(["spectrum", "--out", str(tmp_path / "s2"), "--seed", "3"]) == 0
+    assert main(["spectrum", "--out", str(tmp_path / "s3")]) == 0
+    assert json.loads((tmp_path / "s3" / "manifest.json").read_text())["seed"] == 0
 
 
 def test_seed_changes_noisy_output(tmp_path):

@@ -94,6 +94,14 @@ def test_sweep_missing_file():
         load_sweep("/nonexistent/sweep.csv")
 
 
+def test_non_utf8_files_are_format_errors(tmp_path):
+    path = tmp_path / "latin1"
+    path.write_bytes("frequency_hz,lockin_v,dc_v\n1.0,2.0,\u00b5\n".encode("latin-1"))
+    for load in (load_sweep, load_config, load_manifest):
+        with pytest.raises(IoFailure, match="not UTF-8"):
+            load(path)
+
+
 def test_map_round_trip_with_failed_cell(tmp_path):
     points = [
         SensitivityPoint(0.1, 0.5, 5e5, 0.01, 1e11, 4e-9),

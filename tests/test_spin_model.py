@@ -1,5 +1,7 @@
 """Level structure, transition labels and strengths of the S=3/2 model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from odmrsim import (
     spin_operators,
     transitions,
 )
+from odmrsim.spin_model import scan_transitions
 
 # g * (Bohr magneton / h), frozen from CODATA 13.996244917 GHz/T.
 GAMMA_DEFAULT = 2.0032 * 13.996244917e9
@@ -251,3 +254,81 @@ def test_eigenlevels_residual_guard(monkeypatch):
     monkeypatch.setattr(sm.np.linalg, "eigh", fake_eigh)
     with pytest.raises(ConvergenceFailure):
         sm.eigenlevels(sm.build_hamiltonian(SpinParams(), FieldVector(0, 0, 1e-3)))
+
+
+def per_field_rows(params, field, bz_values):
+    """The scan table the slow way: one eigenlevels + transitions per field."""
+    rows = []
+    for k, bz in enumerate(bz_values):
+        levels = eigenlevels(build_hamiltonian(params, replace(field, bz_t=bz)))
+        rows += [
+            (k, ln.label, ln.lower_m, ln.upper_m, ln.frequency_hz, ln.rel_strength)
+            for ln in transitions(levels, params)
+        ]
+    return rows
+
+
+CROSSING = level_crossing_field(SpinParams())
+
+
+@pytest.mark.parametrize(
+    "field, bz_values",
+    [
+        (FieldVector(0.0, 0.0, 0.0), np.linspace(0.0, 3e-3, 61)),
+        (FieldVector(3e-4, -1e-4, 0.0), np.linspace(-2e-3, 3e-3, 601)),
+        (FieldVector(0.0, 0.0, 0.0), np.zeros(3)),
+        (
+            FieldVector(0.0, 0.0, 0.0),
+            CROSSING * np.array([0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 1.5]),
+        ),
+        (FieldVector(1e-5, 0.0, 0.0), CROSSING * np.array([0.999, 1.0, 1.001])),
+    ],
+    ids=["axial", "tilted", "zero_field", "axial_crossing", "tilted_crossing"],
+)
+def test_scan_matches_per_field_solves(field, bz_values):
+    params = SpinParams()
+    got = []
+    for t in scan_transitions(params, field, bz_values):
+        got += zip(
+            t.field_index.tolist(),
+            t.label.tolist(),
+            t.lower_m.tolist(),
+            t.upper_m.tolist(),
+            t.frequency_hz.tolist(),
+            t.rel_strength.tolist(),
+        )
+    assert got == per_field_rows(params, field, bz_values)
+
+
+def test_scan_rejects_out_of_range_field_before_solving(monkeypatch):
+    import odmrsim.spin_model as sm
+
+    def no_solve(_):
+        raise AssertionError("solved an out-of-range scan")
+
+    monkeypatch.setattr(sm.np.linalg, "eigh", no_solve)
+    with pytest.raises(FieldOutOfRange):
+        scan_transitions(SpinParams(), FieldVector(), np.linspace(0.0, 0.2, 5))
+    # The transverse field counts: |B| = hypot(0.08, 0.07) T at the scan end.
+    with pytest.raises(FieldOutOfRange):
+        scan_transitions(
+            SpinParams(), FieldVector(0.08, 0.0, 0.0), np.linspace(0.0, 0.07, 5)
+        )
+
+
+def test_scan_residual_guard_fires_for_one_bad_field(monkeypatch):
+    import odmrsim.spin_model as sm
+
+    real_eigh = np.linalg.eigh
+
+    def one_bad_field(h):
+        energies, states = real_eigh(h)
+        states = states.copy()
+        states[len(states) // 2] = np.eye(4)
+        return energies, states
+
+    monkeypatch.setattr(sm.np.linalg, "eigh", one_bad_field)
+    with pytest.raises(ConvergenceFailure):
+        scan_transitions(
+            SpinParams(), FieldVector(3e-4, 0.0, 0.0), np.linspace(0.0, 1e-3, 9)
+        )
