@@ -51,6 +51,7 @@ from .io_formats import (
 )
 from .lineshape import synthesize_odmr
 from .signal_chain import (
+    MAX_SAMPLES,
     FieldTimeline,
     Scene,
     photon_rate_from_voltage,
@@ -140,8 +141,6 @@ def cmd_fit(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
     record = load_sweep(args.sweep_csv)
-    out_dir = _prepare_out(args)
-
     fit = fit_lorentzian(record)
     dc = float(np.nanmedian(record.dc_v)) if record.dc_v.size else math.nan
     contrast = None
@@ -162,6 +161,7 @@ def cmd_fit(args) -> int:
         "dc_v": dc if math.isfinite(dc) else None,
         "contrast": contrast,
     }
+    out_dir = _prepare_out(args)
     fit_path = write_json_record(payload, out_dir / "fit.json")
     outputs = [fit_path]
     if args.svg:
@@ -250,7 +250,6 @@ def cmd_map(args) -> int:
     scene = cfg.scene(hyperfine=not args.no_hyperfine)
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()
-    out_dir = _prepare_out(args)
 
     cells = [
         (i, j, float(po), float(pr))
@@ -262,8 +261,6 @@ def cmd_map(args) -> int:
     for i, j, po, pr in cells:
         seed = np.random.SeedSequence((args.seed, i, j))
         points.append(_map_cell(cfg, scene, po, pr, seed))
-
-    map_path = write_map_csv(points, out_dir / "map.csv")
 
     finite = [p for p in points if math.isfinite(p.eta_t_rthz)]
     if not finite:
@@ -284,6 +281,8 @@ def cmd_map(args) -> int:
         "n_cells": len(points),
         "n_failed": len(points) - len(finite),
     }
+    out_dir = _prepare_out(args)
+    map_path = write_map_csv(points, out_dir / "map.csv")
     argmin_path = write_json_record(payload, out_dir / "argmin.json")
 
     outputs = [map_path, argmin_path]
@@ -326,14 +325,18 @@ def cmd_steps(args) -> int:
         raise SchemaViolation("lockin.mode: steps command needs 'fm'")
     scene = cfg.scene(hyperfine=not args.no_hyperfine)
     sched = cfg.schedule
+    duration = sched.step_period_s * sched.n_steps
+    if duration * cfg.lockin.sample_rate_hz > MAX_SAMPLES:
+        raise SchemaViolation(
+            "schedule.step_period_s x n_steps x lockin.sample_rate_hz "
+            f"must be at most {MAX_SAMPLES} samples"
+        )
     timeline = FieldTimeline.staircase(
         bias_t=cfg.field.bz_t,
         step_t=sched.step_t,
         period_s=sched.step_period_s,
         n_steps=sched.n_steps,
     )
-    duration = sched.step_period_s * sched.n_steps
-    out_dir = _prepare_out(args)
 
     result = simulate_fm_tracking(
         timeline,
@@ -358,6 +361,7 @@ def cmd_steps(args) -> int:
     lockin = result.lockin.values[::decim]
     true = timeline.value_at(t)
     rows = ["t_s,bz_true_t,bz_est_t,lockin_v"] + format_rows(t, true, est, lockin)
+    out_dir = _prepare_out(args)
     tracking_path = _write_text(
         out_dir / "tracking.csv", "\n".join(rows) + "\n"
     )

@@ -21,7 +21,13 @@ import numpy as np
 from .errors import OdmrError, SchemaViolation
 from .io_formats import FORMAT_VERSION, _read_text
 from .lineshape import PRESETS, BroadeningModel
-from .signal_chain import DetectorModel, LockInConfig, Scene, SweepPlan
+from .signal_chain import (
+    MAX_SAMPLES,
+    DetectorModel,
+    LockInConfig,
+    Scene,
+    SweepPlan,
+)
 from .spin_model import FieldVector, SpinParams
 
 
@@ -131,6 +137,8 @@ class ScheduleCfg:
         for name in ("n_steps", "output_decimation"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.n_steps > MAX_SAMPLES:
+            raise ValueError(f"n_steps must be at most {MAX_SAMPLES}")
         for name in ("settle_discard_s", "field_noise_step_sigma_t"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")

@@ -34,9 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import c as _SPEED_OF_LIGHT
-from scipy.constants import h as _PLANCK
-from scipy.signal import lfilter
 
 from .errors import (
     DeviationTooLarge,
@@ -61,6 +58,11 @@ from .spin_model import (
     transitions,
 )
 
+# Planck's constant (J s) and the speed of light (m/s): exact SI values,
+# as CODATA 2022 lists them.
+_PLANCK = 6.62607015e-34
+_SPEED_OF_LIGHT = 299792458.0
+
 SQUARE_AM_GAIN = 2.0 / math.pi
 
 # Above this mean count a Gaussian draw replaces the Poisson draw; keeps
@@ -68,6 +70,11 @@ SQUARE_AM_GAIN = 2.0 / math.pi
 GAUSSIAN_MEAN_THRESHOLD = 1e4
 
 _BLOCK = 1_000_000
+
+# Most samples a run may simulate in one series (8 bytes each per array);
+# the sample counts sized by the config are checked against it before
+# anything is allocated.
+MAX_SAMPLES = 50_000_000
 
 # AM sweeps run whole dwells in blocks of at most this many samples (at
 # least one dwell), which bounds the memory a cell needs.
@@ -160,6 +167,12 @@ class LockInConfig:
             raise ValueError("filter_order must be >= 1")
         if self.fm_deviation_hz is None or self.fm_deviation_hz <= 0:
             raise ValueError("fm_deviation_hz must be positive")
+        # The FM slope runs simulate 8 tau; the settling discard is 5 tau.
+        if 8.0 * self.time_constant_s * self.sample_rate_hz > MAX_SAMPLES:
+            raise ValueError(
+                "time_constant_s x sample_rate_hz must be at most "
+                f"{MAX_SAMPLES // 8} samples"
+            )
 
     @property
     def samples_per_cycle(self) -> int:
@@ -306,6 +319,11 @@ class _Demodulator:
     """Stateful demodulation chain usable on consecutive sample blocks."""
 
     def __init__(self, cfg: LockInConfig, phase_rad: float | None = None):
+        # scipy.signal costs about 1 s and 55 MB to import and only the
+        # lock-in needs it, so spectrum and fit never load it.
+        from scipy.signal import lfilter
+
+        self._lfilter = lfilter
         self.cfg = cfg
         phase = cfg.phase_rad if phase_rad is None else phase_rad
         self._ref = 2.0 * _cycle_cos(cfg, phase)
@@ -323,7 +341,7 @@ class _Demodulator:
         prod = values * _periodic(self._ref, self.index, values.size)
         out = self._comb.process(prod)
         for i in range(self.cfg.filter_order):
-            out, self._zi_poles[i] = lfilter(
+            out, self._zi_poles[i] = self._lfilter(
                 self._b_pole, self._a_pole, out, zi=self._zi_poles[i]
             )
         self.index += values.size
@@ -533,6 +551,8 @@ def _field_noise_input_sigma(
 
 def _filter_energy_pure(cfg: LockInConfig) -> float:
     """Sum of squared impulse response of comb plus pole cascade alone."""
+    from scipy.signal import lfilter  # imported late, as in _Demodulator
+
     n = max(
         int(math.ceil(30.0 * cfg.time_constant_s * cfg.sample_rate_hz)),
         64 * cfg.samples_per_cycle,

@@ -28,11 +28,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.constants import physical_constants
 
 from .errors import ConvergenceFailure, FieldOutOfRange
 
-MU_B_OVER_H = physical_constants["Bohr magneton in Hz/T"][0]
+# Bohr magneton over Planck's constant in Hz/T, CODATA 2022.  As a literal
+# it does not depend on the installed scipy's CODATA edition, and importing
+# the package loads no scipy module.
+MU_B_OVER_H = 13996244917.1
 
 MAX_FIELD_T = 0.1
 

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odmrsim
 from odmrsim import (
     FormatError,
     SweepRecord,
@@ -225,6 +229,32 @@ def test_unknown_config_key_is_format_error(tmp_path):
             {"detector": {"collection_note": 0.11}},
             "detector.collection_note",
         ),
+        # Sample counts beyond MAX_SAMPLES, rejected before any array exists.
+        (
+            "steps",
+            {"lockin": {**MINI_STEPS_CONFIG["lockin"], "time_constant_s": 1e300}},
+            "lockin.time_constant_s",
+        ),
+        (
+            "steps",
+            {
+                **MINI_STEPS_CONFIG,
+                "schedule": {**MINI_STEPS_CONFIG["schedule"], "step_period_s": 1e300},
+            },
+            "schedule.step_period_s",
+        ),
+        (
+            "steps",
+            {
+                **MINI_STEPS_CONFIG,
+                "schedule": {
+                    **MINI_STEPS_CONFIG["schedule"],
+                    "step_period_s": 1e-12,
+                    "n_steps": 10**12,
+                },
+            },
+            "schedule.n_steps",
+        ),
     ],
 )
 def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):
@@ -249,6 +279,72 @@ def test_spectrum_scan_beyond_field_limit_writes_nothing(tmp_path, capsys, data)
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
     assert "exceeds 0.1 T" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_failed_fit_writes_nothing(tmp_path, capsys):
+    freq = np.linspace(95e6, 101e6, 6)
+    record = SweepRecord(
+        frequency_hz=freq, lockin_v=np.full(6, 1e-5), dc_v=np.full(6, 0.06)
+    )
+    sweep = tmp_path / "flat.csv"
+    write_sweep(record, sweep)
+    out = tmp_path / "out"
+    assert main(["fit", str(sweep), "--out", str(out)]) == 1
+    assert "exactly flat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_steps_writes_nothing(tmp_path, capsys):
+    lockin = {**MINI_STEPS_CONFIG["lockin"], "fm_deviation_hz": 5e7}
+    cfg = write_config(tmp_path, {**MINI_STEPS_CONFIG, "lockin": lockin})
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
+    assert "fm deviation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_map_writes_nothing(tmp_path, capsys):
+    # Too few photons for any cell's resonance to rise above the shot noise.
+    data = json.loads(json.dumps(MINI_MAP_CONFIG))
+    data["detector"]["shot_noise"] = True
+    data["lineshape"] = {"pl_rate_per_w": 1e4}
+    data["sweep"]["grid"].update(n_opt=2, n_rf=2)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["map", "--config", cfg, "--out", str(out)]) == 1
+    assert "no map cell" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_and_fit_load_no_scipy(tmp_path):
+    # Importing scipy.signal takes about 1 s; only the lock-in (map, steps)
+    # needs it, so a fresh interpreter running spectrum and fit never loads
+    # any scipy module.
+    freq = np.linspace(95e6, 101e6, 41)
+    record = SweepRecord(
+        frequency_hz=freq,
+        lockin_v=4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12),
+        dc_v=np.full(freq.size, 0.0635),
+    )
+    sweep = tmp_path / "sweep.csv"
+    write_sweep(record, sweep)
+    script = (
+        "import sys\n"
+        "from odmrsim.cli import main\n"
+        f"codes = [main(['spectrum', '--out', {str(tmp_path / 's')!r}]),\n"
+        f"         main(['fit', {str(sweep)!r}, '--out', {str(tmp_path / 'f')!r}])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(odmrsim.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_map_requires_grid_and_am_mode(tmp_path):
