@@ -217,13 +217,8 @@ def shot_noise_sensitivity(
     contrast: float,
     rate_hz: float,
     g_factor: float = G_FACTOR,
-    gradiometric: bool = False,
 ) -> float:
-    """Photon shot-noise limited field sensitivity in T / sqrt(Hz).
-
-    gradiometric=True applies the sqrt(3/2) penalty of splitting the
-    photon budget across a two-channel difference measurement.
-    """
+    """Photon shot-noise limited field sensitivity in T / sqrt(Hz)."""
     for name, value in (
         ("fwhm_hz", fwhm_hz),
         ("contrast", contrast),
@@ -232,10 +227,7 @@ def shot_noise_sensitivity(
         if value <= 0:
             raise NonPositiveInput(f"{name} must be positive, got {value}")
     gamma = gyromagnetic_ratio(g_factor)
-    eta = SHOT_NOISE_PREFACTOR * fwhm_hz / (gamma * contrast * math.sqrt(rate_hz))
-    if gradiometric:
-        eta *= math.sqrt(1.5)
-    return eta
+    return SHOT_NOISE_PREFACTOR * fwhm_hz / (gamma * contrast * math.sqrt(rate_hz))
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,6 @@ def build_sensitivity_map(
     p_opt_values,
     p_rf_values,
     g_factor: float = G_FACTOR,
-    gradiometric: bool = False,
 ) -> SensitivityMap:
     """Closed-form sensitivity over a power grid (no signal simulation)."""
     p_opt = np.asarray(p_opt_values, dtype=float)
@@ -279,9 +270,7 @@ def build_sensitivity_map(
             contrast = saturated_contrast(model, pr, po)
             rate = pl_rate_per_w * po
             if contrast > 0 and rate > 0:
-                eta = shot_noise_sensitivity(
-                    fwhm, contrast, rate, g_factor, gradiometric
-                )
+                eta = shot_noise_sensitivity(fwhm, contrast, rate, g_factor)
             else:
                 eta = math.nan
             points.append(

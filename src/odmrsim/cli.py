@@ -23,7 +23,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -228,17 +228,6 @@ def _map_cell(
         )
 
 
-def _point_payload(point) -> dict:
-    return {
-        "p_opt_w": point.p_opt_w,
-        "p_rf_w": point.p_rf_w,
-        "fwhm_hz": point.fwhm_hz,
-        "contrast": point.contrast,
-        "rate_hz": point.rate_hz,
-        "eta_t_rthz": point.eta_t_rthz,
-    }
-
-
 def cmd_map(args) -> int:
     t0 = time.perf_counter()
     cfg = load_config(args.config)
@@ -276,8 +265,8 @@ def cmd_map(args) -> int:
     )
     payload = {
         "format_version": FORMAT_VERSION,
-        "simulated": _point_payload(best),
-        "analytic": _point_payload(analytic.best()),
+        "simulated": asdict(best),
+        "analytic": asdict(analytic.best()),
         "n_cells": len(points),
         "n_failed": len(points) - len(finite),
     }

@@ -10,19 +10,18 @@ wants the physical contrast back multiplies by pi/2.
 
 The low-pass is a one-modulation-period moving average (a synchronous comb
 whose nulls sit exactly on the carrier and its harmonics) followed by a
-cascade of ``filter_order`` identical single-pole stages of time constant
-``time_constant_s``.  The comb contributes negligible extra noise
-bandwidth; without it the carrier feedthrough of a single-pole filter
-would swamp nanotesla-scale readouts.  It requires the sample rate to be
-an integer multiple of the modulation frequency.
+single-pole stage of time constant ``time_constant_s``.  The comb
+contributes negligible extra noise bandwidth; without it the carrier
+feedthrough of the pole would swamp nanotesla-scale readouts.  It requires
+the sample rate to be an integer multiple of the modulation frequency.
 
 Modulation clocks
 -----------------
-The AM gate drives the RF on while cos(2 pi f_mod t) < 0 and the FM
-switcher sits at +deviation while cos(2 pi f_mod t) >= 0, so that with
-phase_rad = 0 an ODMR dip demodulates positive and the FM discriminator
-has positive slope for a carrier parked above resonance.  Both clocks and
-the demodulator reference are read from one-cycle tables indexed by the
+The AM gate drives the RF on while cos(2 pi f_mod t) < 0, the FM switcher
+sits at +deviation while cos(2 pi f_mod t) >= 0, and the reference is
+cos(2 pi f_mod t) itself, so an ODMR dip demodulates positive and the FM
+discriminator has positive slope for a carrier parked above resonance.
+Both clocks and the reference are read from one-cycle tables indexed by the
 sample number modulo samples_per_cycle, so every cycle is the same: cos
 evaluated at large sample numbers would let rounding flip the samples that
 sit exactly on cos = 0 when samples_per_cycle is divisible by 4.
@@ -146,8 +145,6 @@ class LockInConfig:
     time_constant_s: float = 0.5
     sample_rate_hz: float = 100e3
     fm_deviation_hz: float = 1e5
-    filter_order: int = 1
-    phase_rad: float = 0.0
 
     def __post_init__(self) -> None:
         if self.mode not in ("am", "fm"):
@@ -163,8 +160,6 @@ class LockInConfig:
             raise ValueError(
                 "sample_rate_hz must be an integer multiple of mod_freq_hz"
             )
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be >= 1")
         if self.fm_deviation_hz is None or self.fm_deviation_hz <= 0:
             raise ValueError("fm_deviation_hz must be positive")
         # The FM slope runs simulate 8 tau; the settling discard is 5 tau.
@@ -229,10 +224,6 @@ class FieldTimeline:
         idx = np.searchsorted(self.starts_s, t_s, side="right") - 1
         return self.bz_t[np.clip(idx, 0, self.bz_t.size - 1)]
 
-    @property
-    def end_s(self) -> float:
-        return float(self.starts_s[-1])
-
     @classmethod
     def staircase(
         cls,
@@ -273,10 +264,10 @@ class Scene:
         )
 
 
-def _cycle_cos(cfg: LockInConfig, phase_rad: float = 0.0) -> np.ndarray:
-    """cos(2 pi k / n + phase) over one modulation cycle of n samples."""
+def _cycle_cos(cfg: LockInConfig) -> np.ndarray:
+    """cos(2 pi k / n) over one modulation cycle of n samples."""
     n = cfg.samples_per_cycle
-    return np.cos(2.0 * math.pi * np.arange(n) / n + phase_rad)
+    return np.cos(2.0 * math.pi * np.arange(n) / n)
 
 
 def _periodic(cycle: np.ndarray, index: int, n: int) -> np.ndarray:
@@ -318,20 +309,18 @@ class _CycleMean:
 class _Demodulator:
     """Stateful demodulation chain usable on consecutive sample blocks."""
 
-    def __init__(self, cfg: LockInConfig, phase_rad: float | None = None):
+    def __init__(self, cfg: LockInConfig):
         # scipy.signal costs about 1 s and 55 MB to import and only the
         # lock-in needs it, so spectrum and fit never load it.
         from scipy.signal import lfilter
 
         self._lfilter = lfilter
-        self.cfg = cfg
-        phase = cfg.phase_rad if phase_rad is None else phase_rad
-        self._ref = 2.0 * _cycle_cos(cfg, phase)
+        self._ref = 2.0 * _cycle_cos(cfg)
         self._comb = _CycleMean(cfg)
         beta = 1.0 - math.exp(-cfg.dt_s / cfg.time_constant_s)
-        self._b_pole = np.array([beta])
-        self._a_pole = np.array([1.0, beta - 1.0])
-        self._zi_poles = [np.zeros(1) for _ in range(cfg.filter_order)]
+        self._b = np.array([beta])
+        self._a = np.array([1.0, beta - 1.0])
+        self._zi = np.zeros(1)
         self.index = 0
 
     def process(self, values: np.ndarray) -> np.ndarray:
@@ -339,18 +328,14 @@ class _Demodulator:
             # lfilter returns a wrong final state for an empty block.
             return np.empty(0)
         prod = values * _periodic(self._ref, self.index, values.size)
-        out = self._comb.process(prod)
-        for i in range(self.cfg.filter_order):
-            out, self._zi_poles[i] = self._lfilter(
-                self._b_pole, self._a_pole, out, zi=self._zi_poles[i]
-            )
+        out, self._zi = self._lfilter(
+            self._b, self._a, self._comb.process(prod), zi=self._zi
+        )
         self.index += values.size
         return out
 
 
-def lockin_demodulate(
-    raw: TimeSeries, cfg: LockInConfig, phase_rad: float | None = None
-) -> TimeSeries:
+def lockin_demodulate(raw: TimeSeries, cfg: LockInConfig) -> TimeSeries:
     """Demodulate a raw detector series; output settles over ~5 tau.
 
     Raises SampleRateMismatch when the series sample interval disagrees
@@ -361,7 +346,7 @@ def lockin_demodulate(
             f"series dt {raw.dt_s} does not match sample_rate_hz "
             f"{cfg.sample_rate_hz}"
         )
-    demod = _Demodulator(cfg, phase_rad)
+    demod = _Demodulator(cfg)
     demod.index = int(round(raw.t0_s * cfg.sample_rate_hz))
     out = demod.process(raw.values)
     return TimeSeries(t0_s=raw.t0_s, dt_s=raw.dt_s, values=out, unit="V")
@@ -540,7 +525,7 @@ def _field_noise_input_sigma(
         plus = lorentzian_value(peak, nu_inst - line_slope * eps)
         minus = lorentzian_value(peak, nu_inst + line_slope * eps)
         dv_db += -v_dc * (plus - minus) / (2.0 * eps)
-    gain = 2.0 * _cycle_cos(cfg, cfg.phase_rad) * dv_db
+    gain = 2.0 * _cycle_cos(cfg) * dv_db
     mean_sq_gain = float(np.mean(gain**2))
     sigma_out_per_unit = math.sqrt(mean_sq_gain * _filter_energy_pure(cfg))
     field_gain = abs(slope_v_per_hz * gamma_eff)
@@ -550,22 +535,17 @@ def _field_noise_input_sigma(
 
 
 def _filter_energy_pure(cfg: LockInConfig) -> float:
-    """Sum of squared impulse response of comb plus pole cascade alone."""
-    from scipy.signal import lfilter  # imported late, as in _Demodulator
+    """Sum of the squared impulse response of the comb plus the pole alone.
 
-    n = max(
-        int(math.ceil(30.0 * cfg.time_constant_s * cfg.sample_rate_hz)),
-        64 * cfg.samples_per_cycle,
-    )
-    m = cfg.samples_per_cycle
-    b_comb = np.full(m, 1.0 / m)
-    impulse = np.zeros(n)
-    impulse[0] = 1.0
-    out = lfilter(b_comb, [1.0], impulse)
-    beta = 1.0 - math.exp(-cfg.dt_s / cfg.time_constant_s)
-    for _ in range(cfg.filter_order):
-        out = lfilter([beta], [1.0, beta - 1.0], out)
-    return float(np.sum(out**2))
+    With a = exp(-dt / tau) and n samples per cycle the response is
+    (1 - a^(k+1)) / n for k < n and a^(k-n+1) (1 - a^n) / n after, so the
+    sum is [sum_{m=1}^{n-1} (1 - a^m)^2 + (1 - a^n)^2 / (1 - a^2)] / n^2.
+    """
+    n = cfg.samples_per_cycle
+    x = cfg.dt_s / cfg.time_constant_s
+    rise = -np.expm1(-x * np.arange(1, n + 1))  # 1 - a^m for m = 1 .. n
+    tail = rise[-1] ** 2 / -math.expm1(-2.0 * x)
+    return float((np.sum(rise[:-1] ** 2) + tail) / (n * n))
 
 
 def simulate_fm_tracking(

@@ -128,9 +128,6 @@ def test_sensitivity_scalings():
     assert shot_noise_sensitivity(2e6, 0.01, 1e12) == pytest.approx(2 * base)
     assert shot_noise_sensitivity(1e6, 0.02, 1e12) == pytest.approx(base / 2)
     assert shot_noise_sensitivity(1e6, 0.01, 4e12) == pytest.approx(base / 2)
-    assert shot_noise_sensitivity(
-        1e6, 0.01, 1e12, gradiometric=True
-    ) == pytest.approx(base * math.sqrt(1.5))
 
 
 def test_sensitivity_rejects_non_positive_inputs():

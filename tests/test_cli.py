@@ -255,6 +255,9 @@ def test_unknown_config_key_is_format_error(tmp_path):
             },
             "schedule.n_steps",
         ),
+        # The lock-in runs one pole at zero reference phase.
+        ("spectrum", {"lockin": {"phase_rad": math.pi / 2}}, "lockin.phase_rad"),
+        ("spectrum", {"lockin": {"filter_order": 100000000}}, "lockin.filter_order"),
     ],
 )
 def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):

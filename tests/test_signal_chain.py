@@ -43,6 +43,7 @@ from odmrsim.signal_chain import (
     GAUSSIAN_MEAN_THRESHOLD,
     _am_gate,
     _Demodulator,
+    _filter_energy_pure,
     _fm_switch,
     _shot_counts,
 )
@@ -128,8 +129,6 @@ def test_lockin_config_validation():
     with pytest.raises(ValueError):
         LockInConfig(mod_freq_hz=1.3e3, sample_rate_hz=1e4)
     with pytest.raises(ValueError):
-        LockInConfig(filter_order=0)
-    with pytest.raises(ValueError):
         LockInConfig(mode="fm", fm_deviation_hz=None)
 
 
@@ -183,31 +182,6 @@ def test_white_noise_transfer_matches_single_pole_bandwidth():
     assert np.mean(stds) == pytest.approx(predicted, rel=0.10)
 
 
-def test_second_order_filter_narrows_noise():
-    rng = np.random.default_rng(11)
-    noise = rng.normal(0, 1.0, 200000)
-    out1 = lockin_demodulate(
-        TimeSeries(0.0, 1e-5, noise, "V"), am_config(filter_order=1)
-    )
-    out2 = lockin_demodulate(
-        TimeSeries(0.0, 1e-5, noise, "V"), am_config(filter_order=2)
-    )
-    settle = am_config(filter_order=2).settle_samples
-    assert np.std(out2.values[settle:]) < 0.8 * np.std(out1.values[settle:])
-
-
-def test_reference_phase_inverts_output():
-    cfg = am_config()
-    n = 40000
-    gate = _am_gate(cfg, 0, n)
-    raw = TimeSeries(0.0, cfg.dt_s, 1.0 - 0.01 * gate, "V")
-    out0 = lockin_demodulate(raw, cfg, phase_rad=0.0)
-    outpi = lockin_demodulate(raw, cfg, phase_rad=math.pi)
-    a = np.mean(out0.values[cfg.settle_samples :])
-    b = np.mean(outpi.values[cfg.settle_samples :])
-    assert b == pytest.approx(-a, rel=1e-9)
-
-
 @pytest.mark.parametrize("n", [10, 12, 20])
 def test_gate_and_switch_repeat_every_cycle(n):
     # Samples that sit exactly on cos = 0 (n divisible by 4) must not flip
@@ -223,7 +197,7 @@ def test_gate_and_switch_repeat_every_cycle(n):
 
 
 def test_demodulator_output_independent_of_block_split():
-    cfg = am_config(filter_order=2)
+    cfg = am_config()
     values = np.random.default_rng(4).normal(1.0, 0.01, 30_000)
     whole = _Demodulator(cfg).process(values)
     demod = _Demodulator(cfg)
@@ -233,7 +207,7 @@ def test_demodulator_output_independent_of_block_split():
 
 
 def test_demodulator_empty_block_keeps_state():
-    cfg = am_config(filter_order=2)
+    cfg = am_config()
     values = np.random.default_rng(5).normal(1.0, 0.01, 5_000)
     plain = _Demodulator(cfg)
     expected = [plain.process(values[:1_234]), plain.process(values[1_234:])]
@@ -245,6 +219,25 @@ def test_demodulator_empty_block_keeps_state():
     np.testing.assert_array_equal(
         np.concatenate((first, second)), np.concatenate(expected)
     )
+
+
+@pytest.mark.parametrize(
+    "n, tau_samples",
+    # tau * fs just above one cycle (the shortest allowed) and at 250.
+    [(10, 10.5), (10, 250.0), (12, 12.5), (12, 250.0), (20, 20.5), (20, 250.0)],
+)
+def test_filter_energy_matches_impulse_response(n, tau_samples):
+    cfg = am_config(
+        mod_freq_hz=1e3, sample_rate_hz=n * 1e3, time_constant_s=tau_samples / (n * 1e3)
+    )
+    # The impulse simulation the closed form replaced: at least 30 tau of
+    # the comb and the pole through lfilter.
+    impulse = np.zeros(max(math.ceil(30.0 * tau_samples), 64 * n))
+    impulse[0] = 1.0
+    beta = 1.0 - math.exp(-cfg.dt_s / cfg.time_constant_s)
+    comb = lfilter(np.full(n, 1.0 / n), [1.0], impulse)
+    out = lfilter([beta], [1.0, beta - 1.0], comb)
+    assert _filter_energy_pure(cfg) == pytest.approx(np.sum(out**2), rel=1e-13, abs=0)
 
 
 def test_sample_rate_mismatch_detected():
@@ -307,10 +300,7 @@ def test_am_sweep_noise_free_matches_lineshape():
 
 
 def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
-    """The per-dwell simulator loop: cos per sample, lfilter with state.
-
-    Supports filter_order 1 only.
-    """
+    """The per-dwell simulator loop: cos per sample, lfilter with state."""
     freqs = plan.frequencies()
     depth = synthesize_odmr(
         scene.lines(),
@@ -341,7 +331,7 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         else:
             volts = k_v * rate
         smooth, zi_dc = lfilter(comb, [1.0], volts, zi=zi_dc)
-        prod = 2.0 * volts * np.cos(omega * k + cfg.phase_rad)
+        prod = 2.0 * volts * np.cos(omega * k)
         out, zi_comb = lfilter(comb, [1.0], prod, zi=zi_comb)
         out, zi_pole = lfilter([beta], [1.0, beta - 1.0], out, zi=zi_pole)
         if point >= 0:
