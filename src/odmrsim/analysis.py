@@ -33,6 +33,11 @@ from .spin_model import G_FACTOR, gyromagnetic_ratio
 # resonance interrogated at the steepest-slope detuning.
 SHOT_NOISE_PREFACTOR = 4.0 * math.sqrt(2.0) / (3.0 * math.sqrt(3.0))
 
+# Levenberg-Marquardt limits: iterations, and the relative step that counts
+# as converged.
+_MAX_ITER = 200
+_REL_TOL = 1e-8
+
 
 @dataclass
 class LorentzFit:
@@ -90,20 +95,15 @@ def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([center, width, amp, offset])
 
 
-def fit_lorentzian(
-    sweep,
-    values=None,
-    max_iter: int = 200,
-    rel_tol: float = 1e-8,
-) -> LorentzFit:
+def fit_lorentzian(sweep, values=None) -> LorentzFit:
     """Fit a Lorentzian plus constant offset by Levenberg-Marquardt.
 
     Accepts either a sweep record (frequency_hz / lockin_v attributes) or
     two plain arrays.  Raises NoPeakFound when the fitted amplitude does
     not clear twice the residual scatter or the fitted width collapses
     below the sample spacing (a noise spike, not a resonance), and
-    NonConvergence when the damping loop fails to settle within max_iter
-    iterations.
+    NonConvergence when the damping loop fails to settle within
+    _MAX_ITER (200) iterations.
     """
     if values is None:
         x = np.asarray(sweep.frequency_hz, dtype=float)
@@ -127,7 +127,7 @@ def fit_lorentzian(
     lam = 1e-3
     converged = False
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ resid
         jtj_diag = np.diag(np.diag(jtj))
@@ -149,12 +149,12 @@ def fit_lorentzian(
             lam *= 10.0
         if not accepted:
             break
-        rel_step = np.max(np.abs(step) / (np.abs(params) + rel_tol))
+        rel_step = np.max(np.abs(step) / (np.abs(params) + _REL_TOL))
         # Only an accepted trial needs its Jacobian.
         params, jac = trial, _lorentz_jac(trial_parts)
         resid, rss = trial_resid, trial_rss
         lam = max(lam / 10.0, 1e-12)
-        if rel_step < rel_tol:
+        if rel_step < _REL_TOL:
             converged = True
             break
 

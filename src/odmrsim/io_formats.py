@@ -24,6 +24,7 @@ from .errors import (
 )
 
 FORMAT_VERSION = 1
+MANIFEST_NAME = "manifest.json"
 
 SWEEP_HEADER = "frequency_hz,lockin_v,dc_v"
 MAP_HEADER = "p_opt_w,p_rf_w,fwhm_hz,contrast,rate_hz,eta_t_rthz"
@@ -245,7 +246,6 @@ def write_run_manifest(
     seed: int,
     output_paths: list,
     duration_s: float,
-    filename: str = "manifest.json",
 ) -> RunManifest:
     from . import __version__
 
@@ -264,7 +264,7 @@ def write_run_manifest(
         duration_s=float(duration_s),
         tool_version=__version__,
     )
-    write_json_record(manifest.as_dict(), out_dir / filename)
+    write_json_record(manifest.as_dict(), out_dir / MANIFEST_NAME)
     return manifest
 
 

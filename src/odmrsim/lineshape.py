@@ -139,22 +139,21 @@ def synthesize_odmr(
     p_rf_w: float,
     p_opt_w: float,
     grid_hz: np.ndarray,
-    hyperfine: bool = True,
 ) -> SyntheticSpectrum:
     """Superpose Lorentzians for every transition line on a frequency grid.
 
     All lines share the saturated linewidth; each line's amplitude is the
-    saturated contrast scaled by its rel_strength.  Satellite lines (labels
-    containing "_sat_") are dropped when hyperfine is False.
+    saturated contrast scaled by its rel_strength.  Every given line is
+    drawn, hyperfine satellites included; leave them out of lines to drop
+    them.
     """
-    kept = [ln for ln in lines if hyperfine or "_sat_" not in ln.label]
-    if not kept:
+    if not lines:
         raise EmptyTransitionList("no transition lines to synthesise")
     grid = np.asarray(grid_hz, dtype=float)
     fwhm = saturated_fwhm(model, p_rf_w)
     contrast = saturated_contrast(model, p_rf_w, p_opt_w)
     values = np.zeros_like(grid)
-    for ln in kept:
+    for ln in lines:
         peak = PeakShape(
             center_hz=ln.frequency_hz,
             fwhm_hz=fwhm,
@@ -170,7 +169,6 @@ def synthesize_odmr(
             "p_opt_w": float(p_opt_w),
             "fwhm_hz": float(fwhm),
             "contrast": float(contrast),
-            "hyperfine": bool(hyperfine),
-            "n_lines": len(kept),
+            "n_lines": len(lines),
         },
     )

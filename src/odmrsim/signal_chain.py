@@ -402,7 +402,6 @@ def simulate_am_sweep(
         scene.p_rf_w,
         scene.p_opt_w,
         freqs,
-        hyperfine=scene.hyperfine,
     )
     depth = spectrum.values
     rate0 = scene.photon_rate_hz()
@@ -583,10 +582,6 @@ def simulate_fm_tracking(
     gamma_eff = slopes["nu2"]
     fwhm = saturated_fwhm(scene.broadening, scene.p_rf_w)
     contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
-    if cfg.fm_deviation_hz >= fwhm:
-        raise DeviationTooLarge(
-            f"fm deviation {cfg.fm_deviation_hz:.3g} Hz >= linewidth {fwhm:.3g} Hz"
-        )
     v_dc = scene.dc_voltage()
     k_v = scene.detector.volts_per_photon_rate
     nu2_peak = PeakShape(

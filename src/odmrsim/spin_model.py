@@ -178,8 +178,6 @@ def build_hamiltonian(params: SpinParams, field: FieldVector) -> np.ndarray:
     field the diagonal is (+zfs/2, -zfs/2, -zfs/2, +zfs/2) so the doublet
     gap equals zfs_hz.
     """
-    if field.magnitude_t() > MAX_FIELD_T:
-        raise FieldOutOfRange(f"|B| exceeds {MAX_FIELD_T} T")
     bz = np.array([field.bz_t], dtype=float)
     return _hamiltonian_stack(params, field.bx_t, field.by_t, bz)[0]
 
@@ -269,6 +267,10 @@ def _pairs_labelled(labels) -> np.ndarray:
     return np.array([[lab in labels for lab in row] for row in _PAIR_LABEL.tolist()])
 
 
+# Level pairs whose line gets hyperfine satellites.
+_SATELLITE_PARENTS = _pairs_labelled(("nu2",))
+
+
 def _line_table(
     energies: np.ndarray,
     states: np.ndarray,
@@ -276,7 +278,6 @@ def _line_table(
     params: SpinParams,
     classes=ALL_CLASSES,
     include_hyperfine: bool = False,
-    satellite_parents: tuple[str, ...] = ("nu2",),
 ) -> LineTable:
     """Label, weigh and sort the lines of a stack of eigensystems.
 
@@ -295,7 +296,7 @@ def _line_table(
     strength = np.float_power(np.abs(sx[:, _UPPER, _LOWER]), 2) / _NU_LINE_SX2
 
     if include_hyperfine and params.hyperfine_rel_amp > 0:
-        parent = shown & _pairs_labelled(satellite_parents)[lower, upper]
+        parent = shown & _SATELLITE_PARENTS[lower, upper]
         parent = parent[:, _SAT_PAIR]
         sat_freq = freq[:, _SAT_PAIR] + _SAT_SIGN * params.hyperfine_offset_hz
         sat_label = _SAT_LABEL[lower, upper].reshape(sat_freq.shape)
@@ -328,7 +329,6 @@ def transitions(
     params: SpinParams,
     classes: frozenset[str] | set[str] | None = None,
     include_hyperfine: bool = False,
-    satellite_parents: tuple[str, ...] = ("nu2",),
 ) -> list[TransitionLine]:
     """List transition lines between eigenlevels for the requested classes.
 
@@ -338,9 +338,8 @@ def transitions(
         classes: subset of {"nu1", "nu2", "dark", "m2_plus", "m2_minus"};
             None selects all of them.
         include_hyperfine: append satellite lines at +-hyperfine_offset_hz
-            around each parent named in satellite_parents, with amplitude
-            hyperfine_rel_amp relative to the parent.
-        satellite_parents: parent labels that receive satellites.
+            around each nu2 line, with amplitude hyperfine_rel_amp relative
+            to it.
 
     The dark transition's strength is computed from the eigenvectors, not
     assumed zero.  At exact axial field the |delta m| = 2 lines have zero
@@ -359,7 +358,6 @@ def transitions(
         params,
         classes,
         include_hyperfine,
-        satellite_parents,
     )
     return [
         TransitionLine(*row)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .io_formats import _write_text
+
 _MARGIN = 56.0
 
 
@@ -111,8 +113,7 @@ def line_plot(
             f"{_fmt_tick(value)}</text>"
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def _color(norm: float) -> str:
@@ -183,5 +184,4 @@ def heatmap(
             f"{_fmt_tick(value)}</text>"
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")

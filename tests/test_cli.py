@@ -258,6 +258,15 @@ def test_unknown_config_key_is_format_error(tmp_path):
         # The lock-in runs one pole at zero reference phase.
         ("spectrum", {"lockin": {"phase_rad": math.pi / 2}}, "lockin.phase_rad"),
         ("spectrum", {"lockin": {"filter_order": 100000000}}, "lockin.filter_order"),
+        # A settle discard shorter than the filter's 5 tau, before simulating.
+        (
+            "steps",
+            {
+                **MINI_STEPS_CONFIG,
+                "schedule": {**MINI_STEPS_CONFIG["schedule"], "settle_discard_s": 2.0},
+            },
+            "schedule.settle_discard_s",
+        ),
     ],
 )
 def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):
@@ -317,6 +326,41 @@ def test_failed_map_writes_nothing(tmp_path, capsys):
     assert main(["map", "--config", cfg, "--out", str(out)]) == 1
     assert "no map cell" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    assert main(["spectrum", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to") and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_failed_write_in_stage_leaves_no_out(tmp_path, capsys, monkeypatch):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("odmrsim.cli.line_plot", full_disk)
+    out = tmp_path / "new" / "run"
+    assert main(["spectrum", "--out", str(out), "--svg"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_unreplaceable_output_leaves_no_manifest_or_stage(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["spectrum", "--out", str(out)]) == 0
+    (out / "spectrum.svg").mkdir()
+    assert main(["spectrum", "--out", str(out), "--svg"]) == 2
+    err = capsys.readouterr().err
+    assert "spectrum.svg" in err and "Traceback" not in err
+    assert (out / "spectrum.svg").is_dir()
+    # No stage is left, and the old manifest, which would no longer
+    # describe the files beside it, is gone.
+    names = {p.name for p in out.iterdir()}
+    assert "manifest.json" not in names
+    assert names <= {"spectrum.csv", "spectrum.svg", "transitions.csv"}
 
 
 def test_spectrum_and_fit_load_no_scipy(tmp_path):

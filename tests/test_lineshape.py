@@ -118,7 +118,7 @@ def test_broadening_model_validation():
 def test_synthesize_peak_heights_scale_with_strength():
     lines = lines_at()
     grid = np.linspace(20e6, 120e6, 4001)
-    spectrum = synthesize_odmr(lines, QUENCHED, 1.0, 0.4, grid, hyperfine=False)
+    spectrum = synthesize_odmr(lines, QUENCHED, 1.0, 0.4, grid)
     assert spectrum.unit == "contrast"
     contrast = saturated_contrast(QUENCHED, 1.0, 0.4)
     by_label = {ln.label: ln for ln in lines}
@@ -130,10 +130,9 @@ def test_synthesize_peak_heights_scale_with_strength():
 
 
 def test_synthesize_hyperfine_toggle():
-    lines = lines_at(hyperfine=True)
     grid = np.linspace(101e6, 105e6, 2001)
-    with_sat = synthesize_odmr(lines, QUENCHED, 1.0, 0.4, grid, hyperfine=True)
-    without = synthesize_odmr(lines, QUENCHED, 1.0, 0.4, grid, hyperfine=False)
+    with_sat = synthesize_odmr(lines_at(hyperfine=True), QUENCHED, 1.0, 0.4, grid)
+    without = synthesize_odmr(lines_at(hyperfine=False), QUENCHED, 1.0, 0.4, grid)
     nu2_plus = 98.0373e6 + 5e6
     idx = np.argmin(np.abs(grid - nu2_plus))
     assert with_sat.values[idx] > 3 * without.values[idx]

@@ -308,7 +308,6 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         scene.p_rf_w,
         scene.p_opt_w,
         freqs,
-        hyperfine=scene.hyperfine,
     ).values
     rate0 = scene.photon_rate_hz()
     k_v = scene.detector.volts_per_photon_rate
