@@ -21,6 +21,7 @@ from .errors import (
     ZeroDC,
 )
 from .lineshape import BroadeningModel, saturated_contrast, saturated_fwhm
+from .lineshape import lorentzian_sum
 from .signal_chain import (
     FieldTimeline,
     LockInConfig,
@@ -53,10 +54,8 @@ class LorentzFit:
     n_iter: int
 
     def evaluate(self, frequency_hz) -> np.ndarray:
-        x = np.asarray(frequency_hz, dtype=float)
-        half_sq = (0.5 * self.fwhm_hz) ** 2
-        return self.offset + self.amplitude * half_sq / (
-            (x - self.center_hz) ** 2 + half_sq
+        return self.offset + lorentzian_sum(
+            frequency_hz, [self.center_hz], [self.amplitude], self.fwhm_hz
         )
 
 
@@ -95,6 +94,9 @@ def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([center, width, amp, offset])
 
 
+# A trial that leaves floating-point range (a CSV may hold 1e300) has a NaN
+# or infinite rss and is rejected like any worse step, without a warning.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_lorentzian(sweep, values=None) -> LorentzFit:
     """Fit a Lorentzian plus constant offset by Levenberg-Marquardt.
 

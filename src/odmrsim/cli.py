@@ -50,6 +50,7 @@ from .io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
     format_rows,
+    load_manifest,
     load_sweep,
     write_json_record,
     write_map_csv,
@@ -71,17 +72,25 @@ from .svgplot import heatmap, line_plot
 TRANSITIONS_HEADER = "bz_t,label,lower_m,upper_m,frequency_hz,rel_strength"
 
 
+def _bare(name: str) -> bool:
+    """True for a file name with no separator, NUL, '..' or leading '.'."""
+    return name[:1] not in ("", ".") and not any(
+        part in name for part in ("..", "/", "\\", "\0")
+    )
+
+
 @contextlib.contextmanager
 def _publish(args, cfg: ConfigDoc, t0: float):
     """Move a run's files into --out once the run has written all of them.
 
     Yields stage(name), the path to write output name to: a temporary file
-    beside its target in --out.  When the block succeeds, the old manifest
-    and the files to be replaced are removed, each staged file is renamed
-    onto its name and the manifest of the renamed files is written last,
-    so a manifest in --out always describes the files beside it.  On any
-    failure the staged files are removed, and so is --out (with any
-    parents) if this run created it.  An OSError becomes IoFailure.
+    beside its target in --out.  When the block succeeds, the old manifest,
+    the files to be replaced and the other files it lists (bare names only)
+    are removed, each staged file is renamed onto its name and the manifest
+    of the renamed files is written last, so a manifest in --out always
+    describes the files beside it.  On any failure the staged files are
+    removed, and so is --out (with any parents) if this run created it.
+    An OSError becomes IoFailure.
     """
     # Temporary files beside their targets, not a staging directory, and
     # old files removed before the renames: on ext4 (2-vCPU shared host) a
@@ -100,7 +109,16 @@ def _publish(args, cfg: ConfigDoc, t0: float):
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         yield stage
-        for name in (MANIFEST_NAME, *staged):
+        try:
+            listed = load_manifest(out_dir / MANIFEST_NAME)["outputs"]
+        except FormatError:
+            listed = {}
+        stale = [
+            n
+            for n in listed
+            if n not in staged and _bare(n) and not (out_dir / n).is_dir()
+        ]
+        for name in (MANIFEST_NAME, *staged, *stale):
             (out_dir / name).unlink(missing_ok=True)
         for name, path in staged.items():
             path.rename(out_dir / name)
@@ -173,7 +191,8 @@ def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
 def cmd_fit(args, cfg: ConfigDoc, t0: float) -> int:
     record = load_sweep(args.sweep_csv)
     fit = fit_lorentzian(record)
-    dc = float(np.nanmedian(record.dc_v)) if record.dc_v.size else math.nan
+    dc_v = record.dc_v[~np.isnan(record.dc_v)]
+    dc = float(np.median(dc_v)) if dc_v.size else math.nan
     contrast = None
     if math.isfinite(dc) and dc > 0:
         contrast = odmr_contrast(fit, dc)

@@ -186,7 +186,7 @@ def load_config(path=None) -> ConfigDoc:
         return config_from_dict({})
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(data)
 

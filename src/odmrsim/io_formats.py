@@ -7,6 +7,7 @@ store round-trip exactly.  NaN cells are written as empty strings.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -38,17 +39,19 @@ def format_float(value: float) -> str:
 def format_rows(*columns) -> list[str]:
     """CSV lines from equal-length columns, one line per row.
 
-    Numbers render as format_float renders them; strings as they are.
+    Numbers render as format_float renders them and NaN as an empty cell;
+    strings as they are.
     """
-    columns = [np.asarray(column) for column in columns]
-    template = ",".join("{}" if c.dtype.kind == "U" else "{:.17g}" for c in columns)
-    return [template.format(*row) for row in zip(*(c.tolist() for c in columns))]
-
-
-def _cell(value: float) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return format_float(value)
+    specs, cells = [], []
+    for column in map(np.asarray, columns):
+        values = column.tolist()
+        holed = column.dtype.kind == "f" and np.isnan(column).any()
+        if holed:
+            values = ["" if math.isnan(v) else format_float(v) for v in values]
+        specs.append("{}" if holed or column.dtype.kind == "U" else "{:.17g}")
+        cells.append(values)
+    template = ",".join(specs)
+    return [template.format(*row) for row in zip(*cells)]
 
 
 def _write_text(path, text: str) -> Path:
@@ -93,7 +96,7 @@ def load_json_record(path):
     text = _read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedHeader(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -120,45 +123,50 @@ class SweepRecord:
 
 
 def write_sweep(record: SweepRecord, path) -> Path:
-    rows = [SWEEP_HEADER]
-    for f, lv, dc in zip(record.frequency_hz, record.lockin_v, record.dc_v):
-        rows.append(f"{_cell(f)},{_cell(lv)},{_cell(dc)}")
-    return _write_text(path, "\n".join(rows) + "\n")
+    rows = format_rows(record.frequency_hz, record.lockin_v, record.dc_v)
+    return _write_text(path, "\n".join([SWEEP_HEADER, *rows]) + "\n")
 
 
 def load_sweep(path) -> SweepRecord:
+    freq, lockin, dc = _read_table(path, SWEEP_HEADER, required=2)
+    return SweepRecord(frequency_hz=freq, lockin_v=lockin, dc_v=dc)
+
+
+def _read_table(path, header: str, required: int) -> list[np.ndarray]:
+    """The columns of a CSV table with the given header line, as floats.
+
+    Blank lines are skipped and an empty cell reads as NaN, but the first
+    `required` columns need a finite number in every row.  The first bad
+    cell in file order raises NonNumericCell naming its line.
+    """
     lines = _read_text(path).splitlines()
-    if not lines or lines[0] != SWEEP_HEADER:
+    if not lines or lines[0] != header:
         got = lines[0] if lines else "<empty file>"
-        raise MalformedHeader(f"{path}: expected header '{SWEEP_HEADER}', got '{got}'")
-    freq, lockin, dc = [], [], []
-    for lineno, row in enumerate(lines[1:], start=2):
-        if row == "":
-            continue
-        cells = row.split(",")
-        if len(cells) != 3:
-            raise NonNumericCell(f"{path}: line {lineno}: expected 3 cells")
-        freq.append(_parse_cell(cells[0], path, lineno, required=True))
-        lockin.append(_parse_cell(cells[1], path, lineno, required=True))
-        dc.append(_parse_cell(cells[2], path, lineno, required=False))
-    return SweepRecord(
-        frequency_hz=np.array(freq),
-        lockin_v=np.array(lockin),
-        dc_v=np.array(dc),
-    )
-
-
-def _parse_cell(cell: str, path, lineno: int, required: bool) -> float:
-    if cell == "":
-        if required:
-            raise NonNumericCell(f"{path}: line {lineno}: empty cell")
-        return math.nan
-    try:
-        return float(cell)
-    except ValueError:
-        raise NonNumericCell(
-            f"{path}: line {lineno}: cannot parse '{cell}' as a number"
-        ) from None
+        raise MalformedHeader(f"{path}: expected header '{header}', got '{got}'")
+    width = header.count(",") + 1
+    numbered = [(n, line.split(",")) for n, line in enumerate(lines[1:], 2) if line]
+    columns = []
+    if all(len(cells) == width for _, cells in numbered):
+        with contextlib.suppress(ValueError):
+            rows = [cells for _, cells in numbered]
+            columns = [
+                np.array([float(c or "nan") for c in column])
+                for column in list(zip(*rows)) or [()] * width
+            ]
+    if columns and all(np.isfinite(c).all() for c in columns[:required]):
+        return columns
+    for lineno, cells in numbered:
+        where = f"{path}: line {lineno}"
+        if len(cells) != width:
+            raise NonNumericCell(f"{where}: expected {width} cells")
+        for k, cell in enumerate(cells):
+            try:
+                value = float(cell or "nan")
+            except ValueError:
+                raise NonNumericCell(f"{where}: cannot parse '{cell}'") from None
+            if k < required and not math.isfinite(value):
+                raise NonNumericCell(f"{where}: need a finite number, got '{cell}'")
+    raise AssertionError("unreachable: the scan meets the cell that failed")
 
 
 # sensitivity map CSV
@@ -166,50 +174,17 @@ def _parse_cell(cell: str, path, lineno: int, required: bool) -> float:
 
 def write_map_csv(points, path) -> Path:
     """Write sensitivity map rows; points need the map column attributes."""
-    rows = [MAP_HEADER]
     ordered = sorted(points, key=lambda p: (p.p_opt_w, p.p_rf_w))
-    for p in ordered:
-        rows.append(
-            ",".join(
-                _cell(getattr(p, name))
-                for name in (
-                    "p_opt_w",
-                    "p_rf_w",
-                    "fwhm_hz",
-                    "contrast",
-                    "rate_hz",
-                    "eta_t_rthz",
-                )
-            )
-        )
-    return _write_text(path, "\n".join(rows) + "\n")
+    names = MAP_HEADER.split(",")
+    rows = format_rows(*([getattr(p, name) for p in ordered] for name in names))
+    return _write_text(path, "\n".join([MAP_HEADER, *rows]) + "\n")
 
 
 def load_map_csv(path) -> list[dict]:
     """Load map rows as dicts keyed by the map column names."""
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0] != MAP_HEADER:
-        got = lines[0] if lines else "<empty file>"
-        raise MalformedHeader(f"{path}: expected header '{MAP_HEADER}', got '{got}'")
+    columns = _read_table(path, MAP_HEADER, required=2)
     names = MAP_HEADER.split(",")
-    out = []
-    for lineno, row in enumerate(lines[1:], start=2):
-        if row == "":
-            continue
-        cells = row.split(",")
-        if len(cells) != len(names):
-            raise NonNumericCell(
-                f"{path}: line {lineno}: expected {len(names)} cells"
-            )
-        out.append(
-            {
-                name: _parse_cell(
-                    cell, path, lineno, required=name in ("p_opt_w", "p_rf_w")
-                )
-                for name, cell in zip(names, cells)
-            }
-        )
-    return out
+    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 # run manifests
@@ -269,8 +244,13 @@ def write_run_manifest(
 
 
 def load_manifest(path) -> dict:
+    """A run manifest whose outputs map names to entries with a sha256."""
     data = load_json_record(path)
-    if not isinstance(data, dict) or "outputs" not in data:
+    outputs = data.get("outputs") if isinstance(data, dict) else None
+    if not isinstance(outputs, dict) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
+        for entry in outputs.values()
+    ):
         raise SchemaViolation(f"{path}: not a run manifest")
     return data
 

@@ -3,6 +3,11 @@
 Lines are Lorentzian.  The linewidth grows with RF drive as
 fwhm0 * sqrt(1 + p_rf / rf_sat_w) and carries no optical-power dependence;
 the contrast saturates in both RF and optical power.
+
+lorentzian_sum is the one line formula; the spectrum, the fitted curve and
+the FM chain evaluate lines through it.  analysis._lorentz_model keeps its
+own because the fit's Jacobian reuses its intermediates, and its rounding
+defines every fitted and map value.
 """
 
 from __future__ import annotations
@@ -102,11 +107,24 @@ PRESETS: dict[str, SamplePreset] = {
 }
 
 
+def lorentzian_sum(frequency_hz, centers_hz, amplitudes, fwhm_hz) -> np.ndarray:
+    """Sum of a * (G/2)^2 / ((f - f0)^2 + (G/2)^2) over lines, in order.
+
+    A center may be an array of the frequency's shape (a moving line), and
+    centers_hz a generator, so such arrays need not all exist at once.
+    """
+    half = 0.5 * fwhm_hz
+    freq = np.asarray(frequency_hz, dtype=float)
+    out = np.zeros(freq.shape)
+    for center, amp in zip(centers_hz, amplitudes):
+        detune = freq - center
+        out += amp * half * half / (detune * detune + half * half)
+    return out
+
+
 def lorentzian_value(peak: PeakShape, frequency_hz):
-    """Lorentzian profile c * (G/2)^2 / ((f - f0)^2 + (G/2)^2)."""
-    half = 0.5 * peak.fwhm_hz
-    detune = np.asarray(frequency_hz, dtype=float) - peak.center_hz
-    out = peak.contrast * half * half / (detune * detune + half * half)
+    """One line of lorentzian_sum; a float for a scalar frequency."""
+    out = lorentzian_sum(frequency_hz, [peak.center_hz], [peak.contrast], peak.fwhm_hz)
     return out if out.ndim else float(out)
 
 
@@ -152,14 +170,8 @@ def synthesize_odmr(
     grid = np.asarray(grid_hz, dtype=float)
     fwhm = saturated_fwhm(model, p_rf_w)
     contrast = saturated_contrast(model, p_rf_w, p_opt_w)
-    values = np.zeros_like(grid)
-    for ln in lines:
-        peak = PeakShape(
-            center_hz=ln.frequency_hz,
-            fwhm_hz=fwhm,
-            contrast=contrast * ln.rel_strength,
-        )
-        values += lorentzian_value(peak, grid)
+    amps = [contrast * ln.rel_strength for ln in lines]
+    values = lorentzian_sum(grid, [ln.frequency_hz for ln in lines], amps, fwhm)
     return SyntheticSpectrum(
         frequency_hz=grid,
         values=values,

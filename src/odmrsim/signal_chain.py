@@ -42,6 +42,7 @@ from .errors import (
 from .lineshape import (
     BroadeningModel,
     PeakShape,
+    lorentzian_sum,
     lorentzian_value,
     saturated_contrast,
     saturated_fwhm,
@@ -480,57 +481,18 @@ class TrackingResult:
     field_noise_sigma_in_t: float
 
 
-def _line_table(scene: Scene) -> tuple[list[TransitionLine], dict[str, float]]:
+def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray]:
     """Scene lines at the bias field plus each line's d(freq)/d(bz) slope."""
     lines = scene.lines()
     h = 1e-6
-    slopes: dict[str, float] = {}
+    shifts: dict[str, float] = {}
     for sign in (+1.0, -1.0):
         shifted = replace(
             scene, field=replace(scene.field, bz_t=scene.field.bz_t + sign * h)
         )
         for ln in shifted.lines():
-            slopes[ln.label] = slopes.get(ln.label, 0.0) + sign * ln.frequency_hz
-    return lines, {label: df / (2.0 * h) for label, df in slopes.items()}
-
-
-def _field_noise_input_sigma(
-    target_step_sigma_t: float,
-    lines: list[TransitionLine],
-    slopes: dict[str, float],
-    fwhm_hz: float,
-    contrast: float,
-    carrier_hz: float,
-    v_dc: float,
-    cfg: LockInConfig,
-    slope_v_per_hz: float,
-    gamma_eff: float,
-) -> float:
-    """Per-sample white field noise giving the requested settled output std.
-
-    The injected noise sees a time-varying gain (the modulated slope of the
-    lineshape times the demod reference); its settled variance is the mean
-    squared gain over one modulation cycle times the filter energy of the
-    demod chain.  Inverting that linear model calibrates the input sigma.
-    """
-    n = cfg.samples_per_cycle
-    nu_inst = carrier_hz + cfg.fm_deviation_hz * _fm_switch(cfg, 0, n)
-    eps = 1e-8
-    dv_db = np.zeros(n)
-    for ln in lines:
-        amp = contrast * ln.rel_strength
-        peak = PeakShape(center_hz=ln.frequency_hz, fwhm_hz=fwhm_hz, contrast=amp)
-        line_slope = slopes.get(ln.label, 0.0)
-        plus = lorentzian_value(peak, nu_inst - line_slope * eps)
-        minus = lorentzian_value(peak, nu_inst + line_slope * eps)
-        dv_db += -v_dc * (plus - minus) / (2.0 * eps)
-    gain = 2.0 * _cycle_cos(cfg) * dv_db
-    mean_sq_gain = float(np.mean(gain**2))
-    sigma_out_per_unit = math.sqrt(mean_sq_gain * _filter_energy_pure(cfg))
-    field_gain = abs(slope_v_per_hz * gamma_eff)
-    if sigma_out_per_unit <= 0 or field_gain <= 0:
-        raise ValueError("cannot calibrate field noise for a flat response")
-    return target_step_sigma_t * field_gain / sigma_out_per_unit
+            shifts[ln.label] = shifts.get(ln.label, 0.0) + sign * ln.frequency_hz
+    return lines, np.array([shifts[ln.label] / (2.0 * h) for ln in lines])
 
 
 def _filter_energy_pure(cfg: LockInConfig) -> float:
@@ -575,44 +537,40 @@ def simulate_fm_tracking(
         raise ValueError("scene photon rate must be positive for tracking")
 
     lines, slopes = _line_table(scene)
-    by_label = {ln.label: ln for ln in lines}
-    if "nu2" not in by_label:
+    labels = [ln.label for ln in lines]
+    if "nu2" not in labels:
         raise ValueError("scene produces no nu2 line to track")
-    carrier = by_label["nu2"].frequency_hz
-    gamma_eff = slopes["nu2"]
+    nu2 = labels.index("nu2")
     fwhm = saturated_fwhm(scene.broadening, scene.p_rf_w)
     contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
+    amps = np.array([contrast * ln.rel_strength for ln in lines])
+    centers = np.array([ln.frequency_hz for ln in lines])
+    carrier = lines[nu2].frequency_hz
+    gamma_eff = float(slopes[nu2])
     v_dc = scene.dc_voltage()
     k_v = scene.detector.volts_per_photon_rate
-    nu2_peak = PeakShape(
-        center_hz=carrier,
-        fwhm_hz=fwhm,
-        contrast=contrast * by_label["nu2"].rel_strength,
-    )
-    slope_v = fm_discriminator_slope(nu2_peak, cfg, v_dc)
+    slope_v = fm_discriminator_slope(PeakShape(carrier, fwhm, amps[nu2]), cfg, v_dc)
 
     sigma_in = 0.0
     if field_noise_step_sigma_t > 0:
-        sigma_in = _field_noise_input_sigma(
-            field_noise_step_sigma_t,
-            lines,
-            slopes,
-            fwhm,
-            contrast,
-            carrier,
-            v_dc,
-            cfg,
-            slope_v,
-            gamma_eff,
-        )
+        # Field noise sees a gain that varies over a cycle: the field slope
+        # of the modulated line times the reference.  The settled output
+        # variance is its mean square times the demod filter energy.
+        n = cfg.samples_per_cycle
+        nu_cycle = carrier + cfg.fm_deviation_hz * _fm_switch(cfg, 0, n)
+        eps = 1e-8
+        plus = lorentzian_sum(nu_cycle, centers + slopes * eps, amps, fwhm)
+        minus = lorentzian_sum(nu_cycle, centers - slopes * eps, amps, fwhm)
+        gain = 2.0 * _cycle_cos(cfg) * v_dc * (minus - plus) / (2.0 * eps)
+        sigma_out = math.sqrt(np.mean(gain**2) * _filter_energy_pure(cfg))
+        field_gain = abs(slope_v * gamma_eff)
+        if sigma_out <= 0 or field_gain <= 0:
+            raise ValueError("cannot calibrate field noise for a flat response")
+        sigma_in = field_noise_step_sigma_t * field_gain / sigma_out
 
     dt = cfg.dt_s
     n_total = int(round(duration_s * cfg.sample_rate_hz))
     bias = scene.field.bz_t
-    half = 0.5 * fwhm
-    amps = np.array([contrast * ln.rel_strength for ln in lines])
-    centers = np.array([ln.frequency_hz for ln in lines])
-    line_slopes = np.array([slopes[ln.label] for ln in lines])
 
     rng = np.random.default_rng(seed)
     demod = _Demodulator(cfg)
@@ -625,10 +583,8 @@ def simulate_fm_tracking(
         if sigma_in > 0:
             db = db + rng.normal(0.0, sigma_in, size=db.size)
         nu_inst = carrier + cfg.fm_deviation_hz * _fm_switch(cfg, start, stop - start)
-        depth = np.zeros(stop - start)
-        for amp, center, line_slope in zip(amps, centers, line_slopes):
-            detune = nu_inst - (center + line_slope * db)
-            depth += amp * half * half / (detune * detune + half * half)
+        moving = (center + slope * db for center, slope in zip(centers, slopes))
+        depth = lorentzian_sum(nu_inst, moving, amps, fwhm)
         rate = rate0 * (1.0 - depth)
         if shot_noise:
             volts = k_v * _shot_counts(rate * dt, rng) / dt

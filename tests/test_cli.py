@@ -88,6 +88,44 @@ def test_spectrum_outputs_and_manifest(tmp_path):
     assert header == "bz_t,label,lower_m,upper_m,frequency_hz,rel_strength"
 
 
+def test_rerun_removes_outputs_its_predecessor_listed(tmp_path):
+    out = tmp_path / "run"
+    assert main(["spectrum", "--out", str(out), "--svg"]) == 0
+    assert main(["spectrum", "--out", str(out)]) == 0
+    assert not (out / "spectrum.svg").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json",
+        "spectrum.csv",
+        "transitions.csv",
+    ]
+    assert verify_manifest(out / "manifest.json") == {
+        "spectrum.csv": True,
+        "transitions.csv": True,
+    }
+
+
+def test_rerun_removes_only_bare_listed_names(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep\n")
+    (out / ".hidden").write_text("keep\n")
+    (out / "notes").mkdir()
+    listed = {"sha256": "0" * 64, "bytes": 5}
+    names = ("../victim.txt", ".hidden", "notes", "", "a/b")
+    (out / "manifest.json").write_text(
+        json.dumps({"outputs": {name: listed for name in names}})
+    )
+    assert main(["spectrum", "--out", str(out)]) == 0
+    assert victim.read_text() == "keep\n"
+    assert (out / ".hidden").exists() and (out / "notes").is_dir()
+    assert all(verify_manifest(out / "manifest.json").values())
+    # A manifest that cannot be read lists nothing.
+    (out / "manifest.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["spectrum", "--out", str(out)]) == 0
+    assert all(verify_manifest(out / "manifest.json").values())
+
+
 def test_spectrum_no_hyperfine_changes_output(tmp_path):
     a = tmp_path / "with"
     b = tmp_path / "without"
@@ -190,6 +228,27 @@ def test_fit_flat_data_is_domain_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_fit_edge_data_ends_without_numpy_warnings(tmp_path, capsys):
+    # Warnings fail the suite, so these pin that extreme but readable sweeps
+    # end in an exit code alone: non-finite cells are format errors, a fit
+    # leaving floating-point range is a domain error, and a DC column with
+    # no number gives no contrast.
+    freq = np.linspace(95e6, 101e6, 21)
+    lockin = 1e-3 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12)
+    cases = {
+        "inf.csv": (freq, np.where(freq == freq[5], np.inf, lockin), 0.06, 2),
+        "huge.csv": (freq, np.where(freq == freq[5], 1e300, lockin), 0.06, 1),
+        "tiny.csv": (np.arange(21) * 5e-324, lockin, 0.06, 1),
+        "nodc.csv": (freq, lockin, math.nan, 0),
+    }
+    for name, (f, y, dc, expected) in cases.items():
+        path = tmp_path / name
+        write_sweep(SweepRecord(f, y, np.full(f.size, dc)), path)
+        assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == expected
+    assert json.loads((tmp_path / "out" / "fit.json").read_text())["contrast"] is None
+    capsys.readouterr()
+
+
 def test_fit_malformed_csv_is_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n1,2\n")
@@ -206,7 +265,9 @@ def test_bad_config_json_is_format_error(tmp_path, capsys):
     cfg.write_text("{oops")
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
-    capsys.readouterr()
+    cfg.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
 
 
 def test_unknown_config_key_is_format_error(tmp_path):

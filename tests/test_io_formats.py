@@ -79,6 +79,23 @@ def test_sweep_header_and_cell_errors(tmp_path):
         load_sweep(bad_value)
     assert "line 2" in str(err.value)
 
+    # The first fault in file order is reported, whichever column holds it.
+    path = tmp_path / "e.csv"
+    path.write_text(
+        "frequency_hz,lockin_v,dc_v\n1.0,2.0,3.0\n\n2.0,2.0,y\n3.0,2.0\n"
+    )
+    with pytest.raises(NonNumericCell, match="line 4: cannot parse 'y'"):
+        load_sweep(path)
+    path.write_text("frequency_hz,lockin_v,dc_v\n1.0,2.0\n2.0,,3.0\n")
+    with pytest.raises(NonNumericCell, match="line 2: expected 3 cells"):
+        load_sweep(path)
+    path.write_text("frequency_hz,lockin_v,dc_v\n1.0,2.0,3.0\n2.0,,3.0\n")
+    with pytest.raises(NonNumericCell, match="line 3: need a finite number, got ''"):
+        load_sweep(path)
+    path.write_text("frequency_hz,lockin_v,dc_v\n1.0,2.0,inf\n2.0,nan,3.0\n")
+    with pytest.raises(NonNumericCell, match="line 3: need a finite number, got 'nan'"):
+        load_sweep(path)
+
 
 def test_sweep_requires_monotone_axis(tmp_path):
     path = tmp_path / "d.csv"
@@ -262,6 +279,10 @@ def test_load_manifest_rejects_other_json(tmp_path):
     path.write_text("{\"a\": 1}\n")
     with pytest.raises(SchemaViolation):
         load_manifest(path)
+    for outputs in ([1], {"a.csv": {"bytes": 3}}, {"a.csv": {"sha256": 7}}):
+        path.write_text(json.dumps({"outputs": outputs}))
+        with pytest.raises(SchemaViolation):
+            verify_manifest(path)
 
 
 def test_format_float_round_trips():
@@ -289,6 +310,12 @@ def test_format_rows_matches_format_float_bytes():
     ]
     assert format_rows(numbers, labels, whole) == expected
     assert format_rows(list(numbers)) == [format_float(v) for v in numbers]
+    holed = numbers.copy()
+    holed[[1, 7]] = math.nan
+    assert format_rows(holed, labels) == [
+        f"{'' if math.isnan(a) else format_float(a)},{label}"
+        for a, label in zip(holed, labels)
+    ]
 
 
 def test_dump_json_rejects_nan():

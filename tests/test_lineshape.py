@@ -18,6 +18,7 @@ from odmrsim import (
     synthesize_odmr,
     transitions,
 )
+from odmrsim.lineshape import lorentzian_sum
 
 QUENCHED = PRESETS["quenched"].broadening
 
@@ -39,6 +40,24 @@ def test_lorentzian_vectorised():
     peak = PeakShape(center_hz=0.0, fwhm_hz=2.0, contrast=1.0)
     out = lorentzian_value(peak, np.array([-1.0, 0.0, 1.0]))
     np.testing.assert_allclose(out, [0.5, 1.0, 0.5])
+
+
+def test_lorentzian_sum_is_the_per_line_loop_bit_for_bit():
+    rng = np.random.default_rng(8)
+    freq = rng.uniform(97e6, 99e6, 257)
+    amps = rng.uniform(-0.02, 0.03, 5)
+    fwhm = 7.3e5
+    scalar = list(rng.uniform(97e6, 99e6, 5))
+    arrays = [c + rng.normal(0.0, 1e4, freq.size) for c in scalar]
+    for centers in (scalar, arrays):
+        # A line centred on c is the zero-centred line at f - c, bit for bit.
+        expected = np.zeros(freq.size)
+        for center, amp in zip(centers, amps):
+            expected += lorentzian_value(PeakShape(0.0, fwhm, amp), freq - center)
+        assert np.array_equal(lorentzian_sum(freq, centers, amps, fwhm), expected)
+        generated = (center for center in centers)
+        assert np.array_equal(lorentzian_sum(freq, generated, amps, fwhm), expected)
+    assert np.array_equal(lorentzian_sum(freq, [], [], fwhm), np.zeros(freq.size))
 
 
 def test_fwhm_square_root_power_broadening():

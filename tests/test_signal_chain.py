@@ -8,6 +8,7 @@ update weight.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,14 +40,20 @@ from odmrsim import (
     synthesize_odmr,
     voltage_from_photon_rate,
 )
+from odmrsim.config import load_config
+from odmrsim.lineshape import lorentzian_value
 from odmrsim.signal_chain import (
     GAUSSIAN_MEAN_THRESHOLD,
     _am_gate,
+    _cycle_cos,
     _Demodulator,
     _filter_energy_pure,
     _fm_switch,
+    _line_table,
     _shot_counts,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # Planck constant times speed of light, frozen from CODATA.
 HC_JM = 6.62607015e-34 * 2.99792458e8
@@ -483,6 +490,41 @@ def test_tracking_field_noise_calibration():
     report = analyze_steps(res.field_estimate, tl, cfg)
     assert report.pooled_std_t == pytest.approx(70e-9, rel=0.15)
     assert res.field_noise_sigma_in_t > 70e-9
+
+
+def reference_field_noise_sigma(target, scene, cfg, slope_v):
+    """Reference field-noise input sigma, summing the field slope line by line."""
+    lines, slopes = _line_table(scene)
+    fwhm = saturated_fwhm(scene.broadening, scene.p_rf_w)
+    contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
+    carrier = next(ln.frequency_hz for ln in lines if ln.label == "nu2")
+    gamma_eff = slopes[[ln.label for ln in lines].index("nu2")]
+    n = cfg.samples_per_cycle
+    nu_inst = carrier + cfg.fm_deviation_hz * _fm_switch(cfg, 0, n)
+    eps = 1e-8
+    dv_db = np.zeros(n)
+    for ln, line_slope in zip(lines, slopes):
+        peak = PeakShape(ln.frequency_hz, fwhm, contrast * ln.rel_strength)
+        plus = lorentzian_value(peak, nu_inst - line_slope * eps)
+        minus = lorentzian_value(peak, nu_inst + line_slope * eps)
+        dv_db += -scene.dc_voltage() * (plus - minus) / (2.0 * eps)
+    gain = 2.0 * _cycle_cos(cfg) * dv_db
+    sigma_out = math.sqrt(float(np.mean(gain**2)) * _filter_energy_pure(cfg))
+    return target * abs(slope_v * gamma_eff) / sigma_out
+
+
+def test_field_noise_calibration_matches_per_line_reference():
+    cfg = load_config(CONFIG_DIR / "field_steps_tracking.json")
+    scene = cfg.scene()
+    target = cfg.schedule.field_noise_step_sigma_t
+    tl = FieldTimeline(starts_s=np.array([0.0]), bz_t=np.array([cfg.field.bz_t]))
+    res = simulate_fm_tracking(
+        tl, scene, cfg.lockin, 1.0, field_noise_step_sigma_t=target
+    )
+    expected = reference_field_noise_sigma(
+        target, scene, cfg.lockin, res.slope_v_per_hz
+    )
+    assert res.field_noise_sigma_in_t == pytest.approx(expected, rel=1e-12)
 
 
 def test_tracking_shot_noise_reproducibility():
