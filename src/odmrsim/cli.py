@@ -55,6 +55,7 @@ from .io_formats import (
     write_json_record,
     write_map_csv,
     write_run_manifest,
+    _bare,
     _write_text,
 )
 from .lineshape import synthesize_odmr
@@ -70,13 +71,6 @@ from .spin_model import scan_transitions
 from .svgplot import heatmap, line_plot
 
 TRANSITIONS_HEADER = "bz_t,label,lower_m,upper_m,frequency_hz,rel_strength"
-
-
-def _bare(name: str) -> bool:
-    """True for a file name with no separator, NUL, '..' or leading '.'."""
-    return name[:1] not in ("", ".") and not any(
-        part in name for part in ("..", "/", "\\", "\0")
-    )
 
 
 @contextlib.contextmanager
@@ -273,6 +267,11 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
         raise SchemaViolation("sweep.grid: required by the map command")
     if cfg.lockin.mode != "am":
         raise SchemaViolation("lockin.mode: map command needs 'am'")
+    if cfg.sweep.dwell_s * cfg.lockin.sample_rate_hz > MAX_SAMPLES:
+        raise SchemaViolation(
+            "sweep.dwell_s x lockin.sample_rate_hz must be at most "
+            f"{MAX_SAMPLES} samples"
+        )
     scene = cfg.scene(hyperfine=not args.no_hyperfine)
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()

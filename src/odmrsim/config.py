@@ -88,6 +88,8 @@ class GridCfg:
         for name in ("n_opt", "n_rf"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.n_opt * self.n_rf > MAX_SAMPLES:
+            raise ValueError(f"n_opt x n_rf must be at most {MAX_SAMPLES} cells")
 
     def p_opt_values(self) -> np.ndarray:
         return np.linspace(self.p_opt_min_w, self.p_opt_max_w, self.n_opt)
@@ -118,6 +120,8 @@ class SweepCfg(SweepPlan):
                 raise ValueError(f"{name} must be non-negative")
         if self.n_fields < 1:
             raise ValueError("n_fields must be >= 1")
+        if self.n_fields > MAX_SAMPLES:
+            raise ValueError(f"n_fields must be at most {MAX_SAMPLES}")
 
 
 @dataclass(frozen=True)

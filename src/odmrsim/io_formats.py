@@ -72,6 +72,13 @@ def _read_text(path) -> str:
         raise IoFailure(f"cannot read {path}: not UTF-8 text: {exc}") from None
 
 
+def _bare(name: str) -> bool:
+    """True for a file name with no separator, NUL, '..' or leading '.'."""
+    return name[:1] not in ("", ".") and not any(
+        part in name for part in ("..", "/", "\\", "\0")
+    )
+
+
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
     try:
@@ -256,14 +263,16 @@ def load_manifest(path) -> dict:
 
 
 def verify_manifest(path) -> dict:
-    """Recompute output digests; returns {name: matches_bool}."""
+    """Recompute output digests; returns {name: matches_bool}.
+
+    A listed name that is not bare reports False and is never opened.
+    """
     data = load_manifest(path)
     base = Path(path).parent
     result = {}
     for name, entry in data["outputs"].items():
-        target = base / name
         try:
-            result[name] = sha256_file(target) == entry["sha256"]
+            result[name] = _bare(name) and sha256_file(base / name) == entry["sha256"]
         except IoFailure:
             result[name] = False
     return result

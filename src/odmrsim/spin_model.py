@@ -31,9 +31,8 @@ import numpy as np
 
 from .errors import ConvergenceFailure, FieldOutOfRange
 
-# Bohr magneton over Planck's constant in Hz/T, CODATA 2022.  As a literal
-# it does not depend on the installed scipy's CODATA edition, and importing
-# the package loads no scipy module.
+# Bohr magneton over Planck's constant in Hz/T, CODATA 2022, as a literal
+# so results do not depend on any library's CODATA edition.
 MU_B_OVER_H = 13996244917.1
 
 MAX_FIELD_T = 0.1

@@ -328,6 +328,29 @@ def test_unknown_config_key_is_format_error(tmp_path):
             },
             "schedule.settle_discard_s",
         ),
+        # Sizes read from the config, bounded before any array exists.
+        ("spectrum", {"sweep": {"n_points": 10**9}}, "sweep.n_points"),
+        ("spectrum", {"sweep": {"n_fields": 10**9}}, "sweep.n_fields"),
+        (
+            "map",
+            {
+                **MINI_MAP_CONFIG,
+                "sweep": {
+                    **MINI_MAP_CONFIG["sweep"],
+                    "grid": {
+                        **MINI_MAP_CONFIG["sweep"]["grid"],
+                        "n_opt": 10**6,
+                        "n_rf": 10**6,
+                    },
+                },
+            },
+            "sweep.grid.n_opt x n_rf",
+        ),
+        (
+            "map",
+            {**MINI_MAP_CONFIG, "sweep": {**MINI_MAP_CONFIG["sweep"], "dwell_s": 1e4}},
+            "sweep.dwell_s",
+        ),
     ],
 )
 def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):
@@ -425,9 +448,9 @@ def test_unreplaceable_output_leaves_no_manifest_or_stage(tmp_path, capsys):
 
 
 def test_spectrum_and_fit_load_no_scipy(tmp_path):
-    # Importing scipy.signal takes about 1 s; only the lock-in (map, steps)
-    # needs it, so a fresh interpreter running spectrum and fit never loads
-    # any scipy module.
+    # The package runs on numpy alone: a fresh interpreter in which scipy
+    # cannot be imported runs all four commands, and spectrum and fit load
+    # no scipy module.
     freq = np.linspace(95e6, 101e6, 41)
     record = SweepRecord(
         frequency_hz=freq,
@@ -436,12 +459,23 @@ def test_spectrum_and_fit_load_no_scipy(tmp_path):
     )
     sweep = tmp_path / "sweep.csv"
     write_sweep(record, sweep)
+    map_cfg = write_config(tmp_path, MINI_MAP_CONFIG, "map.json")
+    steps_cfg = write_config(tmp_path, MINI_STEPS_CONFIG, "steps.json")
+    runs = [
+        ["spectrum", "--out", str(tmp_path / "s")],
+        ["fit", str(sweep), "--out", str(tmp_path / "f")],
+        ["map", "--config", map_cfg, "--out", str(tmp_path / "m")],
+        ["steps", "--config", steps_cfg, "--out", str(tmp_path / "t")],
+    ]
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from odmrsim.cli import main\n"
-        f"codes = [main(['spectrum', '--out', {str(tmp_path / 's')!r}]),\n"
-        f"         main(['fit', {str(sweep)!r}, '--out', {str(tmp_path / 'f')!r}])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"codes = [main(argv) for argv in {runs[:2]!r}]\n"
+        "loaded = sorted(m for m, mod in sys.modules.items()\n"
+        "                if m.split('.')[0] == 'scipy' and mod is not None)\n"
+        f"codes += [main(argv) for argv in {runs[2:]!r}]\n"
+        "print(codes, loaded)\n"
     )
     src = str(Path(odmrsim.__file__).parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -452,7 +486,7 @@ def test_spectrum_and_fit_load_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_map_requires_grid_and_am_mode(tmp_path):

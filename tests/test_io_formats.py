@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from odmrsim import (
     write_run_manifest,
     write_sweep,
 )
-from odmrsim.io_formats import dump_json, format_float, format_rows
+from odmrsim import io_formats
+from odmrsim.io_formats import dump_json, format_float, format_rows, sha256_file
 
 
 def make_record(n=7):
@@ -283,6 +285,34 @@ def test_load_manifest_rejects_other_json(tmp_path):
         path.write_text(json.dumps({"outputs": outputs}))
         with pytest.raises(SchemaViolation):
             verify_manifest(path)
+
+
+def test_verify_manifest_opens_only_bare_names(tmp_path, monkeypatch):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("outside\n")
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "inside.txt").write_text("inside\n")
+    listed = {
+        "../outside.txt": outside,
+        str(outside): outside,
+        "inside.txt": run / "inside.txt",
+    }
+    outputs = {name: {"sha256": sha256_file(p)} for name, p in listed.items()}
+    (run / "manifest.json").write_text(json.dumps({"outputs": outputs}))
+    opened = []
+
+    def recording_sha256(path):
+        opened.append(Path(path))
+        return sha256_file(path)
+
+    monkeypatch.setattr(io_formats, "sha256_file", recording_sha256)
+    assert verify_manifest(run / "manifest.json") == {
+        "../outside.txt": False,
+        str(outside): False,
+        "inside.txt": True,
+    }
+    assert opened == [run / "inside.txt"]
 
 
 def test_format_float_round_trips():

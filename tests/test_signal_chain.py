@@ -50,6 +50,7 @@ from odmrsim.signal_chain import (
     _filter_energy_pure,
     _fm_switch,
     _line_table,
+    _Pole,
     _shot_counts,
 )
 
@@ -208,9 +209,23 @@ def test_demodulator_output_independent_of_block_split():
     values = np.random.default_rng(4).normal(1.0, 0.01, 30_000)
     whole = _Demodulator(cfg).process(values)
     demod = _Demodulator(cfg)
-    bounds = [0, 1, 8, 2_500, 2_503, 16_384, 29_999, 30_000]
+    # k is the pole's chunk length (11,090 samples at tau fs = 2000).
+    k = _Pole(cfg)._decay.size
+    bounds = [0, 1, 8, 2_500, 2_503, k - 1, k, k + 1, 16_384, 29_999, 30_000]
     parts = [demod.process(values[a:b]) for a, b in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("tau_samples", [10.5, 250.0, 2000.0])
+def test_pole_matches_lfilter(tau_samples):
+    # lfilter runs the recurrence y[k] = a y[k-1] + beta x[k] sample by
+    # sample; the chunked pole reassociates it, so they agree to rounding.
+    cfg = am_config(mod_freq_hz=1e4, time_constant_s=tau_samples / 1e5)
+    x = np.random.default_rng(6).normal(1.0, 0.5, 1_000_000)
+    beta = 1.0 - math.exp(-cfg.dt_s / cfg.time_constant_s)
+    expected = lfilter([beta], [1.0, beta - 1.0], x)
+    got = _Pole(cfg).process(x)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_demodulator_empty_block_keeps_state():
