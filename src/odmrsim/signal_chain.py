@@ -33,10 +33,28 @@ Both clocks and the reference are read from one-cycle tables indexed by the
 sample number modulo samples_per_cycle, so every cycle is the same: cos
 evaluated at large sample numbers would let rounding flip the samples that
 sit exactly on cos = 0 when samples_per_cycle is divisible by 4.
+
+Dwell response
+--------------
+An AM sweep holds depth level l_d for dwell d and reads the settled mean
+of the demodulated output in each dwell.  Without noise the chain is
+linear in the levels, so per unit photon rate the means are
+base + W @ levels: base is the response to a constant 1 and column d of W
+the response to the unit dip gated through dwell d alone.  Because the
+chain repeats every cycle, a column depends only on the gate phase at its
+dwell start (one phase when a dwell is a whole number of cycles), and
+because a dwell is at least 5 tau it reaches only a few later dwells
+before it falls below double precision.  So W is stored as a few lags per
+start phase, built once per lock-in config and dwell layout.  An interior
+column sums to the sampled demodulation gain (2/n) sum_{cos<0} |cos|,
+0.6472 at n = 10 samples per cycle, not 2/pi; about 0.14% of it spills
+into the next dwell at the shipped 10 tau dwell.  Shot noise adds the
+demodulated residual of the drawn counts about the noise-free rate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -85,8 +103,14 @@ _BLOCK = 1_000_000
 MAX_SAMPLES = 50_000_000
 
 # AM sweeps run whole dwells in blocks of at most this many samples (at
-# least one dwell), which bounds the memory a cell needs.
-_AM_BLOCK = 2**14
+# least one dwell), which bounds the memory a cell needs.  At 2**13 the
+# block's arrays stay under 64 KiB, below which glibc frees without
+# trimming the heap, so the heap is not refaulted block after block.
+_AM_BLOCK = 2**13
+
+# Time constants after which the pole's decay falls below 2^-53; the dwell
+# response keeps only the lags that start before that.
+_LAG_TAUS = 53.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -267,10 +291,16 @@ class Scene:
         return voltage_from_photon_rate(self.photon_rate_hz(), self.detector)
 
     def lines(self) -> list[TransitionLine]:
-        levels = eigenlevels(build_hamiltonian(self.spin, self.field))
-        return transitions(
-            levels, self.spin, include_hyperfine=self.hyperfine
-        )
+        return list(_solve_lines(self.spin, self.field, self.hyperfine))
+
+
+@functools.lru_cache(maxsize=16)
+def _solve_lines(
+    spin: SpinParams, field: FieldVector, hyperfine: bool
+) -> tuple[TransitionLine, ...]:
+    """Transition lines of one field; a map solves its one field once."""
+    levels = eigenlevels(build_hamiltonian(spin, field))
+    return tuple(transitions(levels, spin, include_hyperfine=hyperfine))
 
 
 def _cycle_cos(cfg: LockInConfig) -> np.ndarray:
@@ -408,6 +438,69 @@ class SweepPlan:
         return np.linspace(self.f_start_hz, self.f_stop_hz, self.n_points)
 
 
+def _dwell_blocks(n_dwells: int, dwell_n: int):
+    """Slices of whole dwells, each at most _AM_BLOCK samples or one dwell."""
+    per_block = max(1, _AM_BLOCK // dwell_n)
+    for first in range(0, n_dwells, per_block):
+        yield slice(first, min(first + per_block, n_dwells))
+
+
+def _settled_means(values: np.ndarray, dwell_n: int, settle_n: int) -> np.ndarray:
+    """Mean of each whole dwell of values after its settling discard."""
+    return values.reshape(-1, dwell_n)[:, settle_n:].mean(axis=1)
+
+
+def _dip_response(
+    cfg: LockInConfig,
+    phase: int,
+    dwell_n: int,
+    settle_n: int,
+    offset: float,
+    dips: np.ndarray,
+) -> np.ndarray:
+    """Settled lock-in mean per dwell of offset - dips[d] * gate.
+
+    The run starts from a fresh demodulator at reference sample phase.
+    """
+    demod = _Demodulator(cfg)
+    demod.index = phase
+    means = np.empty(dips.size)
+    for block in _dwell_blocks(dips.size, dwell_n):
+        gate = _am_gate(cfg, demod.index, (block.stop - block.start) * dwell_n)
+        x = offset - dips[block, None] * gate.reshape(-1, dwell_n)
+        means[block] = _settled_means(demod.process(x.ravel()), dwell_n, settle_n)
+    return means
+
+
+@functools.lru_cache(maxsize=8)
+def _dwell_response(
+    cfg: LockInConfig, dwell_n: int, settle_n: int, n_dwells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dwell-response operator of an AM sweep (module docstring).
+
+    Returns base, the settled means of a constant 1 over n_dwells dwells,
+    and lags[p, j], the mean j dwells after a unit dip gated through one
+    dwell that starts at the gate phase of dwell p; dwell d takes row
+    d mod lags.shape[0].  Both are read-only.
+    """
+    n = cfg.samples_per_cycle
+    n_phases = min(n // math.gcd(dwell_n, n), n_dwells)
+    tau_n = cfg.time_constant_s * cfg.sample_rate_hz
+    n_lags = min(1 + math.ceil(_LAG_TAUS * tau_n / dwell_n), n_dwells)
+    pulse = np.zeros(n_lags)
+    pulse[0] = 1.0
+    lags = np.array(
+        [
+            _dip_response(cfg, p * dwell_n % n, dwell_n, settle_n, 0.0, pulse)
+            for p in range(n_phases)
+        ]
+    )
+    base = _dip_response(cfg, 0, dwell_n, settle_n, 1.0, np.zeros(n_dwells))
+    base.flags.writeable = False
+    lags.flags.writeable = False
+    return base, lags
+
+
 def simulate_am_sweep(
     scene: Scene,
     plan: SweepPlan,
@@ -422,8 +515,12 @@ def simulate_am_sweep(
     discard, and dc_v is the cycle-averaged raw voltage over the same
     window.  An extra discarded lead-in dwell at the first frequency
     removes the initial filter transient.  With shot_noise False the
-    output equals the 2/pi-scaled synthesized lineshape.  The chain is
-    stateful, so running whole dwells in blocks changes no simulated sample.
+    reading is the synthesized lineshape times V_dc times the sampled
+    demodulation gain (2/n) sum_{cos<0} |cos(2 pi k / n)| (0.6472 at
+    n = 10 samples per cycle, 1.0166 x 2/pi), plus the small carry-over of
+    the previous dwell.  The noise-free lock-in comes from the shared
+    dwell-response operator; shot noise adds the demodulated residual of
+    its per-sample draws, which keep the order and stream of a seed.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
@@ -445,28 +542,31 @@ def simulate_am_sweep(
     dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
     settle_n = min(cfg.settle_samples, dwell_n - 1)
 
+    # Dwell 0 is the discarded lead-in at the first frequency.
+    levels = np.concatenate((depth[:1], depth))
+    base, lags = _dwell_response(cfg, dwell_n, settle_n, levels.size)
+    n_phases, n_lags = lags.shape
+    response = base.copy()
+    for p in range(n_phases):
+        for j in range(n_lags):
+            later = response[p + j :: n_phases]
+            later += lags[p, j] * levels[p::n_phases][: later.size]
+    lockin = k_v * rate0 * response
+
     rng = np.random.default_rng(seed)
     demod = _Demodulator(cfg)
     cycle_mean = _CycleMean(cfg)
-
-    # Dwell 0 is the discarded lead-in at the first frequency.
-    levels = np.concatenate((depth[:1], depth))
-    lockin = np.empty(levels.size)
     dc = np.empty(levels.size)
-    per_block = max(1, _AM_BLOCK // dwell_n)
-    for first in range(0, levels.size, per_block):
-        block = slice(first, first + per_block)
-        n_dwells = levels[block].size
-        gate = _am_gate(cfg, demod.index, n_dwells * dwell_n)
-        rate = rate0 * (1.0 - levels[block, None] * gate.reshape(n_dwells, dwell_n))
+    for block in _dwell_blocks(levels.size, dwell_n):
+        gate = _am_gate(cfg, block.start * dwell_n, (block.stop - block.start) * dwell_n)
+        rate = (rate0 * (1.0 - levels[block, None] * gate.reshape(-1, dwell_n))).ravel()
+        volts = k_v * rate
         if shot_noise:
-            volts = k_v * _shot_counts(rate.ravel() * dt, rng) / dt
-        else:
-            volts = k_v * rate.ravel()
-        smooth_dc = cycle_mean.process(volts).reshape(n_dwells, dwell_n)
-        out = demod.process(volts).reshape(n_dwells, dwell_n)
-        lockin[block] = out[:, settle_n:].mean(axis=1)
-        dc[block] = smooth_dc[:, settle_n:].mean(axis=1)
+            noisy = k_v * _shot_counts(rate * dt, rng) / dt
+            residual = demod.process(noisy - volts)
+            lockin[block] += _settled_means(residual, dwell_n, settle_n)
+            volts = noisy
+        dc[block] = _settled_means(cycle_mean.process(volts), dwell_n, settle_n)
     return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
 
 

@@ -521,6 +521,31 @@ def test_map_mini_grid_outputs(tmp_path):
     assert all(verify_manifest(out / "manifest.json").values())
 
 
+def test_noise_free_map_demodulates_no_per_cell_samples(tmp_path, monkeypatch):
+    # Only the dwell-response operator, built once per map, runs the
+    # demodulator; the cells of a noise-free map reuse it.
+    from odmrsim import signal_chain
+
+    process = signal_chain._Demodulator.process
+    counted = []
+
+    def counting(self, values):
+        counted[-1] += values.size
+        return process(self, values)
+
+    monkeypatch.setattr(signal_chain._Demodulator, "process", counting)
+    for side in (2, 3):
+        data = json.loads(json.dumps(MINI_MAP_CONFIG))
+        data["sweep"]["grid"].update(n_opt=side, n_rf=side)
+        cfg = write_config(tmp_path, data, f"map{side}.json")
+        signal_chain._dwell_response.cache_clear()
+        counted.append(0)
+        out = tmp_path / f"map{side}"
+        assert main(["map", "--config", cfg, "--out", str(out)]) == 0
+        assert len(load_map_csv(out / "map.csv")) == side * side
+    assert counted[0] == counted[1] > 0
+
+
 def test_steps_command_tracks_and_reports(tmp_path):
     cfg = write_config(tmp_path, MINI_STEPS_CONFIG)
     out = tmp_path / "stepsrun"

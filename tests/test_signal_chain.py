@@ -8,6 +8,7 @@ update weight.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from odmrsim.signal_chain import (
     _am_gate,
     _cycle_cos,
     _Demodulator,
+    _dwell_response,
     _filter_energy_pure,
     _fm_switch,
     _line_table,
@@ -322,7 +324,12 @@ def test_am_sweep_noise_free_matches_lineshape():
 
 
 def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
-    """The per-dwell simulator loop: cos per sample, lfilter with state."""
+    """The per-dwell simulator loop: cos per sample, lfilter with state.
+
+    Each sample's cos is taken at its phase within the cycle, k mod n, the
+    package's clock: cos(omega k) at large k would flip the samples that sit
+    exactly on cos = 0 when n is divisible by 4.
+    """
     freqs = plan.frequencies()
     depth = synthesize_odmr(
         scene.lines(),
@@ -339,20 +346,20 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
     n = cfg.samples_per_cycle
     comb = np.full(n, 1.0 / n)
     beta = 1.0 - math.exp(-dt / cfg.time_constant_s)
-    omega = 2.0 * math.pi * (cfg.mod_freq_hz * dt)
     zi_dc, zi_comb, zi_pole = np.zeros(n - 1), np.zeros(n - 1), np.zeros(1)
     rng = np.random.default_rng(seed)
     lockin, dc = [], []
     for point in range(-1, plan.n_points):
         k = (point + 1) * dwell_n + np.arange(dwell_n)
-        gate = np.cos(omega * k) < 0
+        cos = np.cos(2.0 * math.pi * (k % n) / n)
+        gate = cos < 0
         rate = rate0 * (1.0 - depth[max(point, 0)] * gate)
         if shot_noise:
             volts = k_v * _shot_counts(rate * dt, rng) / dt
         else:
             volts = k_v * rate
         smooth, zi_dc = lfilter(comb, [1.0], volts, zi=zi_dc)
-        prod = 2.0 * volts * np.cos(omega * k)
+        prod = 2.0 * volts * cos
         out, zi_comb = lfilter(comb, [1.0], prod, zi=zi_comb)
         out, zi_pole = lfilter([beta], [1.0, beta - 1.0], out, zi=zi_pole)
         if point >= 0:
@@ -362,28 +369,37 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
 
 
 @pytest.mark.parametrize(
-    "p_opt, p_rf, dwell_s, time_constant_s",
+    "p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle",
     [
         # Cells of the shipped 20x20 map: its argmin and a corner.
-        (0.4, 0.9736842105263158, 0.05, 5e-3),
-        (0.02, 0.05, 0.05, 5e-3),
+        pytest.param(
+            0.4, 0.9736842105263158, 0.05, 5e-3, 41, 10,
+            id="0.4-0.9736842105263158-0.05-0.005",
+        ),
+        pytest.param(0.02, 0.05, 0.05, 5e-3, 41, 10, id="0.02-0.05-0.05-0.005"),
         # 617-sample dwells: the gate phase carries across dwells and blocks.
-        (0.2, 1.0, 0.01234, 2e-3),
+        pytest.param(0.2, 1.0, 0.01234, 2e-3, 41, 10, id="0.2-1.0-0.01234-0.002"),
+        # Six 617-sample dwells: fewer dwells than the ten start phases.
+        pytest.param(0.2, 1.0, 0.01234, 2e-3, 5, 10, id="617-sample-dwells-5-points"),
+        # Whole-cycle dwells at 20 samples per cycle.
+        pytest.param(
+            0.4, 0.9736842105263158, 0.05, 5e-3, 41, 20, id="20-samples-per-cycle"
+        ),
     ],
 )
 @pytest.mark.parametrize("shot_noise", [False, True])
 def test_am_sweep_matches_per_dwell_reference(
-    p_opt, p_rf, dwell_s, time_constant_s, shot_noise
+    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle, shot_noise
 ):
     scene = quenched_scene(p_opt=p_opt, p_rf=p_rf)
     cfg = LockInConfig(
         mode="am",
         mod_freq_hz=5e3,
         time_constant_s=time_constant_s,
-        sample_rate_hz=5e4,
+        sample_rate_hz=5e3 * samples_per_cycle,
     )
     plan = SweepPlan(
-        f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=41, dwell_s=dwell_s
+        f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=n_points, dwell_s=dwell_s
     )
     # Shot noise stays in the Gaussian regime, whose draws do not depend on
     # how the samples are grouped.
@@ -397,6 +413,28 @@ def test_am_sweep_matches_per_dwell_reference(
     np.testing.assert_array_equal(record.dc_v, dc)
     peak = np.max(np.abs(lockin))
     np.testing.assert_allclose(record.lockin_v, lockin, rtol=0, atol=1e-9 * peak)
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_dwell_response_column_sum_is_sampled_gain(n):
+    # A unit dip held for one whole-cycle dwell demodulates, over that
+    # dwell and the ones after it, to the sampled gain of the gate and the
+    # reference: (2/n) sum_{cos<0} |cos(2 pi k / n)|, not 2/pi.
+    doc = load_config(CONFIG_DIR / "sensitivity_map_quenched.json")
+    cfg = replace(doc.lockin, sample_rate_hz=n * doc.lockin.mod_freq_hz)
+    dwell_n = round(doc.sweep.dwell_s * cfg.sample_rate_hz)
+    settle_n = min(cfg.settle_samples, dwell_n - 1)
+    _, lags = _dwell_response(cfg, dwell_n, settle_n, doc.sweep.n_points + 1)
+    cos = np.cos(2.0 * math.pi * np.arange(n) / n)
+    gain = (2.0 / n) * np.sum(np.abs(cos[cos < 0]))
+    assert lags.shape[0] == 1  # every dwell starts at the same gate phase
+    assert np.sum(lags[0]) == pytest.approx(gain, rel=0, abs=1e-10)
+    if n == 10:
+        # The shipped map: 0.14% of each dwell's response spills into the
+        # next dwell, a carry-over the sweep readings keep.
+        assert gain == pytest.approx(0.6472135955, rel=0, abs=1e-10)
+        assert lags[0, 0] == pytest.approx(0.6463, rel=1e-3)
+        assert lags[0, 1] == pytest.approx(8.82e-4, rel=1e-3)
 
 
 def test_am_sweep_seed_reproducibility():
