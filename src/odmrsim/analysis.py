@@ -20,6 +20,7 @@ from .errors import (
     ScheduleMismatch,
     ZeroDC,
 )
+from .io_formats import SweepRecord
 from .lineshape import BroadeningModel, saturated_contrast, saturated_fwhm
 from .lineshape import lorentzian_sum
 from .signal_chain import (
@@ -97,24 +98,17 @@ def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # A trial that leaves floating-point range (a CSV may hold 1e300) has a NaN
 # or infinite rss and is rejected like any worse step, without a warning.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def fit_lorentzian(sweep, values=None) -> LorentzFit:
-    """Fit a Lorentzian plus constant offset by Levenberg-Marquardt.
+def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
+    """Fit a Lorentzian plus constant offset to a sweep's lock-in column.
 
-    Accepts either a sweep record (frequency_hz / lockin_v attributes) or
-    two plain arrays.  Raises NoPeakFound when the fitted amplitude does
+    Levenberg-Marquardt.  Raises NoPeakFound when the fitted amplitude does
     not clear twice the residual scatter or the fitted width collapses
     below the sample spacing (a noise spike, not a resonance), and
     NonConvergence when the damping loop fails to settle within
     _MAX_ITER (200) iterations.
     """
-    if values is None:
-        x = np.asarray(sweep.frequency_hz, dtype=float)
-        y = np.asarray(sweep.lockin_v, dtype=float)
-    else:
-        x = np.asarray(sweep, dtype=float)
-        y = np.asarray(values, dtype=float)
-    if x.size != y.size:
-        raise ValueError("frequency and value arrays differ in length")
+    x = sweep.frequency_hz
+    y = sweep.lockin_v
     if x.size < 5:
         raise ValueError("need at least five samples to fit four parameters")
 
@@ -315,22 +309,16 @@ class StepReport:
 
 
 def analyze_steps(
-    estimate: TimeSeries,
-    timeline: FieldTimeline,
-    cfg: LockInConfig,
-    settle_discard_s: float | None = None,
+    estimate: TimeSeries, timeline: FieldTimeline, cfg: LockInConfig
 ) -> StepReport:
     """Per-step mean/std of a field-estimate series against its timeline.
 
-    Discards settle_discard_s (default, and minimum, 5 tau) after every
-    step edge, pools the per-step standard deviations as an RMS and
-    quotes sensitivity as pooled std times sqrt(time constant).  Raises
-    ScheduleMismatch when any step has no samples left after the discard.
+    Discards 5 tau after every step edge, pools the per-step standard
+    deviations as an RMS and quotes sensitivity as pooled std times
+    sqrt(time constant).  Raises ScheduleMismatch when any step has fewer
+    than two samples left after the discard.
     """
-    if settle_discard_s is None:
-        settle_discard_s = 5.0 * cfg.time_constant_s
-    if settle_discard_s < 5.0 * cfg.time_constant_s - 1e-12:
-        raise ValueError("settle_discard_s must be at least 5 time constants")
+    settle_discard_s = 5.0 * cfg.time_constant_s
     series = np.asarray(estimate.values, dtype=float)
     dt = estimate.dt_s
     n = series.size
@@ -359,6 +347,6 @@ def analyze_steps(
         residuals_t=means_arr - np.asarray(timeline.bz_t, dtype=float),
         pooled_std_t=pooled,
         sensitivity_t_rthz=pooled * math.sqrt(cfg.time_constant_s),
-        settle_discard_s=float(settle_discard_s),
+        settle_discard_s=settle_discard_s,
         time_constant_s=float(cfg.time_constant_s),
     )

@@ -272,6 +272,10 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
             "sweep.dwell_s x lockin.sample_rate_hz must be at most "
             f"{MAX_SAMPLES} samples"
         )
+    if cfg.sweep.dwell_s < 5.0 * cfg.lockin.time_constant_s - 1e-12:
+        raise SchemaViolation(
+            "sweep.dwell_s must be at least 5 x lockin.time_constant_s"
+        )
     scene = cfg.scene(hyperfine=not args.no_hyperfine)
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()
@@ -341,12 +345,6 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
             "schedule.step_period_s x n_steps x lockin.sample_rate_hz "
             f"must be at most {MAX_SAMPLES} samples"
         )
-    discard = sched.settle_discard_s
-    if 0 < discard < 5.0 * cfg.lockin.time_constant_s - 1e-12:
-        raise SchemaViolation(
-            "schedule.settle_discard_s must be 0 or at least "
-            "5 x lockin.time_constant_s"
-        )
     timeline = FieldTimeline.staircase(
         bias_t=cfg.field.bz_t,
         step_t=sched.step_t,
@@ -363,12 +361,7 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         shot_noise=cfg.detector.shot_noise,
         field_noise_step_sigma_t=sched.field_noise_step_sigma_t,
     )
-    report = analyze_steps(
-        result.field_estimate,
-        timeline,
-        cfg.lockin,
-        settle_discard_s=discard if discard > 0 else None,
-    )
+    report = analyze_steps(result.field_estimate, timeline, cfg.lockin)
 
     decim = sched.output_decimation
     t = result.field_estimate.times()[::decim]

@@ -2,10 +2,9 @@
 
 A section's dataclass is the only schema of its keys: the field defaults
 are the parameter defaults and ``__post_init__`` holds the range checks.
-Sections that carry more than their domain type (``spin.hyperfine``,
-``detector.shot_noise``, ``lineshape.pl_rate_per_w``) subclass it with
-just those fields.  The lineshape keys default to the chosen sample
-preset's values.
+Sections that carry more than their domain type (``detector.shot_noise``,
+``lineshape.pl_rate_per_w``) subclass it with just those fields.  The
+lineshape keys default to the chosen sample preset's values.
 """
 
 from __future__ import annotations
@@ -29,13 +28,6 @@ from .signal_chain import (
     SweepPlan,
 )
 from .spin_model import FieldVector, SpinParams
-
-
-@dataclass(frozen=True)
-class SpinCfg(SpinParams):
-    """Spin section: the spin parameters plus the hyperfine satellite switch."""
-
-    hyperfine: bool = True
 
 
 @dataclass(frozen=True)
@@ -131,7 +123,6 @@ class ScheduleCfg:
     step_t: float = 500e-9
     step_period_s: float = 120.0
     n_steps: int = 8
-    settle_discard_s: float = 2.5
     field_noise_step_sigma_t: float = 0.0
     output_decimation: int = 25
 
@@ -143,16 +134,15 @@ class ScheduleCfg:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_steps > MAX_SAMPLES:
             raise ValueError(f"n_steps must be at most {MAX_SAMPLES}")
-        for name in ("settle_discard_s", "field_noise_step_sigma_t"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        if self.field_noise_step_sigma_t < 0:
+            raise ValueError("field_noise_step_sigma_t must be non-negative")
 
 
 @dataclass(frozen=True)
 class ConfigDoc:
     """Fully defaulted, validated configuration document."""
 
-    spin: SpinCfg
+    spin: SpinParams
     field: FieldVector
     sample_preset: PresetCfg
     lineshape: LineshapeCfg
@@ -165,10 +155,7 @@ class ConfigDoc:
         return {"format_version": FORMAT_VERSION, **asdict(self)}
 
     def scene(self, hyperfine: bool = True) -> Scene:
-        """The configured scene at the sweep powers.
-
-        hyperfine False drops the satellites whatever spin.hyperfine says.
-        """
+        """The configured scene at the sweep powers."""
         return Scene(
             spin=self.spin,
             field=self.field,
@@ -177,7 +164,7 @@ class ConfigDoc:
             pl_rate_per_w=self.lineshape.pl_rate_per_w,
             p_opt_w=self.sweep.p_opt_w,
             p_rf_w=self.sweep.p_rf_w,
-            hyperfine=self.spin.hyperfine and hyperfine,
+            hyperfine=hyperfine,
         )
 
 
@@ -211,7 +198,7 @@ def config_from_dict(data) -> ConfigDoc:
     base = PRESETS[preset.name]
     shape = {**asdict(base.broadening), "pl_rate_per_w": base.pl_rate_per_w}
     return ConfigDoc(
-        spin=_load(SpinCfg, data.get("spin"), "spin"),
+        spin=_load(SpinParams, data.get("spin"), "spin"),
         field=_load(FieldVector, data.get("field"), "field"),
         sample_preset=preset,
         lineshape=_load(LineshapeCfg, data.get("lineshape"), "lineshape", shape),

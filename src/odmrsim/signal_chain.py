@@ -95,18 +95,17 @@ SQUARE_AM_GAIN = 2.0 / math.pi
 # long tracking simulations tractable without visible distortion.
 GAUSSIAN_MEAN_THRESHOLD = 1e4
 
-_BLOCK = 1_000_000
-
 # Most samples a run may simulate in one series (8 bytes each per array);
 # the sample counts and array sizes a config sets are checked against it
 # before anything is allocated.
 MAX_SAMPLES = 50_000_000
 
-# AM sweeps run whole dwells in blocks of at most this many samples (at
-# least one dwell), which bounds the memory a cell needs.  At 2**13 the
-# block's arrays stay under 64 KiB, below which glibc frees without
-# trimming the heap, so the heap is not refaulted block after block.
-_AM_BLOCK = 2**13
+# AM sweeps and FM tracking run in blocks of at most this many samples (an
+# AM block holds whole dwells, at least one), which bounds the memory a run
+# needs.  At 2**13 the block's arrays stay under 64 KiB, below which glibc
+# frees without trimming the heap, so the heap is not refaulted block after
+# block.
+_BLOCK = 2**13
 
 # Time constants after which the pole's decay falls below 2^-53; the dwell
 # response keeps only the lags that start before that.
@@ -439,8 +438,11 @@ class SweepPlan:
 
 
 def _dwell_blocks(n_dwells: int, dwell_n: int):
-    """Slices of whole dwells, each at most _AM_BLOCK samples or one dwell."""
-    per_block = max(1, _AM_BLOCK // dwell_n)
+    """Slices of whole dwells, each at most _BLOCK samples or one dwell.
+
+    With dwell_n = 1 the slices are of samples, as FM tracking runs them.
+    """
+    per_block = max(1, _BLOCK // dwell_n)
     for first in range(0, n_dwells, per_block):
         yield slice(first, min(first + per_block, n_dwells))
 
@@ -619,13 +621,18 @@ def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray]:
     """Scene lines at the bias field plus each line's d(freq)/d(bz) slope."""
     lines = scene.lines()
     h = 1e-6
-    shifts: dict[str, float] = {}
+    shifts = dict.fromkeys((ln.label for ln in lines), 0.0)
     for sign in (+1.0, -1.0):
         shifted = replace(
             scene, field=replace(scene.field, bz_t=scene.field.bz_t + sign * h)
-        )
-        for ln in shifted.lines():
-            shifts[ln.label] = shifts.get(ln.label, 0.0) + sign * ln.frequency_hz
+        ).lines()
+        if {ln.label for ln in shifted} != shifts.keys():
+            raise ValueError(
+                f"the scene's lines change within {h:g} T of bz = "
+                f"{scene.field.bz_t:g} T, so their field slopes are undefined"
+            )
+        for ln in shifted:
+            shifts[ln.label] += sign * ln.frequency_hz
     return lines, np.array([shifts[ln.label] / (2.0 * h) for ln in lines])
 
 
@@ -684,6 +691,9 @@ def simulate_fm_tracking(
     v_dc = scene.dc_voltage()
     k_v = scene.detector.volts_per_photon_rate
     slope_v = fm_discriminator_slope(PeakShape(carrier, fwhm, amps[nu2]), cfg, v_dc)
+    field_gain = slope_v * gamma_eff
+    if field_gain == 0 or not math.isfinite(field_gain):
+        raise ValueError("cannot track the field with a flat discriminator response")
 
     sigma_in = 0.0
     if field_noise_step_sigma_t > 0:
@@ -697,26 +707,28 @@ def simulate_fm_tracking(
         minus = lorentzian_sum(nu_cycle, centers - slopes * eps, amps, fwhm)
         gain = 2.0 * _cycle_cos(cfg) * v_dc * (minus - plus) / (2.0 * eps)
         sigma_out = math.sqrt(np.mean(gain**2) * _filter_energy_pure(cfg))
-        field_gain = abs(slope_v * gamma_eff)
-        if sigma_out <= 0 or field_gain <= 0:
+        if sigma_out <= 0:
             raise ValueError("cannot calibrate field noise for a flat response")
-        sigma_in = field_noise_step_sigma_t * field_gain / sigma_out
+        sigma_in = field_noise_step_sigma_t * abs(field_gain) / sigma_out
 
     dt = cfg.dt_s
     n_total = int(round(duration_s * cfg.sample_rate_hz))
     bias = scene.field.bz_t
 
+    # The whole run's field noise is drawn first, then the shot noise block
+    # by block, so the field noise does not depend on the block size.
     rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, sigma_in, n_total) if sigma_in > 0 else None
     demod = _Demodulator(cfg)
     out = np.empty(n_total)
-    for start in range(0, n_total, _BLOCK):
-        stop = min(start + _BLOCK, n_total)
-        k = np.arange(start, stop)
-        t = k * dt
+    for block in _dwell_blocks(n_total, 1):
+        t = np.arange(block.start, block.stop) * dt
         db = timeline.value_at(t) - bias
-        if sigma_in > 0:
-            db = db + rng.normal(0.0, sigma_in, size=db.size)
-        nu_inst = carrier + cfg.fm_deviation_hz * _fm_switch(cfg, start, stop - start)
+        if noise is not None:
+            db = db + noise[block]
+        nu_inst = carrier + cfg.fm_deviation_hz * _fm_switch(
+            cfg, block.start, db.size
+        )
         moving = (center + slope * db for center, slope in zip(centers, slopes))
         depth = lorentzian_sum(nu_inst, moving, amps, fwhm)
         rate = rate0 * (1.0 - depth)
@@ -724,9 +736,9 @@ def simulate_fm_tracking(
             volts = k_v * _shot_counts(rate * dt, rng) / dt
         else:
             volts = k_v * rate
-        out[start:stop] = demod.process(volts)
+        out[block] = demod.process(volts)
 
-    estimate = bias - out / (slope_v * gamma_eff)
+    estimate = bias - out / field_gain
     return TrackingResult(
         lockin=TimeSeries(t0_s=0.0, dt_s=dt, values=out, unit="V"),
         field_estimate=TimeSeries(t0_s=0.0, dt_s=dt, values=estimate, unit="T"),

@@ -81,10 +81,9 @@ def line_plot(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 400,
 ) -> None:
-    """Write a single-trace line plot as an SVG file."""
+    """Write a single-trace line plot, 640 x 400 px, as an SVG file."""
+    width, height = 640, 400
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
     if xa.size != ya.size or xa.size < 2:
@@ -137,10 +136,8 @@ def heatmap(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 640,
-    height: int = 480,
 ) -> None:
-    """Write a cell heatmap (rows indexed by y, columns by x) as an SVG file.
+    """Write a cell heatmap (rows by y, columns by x), 640 x 480 px, as SVG.
 
     z_grid must have shape (len(y_values), len(x_values)); colour runs
     from dark blue at the minimum to yellow at the maximum, NaN cells are
@@ -149,6 +146,7 @@ def heatmap(
     xa = np.asarray(x_values, dtype=float)
     ya = np.asarray(y_values, dtype=float)
     za = np.asarray(z_grid, dtype=float)
+    width, height = 640, 480
     if za.shape != (ya.size, xa.size):
         raise ValueError("z_grid shape must be (len(y_values), len(x_values))")
     parts = _header(width, height, title)

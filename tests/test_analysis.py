@@ -37,9 +37,14 @@ def clean_sweep(amp=1.0, offset=0.1, n=201):
     return x, lorentz(x, TRUE_CENTER, TRUE_FWHM, amp, offset)
 
 
+def sweep(x, y):
+    """A sweep record of lock-in values y over frequencies x."""
+    return SweepRecord(frequency_hz=x, lockin_v=y, dc_v=np.ones(np.size(y)))
+
+
 def test_fit_recovers_clean_parameters():
     x, y = clean_sweep()
-    fit = fit_lorentzian(x, y)
+    fit = fit_lorentzian(sweep(x, y))
     assert fit.center_hz == pytest.approx(TRUE_CENTER, rel=1e-9)
     assert fit.fwhm_hz == pytest.approx(TRUE_FWHM, rel=1e-8)
     assert fit.amplitude == pytest.approx(1.0, rel=1e-8)
@@ -57,7 +62,7 @@ def test_fit_accepts_sweep_record():
 
 def test_fit_handles_negative_dips():
     x, y = clean_sweep(amp=-0.5, offset=1.0)
-    fit = fit_lorentzian(x, y)
+    fit = fit_lorentzian(sweep(x, y))
     assert fit.amplitude == pytest.approx(-0.5, rel=1e-7)
     assert fit.fwhm_hz == pytest.approx(TRUE_FWHM, rel=1e-7)
 
@@ -67,8 +72,8 @@ def test_fit_confidence_intervals_shrink_with_noise():
     rng = np.random.default_rng(0)
     noisy = y + rng.normal(0, 0.05, x.size)
     quieter = y + rng.normal(0, 0.005, x.size)
-    loud = fit_lorentzian(x, noisy)
-    quiet = fit_lorentzian(x, quieter)
+    loud = fit_lorentzian(sweep(x, noisy))
+    quiet = fit_lorentzian(sweep(x, quieter))
     assert (loud.center_ci_hz[1] - loud.center_ci_hz[0]) > 5 * (
         quiet.center_ci_hz[1] - quiet.center_ci_hz[0]
     )
@@ -80,7 +85,7 @@ def test_fit_interval_coverage_near_nominal():
     n_trials = 150
     for seed in range(n_trials):
         rng = np.random.default_rng(seed)
-        fit = fit_lorentzian(x, clean + rng.normal(0, 0.05, x.size))
+        fit = fit_lorentzian(sweep(x, clean + rng.normal(0, 0.05, x.size)))
         if fit.center_ci_hz[0] <= TRUE_CENTER <= fit.center_ci_hz[1]:
             hits += 1
     assert 0.88 <= hits / n_trials <= 0.99
@@ -89,22 +94,22 @@ def test_fit_interval_coverage_near_nominal():
 def test_fit_rejects_flat_and_pure_noise_data():
     x = np.linspace(0, 1e6, 101)
     with pytest.raises(NoPeakFound):
-        fit_lorentzian(x, np.full(101, 0.7))
+        fit_lorentzian(sweep(x, np.full(101, 0.7)))
     rng = np.random.default_rng(1)
     with pytest.raises(NoPeakFound):
-        fit_lorentzian(x, rng.normal(0, 1.0, 101))
+        fit_lorentzian(sweep(x, rng.normal(0, 1.0, 101)))
 
 
 def test_fit_input_validation():
     with pytest.raises(ValueError):
-        fit_lorentzian(np.arange(4.0), np.arange(4.0))
+        fit_lorentzian(sweep(np.arange(4.0), np.arange(4.0)))
     with pytest.raises(ValueError):
-        fit_lorentzian(np.arange(10.0), np.arange(9.0))
+        sweep(np.arange(10.0), np.arange(9.0))
 
 
 def test_contrast_inverts_demodulation_gain():
     x, y = clean_sweep(amp=SQUARE_AM_GAIN * 0.016 * 0.0636, offset=0.0)
-    fit = fit_lorentzian(x, y)
+    fit = fit_lorentzian(sweep(x, y))
     assert odmr_contrast(fit, 0.0636) == pytest.approx(0.016, rel=1e-6)
     with pytest.raises(ZeroDC):
         odmr_contrast(fit, 0.0)
@@ -224,11 +229,3 @@ def test_analyze_steps_schedule_mismatch():
     short = TimeSeries(0.0, cfg.dt_s, np.zeros(int(5.0 / cfg.dt_s)), "T")
     with pytest.raises(ScheduleMismatch):
         analyze_steps(short, tl, cfg)
-
-
-def test_analyze_steps_discard_floor():
-    cfg = steps_config()
-    tl = FieldTimeline.staircase(1e-3, 0.0, 2.0, 2)
-    series = TimeSeries(0.0, cfg.dt_s, np.zeros(int(4.0 / cfg.dt_s)), "T")
-    with pytest.raises(ValueError):
-        analyze_steps(series, tl, cfg, settle_discard_s=0.1)

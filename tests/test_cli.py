@@ -62,7 +62,6 @@ MINI_STEPS_CONFIG = {
         "step_t": 2e-7,
         "step_period_s": 10.0,
         "n_steps": 2,
-        "settle_discard_s": 2.5,
         "field_noise_step_sigma_t": 0.0,
         "output_decimation": 10,
     },
@@ -215,6 +214,100 @@ def test_any_bytes_as_sweep_load_or_format_error(data):
             assert code == 2
 
 
+def vary(typical, lo, hi, *edges):
+    """The typical value three times in four, else a float in [lo, hi] or an
+    edge value."""
+    other = st.floats(lo, hi) | st.sampled_from(edges) if edges else st.floats(lo, hi)
+    return st.one_of(st.just(typical), st.just(typical), st.just(typical), other)
+
+
+@st.composite
+def command_configs(draw):
+    """A command with a small config: tau x fs <= 500, at most 2 x 2 cells of
+    5 points and 2e4 FM samples; typical values (those of MINI_MAP_CONFIG
+    and MINI_STEPS_CONFIG) mixed with values across each key's range."""
+    command = draw(st.sampled_from(["spectrum", "map", "steps"]))
+    mod = draw(st.sampled_from([50.0, 500.0, 5000.0]))
+    fs = mod * draw(st.sampled_from([10, 10, 12, 20]))
+    tau = draw(vary(250.0, 15.0, 500.0)) / fs
+    f_start = draw(vary(95.5e6, 0.0, 2e8))
+    p_opt_min = draw(vary(0.1, 1e-3, 1.0))
+    p_rf_min = draw(vary(0.5, 1e-3, 2.0))
+    n_steps = draw(st.integers(1, 4))
+    data = {
+        "sample_preset": {"name": draw(st.sampled_from(["quenched", "annealed"]))},
+        "spin": {
+            "zfs_hz": draw(vary(70e6, 1e5, 2e8)),
+            "hyperfine_offset_hz": draw(vary(5e6, 0.0, 2e7, 0.0)),
+            "hyperfine_rel_amp": draw(vary(0.05, 0.0, 0.99, 0.0)),
+        },
+        "field": {
+            "bx_t": draw(vary(0.0, -5e-3, 5e-3, 1e-4)),
+            "by_t": draw(vary(0.0, -5e-3, 5e-3)),
+            "bz_t": draw(vary(1e-3, -5e-3, 5e-3, 0.0)),
+        },
+        "lineshape": {
+            "fwhm0_hz": draw(vary(900e3, 1e4, 1e7)),
+            "contrast_max": draw(vary(0.02, 1e-4, 0.5)),
+            "pl_rate_per_w": draw(vary(1e12, 1.0, 1e14, 1e4)),
+        },
+        "detector": {"shot_noise": draw(st.booleans())},
+        "lockin": {
+            "mode": "fm" if command == "steps" else "am",
+            "mod_freq_hz": mod,
+            "time_constant_s": tau,
+            "sample_rate_hz": fs,
+            "fm_deviation_hz": draw(vary(1e5, 1e3, 2e6)),
+        },
+        "sweep": {
+            "f_start_hz": f_start,
+            "f_stop_hz": f_start + draw(vary(5e6, 1e3, 5e7)),
+            "n_points": draw(st.sampled_from([5, 5, 5, 2])),
+            "dwell_s": draw(vary(5.0, 1.0, 12.0, 4.9)) * tau,
+            "p_opt_w": draw(vary(0.4, 0.0, 2.0, 0.0)),
+            "p_rf_w": draw(vary(1.0, 0.0, 5.0, 0.0)),
+            "bz_start_t": draw(st.floats(-0.01, 0.01)),
+            "bz_stop_t": draw(st.floats(-0.01, 0.01)),
+            "n_fields": draw(st.integers(1, 5)),
+            "grid": {
+                "p_opt_min_w": p_opt_min,
+                "p_opt_max_w": p_opt_min + draw(vary(0.3, 0.0, 1.0)),
+                "n_opt": draw(st.integers(1, 2)),
+                "p_rf_min_w": p_rf_min,
+                "p_rf_max_w": p_rf_min + draw(vary(1.0, 0.0, 2.0)),
+                "n_rf": draw(st.integers(1, 2)),
+            },
+        },
+        "schedule": {
+            "step_t": draw(vary(2e-7, -1e-6, 1e-6, 0.0)),
+            "step_period_s": draw(vary(1.0, 0.05, 1.0)) * 2e4 / fs / n_steps,
+            "n_steps": n_steps,
+            "field_noise_step_sigma_t": draw(vary(0.0, 0.0, 1e-7, 7e-8)),
+            "output_decimation": draw(st.integers(1, 50)),
+        },
+    }
+    flags = ["--seed", str(draw(st.integers(0, 3)))] + draw(
+        st.lists(st.sampled_from(["--svg", "--no-hyperfine"]), unique=True)
+    )
+    return command, data, flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(command_configs())
+def test_commands_on_drawn_configs_exit_0_1_or_2(drawn):
+    # Warnings fail the suite, so a numpy warning fails this property too.
+    command, data, flags = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(data))
+        out = Path(tmp) / "out"
+        quiet = io.StringIO()
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+        assert code in (0, 1, 2)
+        assert code == 0 or not out.exists()
+
+
 def test_fit_flat_data_is_domain_error(tmp_path, capsys):
     freq = np.linspace(95e6, 101e6, 101)
     record = SweepRecord(
@@ -319,12 +412,12 @@ def test_unknown_config_key_is_format_error(tmp_path):
         # The lock-in runs one pole at zero reference phase.
         ("spectrum", {"lockin": {"phase_rad": math.pi / 2}}, "lockin.phase_rad"),
         ("spectrum", {"lockin": {"filter_order": 100000000}}, "lockin.filter_order"),
-        # A settle discard shorter than the filter's 5 tau, before simulating.
+        # The settling discard is always 5 tau, so even 2 x 5 tau is rejected.
         (
             "steps",
             {
                 **MINI_STEPS_CONFIG,
-                "schedule": {**MINI_STEPS_CONFIG["schedule"], "settle_discard_s": 2.0},
+                "schedule": {**MINI_STEPS_CONFIG["schedule"], "settle_discard_s": 5.0},
             },
             "schedule.settle_discard_s",
         ),
@@ -350,6 +443,14 @@ def test_unknown_config_key_is_format_error(tmp_path):
             "map",
             {**MINI_MAP_CONFIG, "sweep": {**MINI_MAP_CONFIG["sweep"], "dwell_s": 1e4}},
             "sweep.dwell_s",
+        ),
+        # Satellites are dropped by hyperfine_rel_amp: 0 or --no-hyperfine.
+        ("spectrum", {"spin": {"hyperfine": False}}, "spin.hyperfine: unknown key"),
+        # A dwell shorter than the lock-in's 5 tau settling.
+        (
+            "map",
+            {**MINI_MAP_CONFIG, "sweep": {**MINI_MAP_CONFIG["sweep"], "dwell_s": 0.02}},
+            "sweep.dwell_s must be at least 5 x lockin.time_constant_s",
         ),
     ],
 )
@@ -390,12 +491,54 @@ def test_failed_fit_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "tau, period", [(0.05, 1.0), (1.0, 10.0)], ids=["tau-0.05", "tau-1"]
+)
+def test_steps_discards_five_time_constants(tmp_path, tau, period):
+    # The discard follows tau: 0.25 s of each 1 s step, 5 s of each 10 s step.
+    data = {
+        "lockin": {**MINI_STEPS_CONFIG["lockin"], "time_constant_s": tau},
+        "schedule": {**MINI_STEPS_CONFIG["schedule"], "step_period_s": period},
+    }
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "steps.json").read_text())
+    assert payload["settle_discard_s"] == 5.0 * tau
+
+
 def test_failed_steps_writes_nothing(tmp_path, capsys):
     lockin = {**MINI_STEPS_CONFIG["lockin"], "fm_deviation_hz": 5e7}
     cfg = write_config(tmp_path, {**MINI_STEPS_CONFIG, "lockin": lockin})
     out = tmp_path / "out"
     assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
     assert "fm deviation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # No RF power: zero contrast, so a zero discriminator slope.
+        ({"sweep": {"p_rf_w": 0.0}}, "flat discriminator response"),
+        # A transverse field alone: d(nu2)/d(bz) is 0 at bz = 0.
+        ({"field": {"bx_t": 1e-4, "bz_t": 0.0}}, "flat discriminator response"),
+        # A satellite line exists at the bias field but not 1 uT either side.
+        (
+            {
+                "spin": {"zfs_hz": 448729.01740969345},
+                "field": {"bx_t": 8.62719589501733e-05, "bz_t": 0.0},
+            },
+            "lines change within",
+        ),
+    ],
+    ids=["no-contrast", "no-field-slope", "line-set-changes"],
+)
+def test_untrackable_steps_scene_writes_nothing(tmp_path, capsys, data, message):
+    cfg = write_config(tmp_path, {**MINI_STEPS_CONFIG, **data})
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -84,8 +84,6 @@ def test_sections_are_domain_dataclasses():
     assert scene.spin is cfg.spin and scene.broadening is cfg.lineshape
     assert scene.p_opt_w == 0.3 and scene.hyperfine is True
     assert cfg.scene(hyperfine=False).hyperfine is False
-    off = config_from_dict({"spin": {"hyperfine": False}})
-    assert off.scene().hyperfine is False
     assert cfg.sweep.frequencies().size == cfg.sweep.n_points
 
 
