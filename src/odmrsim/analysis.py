@@ -308,6 +308,29 @@ class StepReport:
         }
 
 
+def step_windows(
+    timeline: FieldTimeline, n: int, dt: float, t0: float, cfg: LockInConfig
+) -> list[tuple[int, int]]:
+    """Sample range [i0, i1) of each step of n samples after its 5 tau discard.
+
+    Raises ScheduleMismatch when any step keeps fewer than two samples.
+    """
+    settle_discard_s = 5.0 * cfg.time_constant_s
+    starts = timeline.starts_s
+    ends = np.append(starts[1:], n * dt + t0)
+    windows = []
+    for start, end in zip(starts, ends):
+        i0 = int(math.ceil((start + settle_discard_s - t0) / dt))
+        i1 = min(int(math.floor((end - t0) / dt)), n)
+        if i1 - i0 < 2:
+            raise ScheduleMismatch(
+                f"step at t = {start:.6g} s has {max(i1 - i0, 0)} samples "
+                "after the settling discard"
+            )
+        windows.append((i0, i1))
+    return windows
+
+
 def analyze_steps(
     estimate: TimeSeries, timeline: FieldTimeline, cfg: LockInConfig
 ) -> StepReport:
@@ -320,20 +343,9 @@ def analyze_steps(
     """
     settle_discard_s = 5.0 * cfg.time_constant_s
     series = np.asarray(estimate.values, dtype=float)
-    dt = estimate.dt_s
-    n = series.size
-    starts = timeline.starts_s
-    ends = np.append(starts[1:], n * dt + estimate.t0_s)
+    windows = step_windows(timeline, series.size, estimate.dt_s, estimate.t0_s, cfg)
     means, stds = [], []
-    for start, end in zip(starts, ends):
-        i0 = int(math.ceil((start + settle_discard_s - estimate.t0_s) / dt))
-        i1 = int(math.floor((end - estimate.t0_s) / dt))
-        i1 = min(i1, n)
-        if i1 - i0 < 2:
-            raise ScheduleMismatch(
-                f"step at t = {start:.6g} s has {max(i1 - i0, 0)} samples "
-                "after the settling discard"
-            )
+    for i0, i1 in windows:
         window = series[i0:i1]
         means.append(float(np.mean(window)))
         stds.append(float(np.std(window, ddof=1)))

@@ -42,10 +42,11 @@ from .analysis import (
     fit_lorentzian,
     odmr_contrast,
     shot_noise_sensitivity,
+    step_windows,
 )
 from .config import ConfigDoc, load_config
 from .errors import FormatError, IoFailure, NonConvergence, NoPeakFound, OdmrError
-from .errors import SchemaViolation
+from .errors import ScheduleMismatch, SchemaViolation, ZeroDC
 from .io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -250,7 +251,7 @@ def _map_cell(
             rate_hz=rate,
             eta_t_rthz=eta,
         )
-    except (NoPeakFound, NonConvergence):
+    except (NoPeakFound, NonConvergence, ZeroDC):
         return SensitivityPoint(
             p_opt_w=p_opt,
             p_rf_w=p_rf,
@@ -267,6 +268,11 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
         raise SchemaViolation("sweep.grid: required by the map command")
     if cfg.lockin.mode != "am":
         raise SchemaViolation("lockin.mode: map command needs 'am'")
+    if cfg.sweep.n_points < 5:
+        raise SchemaViolation(
+            "sweep.n_points: the map command fits four parameters to each "
+            "cell and needs at least 5 points"
+        )
     if cfg.sweep.dwell_s * cfg.lockin.sample_rate_hz > MAX_SAMPLES:
         raise SchemaViolation(
             "sweep.dwell_s x lockin.sample_rate_hz must be at most "
@@ -351,6 +357,12 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         period_s=sched.step_period_s,
         n_steps=sched.n_steps,
     )
+    # The windows analyze_steps will cut from the simulated series.
+    n_total = int(round(duration * cfg.lockin.sample_rate_hz))
+    try:
+        step_windows(timeline, n_total, cfg.lockin.dt_s, 0.0, cfg.lockin)
+    except ScheduleMismatch as exc:
+        raise SchemaViolation(f"schedule.step_period_s: {exc}") from None
 
     result = simulate_fm_tracking(
         timeline,

@@ -666,27 +666,92 @@ def test_map_mini_grid_outputs(tmp_path):
 
 def test_noise_free_map_demodulates_no_per_cell_samples(tmp_path, monkeypatch):
     # Only the dwell-response operator, built once per map, runs the
-    # demodulator; the cells of a noise-free map reuse it.
+    # demodulator or the cycle mean; the cells of a noise-free map reuse it
+    # and take dc_v from one comb cycle per dwell.
     from odmrsim import signal_chain
 
-    process = signal_chain._Demodulator.process
-    counted = []
+    counted = {"demod": [], "comb": []}
 
-    def counting(self, values):
-        counted[-1] += values.size
-        return process(self, values)
+    def counting(cls, key):
+        process = cls.process
 
-    monkeypatch.setattr(signal_chain._Demodulator, "process", counting)
+        def wrapper(self, values):
+            counted[key][-1] += values.size
+            return process(self, values)
+
+        monkeypatch.setattr(cls, "process", wrapper)
+
+    counting(signal_chain._Demodulator, "demod")
+    counting(signal_chain._CycleMean, "comb")
     for side in (2, 3):
         data = json.loads(json.dumps(MINI_MAP_CONFIG))
         data["sweep"]["grid"].update(n_opt=side, n_rf=side)
         cfg = write_config(tmp_path, data, f"map{side}.json")
         signal_chain._dwell_response.cache_clear()
-        counted.append(0)
+        for counts in counted.values():
+            counts.append(0)
         out = tmp_path / f"map{side}"
         assert main(["map", "--config", cfg, "--out", str(out)]) == 0
         assert len(load_map_csv(out / "map.csv")) == side * side
-    assert counted[0] == counted[1] > 0
+    assert counted["demod"][0] == counted["demod"][1] > 0
+    assert counted["comb"][0] == counted["comb"][1] > 0
+
+
+def test_map_counts_a_dark_cell_as_failed(tmp_path):
+    # At seed 7 the dim cell's shot-noise fit finds a peak but its DC column
+    # holds no photon, so its contrast is undefined; the bright cell fits.
+    data = json.loads(json.dumps(MINI_MAP_CONFIG))
+    data["detector"]["shot_noise"] = True
+    data["lineshape"] = {"pl_rate_per_w": 1000.0}
+    data["sweep"]["grid"].update(
+        p_opt_min_w=0.1, p_opt_max_w=1e9, n_opt=2, p_rf_min_w=1.0, p_rf_max_w=1.0, n_rf=1
+    )
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["map", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+    rows = load_map_csv(out / "map.csv")
+    assert [row["p_opt_w"] for row in rows] == [0.1, 1e9]
+    assert math.isnan(rows[0]["eta_t_rthz"])
+    assert math.isfinite(rows[1]["eta_t_rthz"])
+    assert json.loads((out / "argmin.json").read_text())["n_failed"] == 1
+
+
+@pytest.mark.parametrize(
+    "command, data, simulator, key",
+    [
+        (
+            "map",
+            {**MINI_MAP_CONFIG, "sweep": {**MINI_MAP_CONFIG["sweep"], "n_points": 4}},
+            "simulate_am_sweep",
+            "sweep.n_points",
+        ),
+        # 5 tau is 2.5 s, so a 2.5 s step keeps no sample after the discard.
+        (
+            "steps",
+            {
+                **MINI_STEPS_CONFIG,
+                "schedule": {**MINI_STEPS_CONFIG["schedule"], "step_period_s": 2.5},
+            },
+            "simulate_fm_tracking",
+            "schedule.step_period_s",
+        ),
+    ],
+    ids=["map-4-points", "steps-within-discard"],
+)
+def test_unanalysable_input_rejected_before_simulating(
+    tmp_path, capsys, monkeypatch, command, data, simulator, key
+):
+    from odmrsim import cli
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError(f"{simulator} ran")
+
+    monkeypatch.setattr(cli, simulator, unexpected)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_steps_command_tracks_and_reports(tmp_path):

@@ -385,6 +385,10 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         pytest.param(
             0.4, 0.9736842105263158, 0.05, 5e-3, 41, 20, id="20-samples-per-cycle"
         ),
+        # A dwell of exactly 5 tau: the settled window is its last sample.
+        pytest.param(0.2, 1.0, 0.01, 2e-3, 41, 10, id="dwell-5-tau-1-settled-sample"),
+        # Whole-cycle dwells whose 1,247 settled samples are not whole cycles.
+        pytest.param(0.2, 1.0, 0.05, 5.01e-3, 41, 10, id="1247-settled-samples"),
     ],
 )
 @pytest.mark.parametrize("shot_noise", [False, True])
