@@ -239,8 +239,9 @@ class TimeSeries:
             raise ValueError("dt_s must be positive")
         self.values = np.asarray(self.values, dtype=float)
 
-    def times(self) -> np.ndarray:
-        return self.t0_s + self.dt_s * np.arange(self.values.size)
+    def times(self, step: int = 1) -> np.ndarray:
+        """Time of every step-th sample, without building the others."""
+        return self.t0_s + self.dt_s * np.arange(0, self.values.size, step)
 
 
 @dataclass(frozen=True)
@@ -783,7 +784,9 @@ def simulate_fm_tracking(
             volts = k_v * rate
         out[block] = demod.process(volts)
 
-    estimate = bias - out / field_gain
+    # bias - out / field_gain, in place: one full-length temporary fewer.
+    estimate = out / field_gain
+    np.subtract(bias, estimate, out=estimate)
     return TrackingResult(
         lockin=TimeSeries(t0_s=0.0, dt_s=dt, values=out, unit="V"),
         field_estimate=TimeSeries(t0_s=0.0, dt_s=dt, values=estimate, unit="T"),

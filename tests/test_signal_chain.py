@@ -274,6 +274,8 @@ def test_sample_rate_mismatch_detected():
 def test_timeseries_times_and_validation():
     ts = TimeSeries(1.0, 0.5, np.arange(4.0), "T")
     np.testing.assert_allclose(ts.times(), [1.0, 1.5, 2.0, 2.5])
+    long = TimeSeries(0.25, 1e-5, np.zeros(1000), "T")
+    np.testing.assert_array_equal(long.times(7), long.times()[::7])
     with pytest.raises(ValueError):
         TimeSeries(0.0, 0.0, np.zeros(3), "V")
 
