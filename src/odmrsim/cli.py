@@ -137,7 +137,7 @@ def _publish(args, cfg: ConfigDoc, t0: float):
 
 
 def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
-    scene = cfg.scene(hyperfine=not args.no_hyperfine)
+    scene = cfg.scene()
     bz_values = np.linspace(
         cfg.sweep.bz_start_t, cfg.sweep.bz_stop_t, cfg.sweep.n_fields
     )
@@ -282,7 +282,7 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
         raise SchemaViolation(
             "sweep.dwell_s must be at least 5 x lockin.time_constant_s"
         )
-    scene = cfg.scene(hyperfine=not args.no_hyperfine)
+    scene = cfg.scene()
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()
 
@@ -343,7 +343,7 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
 def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     if cfg.lockin.mode != "fm":
         raise SchemaViolation("lockin.mode: steps command needs 'fm'")
-    scene = cfg.scene(hyperfine=not args.no_hyperfine)
+    scene = cfg.scene()
     sched = cfg.schedule
     duration = sched.step_period_s * sched.n_steps
     if duration * cfg.lockin.sample_rate_hz > MAX_SAMPLES:
@@ -363,6 +363,11 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         step_windows(timeline, n_total, cfg.lockin.dt_s, 0.0, cfg.lockin)
     except ScheduleMismatch as exc:
         raise SchemaViolation(f"schedule.step_period_s: {exc}") from None
+    if args.svg and sched.output_decimation >= n_total:
+        raise SchemaViolation(
+            f"schedule.output_decimation: {sched.output_decimation} leaves "
+            f"fewer than two of the run's {n_total} samples to plot"
+        )
 
     result = simulate_fm_tracking(
         timeline,
@@ -411,11 +416,22 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """--seed: a non-negative integer, as numpy's seeding takes."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_common(sub, with_hyperfine: bool = True) -> None:
     sub.add_argument(
         "--config", default=None, help="JSON configuration file (defaults apply)"
     )
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
+    sub.add_argument(
+        "--seed", type=_seed, default=0, help="random seed (non-negative)"
+    )
     sub.add_argument(
         "--out", default=".", help="output directory (created if missing)"
     )
@@ -426,7 +442,7 @@ def _add_common(sub, with_hyperfine: bool = True) -> None:
         sub.add_argument(
             "--no-hyperfine",
             action="store_true",
-            help="drop hyperfine satellites regardless of the config",
+            help="drop the hyperfine satellites (sets spin.hyperfine_rel_amp to 0)",
         )
 
 
@@ -527,7 +543,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         t0 = time.perf_counter()
-        return args.func(args, load_config(args.config), t0)
+        cfg = load_config(args.config)
+        if getattr(args, "no_hyperfine", False):
+            cfg = replace(cfg, spin=replace(cfg.spin, hyperfine_rel_amp=0.0))
+        return args.func(args, cfg, t0)
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

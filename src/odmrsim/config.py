@@ -154,7 +154,7 @@ class ConfigDoc:
     def as_dict(self) -> dict:
         return {"format_version": FORMAT_VERSION, **asdict(self)}
 
-    def scene(self, hyperfine: bool = True) -> Scene:
+    def scene(self) -> Scene:
         """The configured scene at the sweep powers."""
         return Scene(
             spin=self.spin,
@@ -164,7 +164,6 @@ class ConfigDoc:
             pl_rate_per_w=self.lineshape.pl_rate_per_w,
             p_opt_w=self.sweep.p_opt_w,
             p_rf_w=self.sweep.p_rf_w,
-            hyperfine=hyperfine,
         )
 
 

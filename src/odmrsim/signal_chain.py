@@ -292,7 +292,6 @@ class Scene:
     pl_rate_per_w: float
     p_opt_w: float
     p_rf_w: float
-    hyperfine: bool = True
 
     def photon_rate_hz(self) -> float:
         return self.pl_rate_per_w * self.p_opt_w
@@ -301,16 +300,31 @@ class Scene:
         return voltage_from_photon_rate(self.photon_rate_hz(), self.detector)
 
     def lines(self) -> list[TransitionLine]:
-        return list(_solve_lines(self.spin, self.field, self.hyperfine))
+        return list(_solve_lines(self.spin, self.field))
 
 
 @functools.lru_cache(maxsize=16)
-def _solve_lines(
-    spin: SpinParams, field: FieldVector, hyperfine: bool
-) -> tuple[TransitionLine, ...]:
-    """Transition lines of one field; a map solves its one field once."""
-    levels = eigenlevels(build_hamiltonian(spin, field))
-    return tuple(transitions(levels, spin, include_hyperfine=hyperfine))
+def _solve_lines(spin: SpinParams, field: FieldVector) -> tuple[TransitionLine, ...]:
+    """Lines of one field, each nu2 line flanked by hyperfine satellites.
+
+    The satellites sit at +- spin.hyperfine_offset_hz with
+    spin.hyperfine_rel_amp of the nu2 strength; none is added at zero
+    amplitude or at a frequency <= 0.  Lines are sorted by (frequency_hz,
+    label).  Cached, so a map solves its one field once.
+    """
+    lines = transitions(eigenlevels(build_hamiltonian(spin, field)))
+    amp, offset = spin.hyperfine_rel_amp, spin.hyperfine_offset_hz
+    for ln in [ln for ln in lines if ln.label == "nu2" and amp > 0]:
+        for side, sign in ("plus", 1.0), ("minus", -1.0):
+            sat = replace(
+                ln,
+                label=f"nu2_sat_{side}",
+                frequency_hz=ln.frequency_hz + sign * offset,
+                rel_strength=ln.rel_strength * amp,
+            )
+            if sat.frequency_hz > 0:
+                lines.append(sat)
+    return tuple(sorted(lines, key=lambda ln: (ln.frequency_hz, ln.label)))
 
 
 def _cycle_cos(cfg: LockInConfig) -> np.ndarray:
@@ -663,23 +677,44 @@ class TrackingResult:
     field_noise_sigma_in_t: float
 
 
-def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray]:
-    """Scene lines at the bias field plus each line's d(freq)/d(bz) slope."""
-    lines = scene.lines()
-    h = 1e-6
-    shifts = dict.fromkeys((ln.label for ln in lines), 0.0)
+def _label_slopes(scene: Scene, h: float) -> dict[str, float]:
+    """d(freq)/d(bz) of each line label: a central difference over +-h."""
+    labels = {ln.label for ln in scene.lines()}
+    shifts = dict.fromkeys(labels, 0.0)
     for sign in (+1.0, -1.0):
         shifted = replace(
             scene, field=replace(scene.field, bz_t=scene.field.bz_t + sign * h)
         ).lines()
-        if {ln.label for ln in shifted} != shifts.keys():
+        if {ln.label for ln in shifted} != labels:
             raise ValueError(
                 f"the scene's lines change within {h:g} T of bz = "
                 f"{scene.field.bz_t:g} T, so their field slopes are undefined"
             )
         for ln in shifted:
             shifts[ln.label] += sign * ln.frequency_hz
-    return lines, np.array([shifts[ln.label] / (2.0 * h) for ln in lines])
+    return {label: shift / (2.0 * h) for label, shift in shifts.items()}
+
+
+def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray]:
+    """Scene lines at the bias field plus each line's d(freq)/d(bz) slope.
+
+    Slopes are central differences over +-1 uT.  In a transverse field
+    within 1 uT of bz = 0, the label nu2 can name one line below the bias
+    and another above it, and its slope then reads hundreds of gamma.  So
+    nu2's slope is also taken over +-0.1 uT; where the two differ by more
+    than half of the larger, ValueError says the slope is undefined.
+    """
+    lines = scene.lines()
+    slopes = _label_slopes(scene, 1e-6)
+    if "nu2" in slopes:
+        wide, narrow = slopes["nu2"], _label_slopes(scene, 1e-7)["nu2"]
+        if abs(wide - narrow) > 0.5 * max(abs(wide), abs(narrow)):
+            raise ValueError(
+                f"d(nu2)/d(bz) at bz = {scene.field.bz_t:g} T is "
+                f"{wide:.4g} Hz/T over 1 uT but {narrow:.4g} Hz/T over "
+                "0.1 uT, so the field slope is undefined there"
+            )
+    return lines, np.array([slopes[ln.label] for ln in lines])
 
 
 def _filter_energy_pure(cfg: LockInConfig) -> float:

@@ -253,11 +253,6 @@ _PAIR_LABEL = np.array(
         for a in M_VALUES
     ]
 )
-# Satellites are listed after the six pair lines: each pair's two, plus
-# then minus, with these labels, offset signs and pair indexes.
-_SAT_LABEL = np.char.add(_PAIR_LABEL[..., None], ["_sat_plus", "_sat_minus"])
-_SAT_SIGN = np.tile([1.0, -1.0], _LOWER.size)
-_SAT_PAIR = np.repeat(np.arange(_LOWER.size), 2)
 _MIRRORED_M = -np.array(M_VALUES)
 
 
@@ -266,17 +261,11 @@ def _pairs_labelled(labels) -> np.ndarray:
     return np.array([[lab in labels for lab in row] for row in _PAIR_LABEL.tolist()])
 
 
-# Level pairs whose line gets hyperfine satellites.
-_SATELLITE_PARENTS = _pairs_labelled(("nu2",))
-
-
 def _line_table(
     energies: np.ndarray,
     states: np.ndarray,
     dominant: np.ndarray,
-    params: SpinParams,
     classes=ALL_CLASSES,
-    include_hyperfine: bool = False,
 ) -> LineTable:
     """Label, weigh and sort the lines of a stack of eigensystems.
 
@@ -293,19 +282,6 @@ def _line_table(
     # pow() per element, as float ** 2 computes it; array ** 2 squares by
     # multiplication and moves the last bit of some strengths.
     strength = np.float_power(np.abs(sx[:, _UPPER, _LOWER]), 2) / _NU_LINE_SX2
-
-    if include_hyperfine and params.hyperfine_rel_amp > 0:
-        parent = shown & _SATELLITE_PARENTS[lower, upper]
-        parent = parent[:, _SAT_PAIR]
-        sat_freq = freq[:, _SAT_PAIR] + _SAT_SIGN * params.hyperfine_offset_hz
-        sat_label = _SAT_LABEL[lower, upper].reshape(sat_freq.shape)
-        sat_label = np.where(parent & (sat_freq > 0), sat_label, "")
-        label = np.concatenate((label, sat_label), axis=-1)
-        freq = np.concatenate((freq, sat_freq), axis=-1)
-        sat_strength = strength[:, _SAT_PAIR] * params.hyperfine_rel_amp
-        strength = np.concatenate((strength, sat_strength), axis=-1)
-        pair = np.concatenate((np.arange(_LOWER.size), _SAT_PAIR))
-        lower_m, upper_m = lower_m[:, pair], upper_m[:, pair]
 
     # Flat indexes of each field's lines in order; the sort is stable, so
     # lines equal in frequency and label keep their listed order.
@@ -325,25 +301,20 @@ def _line_table(
 
 def transitions(
     levels: LevelSet,
-    params: SpinParams,
     classes: frozenset[str] | set[str] | None = None,
-    include_hyperfine: bool = False,
 ) -> list[TransitionLine]:
     """List transition lines between eigenlevels for the requested classes.
 
     Args:
         levels: output of eigenlevels().
-        params: spin parameters (used for the hyperfine satellites).
         classes: subset of {"nu1", "nu2", "dark", "m2_plus", "m2_minus"};
             None selects all of them.
-        include_hyperfine: append satellite lines at +-hyperfine_offset_hz
-            around each nu2 line, with amplitude hyperfine_rel_amp relative
-            to it.
 
     The dark transition's strength is computed from the eigenvectors, not
     assumed zero.  At exact axial field the |delta m| = 2 lines have zero
     strength; they grow continuously as the field tilts.  Lines are sorted
-    by (frequency_hz, label).
+    by (frequency_hz, label).  Hyperfine satellites are not listed here:
+    Scene.lines() adds them to the nu2 lines.
     """
     if classes is None:
         classes = ALL_CLASSES
@@ -354,9 +325,7 @@ def transitions(
         levels.energies_hz[None],
         levels.states[None],
         np.array([[M_VALUES.index(m) for m in levels.dominant_m]]),
-        params,
         classes,
-        include_hyperfine,
     )
     return [
         TransitionLine(*row)
@@ -390,7 +359,7 @@ def scan_transitions(
     for start in range(0, bz.size, _SCAN_BLOCK):
         block_bz = bz[start : start + _SCAN_BLOCK]
         h = _hamiltonian_stack(params, field.bx_t, field.by_t, block_bz)
-        table = _line_table(*_solve(h), params)
+        table = _line_table(*_solve(h))
         tables.append(replace(table, field_index=table.field_index + start))
     return tables
 

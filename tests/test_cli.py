@@ -126,6 +126,21 @@ def test_rerun_removes_only_bare_listed_names(tmp_path):
     assert all(verify_manifest(out / "manifest.json").values())
 
 
+@pytest.mark.parametrize("command", ["spectrum", "map", "steps"])
+def test_no_hyperfine_manifest_config_reproduces_outputs(tmp_path, command):
+    data = {"map": MINI_MAP_CONFIG, "steps": MINI_STEPS_CONFIG}.get(command, {})
+    cfg = write_config(tmp_path, data)
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    assert main([command, "--config", cfg, "--out", str(first), "--no-hyperfine"]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["spin"]["hyperfine_rel_amp"] == 0.0
+    recorded = write_config(tmp_path, manifest["config"], "recorded.json")
+    assert main([command, "--config", recorded, "--out", str(rerun)]) == 0
+    again = json.loads((rerun / "manifest.json").read_text())
+    assert again["config"] == manifest["config"]
+    assert again["outputs"] == manifest["outputs"]
+
+
 def test_spectrum_no_hyperfine_changes_output(tmp_path):
     a = tmp_path / "with"
     b = tmp_path / "without"
@@ -522,8 +537,12 @@ def test_failed_steps_writes_nothing(tmp_path, capsys):
     [
         # No RF power: zero contrast, so a zero discriminator slope.
         ({"sweep": {"p_rf_w": 0.0}}, "flat discriminator response"),
-        # A transverse field alone: d(nu2)/d(bz) is 0 at bz = 0.
-        ({"field": {"bx_t": 1e-4, "bz_t": 0.0}}, "flat discriminator response"),
+        # A transverse field alone: nu2 names one line 1 uT below bz = 0 and
+        # another above, so its slope there reads -98 gamma over 1 uT.
+        ({"field": {"bx_t": 1e-4, "bz_t": 0.0}}, "field slope is undefined"),
+        # Likewise within the 1 uT difference step of bz = 0; the slope read
+        # -2.758e12 Hz/T and the run reported 0.20 nT/sqrt(Hz).
+        ({"field": {"bx_t": 1e-4, "bz_t": 5e-7}}, "field slope is undefined"),
         # A satellite line exists at the bias field but not 1 uT either side.
         (
             {
@@ -533,7 +552,7 @@ def test_failed_steps_writes_nothing(tmp_path, capsys):
             "lines change within",
         ),
     ],
-    ids=["no-contrast", "no-field-slope", "line-set-changes"],
+    ids=["no-contrast", "no-field-slope", "nu2-changes-branch", "line-set-changes"],
 )
 def test_untrackable_steps_scene_writes_nothing(tmp_path, capsys, data, message):
     cfg = write_config(tmp_path, {**MINI_STEPS_CONFIG, **data})
@@ -717,12 +736,20 @@ def test_map_counts_a_dark_cell_as_failed(tmp_path):
     assert json.loads((out / "argmin.json").read_text())["n_failed"] == 1
 
 
+# The mini steps run is 2 x 10 s at 500 Hz: 10,000 samples.
+ONE_SAMPLE_STEPS_CONFIG = {
+    **MINI_STEPS_CONFIG,
+    "schedule": {**MINI_STEPS_CONFIG["schedule"], "output_decimation": 10_000},
+}
+
+
 @pytest.mark.parametrize(
-    "command, data, simulator, key",
+    "command, data, flags, simulator, key",
     [
         (
             "map",
             {**MINI_MAP_CONFIG, "sweep": {**MINI_MAP_CONFIG["sweep"], "n_points": 4}},
+            [],
             "simulate_am_sweep",
             "sweep.n_points",
         ),
@@ -733,14 +760,23 @@ def test_map_counts_a_dark_cell_as_failed(tmp_path):
                 **MINI_STEPS_CONFIG,
                 "schedule": {**MINI_STEPS_CONFIG["schedule"], "step_period_s": 2.5},
             },
+            [],
             "simulate_fm_tracking",
             "schedule.step_period_s",
         ),
+        # A one-sample trace cannot be plotted.
+        (
+            "steps",
+            ONE_SAMPLE_STEPS_CONFIG,
+            ["--svg"],
+            "simulate_fm_tracking",
+            "schedule.output_decimation",
+        ),
     ],
-    ids=["map-4-points", "steps-within-discard"],
+    ids=["map-4-points", "steps-within-discard", "steps-svg-of-one-sample"],
 )
 def test_unanalysable_input_rejected_before_simulating(
-    tmp_path, capsys, monkeypatch, command, data, simulator, key
+    tmp_path, capsys, monkeypatch, command, data, flags, simulator, key
 ):
     from odmrsim import cli
 
@@ -750,9 +786,16 @@ def test_unanalysable_input_rejected_before_simulating(
     monkeypatch.setattr(cli, simulator, unexpected)
     cfg = write_config(tmp_path, data)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_steps_without_svg_writes_a_one_sample_trace(tmp_path):
+    cfg = write_config(tmp_path, ONE_SAMPLE_STEPS_CONFIG)
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 0
+    assert len((out / "tracking.csv").read_text().splitlines()) == 2
 
 
 def test_steps_command_tracks_and_reports(tmp_path):
@@ -832,6 +875,17 @@ def test_parser_shared_across_calls_keeps_no_state(tmp_path, capsys):
     assert main(["spectrum", "--out", str(tmp_path / "s2"), "--seed", "3"]) == 0
     assert main(["spectrum", "--out", str(tmp_path / "s3")]) == 0
     assert json.loads((tmp_path / "s3" / "manifest.json").read_text())["seed"] == 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "fit", "map", "steps"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    argv = [command, "--seed", "-1", "--out", str(out)]
+    if command == "fit":
+        argv.append(str(tmp_path / "sweep.csv"))
+    assert main(argv) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_changes_noisy_output(tmp_path):

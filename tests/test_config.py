@@ -82,8 +82,7 @@ def test_sections_are_domain_dataclasses():
     cfg = config_from_dict({"sweep": {"p_opt_w": 0.3}})
     scene = cfg.scene()
     assert scene.spin is cfg.spin and scene.broadening is cfg.lineshape
-    assert scene.p_opt_w == 0.3 and scene.hyperfine is True
-    assert cfg.scene(hyperfine=False).hyperfine is False
+    assert scene.p_opt_w == 0.3
     assert cfg.sweep.frequencies().size == cfg.sweep.n_points
 
 

@@ -62,7 +62,7 @@ CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 HC_JM = 6.62607015e-34 * 2.99792458e8
 
 
-def quenched_scene(p_opt=0.4, p_rf=1.0, bz=1e-3, hyperfine=True):
+def quenched_scene(p_opt=0.4, p_rf=1.0, bz=1e-3):
     preset = PRESETS["quenched"]
     return Scene(
         spin=SpinParams(),
@@ -72,8 +72,43 @@ def quenched_scene(p_opt=0.4, p_rf=1.0, bz=1e-3, hyperfine=True):
         pl_rate_per_w=preset.pl_rate_per_w,
         p_opt_w=p_opt,
         p_rf_w=p_rf,
-        hyperfine=hyperfine,
     )
+
+
+def test_hyperfine_satellites_flank_nu2():
+    lines = {ln.label: ln for ln in quenched_scene().lines()}
+    nu2 = lines["nu2"]
+    plus = lines["nu2_sat_plus"]
+    minus = lines["nu2_sat_minus"]
+    assert plus.frequency_hz == pytest.approx(nu2.frequency_hz + 5e6, abs=1.0)
+    assert minus.frequency_hz == pytest.approx(nu2.frequency_hz - 5e6, abs=1.0)
+    assert plus.rel_strength == pytest.approx(0.05 * nu2.rel_strength, rel=1e-9)
+    assert minus.rel_strength == pytest.approx(0.05 * nu2.rel_strength, rel=1e-9)
+
+
+def test_scene_lines_sorted_by_frequency():
+    scene = replace(quenched_scene(), field=FieldVector(0.1e-3, 0, 1e-3))
+    lines = scene.lines()
+    assert {"nu2_sat_plus", "nu2_sat_minus"} <= {ln.label for ln in lines}
+    keys = [(ln.frequency_hz, ln.label) for ln in lines]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize(
+    "offset_in_nu2, rel_amp, satellites",
+    [(2.0, 0.05, ["nu2_sat_plus"]), (1.0, 0.05, ["nu2_sat_plus"]), (0.1, 0.0, [])],
+    ids=["minus-below-0-hz", "minus-at-0-hz", "zero-amplitude"],
+)
+def test_satellites_need_positive_frequency_and_amplitude(
+    offset_in_nu2, rel_amp, satellites
+):
+    scene = quenched_scene()
+    nu2 = next(ln.frequency_hz for ln in scene.lines() if ln.label == "nu2")
+    spin = SpinParams(
+        hyperfine_offset_hz=offset_in_nu2 * nu2, hyperfine_rel_amp=rel_amp
+    )
+    lines = replace(scene, spin=spin).lines()
+    assert [ln.label for ln in lines if "_sat_" in ln.label] == satellites
 
 
 def test_photon_rate_for_one_volt():

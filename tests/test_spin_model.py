@@ -30,7 +30,7 @@ ZFS = 70e6
 def axial_scene(bz_t, params=None):
     params = params or SpinParams()
     levels = eigenlevels(build_hamiltonian(params, FieldVector(0.0, 0.0, bz_t)))
-    return {ln.label: ln for ln in transitions(levels, params)}
+    return {ln.label: ln for ln in transitions(levels)}
 
 
 def test_gyromagnetic_ratio_default_g():
@@ -69,7 +69,7 @@ def test_zero_field_bright_lines_sit_at_zfs():
     # radio-frequency range must sit on the zero-field splitting.
     params = SpinParams()
     levels = eigenlevels(build_hamiltonian(params, FieldVector(0, 0, 0)))
-    lines = transitions(levels, params)
+    lines = transitions(levels)
     bright = [
         ln
         for ln in lines
@@ -161,7 +161,7 @@ def test_tilted_field_activates_double_quantum_lines():
     params = SpinParams()
     tilt = FieldVector(0.15e-3, 0.0, 1e-3)
     levels = eigenlevels(build_hamiltonian(params, tilt))
-    by_label = {ln.label: ln for ln in transitions(levels, params)}
+    by_label = {ln.label: ln for ln in transitions(levels)}
     assert by_label["m2_minus"].rel_strength > 1e-4
     assert by_label["m2_plus"].rel_strength > 1e-4
     # Single-quantum lines stay near unit strength for a small tilt.
@@ -189,32 +189,8 @@ def test_eigenvalue_invariants_for_random_fields():
 def test_transition_classes_filter():
     params = SpinParams()
     levels = eigenlevels(build_hamiltonian(params, FieldVector(0, 0, 1e-3)))
-    only = transitions(levels, params, classes=("nu1", "dark"))
+    only = transitions(levels, classes=("nu1", "dark"))
     assert sorted(ln.label for ln in only) == ["dark", "nu1"]
-
-
-def test_hyperfine_satellites_flank_nu2():
-    params = SpinParams()
-    levels = eigenlevels(build_hamiltonian(params, FieldVector(0, 0, 1e-3)))
-    lines = {
-        ln.label: ln
-        for ln in transitions(levels, params, include_hyperfine=True)
-    }
-    nu2 = lines["nu2"]
-    plus = lines["nu2_sat_plus"]
-    minus = lines["nu2_sat_minus"]
-    assert plus.frequency_hz == pytest.approx(nu2.frequency_hz + 5e6, abs=1.0)
-    assert minus.frequency_hz == pytest.approx(nu2.frequency_hz - 5e6, abs=1.0)
-    assert plus.rel_strength == pytest.approx(0.05 * nu2.rel_strength, rel=1e-9)
-    assert minus.rel_strength == pytest.approx(0.05 * nu2.rel_strength, rel=1e-9)
-
-
-def test_transitions_sorted_by_frequency():
-    params = SpinParams()
-    levels = eigenlevels(build_hamiltonian(params, FieldVector(0.1e-3, 0, 1e-3)))
-    lines = transitions(levels, params, include_hyperfine=True)
-    freqs = [ln.frequency_hz for ln in lines]
-    assert freqs == sorted(freqs)
 
 
 def test_field_vector_magnitude_limit():
@@ -263,7 +239,7 @@ def per_field_rows(params, field, bz_values):
         levels = eigenlevels(build_hamiltonian(params, replace(field, bz_t=bz)))
         rows += [
             (k, ln.label, ln.lower_m, ln.upper_m, ln.frequency_hz, ln.rel_strength)
-            for ln in transitions(levels, params)
+            for ln in transitions(levels)
         ]
     return rows
 
