@@ -315,12 +315,11 @@ def step_windows(
 
     Raises ScheduleMismatch when any step keeps fewer than two samples.
     """
-    settle_discard_s = 5.0 * cfg.time_constant_s
     starts = timeline.starts_s
     ends = np.append(starts[1:], n * dt + t0)
     windows = []
     for start, end in zip(starts, ends):
-        i0 = int(math.ceil((start + settle_discard_s - t0) / dt))
+        i0 = int(math.ceil((start + cfg.settle_discard_s - t0) / dt))
         i1 = min(int(math.floor((end - t0) / dt)), n)
         if i1 - i0 < 2:
             raise ScheduleMismatch(
@@ -341,7 +340,6 @@ def analyze_steps(
     sqrt(time constant).  Raises ScheduleMismatch when any step has fewer
     than two samples left after the discard.
     """
-    settle_discard_s = 5.0 * cfg.time_constant_s
     series = np.asarray(estimate.values, dtype=float)
     windows = step_windows(timeline, series.size, estimate.dt_s, estimate.t0_s, cfg)
     means, stds = [], []
@@ -359,6 +357,6 @@ def analyze_steps(
         residuals_t=means_arr - np.asarray(timeline.bz_t, dtype=float),
         pooled_std_t=pooled,
         sensitivity_t_rthz=pooled * math.sqrt(cfg.time_constant_s),
-        settle_discard_s=settle_discard_s,
+        settle_discard_s=cfg.settle_discard_s,
         time_constant_s=float(cfg.time_constant_s),
     )

@@ -278,7 +278,7 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
             "sweep.dwell_s x lockin.sample_rate_hz must be at most "
             f"{MAX_SAMPLES} samples"
         )
-    if cfg.sweep.dwell_s < 5.0 * cfg.lockin.time_constant_s - 1e-12:
+    if cfg.sweep.dwell_s < cfg.lockin.settle_discard_s - 1e-12:
         raise SchemaViolation(
             "sweep.dwell_s must be at least 5 x lockin.time_constant_s"
         )

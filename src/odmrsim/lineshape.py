@@ -60,19 +60,16 @@ class PeakShape:
 
 @dataclass
 class SyntheticSpectrum:
-    """Sampled spectrum with a unit tag ("contrast" or "volts")."""
+    """Fractional PL contrast sampled on a frequency grid."""
 
     frequency_hz: np.ndarray
     values: np.ndarray
-    unit: str
-    meta: dict
 
 
 @dataclass(frozen=True)
 class SamplePreset:
-    """Named broadening calibration plus detected-PL rate per watt of pump."""
+    """Broadening calibration plus detected-PL rate per watt of pump."""
 
-    name: str
     broadening: BroadeningModel
     pl_rate_per_w: float
 
@@ -83,7 +80,6 @@ class SamplePreset:
 # minima land near 3.5 and 57 nT/sqrt(Hz) at 0.4 W optical / 1 W RF drive.
 PRESETS: dict[str, SamplePreset] = {
     "quenched": SamplePreset(
-        name="quenched",
         broadening=BroadeningModel(
             fwhm0_hz=450e3,
             rf_sat_w=0.25,
@@ -94,7 +90,6 @@ PRESETS: dict[str, SamplePreset] = {
         pl_rate_per_w=1.2e12,
     ),
     "annealed": SamplePreset(
-        name="annealed",
         broadening=BroadeningModel(
             fwhm0_hz=600e3,
             rf_sat_w=0.25,
@@ -120,12 +115,6 @@ def lorentzian_sum(frequency_hz, centers_hz, amplitudes, fwhm_hz) -> np.ndarray:
         detune = freq - center
         out += amp * half * half / (detune * detune + half * half)
     return out
-
-
-def lorentzian_value(peak: PeakShape, frequency_hz):
-    """One line of lorentzian_sum; a float for a scalar frequency."""
-    out = lorentzian_sum(frequency_hz, [peak.center_hz], [peak.contrast], peak.fwhm_hz)
-    return out if out.ndim else float(out)
 
 
 def saturated_fwhm(model: BroadeningModel, p_rf_w):
@@ -163,7 +152,7 @@ def synthesize_odmr(
     All lines share the saturated linewidth; each line's amplitude is the
     saturated contrast scaled by its rel_strength.  Every given line is
     drawn, hyperfine satellites included; leave them out of lines to drop
-    them.
+    them.  Returns the grid and the summed fractional contrast on it.
     """
     if not lines:
         raise EmptyTransitionList("no transition lines to synthesise")
@@ -172,15 +161,4 @@ def synthesize_odmr(
     contrast = saturated_contrast(model, p_rf_w, p_opt_w)
     amps = [contrast * ln.rel_strength for ln in lines]
     values = lorentzian_sum(grid, [ln.frequency_hz for ln in lines], amps, fwhm)
-    return SyntheticSpectrum(
-        frequency_hz=grid,
-        values=values,
-        unit="contrast",
-        meta={
-            "p_rf_w": float(p_rf_w),
-            "p_opt_w": float(p_opt_w),
-            "fwhm_hz": float(fwhm),
-            "contrast": float(contrast),
-            "n_lines": len(lines),
-        },
-    )
+    return SyntheticSpectrum(frequency_hz=grid, values=values)

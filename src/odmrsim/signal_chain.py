@@ -79,7 +79,6 @@ from .lineshape import (
     BroadeningModel,
     PeakShape,
     lorentzian_sum,
-    lorentzian_value,
     saturated_contrast,
     saturated_fwhm,
     synthesize_odmr,
@@ -220,9 +219,14 @@ class LockInConfig:
         return 1.0 / self.sample_rate_hz
 
     @property
+    def settle_discard_s(self) -> float:
+        """The settling discard, 5 time constants."""
+        return 5.0 * self.time_constant_s
+
+    @property
     def settle_samples(self) -> int:
-        """Samples covering the 5 tau settling discard."""
-        return int(math.ceil(5.0 * self.time_constant_s * self.sample_rate_hz))
+        """Samples covering the settling discard."""
+        return int(math.ceil(self.settle_discard_s * self.sample_rate_hz))
 
 
 @dataclass
@@ -586,7 +590,7 @@ def simulate_am_sweep(
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
-    if plan.dwell_s < 5.0 * cfg.time_constant_s - 1e-12:
+    if plan.dwell_s < cfg.settle_discard_s - 1e-12:
         raise ValueError("dwell_s must be at least 5 lock-in time constants")
 
     freqs = plan.frequencies()
@@ -640,7 +644,8 @@ def _fm_settled_output(
     demod = _Demodulator(cfg)
     sign = _fm_switch(cfg, 0, n)
     nu_inst = peak.center_hz + detuning_hz + cfg.fm_deviation_hz * sign
-    volts = v_dc * (1.0 - lorentzian_value(peak, nu_inst))
+    depth = lorentzian_sum(nu_inst, [peak.center_hz], [peak.contrast], peak.fwhm_hz)
+    volts = v_dc * (1.0 - depth)
     out = demod.process(volts)
     return float(np.mean(out[cfg.settle_samples :]))
 
@@ -677,22 +682,30 @@ class TrackingResult:
     field_noise_sigma_in_t: float
 
 
-def _label_slopes(scene: Scene, h: float) -> dict[str, float]:
-    """d(freq)/d(bz) of each line label: a central difference over +-h."""
-    labels = {ln.label for ln in scene.lines()}
-    shifts = dict.fromkeys(labels, 0.0)
+def _line_slopes(scene: Scene, h: float) -> np.ndarray:
+    """d(freq)/d(bz) of each scene line: a central difference over +-h.
+
+    At bz +- h each line is paired with the line of its label and its rank
+    in frequency among that label's lines, so lines sharing a label each
+    get their own slope.
+    """
+    lines = scene.lines()
+    labels = sorted(ln.label for ln in lines)
+    # Stable sorts: each label's lines stay in frequency order.
+    by_label = sorted(range(len(lines)), key=lambda i: lines[i].label)
+    shifts = np.zeros(len(lines))
     for sign in (+1.0, -1.0):
         shifted = replace(
             scene, field=replace(scene.field, bz_t=scene.field.bz_t + sign * h)
         ).lines()
-        if {ln.label for ln in shifted} != labels:
+        if sorted(ln.label for ln in shifted) != labels:
             raise ValueError(
                 f"the scene's lines change within {h:g} T of bz = "
                 f"{scene.field.bz_t:g} T, so their field slopes are undefined"
             )
-        for ln in shifted:
-            shifts[ln.label] += sign * ln.frequency_hz
-    return {label: shift / (2.0 * h) for label, shift in shifts.items()}
+        for i, ln in zip(by_label, sorted(shifted, key=lambda ln: ln.label)):
+            shifts[i] += sign * ln.frequency_hz
+    return shifts / (2.0 * h)
 
 
 def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray]:
@@ -701,20 +714,23 @@ def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray]:
     Slopes are central differences over +-1 uT.  In a transverse field
     within 1 uT of bz = 0, the label nu2 can name one line below the bias
     and another above it, and its slope then reads hundreds of gamma.  So
-    nu2's slope is also taken over +-0.1 uT; where the two differ by more
-    than half of the larger, ValueError says the slope is undefined.
+    the tracked (first) nu2 line's slope is also taken over +-0.1 uT; where
+    the two differ by more than half of the larger, ValueError says the
+    slope is undefined.
     """
     lines = scene.lines()
-    slopes = _label_slopes(scene, 1e-6)
-    if "nu2" in slopes:
-        wide, narrow = slopes["nu2"], _label_slopes(scene, 1e-7)["nu2"]
+    slopes = _line_slopes(scene, 1e-6)
+    labels = [ln.label for ln in lines]
+    if "nu2" in labels:
+        nu2 = labels.index("nu2")
+        wide, narrow = slopes[nu2], _line_slopes(scene, 1e-7)[nu2]
         if abs(wide - narrow) > 0.5 * max(abs(wide), abs(narrow)):
             raise ValueError(
                 f"d(nu2)/d(bz) at bz = {scene.field.bz_t:g} T is "
                 f"{wide:.4g} Hz/T over 1 uT but {narrow:.4g} Hz/T over "
                 "0.1 uT, so the field slope is undefined there"
             )
-    return lines, np.array([slopes[ln.label] for ln in lines])
+    return lines, slopes
 
 
 def _filter_energy_pure(cfg: LockInConfig) -> float:

@@ -54,8 +54,6 @@ _LABEL_BY_M_PAIR = {
     frozenset((0.5, -1.5)): "m2_plus",
 }
 
-ALL_CLASSES = frozenset(("nu1", "nu2", "dark", "m2_plus", "m2_minus"))
-
 
 def spin_operators() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (Sx, Sy, Sz) for S = 3/2 in the m = +3/2..-3/2 basis."""
@@ -256,26 +254,16 @@ _PAIR_LABEL = np.array(
 _MIRRORED_M = -np.array(M_VALUES)
 
 
-def _pairs_labelled(labels) -> np.ndarray:
-    """4x4 mask of the level pairs whose line label is in labels."""
-    return np.array([[lab in labels for lab in row] for row in _PAIR_LABEL.tolist()])
-
-
 def _line_table(
-    energies: np.ndarray,
-    states: np.ndarray,
-    dominant: np.ndarray,
-    classes=ALL_CLASSES,
+    energies: np.ndarray, states: np.ndarray, dominant: np.ndarray
 ) -> LineTable:
-    """Label, weigh and sort the lines of a stack of eigensystems.
+    """Label, weigh and sort every line of a stack of eigensystems.
 
     The one implementation of the line rules behind transitions() and
-    scan_transitions(); arguments as transitions() takes them, with the
-    output of _solve() for the levels.
+    scan_transitions(); the arguments are the output of _solve().
     """
     lower, upper = dominant[:, _LOWER], dominant[:, _UPPER]
-    shown = _pairs_labelled(classes)[lower, upper]
-    label = np.where(shown, _PAIR_LABEL[lower, upper], "")
+    label = _PAIR_LABEL[lower, upper]
     lower_m, upper_m = _MIRRORED_M[lower], _MIRRORED_M[upper]
     freq = np.abs(energies[:, _UPPER] - energies[:, _LOWER])
     sx = np.conj(np.swapaxes(states, -1, -2)) @ _SX @ states
@@ -299,33 +287,20 @@ def _line_table(
     )
 
 
-def transitions(
-    levels: LevelSet,
-    classes: frozenset[str] | set[str] | None = None,
-) -> list[TransitionLine]:
-    """List transition lines between eigenlevels for the requested classes.
+def transitions(levels: LevelSet) -> list[TransitionLine]:
+    """List the lines of every class between the levels of eigenlevels().
 
-    Args:
-        levels: output of eigenlevels().
-        classes: subset of {"nu1", "nu2", "dark", "m2_plus", "m2_minus"};
-            None selects all of them.
-
-    The dark transition's strength is computed from the eigenvectors, not
-    assumed zero.  At exact axial field the |delta m| = 2 lines have zero
+    The classes are nu1, nu2, dark, m2_plus and m2_minus.  The dark
+    transition's strength is computed from the eigenvectors, not assumed
+    zero.  At exact axial field the |delta m| = 2 lines have zero
     strength; they grow continuously as the field tilts.  Lines are sorted
     by (frequency_hz, label).  Hyperfine satellites are not listed here:
     Scene.lines() adds them to the nu2 lines.
     """
-    if classes is None:
-        classes = ALL_CLASSES
-    unknown = set(classes) - set(ALL_CLASSES)
-    if unknown:
-        raise ValueError(f"unknown transition classes: {sorted(unknown)}")
     table = _line_table(
         levels.energies_hz[None],
         levels.states[None],
         np.array([[M_VALUES.index(m) for m in levels.dominant_m]]),
-        classes,
     )
     return [
         TransitionLine(*row)

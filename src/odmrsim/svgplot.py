@@ -74,6 +74,27 @@ def _axes(parts: list[str], width: int, height: int, x_label: str, y_label: str)
         )
 
 
+def _finish(parts: list[str], height: int, x_ticks, y_ticks, path) -> None:
+    """Write the tick labels, close the SVG and write it to path.
+
+    x_ticks are (value, px) pairs on the x axis, y_ticks (value, py) pairs.
+    """
+    y_bot = height - _MARGIN
+    for value, px in x_ticks:
+        parts.append(
+            f'<text x="{_fmt(px)}" y="{y_bot + 16:.0f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{_fmt_tick(value)}</text>'
+        )
+    for value, py in y_ticks:
+        parts.append(
+            f'<text x="{_MARGIN - 6:.0f}" y="{_fmt(py + 4)}" '
+            f'text-anchor="end" font-family="sans-serif" font-size="11">'
+            f"{_fmt_tick(value)}</text>"
+        )
+    parts.append("</svg>")
+    _write_text(path, "\n".join(parts) + "\n")
+
+
 def line_plot(
     x,
     y,
@@ -99,20 +120,13 @@ def line_plot(
         f'<polyline points="{pts}" fill="none" stroke="#1f4e9c" '
         'stroke-width="1.5"/>'
     )
-    y_bot = height - _MARGIN
-    for value, px in ((xmin, _MARGIN), (xmax, width - _MARGIN)):
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{y_bot + 16:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(value)}</text>'
-        )
-    for value, py in ((ymin, y_bot), (ymax, _MARGIN)):
-        parts.append(
-            f'<text x="{_MARGIN - 6:.0f}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11">'
-            f"{_fmt_tick(value)}</text>"
-        )
-    parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _finish(
+        parts,
+        height,
+        ((xmin, _MARGIN), (xmax, width - _MARGIN)),
+        ((ymin, height - _MARGIN), (ymax, _MARGIN)),
+        path,
+    )
 
 
 def _color(norm: float) -> str:
@@ -169,17 +183,10 @@ def heatmap(
                 f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
                 f'fill="{fill}"/>'
             )
-    y_bot = height - _MARGIN
-    for value, px in ((xa[0], x0 + cell_w / 2), (xa[-1], x1 - cell_w / 2)):
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{y_bot + 16:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt_tick(value)}</text>'
-        )
-    for value, py in ((ya[0], y_bot - cell_h / 2), (ya[-1], y0 + cell_h / 2)):
-        parts.append(
-            f'<text x="{_MARGIN - 6:.0f}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11">'
-            f"{_fmt_tick(value)}</text>"
-        )
-    parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _finish(
+        parts,
+        height,
+        ((xa[0], x0 + cell_w / 2), (xa[-1], x1 - cell_w / 2)),
+        ((ya[0], y1 - cell_h / 2), (ya[-1], y0 + cell_h / 2)),
+        path,
+    )

@@ -30,6 +30,7 @@ from odmrsim import (
 )
 from odmrsim import io_formats
 from odmrsim.io_formats import dump_json, format_float, format_rows, sha256_file
+from odmrsim.svgplot import heatmap, line_plot
 
 
 def make_record(n=7):
@@ -351,3 +352,31 @@ def test_format_rows_matches_format_float_bytes():
 def test_dump_json_rejects_nan():
     with pytest.raises(ValueError):
         dump_json({"x": math.nan})
+
+
+def test_svg_bytes_are_pinned(tmp_path):
+    # Ticks at 0, at 0.01 <= |v| < 1e4 and at |v| >= 1e4 take the three
+    # branches of the tick format; one heatmap cell is NaN.
+    line_plot(
+        [0.0, 1.2e4, 2.5e4],
+        [0.05, 3.0, 1.5],
+        tmp_path / "line.svg",
+        title="t",
+        x_label="x",
+        y_label="y",
+    )
+    heatmap(
+        [1.0, 2.0, 3.0],
+        [0.1, 0.2],
+        [[1.0, math.nan, 3.0], [4.0, 5.0, 6.0]],
+        tmp_path / "heat.svg",
+        title="h",
+        x_label="x",
+        y_label="y",
+    )
+    assert sha256_file(tmp_path / "line.svg") == (
+        "c66008d166f20d38141aa68a050d7a5ab2481d0c3e72b8fe1cf85aa8687f9d12"
+    )
+    assert sha256_file(tmp_path / "heat.svg") == (
+        "f41c7e100857dce5655aada4ad4a5cd09b4ebc9e4bf6321adad125a6a60d22d8"
+    )

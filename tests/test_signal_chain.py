@@ -42,7 +42,7 @@ from odmrsim import (
     voltage_from_photon_rate,
 )
 from odmrsim.config import load_config
-from odmrsim.lineshape import lorentzian_value
+from odmrsim.lineshape import lorentzian_sum
 from odmrsim.signal_chain import (
     GAUSSIAN_MEAN_THRESHOLD,
     _am_gate,
@@ -586,6 +586,32 @@ def test_tracking_field_noise_calibration():
     assert res.field_noise_sigma_in_t > 70e-9
 
 
+def test_lines_sharing_a_label_each_get_their_own_slope():
+    # Two nu2 lines, at 71.7 and 143.6 MHz, each flanked by satellites.
+    scene = replace(
+        quenched_scene(),
+        spin=SpinParams(zfs_hz=6.3e6, g_factor=2.0996),
+        field=FieldVector(1.19e-3, -1.56e-3, -1.46e-3),
+    )
+    lines, slopes = _line_table(scene)
+    assert [ln.label for ln in lines].count("nu2") == 2
+    h = 1e-6
+    plus_lines, minus_lines = (
+        replace(scene, field=replace(scene.field, bz_t=bz)).lines()
+        for bz in (scene.field.bz_t + h, scene.field.bz_t - h)
+    )
+    for ln, slope in zip(lines, slopes):
+        # The line's own position at bz +- h: the nearest line of its label.
+        plus, minus = (
+            min(
+                (other.frequency_hz for other in side if other.label == ln.label),
+                key=lambda f: abs(f - ln.frequency_hz),
+            )
+            for side in (plus_lines, minus_lines)
+        )
+        assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-12)
+
+
 def reference_field_noise_sigma(target, scene, cfg, slope_v):
     """Reference field-noise input sigma, summing the field slope line by line."""
     lines, slopes = _line_table(scene)
@@ -598,9 +624,9 @@ def reference_field_noise_sigma(target, scene, cfg, slope_v):
     eps = 1e-8
     dv_db = np.zeros(n)
     for ln, line_slope in zip(lines, slopes):
-        peak = PeakShape(ln.frequency_hz, fwhm, contrast * ln.rel_strength)
-        plus = lorentzian_value(peak, nu_inst - line_slope * eps)
-        minus = lorentzian_value(peak, nu_inst + line_slope * eps)
+        center, amp = [ln.frequency_hz], [contrast * ln.rel_strength]
+        plus = lorentzian_sum(nu_inst - line_slope * eps, center, amp, fwhm)
+        minus = lorentzian_sum(nu_inst + line_slope * eps, center, amp, fwhm)
         dv_db += -scene.dc_voltage() * (plus - minus) / (2.0 * eps)
     gain = 2.0 * _cycle_cos(cfg) * dv_db
     sigma_out = math.sqrt(float(np.mean(gain**2)) * _filter_energy_pure(cfg))

@@ -186,13 +186,6 @@ def test_eigenvalue_invariants_for_random_fields():
         assert np.sum(e**2) == pytest.approx(expected_sq, rel=1e-10)
 
 
-def test_transition_classes_filter():
-    params = SpinParams()
-    levels = eigenlevels(build_hamiltonian(params, FieldVector(0, 0, 1e-3)))
-    only = transitions(levels, classes=("nu1", "dark"))
-    assert sorted(ln.label for ln in only) == ["dark", "nu1"]
-
-
 def test_field_vector_magnitude_limit():
     with pytest.raises(FieldOutOfRange):
         FieldVector(0.0, 0.0, 0.11)
