@@ -203,6 +203,7 @@ def cmd_fit(args, cfg: ConfigDoc, t0: float) -> int:
         "offset_v": fit.offset,
         "rss": fit.rss,
         "n_iter": fit.n_iter,
+        "stop_test": fit.stop_test,
         "dc_v": dc if math.isfinite(dc) else None,
         "contrast": contrast,
     }

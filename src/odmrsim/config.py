@@ -152,7 +152,7 @@ class ConfigDoc:
     schedule: ScheduleCfg
 
     def as_dict(self) -> dict:
-        return {"format_version": FORMAT_VERSION, **asdict(self)}
+        return {"format_version": FORMAT_VERSION, **_plain(self)}
 
     def scene(self) -> Scene:
         """The configured scene at the sweep powers."""
@@ -209,6 +209,17 @@ def config_from_dict(data) -> ConfigDoc:
 
 
 _KINDS = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _plain(value):
+    """A section as nested dicts: ``asdict`` without its deep copy.
+
+    Every leaf of a config is an immutable bool, int, float or str, and a
+    section's instance dict holds just its fields, in field order.
+    """
+    if not hasattr(value, "__dataclass_fields__"):
+        return value
+    return {name: _plain(v) for name, v in vars(value).items()}
 
 
 @functools.cache

@@ -7,6 +7,7 @@ from odmrsim import (
     EmptyGrid,
     FieldTimeline,
     LockInConfig,
+    NonConvergence,
     NonPositiveInput,
     NoPeakFound,
     PRESETS,
@@ -22,6 +23,7 @@ from odmrsim import (
     odmr_contrast,
     shot_noise_sensitivity,
 )
+from odmrsim import analysis
 
 TRUE_CENTER = 98.04e6
 TRUE_FWHM = 1.0e6
@@ -98,6 +100,71 @@ def test_fit_rejects_flat_and_pure_noise_data():
     rng = np.random.default_rng(1)
     with pytest.raises(NoPeakFound):
         fit_lorentzian(sweep(x, rng.normal(0, 1.0, 101)))
+
+
+def reference_fit(monkeypatch, record):
+    """The fit at the relative-step test alone, with ftol and gtol switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_FTOL", 0.0)
+        m.setattr(analysis, "_GTOL", 0.0)
+        fit = fit_lorentzian(record)
+    assert fit.stop_test == "step"
+    return fit
+
+
+@pytest.mark.parametrize(
+    "sigma, tolerances, fired",
+    [
+        (0.0, {}, "step"),
+        (0.05, {}, "gtol"),
+        (0.05, {"_GTOL": 0.0}, "ftol"),
+    ],
+    ids=["step", "gtol", "ftol"],
+)
+def test_each_stop_test_ends_a_fit_near_the_reference(
+    monkeypatch, sigma, tolerances, fired
+):
+    # A noise-free fit ends at the step test: its residual is rounding noise,
+    # whose cosine with the Jacobian columns stays far above _GTOL.  A noisy
+    # fit meets the cosine test first, or the stalled rss with that test off.
+    x, clean = clean_sweep()
+    record = sweep(x, clean + np.random.default_rng(0).normal(0, sigma, x.size))
+    ref = reference_fit(monkeypatch, record)
+    for name, value in tolerances.items():
+        monkeypatch.setattr(analysis, name, value)
+    fit = fit_lorentzian(record)
+    assert fit.stop_test == fired
+    assert fit.n_iter <= ref.n_iter
+    for key, ci in (("center_hz", ref.center_ci_hz), ("fwhm_hz", ref.fwhm_ci_hz)):
+        half_width = 0.5 * (ci[1] - ci[0])
+        assert abs(getattr(fit, key) - getattr(ref, key)) <= 0.01 * half_width
+
+
+def test_failing_fit_stops_early(monkeypatch):
+    # Pure noise holds no resonance.  With the step test alone this fit runs
+    # all 200 iterations (397 solves) before its amplitude gate rejects it.
+    x = np.linspace(95e6, 101e6, 101)
+    noise = sweep(x, np.random.default_rng(3).normal(0.0, 1.0, x.size))
+    real_solve = np.linalg.solve
+    calls = []
+
+    def counting_solve(a, b):
+        calls.append(1)
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    with pytest.raises(NoPeakFound):
+        fit_lorentzian(noise)
+    assert 0 < len(calls) <= 80
+
+
+def test_fit_out_of_iterations_is_non_convergence(monkeypatch):
+    # One step from the initial guess clears both NoPeakFound gates but no
+    # stop test, so the fit has not converged.
+    monkeypatch.setattr(analysis, "_MAX_ITER", 1)
+    x, y = clean_sweep()
+    with pytest.raises(NonConvergence, match="no convergence after 1 iterations"):
+        fit_lorentzian(sweep(x, y))
 
 
 def test_fit_input_validation():

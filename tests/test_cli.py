@@ -170,6 +170,7 @@ def test_fit_command_on_synthetic_sweep(tmp_path):
     payload = json.loads((out / "fit.json").read_text())
     assert payload["center_hz"] == pytest.approx(98e6, rel=1e-6)
     assert payload["fwhm_hz"] == pytest.approx(1e6, rel=1e-4)
+    assert payload["stop_test"] == "step"
     assert payload["contrast"] == pytest.approx(
         4e-4 / (0.0635 * 2 / np.pi), rel=1e-4
     )
@@ -322,6 +323,21 @@ def test_commands_on_drawn_configs_exit_0_1_or_2(drawn):
             code = main([command, "--config", str(cfg), "--out", str(out), *flags])
         assert code in (0, 1, 2)
         assert code == 0 or not out.exists()
+
+
+def test_fit_non_convergence_is_domain_error(tmp_path, capsys, monkeypatch):
+    # One iteration clears the NoPeakFound gates but no stop test.
+    monkeypatch.setattr(odmrsim.analysis, "_MAX_ITER", 1)
+    freq = np.linspace(95e6, 101e6, 201)
+    lockin = 4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12)
+    sweep_path = tmp_path / "sweep.csv"
+    write_sweep(SweepRecord(freq, lockin, np.full(freq.size, 0.0635)), sweep_path)
+    out = tmp_path / "out"
+    assert main(["fit", str(sweep_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "no convergence after 1 iterations" in err
+    assert "Traceback" not in err
+    assert not (out / "fit.json").exists()
 
 
 def test_fit_flat_data_is_domain_error(tmp_path, capsys):

@@ -1,12 +1,18 @@
 """Config loading: each section is its dataclass; errors name the key path."""
 
+import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odmrsim import ConfigDoc, SchemaViolation, config_from_dict
+from odmrsim import ConfigDoc, SchemaViolation, config_from_dict, load_config
+from odmrsim.io_formats import FORMAT_VERSION
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 DEFAULTS = config_from_dict({}).as_dict()
 GRID = {
@@ -76,6 +82,19 @@ def test_any_json_tree_loads_or_is_schema_violation(tree):
         return
     assert isinstance(cfg, ConfigDoc)
     assert config_from_dict(cfg.as_dict()) == cfg
+
+
+@pytest.mark.parametrize(
+    "path",
+    [None, *sorted(CONFIG_DIR.glob("*.json"))],
+    ids=lambda p: p.stem if p else "defaults",
+)
+def test_as_dict_is_asdict_without_the_copy(path):
+    # The manifest's config block is json.dumps of as_dict, so key order counts.
+    cfg = load_config(path)
+    expected = {"format_version": FORMAT_VERSION, **asdict(cfg)}
+    assert cfg.as_dict() == expected
+    assert json.dumps(cfg.as_dict()) == json.dumps(expected)
 
 
 def test_sections_are_domain_dataclasses():
