@@ -114,11 +114,12 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     reduction (_FTOL), tested on every trial, so a fit whose rss has stalled
     stops there; and the residual-Jacobian cosine (_GTOL), tested before
     each step.  Wherever the loop ends, NoPeakFound is raised when the
-    fitted amplitude does not clear twice the residual scatter or the
-    fitted width collapses below the sample spacing (a noise spike, not a
-    resonance).  A fit that clears both gates raises NonConvergence only
-    when no stop test fired: _MAX_ITER (200) iterations ran out, or 50
-    tenfold damping increases found no step that does not raise the rss.
+    fitted amplitude does not clear twice the residual scatter, the fitted
+    width collapses below the sample spacing (a noise spike, not a
+    resonance) or the fitted centre lies outside the swept range.  A fit
+    that clears these gates raises NonConvergence only when no stop test
+    fired: _MAX_ITER (200) iterations ran out, or 50 tenfold damping
+    increases found no step that does not raise the rss.
     """
     x = sweep.frequency_hz
     y = sweep.lockin_v
@@ -195,6 +196,11 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
         raise NoPeakFound(
             f"fitted width {width:.3g} Hz is below the sample spacing "
             f"{spacing:.3g} Hz"
+        )
+    if not x[0] <= center <= x[-1]:
+        raise NoPeakFound(
+            f"fitted centre {center:.6g} Hz lies outside the sweep "
+            f"{x[0]:.6g} to {x[-1]:.6g} Hz"
         )
     if stop is None:
         raise NonConvergence(f"no convergence after {n_iter} iterations")

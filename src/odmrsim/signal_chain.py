@@ -51,15 +51,9 @@ column sums to the sampled demodulation gain (2/n) sum_{cos<0} |cos|,
 into the next dwell at the shipped 10 tau dwell.  Shot noise adds the
 demodulated residual of the drawn counts about the noise-free rate.
 
-Without noise dc_v needs no per-sample array either.  The settling
-discard ceil(5 tau fs) is at least n - 1 samples, because tau exceeds one
-period, so every comb output in a dwell's settled window averages n
-inputs of that dwell alone, at one level, and these outputs repeat every
-n samples: each is the same n-term dot product of the same inputs in the
-same order.  So one convolve over the 2n - 1 inputs that start n - 1
-before each settled window gives a dwell's n outputs, and tiled over the
-window they reproduce the time-domain mean bit for bit, provided each
-tiled row is contiguous: mean(axis=1) then sums it in the same order.
+Without noise dc_v is exactly k_v rate0 (1 - level m/n), m the RF-on
+samples per n-sample cycle: after the settling discard (5 tau, over five
+periods) every comb output averages one whole gate cycle at one level.
 """
 
 from __future__ import annotations
@@ -481,37 +475,6 @@ def _settled_means(values: np.ndarray, dwell_n: int, settle_n: int) -> np.ndarra
     return values.reshape(-1, dwell_n)[:, settle_n:].mean(axis=1)
 
 
-def _noise_free_dc(
-    cfg: LockInConfig,
-    levels: np.ndarray,
-    dwell_n: int,
-    settle_n: int,
-    rate0: float,
-    k_v: float,
-) -> np.ndarray:
-    """Settled cycle mean of k_v * rate0 * (1 - level * gate) per dwell.
-
-    Equal bit for bit to _settled_means of _CycleMean over the whole
-    series, from 2n - 1 inputs per dwell (module docstring).
-    """
-    n = cfg.samples_per_cycle
-    settled_n = dwell_n - settle_n
-    first = np.arange(levels.size) * dwell_n + settle_n - (n - 1)
-    gate = (_cycle_cos(cfg) < 0)[(first[:, None] + np.arange(2 * n - 1)) % n]
-    volts = k_v * (rate0 * (1.0 - levels[:, None] * gate))
-    comb = np.convolve(volts.ravel(), np.full(n, 1.0 / n), mode="valid")
-    comb = comb[np.arange(levels.size)[:, None] * (2 * n - 1) + np.arange(n)]
-    dc = np.empty(levels.size)
-    reps = -(-settled_n // n)
-    # np.tile's rows are C-contiguous, so mean(axis=1) sums each in the
-    # order _settled_means does; rows gathered along the sample axis
-    # (comb[:, k % n]) are not.  Chunks of at most _BLOCK samples (or one
-    # dwell) bound the memory of a sweep of any length, as its blocks do.
-    for block in _dwell_blocks(levels.size, settled_n):
-        dc[block] = np.tile(comb[block], reps)[:, :settled_n].mean(axis=1)
-    return dc
-
-
 def _dip_response(
     cfg: LockInConfig,
     phase: int,
@@ -581,12 +544,11 @@ def simulate_am_sweep(
     demodulation gain (2/n) sum_{cos<0} |cos(2 pi k / n)| (0.6472 at
     n = 10 samples per cycle, 1.0166 x 2/pi), plus the small carry-over of
     the previous dwell.  The noise-free lock-in comes from the shared
-    dwell-response operator and the noise-free dc_v from one comb cycle
-    per dwell, equal bit for bit to the time-domain cycle mean (module
-    docstring), so a noise-free sweep builds no per-sample array.  Shot
-    noise adds the demodulated residual of its per-sample draws, which
-    keep the order and stream of a seed, and takes dc_v from the cycle
-    mean of the drawn volts.
+    dwell-response operator and the noise-free dc_v is the exact one-cycle
+    mean (module docstring), so a noise-free sweep builds no per-sample
+    array.  Shot noise adds the demodulated residual of its per-sample
+    draws, which keep the order and stream of a seed, and takes dc_v from
+    the cycle mean of the drawn volts.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
@@ -617,9 +579,13 @@ def simulate_am_sweep(
         for j in range(n_lags):
             later = response[p + j :: n_phases]
             later += lags[p, j] * levels[p::n_phases][: later.size]
-    lockin = k_v * rate0 * response
+    scale = k_v * rate0
+    lockin = scale * response
     if not shot_noise:
-        dc = _noise_free_dc(cfg, levels, dwell_n, settle_n, rate0, k_v)
+        duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
+        # Rounds the small term, not 1 - level * duty, so it stays nearer
+        # the exact value.
+        dc = scale - scale * duty * levels
         return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
 
     rng = np.random.default_rng(seed)

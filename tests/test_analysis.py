@@ -102,6 +102,18 @@ def test_fit_rejects_flat_and_pure_noise_data():
         fit_lorentzian(sweep(x, rng.normal(0, 1.0, 101)))
 
 
+@pytest.mark.parametrize("seed", [40, 99])
+def test_fit_rejects_a_centre_outside_the_sweep(seed):
+    # A weak 98 MHz line under noise twice its height: the fit stops on a
+    # stop test with its centre below the sweep (seed 40, 94.4 MHz) or far
+    # above it (seed 99, 1.5 THz), so no resonance was found.
+    x = np.linspace(95e6, 101e6, 201)
+    y = lorentz(x, 98e6, 1e6, 4e-4, 0.0)
+    noisy = y + np.random.default_rng(seed).normal(0.0, 8e-4, x.size)
+    with pytest.raises(NoPeakFound, match="outside the sweep"):
+        fit_lorentzian(sweep(x, noisy))
+
+
 def reference_fit(monkeypatch, record):
     """The fit at the relative-step test alone, with ftol and gtol switched off."""
     with monkeypatch.context() as m:

@@ -340,6 +340,24 @@ def test_fit_non_convergence_is_domain_error(tmp_path, capsys, monkeypatch):
     assert not (out / "fit.json").exists()
 
 
+@pytest.mark.parametrize("seed", [40, 99])
+def test_fit_centre_outside_sweep_is_domain_error(tmp_path, capsys, seed):
+    # The fit stops on a stop test with its centre outside the sweep (94.4
+    # MHz at seed 40, 1.5 THz at seed 99, whose covariance is singular):
+    # a domain error that names the centre and writes nothing.
+    freq = np.linspace(95e6, 101e6, 201)
+    lockin = 4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12)
+    lockin += np.random.default_rng(seed).normal(0.0, 8e-4, freq.size)
+    sweep_path = tmp_path / "sweep.csv"
+    write_sweep(SweepRecord(freq, lockin, np.full(freq.size, 0.0635)), sweep_path)
+    out = tmp_path / "out"
+    assert main(["fit", str(sweep_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "outside the sweep" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_flat_data_is_domain_error(tmp_path, capsys):
     freq = np.linspace(95e6, 101e6, 101)
     record = SweepRecord(
@@ -703,7 +721,7 @@ def test_map_mini_grid_outputs(tmp_path):
 def test_noise_free_map_demodulates_no_per_cell_samples(tmp_path, monkeypatch):
     # Only the dwell-response operator, built once per map, runs the
     # demodulator or the cycle mean; the cells of a noise-free map reuse it
-    # and take dc_v from one comb cycle per dwell.
+    # and take dc_v from its closed form, the exact one-cycle mean.
     from odmrsim import signal_chain
 
     counted = {"demod": [], "comb": []}

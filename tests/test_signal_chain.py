@@ -9,6 +9,7 @@ update weight.
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +427,9 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         pytest.param(0.2, 1.0, 0.01, 2e-3, 41, 10, id="dwell-5-tau-1-settled-sample"),
         # Whole-cycle dwells whose 1,247 settled samples are not whole cycles.
         pytest.param(0.2, 1.0, 0.05, 5.01e-3, 41, 10, id="1247-settled-samples"),
+        # Odd n: the gate is on for 6 of 11 samples, and the 679-sample
+        # dwells start at every phase.
+        pytest.param(0.2, 1.0, 0.01234, 2e-3, 41, 11, id="11-samples-per-cycle"),
     ],
 )
 @pytest.mark.parametrize("shot_noise", [False, True])
@@ -451,7 +455,24 @@ def test_am_sweep_matches_per_dwell_reference(
     lockin, dc = reference_am_sweep(
         scene, plan, cfg, np.random.SeedSequence((0, 3, 7)), shot_noise
     )
-    np.testing.assert_array_equal(record.dc_v, dc)
+    if shot_noise:
+        np.testing.assert_array_equal(record.dc_v, dc)
+    else:
+        # Every settled comb output averages one whole gate cycle at one
+        # level, so dc_v is k_v rate0 (1 - level m/n) exactly; the
+        # time-domain reference misses that by a few ulp.
+        depth = synthesize_odmr(
+            scene.lines(), scene.broadening, scene.p_rf_w, scene.p_opt_w,
+            plan.frequencies(),
+        ).values
+        n = cfg.samples_per_cycle
+        duty = Fraction(int(np.sum(np.cos(2.0 * math.pi * np.arange(n) / n) < 0)), n)
+        k_rate = Fraction(scene.detector.volts_per_photon_rate) * Fraction(
+            scene.photon_rate_hz()
+        )
+        for value, level in zip(record.dc_v, depth):
+            exact = k_rate * (1 - Fraction(level) * duty)
+            assert abs(Fraction(value) - exact) <= Fraction(np.spacing(value))
     peak = np.max(np.abs(lockin))
     np.testing.assert_allclose(record.lockin_v, lockin, rtol=0, atol=1e-9 * peak)
 
