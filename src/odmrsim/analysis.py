@@ -1,8 +1,9 @@
 """Fitting and sensitivity analysis for demodulated ODMR data.
 
-The fitted amplitude of a demodulated sweep is (2/pi) * contrast * V_dc
-under the square-wave AM convention of the signal chain, so
-odmr_contrast defaults to dividing that gain back out.
+The fitted amplitude of a demodulated sweep is the signal chain's sampled
+demodulation gain (0.6472 at n = 10 samples per cycle) times contrast *
+V_dc, but odmr_contrast still divides by 2/pi by default, which reads the
+contrast 1.0166 x high at n = 10 (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -119,7 +120,9 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     resonance) or the fitted centre lies outside the swept range.  A fit
     that clears these gates raises NonConvergence only when no stop test
     fired: _MAX_ITER (200) iterations ran out, or 50 tenfold damping
-    increases found no step that does not raise the rss.
+    increases found no step that does not raise the rss.  A converged fit
+    whose covariance inv(J^T J) is singular or not finite raises
+    NoPeakFound, since its confidence intervals are undefined.
     """
     x = sweep.frequency_hz
     y = sweep.lockin_v
@@ -205,12 +208,13 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     if stop is None:
         raise NonConvergence(f"no convergence after {n_iter} iterations")
 
-    jtj = jac.T @ jac
     try:
-        cov = resid_rms**2 * np.linalg.inv(jtj)
-        sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        cov = resid_rms**2 * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        sigma = np.full(4, math.nan)
+        cov = np.full((4, 4), math.nan)
+    sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    if not np.all(np.isfinite(sigma)):
+        raise NoPeakFound("singular covariance: the confidence intervals are undefined")
     z95 = 1.959963984540054
     return LorentzFit(
         center_hz=float(center),

@@ -244,23 +244,10 @@ def _map_cell(
         eta = shot_noise_sensitivity(
             fit.fwhm_hz, contrast, rate, g_factor=cfg.spin.g_factor
         )
-        return SensitivityPoint(
-            p_opt_w=p_opt,
-            p_rf_w=p_rf,
-            fwhm_hz=fit.fwhm_hz,
-            contrast=contrast,
-            rate_hz=rate,
-            eta_t_rthz=eta,
-        )
+        values = (fit.fwhm_hz, contrast, rate, eta)
     except (NoPeakFound, NonConvergence, ZeroDC):
-        return SensitivityPoint(
-            p_opt_w=p_opt,
-            p_rf_w=p_rf,
-            fwhm_hz=math.nan,
-            contrast=math.nan,
-            rate_hz=math.nan,
-            eta_t_rthz=math.nan,
-        )
+        values = (math.nan,) * 4
+    return SensitivityPoint(p_opt, p_rf, *values)
 
 
 def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
@@ -287,16 +274,13 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()
 
-    cells = [
-        (i, j, float(po), float(pr))
+    points = [
+        _map_cell(
+            cfg, scene, float(po), float(pr), np.random.SeedSequence((args.seed, i, j))
+        )
         for i, po in enumerate(p_opts)
         for j, pr in enumerate(p_rfs)
     ]
-
-    points = []
-    for i, j, po, pr in cells:
-        seed = np.random.SeedSequence((args.seed, i, j))
-        points.append(_map_cell(cfg, scene, po, pr, seed))
 
     n_failed = sum(not math.isfinite(p.eta_t_rthz) for p in points)
     if n_failed == len(points):
@@ -321,13 +305,11 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
         write_map_csv(points, stage("map.csv"))
         write_json_record(payload, stage("argmin.json"))
         if args.svg:
-            z = np.full((p_rfs.size, p_opts.size), math.nan)
-            for idx, (i, j, _, _) in enumerate(cells):
-                z[j, i] = points[idx].eta_t_rthz
+            eta = np.array([p.eta_t_rthz for p in points])
             heatmap(
                 p_opts,
                 p_rfs,
-                z,
+                eta.reshape(p_opts.size, p_rfs.size).T,
                 stage("map.svg"),
                 title="sensitivity (T per sqrt Hz)",
                 x_label="optical power (W)",

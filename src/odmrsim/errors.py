@@ -48,7 +48,7 @@ class DeviationTooLarge(OdmrError):
 
 
 class NoPeakFound(OdmrError):
-    """Fitted peak amplitude is indistinguishable from the residual noise."""
+    """Fit found no resonance, or one whose covariance is singular."""
 
 
 class NonConvergence(OdmrError):

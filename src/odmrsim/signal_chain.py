@@ -4,9 +4,11 @@ Scaling convention
 ------------------
 The demodulator multiplies the input by a unit-amplitude cosine reference
 and low-passes the product with a gain of two, so a square-wave
-amplitude-modulated input of depth d * V_dc settles to (2/pi) * d * V_dc
-(the amplitude of the fundamental Fourier component).  Analysis code that
-wants the physical contrast back multiplies by pi/2.
+amplitude-modulated input of depth d * V_dc settles to the sampled gain
+(2/n) sum_{cos<0} |cos(2 pi k / n)| times d * V_dc, n samples per cycle
+(0.6472 at n = 10, tending to the fundamental's 2/pi as n grows).
+odmr_contrast still divides by 2/pi to get the physical contrast back,
+which reads it 1.0166 x high at n = 10 (ROADMAP item 5).
 
 The low-pass is a one-modulation-period moving average (a synchronous comb
 whose nulls sit exactly on the carrier and its harmonics) followed by a
@@ -25,14 +27,15 @@ does not depend on how a series is split into blocks.
 
 Modulation clocks
 -----------------
-The AM gate drives the RF on while cos(2 pi f_mod t) < 0, the FM switcher
-sits at +deviation while cos(2 pi f_mod t) >= 0, and the reference is
-cos(2 pi f_mod t) itself, so an ODMR dip demodulates positive and the FM
-discriminator has positive slope for a carrier parked above resonance.
-Both clocks and the reference are read from one-cycle tables indexed by the
-sample number modulo samples_per_cycle, so every cycle is the same: cos
-evaluated at large sample numbers would let rounding flip the samples that
-sit exactly on cos = 0 when samples_per_cycle is divisible by 4.
+One gate table drives both modes: the gate is on while cos(2 pi f_mod t)
+< 0, where AM turns the RF on and FM switches the carrier to -deviation
+(+deviation while the gate is off).  The reference is cos(2 pi f_mod t)
+itself, so an ODMR dip demodulates positive and the FM discriminator has
+positive slope for a carrier parked above resonance.  The gate and the
+reference are one-cycle tables indexed by the sample number modulo
+samples_per_cycle, so every cycle is the same: cos evaluated at large
+sample numbers would let rounding flip the samples that sit exactly on
+cos = 0 when samples_per_cycle is divisible by 4.
 
 Dwell response
 --------------
@@ -197,7 +200,7 @@ class LockInConfig:
             )
         if self.fm_deviation_hz is None or self.fm_deviation_hz <= 0:
             raise ValueError("fm_deviation_hz must be positive")
-        # The FM slope runs simulate 8 tau; the settling discard is 5 tau.
+        # The FM slope runs one 8 tau dwell; the settling discard is 5 tau.
         if 8.0 * self.time_constant_s * self.sample_rate_hz > MAX_SAMPLES:
             raise ValueError(
                 "time_constant_s x sample_rate_hz must be at most "
@@ -340,11 +343,6 @@ def _periodic(cycle: np.ndarray, index: int, n: int) -> np.ndarray:
 def _am_gate(cfg: LockInConfig, index: int, n: int) -> np.ndarray:
     """RF-on flags of the AM gate (cos < 0) for samples index .. index + n - 1."""
     return _periodic(_cycle_cos(cfg) < 0, index, n)
-
-
-def _fm_switch(cfg: LockInConfig, index: int, n: int) -> np.ndarray:
-    """FM deviation sign (+1 where cos >= 0) for samples index .. index + n - 1."""
-    return _periodic(np.where(_cycle_cos(cfg) >= 0, 1.0, -1.0), index, n)
 
 
 class _CycleMean:
@@ -602,28 +600,17 @@ def simulate_am_sweep(
     return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
 
 
-def _fm_settled_output(
-    peak: PeakShape, cfg: LockInConfig, v_dc: float, detuning_hz: float
-) -> float:
-    """Noise-free settled demodulator output with the carrier detuned."""
-    n = int(round(8.0 * cfg.time_constant_s * cfg.sample_rate_hz))
-    demod = _Demodulator(cfg)
-    sign = _fm_switch(cfg, 0, n)
-    nu_inst = peak.center_hz + detuning_hz + cfg.fm_deviation_hz * sign
-    depth = lorentzian_sum(nu_inst, [peak.center_hz], [peak.contrast], peak.fwhm_hz)
-    volts = v_dc * (1.0 - depth)
-    out = demod.process(volts)
-    return float(np.mean(out[cfg.settle_samples :]))
-
-
 def fm_discriminator_slope(
     peak: PeakShape, cfg: LockInConfig, v_dc: float
 ) -> float:
     """Demodulated volts per hertz of carrier detuning, at resonance.
 
-    Computed by symmetric numeric differentiation of the modelled FM
-    response so that any discretisation gain of the sampled chain cancels
-    when converting readouts back to frequency or field.
+    A symmetric numeric derivative of the modelled FM response, so that any
+    discretisation gain of the sampled chain cancels when readouts are
+    converted back to frequency or field.  At detuning d the input is
+    v_dc (1 - L(d + dev) - gate (L(d - dev) - L(d + dev))); the difference
+    at d = +-h is one 8 tau dip-response dwell, whose 5 to 8 tau window
+    keeps the start-up transient (0.287% low at 10 samples per cycle).
     """
     if cfg.fm_deviation_hz >= peak.fwhm_hz:
         raise DeviationTooLarge(
@@ -631,9 +618,15 @@ def fm_discriminator_slope(
             f"{peak.fwhm_hz:.3g} Hz"
         )
     h = peak.fwhm_hz / 100.0
-    plus = _fm_settled_output(peak, cfg, v_dc, +h)
-    minus = _fm_settled_output(peak, cfg, v_dc, -h)
-    return (plus - minus) / (2.0 * h)
+    dev = cfg.fm_deviation_hz * np.array([1.0, -1.0])
+    nu = peak.center_hz + np.array([[h], [-h]]) + dev  # rows +-h, columns +-dev
+    (up_p, down_p), (up_m, down_m) = v_dc * lorentzian_sum(
+        nu, [peak.center_hz], [peak.contrast], peak.fwhm_hz
+    )
+    offset, dip = up_m - up_p, (down_p - up_p) - (down_m - up_m)
+    n = int(round(8.0 * cfg.time_constant_s * cfg.sample_rate_hz))
+    diff = _dip_response(cfg, 0, n, cfg.settle_samples, offset, np.array([dip]))
+    return float(diff[0]) / (2.0 * h)
 
 
 @dataclass
@@ -674,29 +667,30 @@ def _line_slopes(scene: Scene, h: float) -> np.ndarray:
     return shifts / (2.0 * h)
 
 
-def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray]:
-    """Scene lines at the bias field plus each line's d(freq)/d(bz) slope.
+def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray, int]:
+    """Scene lines, each line's d(freq)/d(bz) and the tracked (first) nu2 line.
 
     Slopes are central differences over +-1 uT.  In a transverse field
     within 1 uT of bz = 0, the label nu2 can name one line below the bias
     and another above it, and its slope then reads hundreds of gamma.  So
-    the tracked (first) nu2 line's slope is also taken over +-0.1 uT; where
-    the two differ by more than half of the larger, ValueError says the
-    slope is undefined.
+    the tracked line's slope is also taken over +-0.1 uT; where the two
+    differ by more than half of the larger, ValueError says the slope is
+    undefined.  A scene with no nu2 line raises ValueError too.
     """
     lines = scene.lines()
-    slopes = _line_slopes(scene, 1e-6)
     labels = [ln.label for ln in lines]
-    if "nu2" in labels:
-        nu2 = labels.index("nu2")
-        wide, narrow = slopes[nu2], _line_slopes(scene, 1e-7)[nu2]
-        if abs(wide - narrow) > 0.5 * max(abs(wide), abs(narrow)):
-            raise ValueError(
-                f"d(nu2)/d(bz) at bz = {scene.field.bz_t:g} T is "
-                f"{wide:.4g} Hz/T over 1 uT but {narrow:.4g} Hz/T over "
-                "0.1 uT, so the field slope is undefined there"
-            )
-    return lines, slopes
+    if "nu2" not in labels:
+        raise ValueError("scene produces no nu2 line to track")
+    nu2 = labels.index("nu2")
+    slopes = _line_slopes(scene, 1e-6)
+    wide, narrow = slopes[nu2], _line_slopes(scene, 1e-7)[nu2]
+    if abs(wide - narrow) > 0.5 * max(abs(wide), abs(narrow)):
+        raise ValueError(
+            f"d(nu2)/d(bz) at bz = {scene.field.bz_t:g} T is "
+            f"{wide:.4g} Hz/T over 1 uT but {narrow:.4g} Hz/T over "
+            "0.1 uT, so the field slope is undefined there"
+        )
+    return lines, slopes, nu2
 
 
 def _filter_energy_pure(cfg: LockInConfig) -> float:
@@ -740,11 +734,7 @@ def simulate_fm_tracking(
     if rate0 <= 0:
         raise ValueError("scene photon rate must be positive for tracking")
 
-    lines, slopes = _line_table(scene)
-    labels = [ln.label for ln in lines]
-    if "nu2" not in labels:
-        raise ValueError("scene produces no nu2 line to track")
-    nu2 = labels.index("nu2")
+    lines, slopes, nu2 = _line_table(scene)
     fwhm = saturated_fwhm(scene.broadening, scene.p_rf_w)
     contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
     amps = np.array([contrast * ln.rel_strength for ln in lines])
@@ -764,7 +754,8 @@ def simulate_fm_tracking(
         # of the modulated line times the reference.  The settled output
         # variance is its mean square times the demod filter energy.
         n = cfg.samples_per_cycle
-        nu_cycle = carrier + cfg.fm_deviation_hz * _fm_switch(cfg, 0, n)
+        sign = np.where(_am_gate(cfg, 0, n), -1.0, 1.0)
+        nu_cycle = carrier + cfg.fm_deviation_hz * sign
         eps = 1e-8
         plus = lorentzian_sum(nu_cycle, centers + slopes * eps, amps, fwhm)
         minus = lorentzian_sum(nu_cycle, centers - slopes * eps, amps, fwhm)
@@ -789,9 +780,8 @@ def simulate_fm_tracking(
         db = timeline.value_at(t) - bias
         if noise is not None:
             db = db + noise[block]
-        nu_inst = carrier + cfg.fm_deviation_hz * _fm_switch(
-            cfg, block.start, db.size
-        )
+        sign = np.where(_am_gate(cfg, block.start, db.size), -1.0, 1.0)
+        nu_inst = carrier + cfg.fm_deviation_hz * sign
         moving = (center + slope * db for center, slope in zip(centers, slopes))
         depth = lorentzian_sum(nu_inst, moving, amps, fwhm)
         rate = rate0 * (1.0 - depth)

@@ -114,6 +114,22 @@ def test_fit_rejects_a_centre_outside_the_sweep(seed):
         fit_lorentzian(sweep(x, noisy))
 
 
+def singular_inv(jtj):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def nan_inv(jtj):
+    return np.full(np.shape(jtj), math.nan)
+
+
+@pytest.mark.parametrize("inv", [singular_inv, nan_inv], ids=["raises", "nan"])
+def test_fit_with_singular_covariance_finds_no_peak(monkeypatch, inv):
+    x, y = clean_sweep()
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    with pytest.raises(NoPeakFound, match="singular covariance"):
+        fit_lorentzian(sweep(x, y))
+
+
 def reference_fit(monkeypatch, record):
     """The fit at the relative-step test alone, with ftol and gtol switched off."""
     with monkeypatch.context() as m:

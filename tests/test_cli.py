@@ -358,6 +358,28 @@ def test_fit_centre_outside_sweep_is_domain_error(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("result", ["raises", "nan"])
+def test_fit_singular_covariance_is_domain_error(
+    tmp_path, capsys, monkeypatch, result
+):
+    def inv(jtj):
+        if result == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full(np.shape(jtj), np.nan)
+
+    monkeypatch.setattr(np.linalg, "inv", inv)
+    freq = np.linspace(95e6, 101e6, 201)
+    lockin = 4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12)
+    sweep_path = tmp_path / "sweep.csv"
+    write_sweep(SweepRecord(freq, lockin, np.full(freq.size, 0.0635)), sweep_path)
+    out = tmp_path / "out"
+    assert main(["fit", str(sweep_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "singular covariance" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_flat_data_is_domain_error(tmp_path, capsys):
     freq = np.linspace(95e6, 101e6, 101)
     record = SweepRecord(
@@ -574,6 +596,9 @@ def test_failed_steps_writes_nothing(tmp_path, capsys):
         # A transverse field alone: nu2 names one line 1 uT below bz = 0 and
         # another above, so its slope there reads -98 gamma over 1 uT.
         ({"field": {"bx_t": 1e-4, "bz_t": 0.0}}, "field slope is undefined"),
+        # A 3 mT transverse field mixes the levels until no line is
+        # labelled nu2: two nu1 lines and m2_plus remain.
+        ({"field": {"bx_t": 3e-3, "bz_t": 1e-3}}, "no nu2 line to track"),
         # Likewise within the 1 uT difference step of bz = 0; the slope read
         # -2.758e12 Hz/T and the run reported 0.20 nT/sqrt(Hz).
         ({"field": {"bx_t": 1e-4, "bz_t": 5e-7}}, "field slope is undefined"),
@@ -586,7 +611,13 @@ def test_failed_steps_writes_nothing(tmp_path, capsys):
             "lines change within",
         ),
     ],
-    ids=["no-contrast", "no-field-slope", "nu2-changes-branch", "line-set-changes"],
+    ids=[
+        "no-contrast",
+        "no-field-slope",
+        "no-nu2-line",
+        "nu2-changes-branch",
+        "line-set-changes",
+    ],
 )
 def test_untrackable_steps_scene_writes_nothing(tmp_path, capsys, data, message):
     cfg = write_config(tmp_path, {**MINI_STEPS_CONFIG, **data})

@@ -51,7 +51,6 @@ from odmrsim.signal_chain import (
     _Demodulator,
     _dwell_response,
     _filter_energy_pure,
-    _fm_switch,
     _line_table,
     _Pole,
     _shot_counts,
@@ -235,11 +234,8 @@ def test_gate_and_switch_repeat_every_cycle(n):
     cfg = am_config(mod_freq_hz=5e3, sample_rate_hz=5e3 * n, time_constant_s=1e-3)
     n_cycles = -(-1_000_000 // n)
     gate = _am_gate(cfg, 0, n_cycles * n).reshape(n_cycles, n)
-    switch = _fm_switch(cfg, 0, n_cycles * n).reshape(n_cycles, n)
     assert np.all(gate == gate[0])
-    assert np.all(switch == switch[0])
     assert gate[0].sum() == n // 2
-    np.testing.assert_array_equal(switch[0], np.where(gate[0], -1.0, 1.0))
 
 
 def test_demodulator_output_independent_of_block_split():
@@ -562,6 +558,35 @@ def test_fm_slope_matches_analytic_derivative():
     assert slope > 0
 
 
+def reference_fm_slope(peak, cfg, v_dc):
+    """Per-sample FM slope: two 8 tau runs at detuning +-fwhm/100."""
+    n = int(round(8.0 * cfg.time_constant_s * cfg.sample_rate_hz))
+    sign = np.resize(np.where(_cycle_cos(cfg) >= 0, 1.0, -1.0), n)
+    h = peak.fwhm_hz / 100.0
+    settled = []
+    for detuning in (h, -h):
+        nu_inst = peak.center_hz + detuning + cfg.fm_deviation_hz * sign
+        depth = lorentzian_sum(
+            nu_inst, [peak.center_hz], [peak.contrast], peak.fwhm_hz
+        )
+        out = _Demodulator(cfg).process(v_dc * (1.0 - depth))
+        settled.append(np.mean(out[cfg.settle_samples :]))
+    return (settled[0] - settled[1]) / (2.0 * h)
+
+
+@pytest.mark.parametrize(
+    "deviation, sample_rate_hz", [(1e5, 500.0), (2e5, 500.0), (1e5, 550.0)]
+)
+def test_fm_slope_matches_per_sample_reference(deviation, sample_rate_hz):
+    # n = 10 and 11 samples per cycle.
+    peak = PeakShape(center_hz=98.04e6, fwhm_hz=1.0e6, contrast=0.016)
+    cfg = replace(fm_config(deviation=deviation), sample_rate_hz=sample_rate_hz)
+    expected = reference_fm_slope(peak, cfg, 0.0636)
+    assert fm_discriminator_slope(peak, cfg, 0.0636) == pytest.approx(
+        expected, rel=1e-11
+    )
+
+
 def test_fm_slope_rejects_large_deviation():
     peak = PeakShape(center_hz=98e6, fwhm_hz=0.5e6, contrast=0.016)
     with pytest.raises(DeviationTooLarge):
@@ -614,7 +639,7 @@ def test_lines_sharing_a_label_each_get_their_own_slope():
         spin=SpinParams(zfs_hz=6.3e6, g_factor=2.0996),
         field=FieldVector(1.19e-3, -1.56e-3, -1.46e-3),
     )
-    lines, slopes = _line_table(scene)
+    lines, slopes, _ = _line_table(scene)
     assert [ln.label for ln in lines].count("nu2") == 2
     h = 1e-6
     plus_lines, minus_lines = (
@@ -635,13 +660,14 @@ def test_lines_sharing_a_label_each_get_their_own_slope():
 
 def reference_field_noise_sigma(target, scene, cfg, slope_v):
     """Reference field-noise input sigma, summing the field slope line by line."""
-    lines, slopes = _line_table(scene)
+    lines, slopes, _ = _line_table(scene)
     fwhm = saturated_fwhm(scene.broadening, scene.p_rf_w)
     contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
     carrier = next(ln.frequency_hz for ln in lines if ln.label == "nu2")
     gamma_eff = slopes[[ln.label for ln in lines].index("nu2")]
     n = cfg.samples_per_cycle
-    nu_inst = carrier + cfg.fm_deviation_hz * _fm_switch(cfg, 0, n)
+    sign = np.where(_cycle_cos(cfg) >= 0, 1.0, -1.0)
+    nu_inst = carrier + cfg.fm_deviation_hz * sign
     eps = 1e-8
     dv_db = np.zeros(n)
     for ln, line_slope in zip(lines, slopes):
