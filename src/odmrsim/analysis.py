@@ -4,12 +4,15 @@ The fitted amplitude of a demodulated sweep is the signal chain's sampled
 demodulation gain (0.6472 at n = 10 samples per cycle) times contrast *
 V_dc, but odmr_contrast still divides by 2/pi by default, which reads the
 contrast 1.0166 x high at n = 10 (ROADMAP item 5).
+
+A sensitivity map is four (n_opt, n_rf) arrays, fwhm_hz, contrast,
+rate_hz and eta_t_rthz, rows by optical and columns by RF power.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .errors import (
     ScheduleMismatch,
     ZeroDC,
 )
-from .io_formats import SweepRecord
+from .io_formats import MAP_HEADER, SweepRecord
 from .lineshape import BroadeningModel, saturated_contrast, saturated_fwhm
 from .lineshape import lorentzian_sum
 from .signal_chain import (
@@ -114,10 +117,11 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     step (_REL_TOL), tested after each accepted step; the relative rss
     reduction (_FTOL), tested on every trial, so a fit whose rss has stalled
     stops there; and the residual-Jacobian cosine (_GTOL), tested before
-    each step.  Wherever the loop ends, NoPeakFound is raised when the
-    fitted amplitude does not clear twice the residual scatter, the fitted
-    width collapses below the sample spacing (a noise spike, not a
-    resonance) or the fitted centre lies outside the swept range.  A fit
+    each step.  Three accepted steps in a row with |width| below the sample
+    spacing (a fit chasing a noise spike) end it too.  Wherever the loop
+    ends, NoPeakFound is raised when the fitted amplitude does not clear
+    twice the residual scatter, the fitted width is below the sample
+    spacing or the fitted centre lies outside the swept range.  A fit
     that clears these gates raises NonConvergence only when no stop test
     fired: _MAX_ITER (200) iterations ran out, or 50 tenfold damping
     increases found no step that does not raise the rss.  A converged fit
@@ -132,6 +136,7 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     params = _initial_guess(x, y)
     if params[2] == 0.0:
         raise NoPeakFound("input data are exactly flat")
+    spacing = float(np.median(np.diff(x)))
 
     model, parts = _lorentz_model(params, x)
     jac = _lorentz_jac(parts)
@@ -140,6 +145,7 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     lam = 1e-3
     stop = None
     n_iter = 0
+    narrow = 0  # accepted steps in a row with |width| below the spacing
     for n_iter in range(1, _MAX_ITER + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ resid
@@ -182,7 +188,8 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
             lam = max(lam / 10.0, 1e-12)
             if stop is None and rel_step < _REL_TOL:
                 stop = "step"
-        if stop or not accepted:
+            narrow = narrow + 1 if abs(params[1]) < spacing else 0
+        if stop or not accepted or narrow == 3:
             break
 
     center, width, amp, offset = params
@@ -194,7 +201,6 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
             f"fitted amplitude {amp:.3g} below twice the residual scatter "
             f"{resid_rms:.3g}"
         )
-    spacing = float(np.median(np.diff(x)))
     if width < spacing:
         raise NoPeakFound(
             f"fitted width {width:.3g} Hz is below the sample spacing "
@@ -246,43 +252,35 @@ def odmr_contrast(
     return abs(fit.amplitude) / (dc_v * demod_gain)
 
 
-def shot_noise_sensitivity(
-    fwhm_hz: float,
-    contrast: float,
-    rate_hz: float,
-    g_factor: float = G_FACTOR,
-) -> float:
-    """Photon shot-noise limited field sensitivity in T / sqrt(Hz)."""
-    for name, value in (
-        ("fwhm_hz", fwhm_hz),
-        ("contrast", contrast),
-        ("rate_hz", rate_hz),
-    ):
-        if value <= 0:
-            raise NonPositiveInput(f"{name} must be positive, got {value}")
+def shot_noise_sensitivity(fwhm_hz, contrast, rate_hz, g_factor: float = G_FACTOR):
+    """Photon shot-noise limited field sensitivity in T / sqrt(Hz).
+
+    Takes numbers, which give a float, or arrays, where a NaN input gives a
+    NaN cell; any input at or below zero raises NonPositiveInput.
+    """
+    inputs = {"fwhm_hz": fwhm_hz, "contrast": contrast, "rate_hz": rate_hz}
+    for name, value in inputs.items():
+        if np.any(value <= 0):
+            raise NonPositiveInput(f"{name} must be positive, got {np.nanmin(value)}")
     gamma = gyromagnetic_ratio(g_factor)
-    return SHOT_NOISE_PREFACTOR * fwhm_hz / (gamma * contrast * math.sqrt(rate_hz))
+    out = SHOT_NOISE_PREFACTOR * fwhm_hz / (gamma * contrast * np.sqrt(rate_hz))
+    return out if np.ndim(out) else float(out)
 
 
-@dataclass(frozen=True)
-class SensitivityPoint:
-    p_opt_w: float
-    p_rf_w: float
-    fwhm_hz: float
-    contrast: float
-    rate_hz: float
-    eta_t_rthz: float
+def map_argmin(p_opt_w, p_rf_w, arrays) -> dict:
+    """The argmin.json record of the best cell of a map's four arrays.
 
-
-@dataclass
-class SensitivityMap:
-    points: list[SensitivityPoint] = field(default_factory=list)
-
-    def best(self) -> SensitivityPoint:
-        finite = [p for p in self.points if math.isfinite(p.eta_t_rthz)]
-        if not finite:
-            raise EmptyGrid("no finite sensitivity values in map")
-        return min(finite, key=lambda p: (p.eta_t_rthz, p.p_opt_w, p.p_rf_w))
+    That is the first least finite eta in grid order, so on ascending axes
+    a tie goes to the lowest p_opt_w, then the lowest p_rf_w.  Raises
+    EmptyGrid when no cell is finite.
+    """
+    eta = arrays[-1]
+    finite = np.isfinite(eta)
+    if not finite.any():
+        raise EmptyGrid("no finite sensitivity values in map")
+    i, j = np.unravel_index(np.argmin(np.where(finite, eta, np.inf)), eta.shape)
+    values = (p_opt_w[i], p_rf_w[j], *(a[i, j] for a in arrays))
+    return dict(zip(MAP_HEADER.split(","), map(float, values)))
 
 
 def build_sensitivity_map(
@@ -291,33 +289,25 @@ def build_sensitivity_map(
     p_opt_values,
     p_rf_values,
     g_factor: float = G_FACTOR,
-) -> SensitivityMap:
-    """Closed-form sensitivity over a power grid (no signal simulation)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form map arrays over a power grid (no signal simulation).
+
+    eta is NaN where the contrast or the rate is zero.
+    """
     p_opt = np.asarray(p_opt_values, dtype=float)
     p_rf = np.asarray(p_rf_values, dtype=float)
     if p_opt.size == 0 or p_rf.size == 0:
         raise EmptyGrid("power grid must have at least one point per axis")
-    points = []
-    for po in p_opt:
-        for pr in p_rf:
-            fwhm = saturated_fwhm(model, pr)
-            contrast = saturated_contrast(model, pr, po)
-            rate = pl_rate_per_w * po
-            if contrast > 0 and rate > 0:
-                eta = shot_noise_sensitivity(fwhm, contrast, rate, g_factor)
-            else:
-                eta = math.nan
-            points.append(
-                SensitivityPoint(
-                    p_opt_w=float(po),
-                    p_rf_w=float(pr),
-                    fwhm_hz=fwhm,
-                    contrast=contrast,
-                    rate_hz=rate,
-                    eta_t_rthz=eta,
-                )
-            )
-    return SensitivityMap(points=points)
+    fwhm, contrast, rate = np.broadcast_arrays(
+        saturated_fwhm(model, p_rf),
+        saturated_contrast(model, p_rf, p_opt[:, None]),
+        pl_rate_per_w * p_opt[:, None],
+    )
+    live = (contrast > 0) & (rate > 0)
+    eta = shot_noise_sensitivity(
+        *(np.where(live, v, math.nan) for v in (fwhm, contrast, rate)), g_factor
+    )
+    return fwhm, contrast, rate, eta
 
 
 @dataclass

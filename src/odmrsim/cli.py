@@ -28,18 +28,17 @@ import math
 import shutil
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
-    SensitivityMap,
-    SensitivityPoint,
     analyze_steps,
     build_sensitivity_map,
     fit_lorentzian,
+    map_argmin,
     odmr_contrast,
     shot_noise_sensitivity,
     step_windows,
@@ -230,9 +229,10 @@ def cmd_fit(args, cfg: ConfigDoc, t0: float) -> int:
 
 
 def _map_cell(
-    cfg: ConfigDoc, scene: Scene, p_opt: float, p_rf: float, seed
-) -> SensitivityPoint:
-    scene = replace(scene, p_opt_w=p_opt, p_rf_w=p_rf)
+    cfg: ConfigDoc, scene: Scene, p_opt, p_rf, seed
+) -> tuple[float, float, float]:
+    """fwhm_hz, contrast and rate_hz of one simulated cell; NaNs if it fails."""
+    scene = replace(scene, p_opt_w=float(p_opt), p_rf_w=float(p_rf))
     record = simulate_am_sweep(
         scene, cfg.sweep, cfg.lockin, seed=seed, shot_noise=cfg.detector.shot_noise
     )
@@ -240,14 +240,9 @@ def _map_cell(
         fit = fit_lorentzian(record)
         dc = float(np.nanmedian(record.dc_v))
         contrast = odmr_contrast(fit, dc)
-        rate = photon_rate_from_voltage(dc, scene.detector)
-        eta = shot_noise_sensitivity(
-            fit.fwhm_hz, contrast, rate, g_factor=cfg.spin.g_factor
-        )
-        values = (fit.fwhm_hz, contrast, rate, eta)
     except (NoPeakFound, NonConvergence, ZeroDC):
-        values = (math.nan,) * 4
-    return SensitivityPoint(p_opt, p_rf, *values)
+        return (math.nan,) * 3
+    return fit.fwhm_hz, contrast, photon_rate_from_voltage(dc, scene.detector)
 
 
 def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
@@ -274,18 +269,17 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()
 
-    points = [
-        _map_cell(
-            cfg, scene, float(po), float(pr), np.random.SeedSequence((args.seed, i, j))
-        )
+    cells = [
+        [_map_cell(cfg, scene, po, pr, (args.seed, i, j)) for j, pr in enumerate(p_rfs)]
         for i, po in enumerate(p_opts)
-        for j, pr in enumerate(p_rfs)
     ]
-
-    n_failed = sum(not math.isfinite(p.eta_t_rthz) for p in points)
-    if n_failed == len(points):
+    fwhm, contrast, rate = np.moveaxis(np.array(cells), -1, 0)
+    eta = shot_noise_sensitivity(fwhm, contrast, rate, g_factor=cfg.spin.g_factor)
+    n_failed = int(np.count_nonzero(~np.isfinite(eta)))
+    if n_failed == eta.size:
         raise NoPeakFound("no map cell produced a fittable resonance")
-    best = SensitivityMap(points).best()
+    simulated = (fwhm, contrast, rate, eta)
+    best = map_argmin(p_opts, p_rfs, simulated)
 
     analytic = build_sensitivity_map(
         cfg.lineshape,
@@ -296,20 +290,19 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
     )
     payload = {
         "format_version": FORMAT_VERSION,
-        "simulated": asdict(best),
-        "analytic": asdict(analytic.best()),
-        "n_cells": len(points),
+        "simulated": best,
+        "analytic": map_argmin(p_opts, p_rfs, analytic),
+        "n_cells": eta.size,
         "n_failed": n_failed,
     }
     with _publish(args, cfg, t0) as stage:
-        write_map_csv(points, stage("map.csv"))
+        write_map_csv(p_opts, p_rfs, simulated, stage("map.csv"))
         write_json_record(payload, stage("argmin.json"))
         if args.svg:
-            eta = np.array([p.eta_t_rthz for p in points])
             heatmap(
                 p_opts,
                 p_rfs,
-                eta.reshape(p_opts.size, p_rfs.size).T,
+                eta.T,
                 stage("map.svg"),
                 title="sensitivity (T per sqrt Hz)",
                 x_label="optical power (W)",
@@ -317,8 +310,8 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
             )
     print(
         f"map: {p_opts.size}x{p_rfs.size} cells, best "
-        f"{best.eta_t_rthz * 1e9:.3f} nT/sqrt(Hz) at "
-        f"p_opt {best.p_opt_w:.3g} W, p_rf {best.p_rf_w:.3g} W"
+        f"{best['eta_t_rthz'] * 1e9:.3f} nT/sqrt(Hz) at "
+        f"p_opt {best['p_opt_w']:.3g} W, p_rf {best['p_rf_w']:.3g} W"
     )
     return 0
 

@@ -179,11 +179,13 @@ def _read_table(path, header: str, required: int) -> list[np.ndarray]:
 # sensitivity map CSV
 
 
-def write_map_csv(points, path) -> Path:
-    """Write sensitivity map rows; points need the map column attributes."""
-    ordered = sorted(points, key=lambda p: (p.p_opt_w, p.p_rf_w))
-    names = MAP_HEADER.split(",")
-    rows = format_rows(*([getattr(p, name) for p in ordered] for name in names))
+def write_map_csv(p_opt_w, p_rf_w, arrays, path) -> Path:
+    """Write map rows in grid order, by p_opt_w, then p_rf_w.
+
+    arrays holds the (n_opt, n_rf) arrays of the other columns, NaN as empty.
+    """
+    p_opt, p_rf = np.meshgrid(p_opt_w, p_rf_w, indexing="ij")
+    rows = format_rows(*(np.ravel(a) for a in (p_opt, p_rf, *arrays)))
     return _write_text(path, "\n".join([MAP_HEADER, *rows]) + "\n")
 
 

@@ -118,11 +118,18 @@ def lorentzian_sum(frequency_hz, centers_hz, amplitudes, fwhm_hz) -> np.ndarray:
 
 
 def saturated_fwhm(model: BroadeningModel, p_rf_w):
-    """RF-power-broadened linewidth; independent of optical power."""
+    """RF-power-broadened linewidth; independent of optical power.
+
+    Raises ValueError where the linewidth or its square, which every
+    Lorentzian takes, overflows.
+    """
     p_rf = np.asarray(p_rf_w, dtype=float)
     if np.any(p_rf < 0):
         raise ValueError("p_rf_w must be non-negative")
-    out = model.fwhm0_hz * np.sqrt(1.0 + p_rf / model.rf_sat_w)
+    with np.errstate(over="ignore"):
+        out = model.fwhm0_hz * np.sqrt(1.0 + p_rf / model.rf_sat_w)
+        if not np.all(np.isfinite(out * out)):
+            raise ValueError(f"p_rf_w {np.max(p_rf):g} W: the linewidth overflows")
     return out if out.ndim else float(out)
 
 

@@ -295,7 +295,10 @@ class Scene:
     p_rf_w: float
 
     def photon_rate_hz(self) -> float:
-        return self.pl_rate_per_w * self.p_opt_w
+        rate = self.pl_rate_per_w * self.p_opt_w
+        if not math.isfinite(rate):
+            raise ValueError(f"p_opt_w {self.p_opt_w:g} W: the photon rate overflows")
+        return rate
 
     def dc_voltage(self) -> float:
         return voltage_from_photon_rate(self.photon_rate_hz(), self.detector)

@@ -20,7 +20,10 @@ from odmrsim import (
     analyze_steps,
     build_sensitivity_map,
     fit_lorentzian,
+    map_argmin,
     odmr_contrast,
+    saturated_contrast,
+    saturated_fwhm,
     shot_noise_sensitivity,
 )
 from odmrsim import analysis
@@ -168,11 +171,8 @@ def test_each_stop_test_ends_a_fit_near_the_reference(
         assert abs(getattr(fit, key) - getattr(ref, key)) <= 0.01 * half_width
 
 
-def test_failing_fit_stops_early(monkeypatch):
-    # Pure noise holds no resonance.  With the step test alone this fit runs
-    # all 200 iterations (397 solves) before its amplitude gate rejects it.
-    x = np.linspace(95e6, 101e6, 101)
-    noise = sweep(x, np.random.default_rng(3).normal(0.0, 1.0, x.size))
+def count_solves(monkeypatch) -> list:
+    """A list that grows by one on every np.linalg.solve call."""
     real_solve = np.linalg.solve
     calls = []
 
@@ -181,9 +181,30 @@ def test_failing_fit_stops_early(monkeypatch):
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    return calls
+
+
+def test_failing_fit_stops_early(monkeypatch):
+    # Pure noise holds no resonance.  With the step test alone this fit runs
+    # all 200 iterations (397 solves) before its amplitude gate rejects it.
+    x = np.linspace(95e6, 101e6, 101)
+    noise = sweep(x, np.random.default_rng(3).normal(0.0, 1.0, x.size))
+    calls = count_solves(monkeypatch)
     with pytest.raises(NoPeakFound):
         fit_lorentzian(noise)
     assert 0 < len(calls) <= 80
+
+
+def test_pure_noise_fit_ends_once_its_width_collapses(monkeypatch):
+    # The fit follows a spike onto one sample while the rss falls by about
+    # 1e-6 relative a step, so no stop test fires: 194 solves before the
+    # width-collapse exit, 26 with it.
+    x = np.linspace(95e6, 101e6, 201)
+    noise = sweep(x, np.random.default_rng(1).normal(0.0, 1.0, x.size))
+    calls = count_solves(monkeypatch)
+    with pytest.raises(NoPeakFound, match="below the sample spacing"):
+        fit_lorentzian(noise)
+    assert len(calls) == 26
 
 
 def test_fit_out_of_iterations_is_non_convergence(monkeypatch):
@@ -230,6 +251,22 @@ def test_sensitivity_scalings():
     assert shot_noise_sensitivity(1e6, 0.01, 4e12) == pytest.approx(base / 2)
 
 
+def test_sensitivity_on_arrays_matches_scalars_bit_for_bit():
+    rng = np.random.default_rng(5)
+    fwhm = rng.uniform(1e5, 5e6, (4, 5))
+    contrast = rng.uniform(1e-3, 0.05, (4, 5))
+    rate = rng.uniform(1e10, 1e13, (4, 5))
+    contrast[1, 2] = math.nan
+    grid = shot_noise_sensitivity(fwhm, contrast, rate, g_factor=2.01)
+    for idx in np.ndindex(grid.shape):
+        one = shot_noise_sensitivity(
+            float(fwhm[idx]), float(contrast[idx]), float(rate[idx]), g_factor=2.01
+        )
+        assert type(one) is float
+        assert np.array_equal(grid[idx], one, equal_nan=True)
+    assert math.isnan(grid[1, 2])
+
+
 def test_sensitivity_rejects_non_positive_inputs():
     for bad in (
         (0.0, 0.01, 1e12),
@@ -244,43 +281,77 @@ def test_map_optimum_sits_at_exact_rf_balance():
     # For the quenched numbers d(eta)/d(p_rf) = 0 solves
     # 1/(2 (p + 0.25)) + 1/(p + 2/3) = 1/p, whose root is exactly 1 W.
     preset = PRESETS["quenched"]
+    p_opt, p_rf = np.array([0.4]), np.linspace(0.2, 1.8, 9)
     grid = build_sensitivity_map(
-        preset.broadening,
-        preset.pl_rate_per_w,
-        p_opt_values=[0.4],
-        p_rf_values=np.linspace(0.2, 1.8, 9),
+        preset.broadening, preset.pl_rate_per_w, p_opt, p_rf
     )
-    best = grid.best()
-    assert best.p_rf_w == pytest.approx(1.0)
-    assert best.eta_t_rthz == pytest.approx(3.525e-9, rel=1e-3)
+    best = map_argmin(p_opt, p_rf, grid)
+    assert best["p_rf_w"] == pytest.approx(1.0)
+    assert best["eta_t_rthz"] == pytest.approx(3.525e-9, rel=1e-3)
 
 
 def test_map_prefers_maximum_optical_power():
     preset = PRESETS["quenched"]
+    p_opt, p_rf = np.linspace(0.05, 0.4, 8), np.array([1.0])
     grid = build_sensitivity_map(
-        preset.broadening,
-        preset.pl_rate_per_w,
-        p_opt_values=np.linspace(0.05, 0.4, 8),
-        p_rf_values=[1.0],
+        preset.broadening, preset.pl_rate_per_w, p_opt, p_rf
     )
-    assert grid.best().p_opt_w == pytest.approx(0.4)
+    assert map_argmin(p_opt, p_rf, grid)["p_opt_w"] == pytest.approx(0.4)
 
 
 def test_map_preset_ratio():
     q = PRESETS["quenched"]
     a = PRESETS["annealed"]
-    eta_q = build_sensitivity_map(
-        q.broadening, q.pl_rate_per_w, [0.4], [1.0]
-    ).best()
-    eta_a = build_sensitivity_map(
-        a.broadening, a.pl_rate_per_w, [0.4], [1.0]
-    ).best()
+    *_, eta_q = build_sensitivity_map(q.broadening, q.pl_rate_per_w, [0.4], [1.0])
+    *_, eta_a = build_sensitivity_map(a.broadening, a.pl_rate_per_w, [0.4], [1.0])
     # contrast ratio 10, PL ratio 1.5 and linewidth ratio 600/450 combine
     # to 10 * sqrt(1.5) * 4/3.
     expected = 10.0 * math.sqrt(1.5) * (600.0 / 450.0)
-    assert eta_a.eta_t_rthz / eta_q.eta_t_rthz == pytest.approx(
-        expected, rel=1e-9
-    )
+    assert eta_a.shape == (1, 1)
+    assert eta_a[0, 0] / eta_q[0, 0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_map_grid_matches_per_cell_formulas():
+    # The per-cell loop the grid replaced, bit for bit; no eta at zero drive.
+    preset = PRESETS["quenched"]
+    model, per_w = preset.broadening, preset.pl_rate_per_w
+    p_opt, p_rf = [0.0, 0.1, 0.4], [0.0, 0.3, 1.0, 2.0]
+    grid = build_sensitivity_map(model, per_w, p_opt, p_rf, g_factor=2.01)
+    assert all(a.shape == (3, 4) for a in grid)
+    for i, po in enumerate(p_opt):
+        for j, pr in enumerate(p_rf):
+            fwhm = saturated_fwhm(model, pr)
+            contrast = saturated_contrast(model, pr, po)
+            rate = per_w * po
+            eta = math.nan
+            if contrast > 0 and rate > 0:
+                eta = shot_noise_sensitivity(fwhm, contrast, rate, g_factor=2.01)
+            cell = [a[i, j] for a in grid]
+            assert np.array_equal(cell, [fwhm, contrast, rate, eta], equal_nan=True)
+    assert np.isnan(grid[3][0]).all() and np.isnan(grid[3][:, 0]).all()
+
+
+def test_map_argmin_breaks_ties_by_lower_p_opt_then_p_rf():
+    p_opt, p_rf = np.array([0.1, 0.2, 0.3]), np.array([0.5, 1.0, 1.5])
+    fwhm, contrast, rate = (np.full((3, 3), v) for v in (5e5, 0.01, 1e11))
+    # Cells (1, 2) and (2, 0) tie: the lower p_opt wins despite its p_rf.
+    eta = np.array([[9.0, math.nan, 8.0], [7.0, 6.0, 5.0], [5.0, math.inf, 6.0]])
+    best = map_argmin(p_opt, p_rf, (fwhm, contrast, rate, eta))
+    assert (best["p_opt_w"], best["p_rf_w"], best["eta_t_rthz"]) == (0.2, 1.5, 5.0)
+    # Within one p_opt row the lower p_rf wins.
+    eta[1] = [7.0, 4.0, 4.0]
+    best = map_argmin(p_opt, p_rf, (fwhm, contrast, rate, eta))
+    assert (best["p_opt_w"], best["p_rf_w"]) == (0.2, 1.0)
+    assert list(best) == [
+        "p_opt_w", "p_rf_w", "fwhm_hz", "contrast", "rate_hz", "eta_t_rthz"
+    ]
+    assert all(type(v) is float for v in best.values())
+
+
+def test_map_argmin_of_no_finite_cell_is_empty_grid():
+    cells = [np.full((2, 2), math.nan)] * 3 + [np.array([[math.nan, math.inf]] * 2)]
+    with pytest.raises(EmptyGrid, match="no finite"):
+        map_argmin(np.array([0.1, 0.2]), np.array([0.5, 1.0]), cells)
 
 
 def test_map_empty_grid_rejected():

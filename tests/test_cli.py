@@ -627,6 +627,32 @@ def test_untrackable_steps_scene_writes_nothing(tmp_path, capsys, data, message)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        # An infinite linewidth would leave every contrast cell empty.
+        (
+            "spectrum",
+            {"sweep": {"p_rf_w": 1e308}},
+            "p_rf_w 1e+308 W: the linewidth overflows",
+        ),
+        # An infinite photon rate would read as a flat discriminator.
+        (
+            "steps",
+            {**MINI_STEPS_CONFIG, "sweep": {"p_opt_w": 1e300}},
+            "p_opt_w 1e+300 W: the photon rate overflows",
+        ),
+    ],
+    ids=["spectrum-linewidth", "steps-photon-rate"],
+)
+def test_overflowing_power_writes_nothing(tmp_path, capsys, command, data, message):
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_map_writes_nothing(tmp_path, capsys):
     # Too few photons for any cell's resonance to rise above the shot noise.
     data = json.loads(json.dumps(MINI_MAP_CONFIG))

@@ -15,8 +15,6 @@ from odmrsim import (
     NonNumericCell,
     PRESETS,
     SchemaViolation,
-    SensitivityMap,
-    SensitivityPoint,
     SweepRecord,
     config_from_dict,
     load_config,
@@ -123,12 +121,9 @@ def test_non_utf8_files_are_format_errors(tmp_path):
 
 
 def test_map_round_trip_with_failed_cell(tmp_path):
-    points = [
-        SensitivityPoint(0.1, 0.5, 5e5, 0.01, 1e11, 4e-9),
-        SensitivityPoint(0.1, 1.0, math.nan, math.nan, math.nan, math.nan),
-    ]
+    cells = [np.array([[v, math.nan]]) for v in (5e5, 0.01, 1e11, 4e-9)]
     path = tmp_path / "map.csv"
-    write_map_csv(points, path)
+    write_map_csv([0.1], [0.5, 1.0], cells, path)
     rows = load_map_csv(path)
     assert rows[0]["eta_t_rthz"] == pytest.approx(4e-9)
     assert math.isnan(rows[1]["eta_t_rthz"])
@@ -136,17 +131,19 @@ def test_map_round_trip_with_failed_cell(tmp_path):
     assert rows[1]["p_rf_w"] == pytest.approx(1.0)
 
 
-def test_map_rows_sorted_by_powers(tmp_path):
-    points = [
-        SensitivityPoint(0.2, 0.5, 5e5, 0.01, 1e11, 4e-9),
-        SensitivityPoint(0.1, 1.0, 5e5, 0.01, 1e11, 5e-9),
-        SensitivityPoint(0.1, 0.5, 5e5, 0.01, 1e11, 6e-9),
-    ]
+def test_map_rows_follow_grid_order(tmp_path):
+    # Rows run over p_opt_w, then p_rf_w; cell (1, 0) failed.
+    eta = np.array([[1.0, 2.0], [math.nan, 4.0]])
+    cells = [np.where(np.isnan(eta), math.nan, v) for v in (5e5, 0.5, 1e11)]
     path = tmp_path / "map.csv"
-    write_map_csv(points, path)
-    rows = load_map_csv(path)
-    keys = [(r["p_opt_w"], r["p_rf_w"]) for r in rows]
-    assert keys == sorted(keys)
+    write_map_csv(np.array([1.0, 2.0]), np.array([0.5, 1.0]), [*cells, eta], path)
+    assert path.read_text().splitlines() == [
+        "p_opt_w,p_rf_w,fwhm_hz,contrast,rate_hz,eta_t_rthz",
+        "1,0.5,500000,0.5,100000000000,1",
+        "1,1,500000,0.5,100000000000,2",
+        "2,0.5,,,,",
+        "2,1,500000,0.5,100000000000,4",
+    ]
 
 
 def test_config_defaults_and_sections():
