@@ -32,6 +32,7 @@ from .signal_chain import (
     LockInConfig,
     SQUARE_AM_GAIN,
     TimeSeries,
+    photon_rate,
 )
 from .spin_model import G_FACTOR, gyromagnetic_ratio
 
@@ -298,10 +299,11 @@ def build_sensitivity_map(
     p_rf = np.asarray(p_rf_values, dtype=float)
     if p_opt.size == 0 or p_rf.size == 0:
         raise EmptyGrid("power grid must have at least one point per axis")
+    rate = photon_rate(pl_rate_per_w, p_opt[:, None])
     fwhm, contrast, rate = np.broadcast_arrays(
         saturated_fwhm(model, p_rf),
         saturated_contrast(model, p_rf, p_opt[:, None]),
-        pl_rate_per_w * p_opt[:, None],
+        rate,
     )
     live = (contrast > 0) & (rate > 0)
     eta = shot_noise_sensitivity(

@@ -51,12 +51,27 @@ before it falls below double precision.  So W is stored as a few lags per
 start phase, built once per lock-in config and dwell layout.  An interior
 column sums to the sampled demodulation gain (2/n) sum_{cos<0} |cos|,
 0.6472 at n = 10 samples per cycle, not 2/pi; about 0.14% of it spills
-into the next dwell at the shipped 10 tau dwell.  Shot noise adds the
-demodulated residual of the drawn counts about the noise-free rate.
+into the next dwell at the shipped 10 tau dwell.
 
 Without noise dc_v is exactly k_v rate0 (1 - level m/n), m the RF-on
 samples per n-sample cycle: after the settling discard (5 tau, over five
 periods) every comb output averages one whole gate cycle at one level.
+
+Shot noise adds the chain's response to the counts' deviation from the
+noise-free rate.  A dwell's samples reach its own settled DC mean and the
+settled lock-in means of its own and the next lags - 1 dwells, with
+weights w: the adjoint of the chain, 2 ref times the comb-then-pole
+response summed over each settled window.  A sample's variance in volts
+is s (1 - level gate), s = k_v^2 rate0 / dt, so those 1 + lags means have
+covariance s (1 - level) A_on + s A_off, where A = sum w w^T over the
+dwell's gate-on or gate-off samples, stored beside W as triangular factors
+R^T R = A.  When every sample's mean count, at least rate0 dt (1 - max
+level), is above GAUSSIAN_MEAN_THRESHOLD, every count is a Gaussian draw
+and the means are linear in them, so a sweep draws each dwell's noise
+from that covariance with 2 (1 + lags) normals: exact in distribution,
+with no per-sample array.  Below it the Poisson counts are still drawn
+sample by sample and run through the demodulator and the cycle mean, in
+blocks of whole dwells.
 """
 
 from __future__ import annotations
@@ -82,6 +97,7 @@ from .lineshape import (
 )
 from .io_formats import SweepRecord
 from .spin_model import (
+    MAX_FIELD_T,
     FieldVector,
     SpinParams,
     TransitionLine,
@@ -159,6 +175,20 @@ def photon_rate_from_voltage(v_dc: float, detector: DetectorModel) -> float:
 def voltage_from_photon_rate(rate_hz: float, detector: DetectorModel) -> float:
     """Inverse of photon_rate_from_voltage."""
     return rate_hz * detector.volts_per_photon_rate
+
+
+def photon_rate(pl_rate_per_w: float, p_opt_w):
+    """Detected photon rate pl_rate_per_w * p_opt_w, elementwise.
+
+    Raises ValueError naming the first optical power whose rate overflows.
+    """
+    p_opt = np.asarray(p_opt_w, dtype=float)
+    with np.errstate(over="ignore"):
+        rate = pl_rate_per_w * p_opt
+    bad = ~np.isfinite(rate)
+    if bad.any():
+        raise ValueError(f"p_opt_w {p_opt[bad][0]:g} W: the photon rate overflows")
+    return rate
 
 
 def _shot_counts(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -295,10 +325,7 @@ class Scene:
     p_rf_w: float
 
     def photon_rate_hz(self) -> float:
-        rate = self.pl_rate_per_w * self.p_opt_w
-        if not math.isfinite(rate):
-            raise ValueError(f"p_opt_w {self.p_opt_w:g} W: the photon rate overflows")
-        return rate
+        return float(photon_rate(self.pl_rate_per_w, self.p_opt_w))
 
     def dc_voltage(self) -> float:
         return voltage_from_photon_rate(self.photon_rate_hz(), self.detector)
@@ -501,13 +528,17 @@ def _dip_response(
 @functools.lru_cache(maxsize=8)
 def _dwell_response(
     cfg: LockInConfig, dwell_n: int, settle_n: int, n_dwells: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The dwell-response operator of an AM sweep (module docstring).
 
     Returns base, the settled means of a constant 1 over n_dwells dwells,
     and lags[p, j], the mean j dwells after a unit dip gated through one
     dwell that starts at the gate phase of dwell p; dwell d takes row
-    d mod lags.shape[0].  Both are read-only.
+    d mod lags.shape[0].  r_on[p] and r_off[p] are upper-triangular
+    factors, R^T R = sum w w^T over the gate-on and the gate-off samples of
+    such a dwell, where w is a sample's weight on the dwell's settled DC
+    mean and on its settled lock-in means at lags 0 .. lags.shape[1] - 1.
+    All four are read-only.
     """
     n = cfg.samples_per_cycle
     n_phases = min(n // math.gcd(dwell_n, n), n_dwells)
@@ -522,9 +553,27 @@ def _dwell_response(
         ]
     )
     base = _dip_response(cfg, 0, dwell_n, settle_n, 1.0, np.zeros(n_dwells))
-    base.flags.writeable = False
-    lags.flags.writeable = False
-    return base, lags
+    # Each sample's weight on the settled mean of the last of n_lags
+    # dwells: the adjoint of the linear time-invariant stages, which run in
+    # reverse order over the window reversed.  The dwell n_lags - 1 - j
+    # before the last holds the weights at lag j.  The DC window reaches
+    # only its own dwell, as settle_n >= n - 1.
+    window = np.zeros(n_lags * dwell_n)
+    window[(n_lags - 1) * dwell_n + settle_n :] = 1.0 / (dwell_n - settle_n)
+    lock = _CycleMean(cfg).process(_Pole(cfg).process(window[::-1]))[::-1]
+    dc = _CycleMean(cfg).process(window[::-1][:dwell_n])[::-1]
+    ref = 2.0 * _cycle_cos(cfg)
+    factors = []
+    for p in range(n_phases):
+        start = p * dwell_n % n
+        w = lock.reshape(n_lags, dwell_n)[::-1] * _periodic(ref, start, dwell_n)
+        w = np.vstack((dc, w))
+        gate = _am_gate(cfg, start, dwell_n)
+        factors.append([np.linalg.qr(w[:, g].T, mode="r") for g in (gate, ~gate)])
+    r_on, r_off = np.moveaxis(np.array(factors), 1, 0)
+    for a in (base, lags, r_on, r_off):
+        a.flags.writeable = False
+    return base, lags, r_on, r_off
 
 
 def simulate_am_sweep(
@@ -547,9 +596,12 @@ def simulate_am_sweep(
     the previous dwell.  The noise-free lock-in comes from the shared
     dwell-response operator and the noise-free dc_v is the exact one-cycle
     mean (module docstring), so a noise-free sweep builds no per-sample
-    array.  Shot noise adds the demodulated residual of its per-sample
-    draws, which keep the order and stream of a seed, and takes dc_v from
-    the cycle mean of the drawn volts.
+    array.  Shot noise adds each dwell's noise on its settled means.  If
+    every sample's mean count is above GAUSSIAN_MEAN_THRESHOLD, it is drawn
+    per dwell from its exact covariance, and again no per-sample array is
+    built.  Otherwise the counts are drawn per sample, in the order and
+    stream of a seed, their residual about the noise-free rate is
+    demodulated, and dc_v is the cycle mean of the drawn volts.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
@@ -573,7 +625,7 @@ def simulate_am_sweep(
 
     # Dwell 0 is the discarded lead-in at the first frequency.
     levels = np.concatenate((depth[:1], depth))
-    base, lags = _dwell_response(cfg, dwell_n, settle_n, levels.size)
+    base, lags, r_on, r_off = _dwell_response(cfg, dwell_n, settle_n, levels.size)
     n_phases, n_lags = lags.shape
     response = base.copy()
     for p in range(n_phases):
@@ -582,17 +634,30 @@ def simulate_am_sweep(
             later += lags[p, j] * levels[p::n_phases][: later.size]
     scale = k_v * rate0
     lockin = scale * response
+    duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
+    # Rounds the small term, not 1 - level * duty, so it stays nearer the
+    # exact value.
+    dc = scale - scale * duty * levels
     if not shot_noise:
-        duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
-        # Rounds the small term, not 1 - level * duty, so it stays nearer
-        # the exact value.
-        dc = scale - scale * duty * levels
         return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
 
     rng = np.random.default_rng(seed)
+    if rate0 * dt * (1.0 - levels.max()) > GAUSSIAN_MEAN_THRESHOLD:
+        # Every count is a Gaussian draw: draw each dwell's noise on its
+        # settled means from their exact covariance (module docstring).
+        z = rng.standard_normal((2, levels.size, 1 + n_lags))
+        phase = np.arange(levels.size) % n_phases
+        s = k_v * k_v * rate0 / dt
+        noise = np.einsum("dk,dkl->dl", z[0], r_on[phase])
+        noise *= np.sqrt(s * (1.0 - levels))[:, None]
+        noise += math.sqrt(s) * np.einsum("dk,dkl->dl", z[1], r_off[phase])
+        dc += noise[:, 0]
+        for j in range(n_lags):
+            lockin[j:] += noise[: levels.size - j, 1 + j]
+        return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
+
     demod = _Demodulator(cfg)
     cycle_mean = _CycleMean(cfg)
-    dc = np.empty(levels.size)
     for block in _dwell_blocks(levels.size, dwell_n):
         gate = _am_gate(cfg, block.start * dwell_n, (block.stop - block.start) * dwell_n)
         rate = (rate0 * (1.0 - levels[block, None] * gate.reshape(-1, dwell_n))).ravel()
@@ -748,8 +813,15 @@ def simulate_fm_tracking(
     k_v = scene.detector.volts_per_photon_rate
     slope_v = fm_discriminator_slope(PeakShape(carrier, fwhm, amps[nu2]), cfg, v_dc)
     field_gain = slope_v * gamma_eff
-    if field_gain == 0 or not math.isfinite(field_gain):
-        raise ValueError("cannot track the field with a flat discriminator response")
+    # The rounding of the DC level alone, eps v_dc, reads as eps v_dc /
+    # |field_gain| tesla: beyond the model's field range, the response is
+    # flat, and the field estimate and its spread can overflow.
+    flat = not abs(field_gain) * MAX_FIELD_T > np.finfo(float).eps * v_dc
+    if flat or not math.isfinite(field_gain):
+        raise ValueError(
+            "cannot track the field with a flat discriminator response "
+            f"(p_rf_w {scene.p_rf_w:g} W, linewidth {fwhm:.3g} Hz)"
+        )
 
     sigma_in = 0.0
     if field_noise_step_sigma_t > 0:

@@ -360,6 +360,15 @@ def test_map_empty_grid_rejected():
         build_sensitivity_map(preset.broadening, preset.pl_rate_per_w, [], [1.0])
 
 
+def test_map_photon_rate_overflow_names_the_power():
+    # The same checked rate as Scene.photon_rate_hz: an overflowing cell is
+    # refused, not mapped with an infinite rate and a zero sensitivity.
+    preset = PRESETS["quenched"]
+    message = r"p_opt_w 1e\+300 W: the photon rate overflows"
+    with pytest.raises(ValueError, match=message):
+        build_sensitivity_map(preset.broadening, 1.2e12, [0.4, 1e300], [1.0])
+
+
 def steps_config():
     return LockInConfig(
         mode="fm",

@@ -27,6 +27,8 @@ from odmrsim import (
 )
 from odmrsim.cli import main
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 MINI_MAP_CONFIG = {
     "detector": {"shot_noise": False},
     "lockin": {
@@ -653,6 +655,29 @@ def test_overflowing_power_writes_nothing(tmp_path, capsys, command, data, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "p_rf_w",
+    [
+        # The linewidth stays finite, but the discriminator slope underflows
+        # to zero.
+        1e200,
+        # A contrast of about 1e-310: the slope is not zero, but the field
+        # estimate divided by it, or its square in the step spread, overflowed.
+        1.1125369292536007e-308,
+    ],
+)
+def test_flat_discriminator_names_the_rf_power(tmp_path, capsys, p_rf_w):
+    data = json.loads((CONFIG_DIR / "shot_noise_tracking.json").read_text())
+    data["sweep"]["p_rf_w"] = p_rf_w
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"flat discriminator response (p_rf_w {p_rf_w:g} W, linewidth " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_failed_map_writes_nothing(tmp_path, capsys):
     # Too few photons for any cell's resonance to rise above the shot noise.
     data = json.loads(json.dumps(MINI_MAP_CONFIG))
@@ -825,6 +850,62 @@ def test_map_counts_a_dark_cell_as_failed(tmp_path):
     assert math.isnan(rows[0]["eta_t_rthz"])
     assert math.isfinite(rows[1]["eta_t_rthz"])
     assert json.loads((out / "argmin.json").read_text())["n_failed"] == 1
+
+
+@pytest.mark.parametrize("margin, per_sample", [(1.001, False), (0.999, True)])
+def test_shot_noise_cell_runs_samples_only_below_gaussian_threshold(
+    tmp_path, monkeypatch, margin, per_sample
+):
+    # One cell whose dimmest sample holds margin x GAUSSIAN_MEAN_THRESHOLD
+    # counts.  Above it the cell draws its noise per dwell, so the map runs
+    # the demodulator and the cycle mean only where its noise-free twin
+    # does, in the dwell-response operator; below it every sample of the
+    # cell's lead-in and sweep runs through the demodulator and through two
+    # cycle means, the demodulator's comb and the DC reading.
+    from dataclasses import replace
+
+    from odmrsim import signal_chain, synthesize_odmr
+    from odmrsim.config import config_from_dict
+
+    counted = {"demod": 0, "comb": 0}
+
+    def counting(cls, key):
+        process = cls.process
+
+        def wrapper(self, values):
+            counted[key] += values.size
+            return process(self, values)
+
+        monkeypatch.setattr(cls, "process", wrapper)
+
+    counting(signal_chain._Demodulator, "demod")
+    counting(signal_chain._CycleMean, "comb")
+    data = json.loads(json.dumps(MINI_MAP_CONFIG))
+    one_cell = dict(p_opt_min_w=0.4, p_opt_max_w=0.4, p_rf_min_w=1.0, p_rf_max_w=1.0)
+    data["sweep"]["grid"].update(one_cell, n_opt=1, n_rf=1)
+    doc = config_from_dict(data)
+    scene = replace(doc.scene(), p_opt_w=0.4, p_rf_w=1.0)
+    depth = synthesize_odmr(
+        scene.lines(), scene.broadening, 1.0, 0.4, doc.sweep.frequencies()
+    ).values
+    dimmest = 0.4 * doc.lockin.dt_s * (1.0 - depth.max())
+    data["lineshape"] = {
+        "pl_rate_per_w": margin * signal_chain.GAUSSIAN_MEAN_THRESHOLD / dimmest
+    }
+    runs = []
+    for shot_noise in (False, True):
+        data["detector"]["shot_noise"] = shot_noise
+        cfg = write_config(tmp_path, data, f"shot_{shot_noise}.json")
+        signal_chain._dwell_response.cache_clear()
+        before = dict(counted)
+        out = tmp_path / f"map_{shot_noise}"
+        assert main(["map", "--config", cfg, "--out", str(out)]) == 0
+        runs.append({key: counted[key] - before[key] for key in counted})
+    dwell_n = round(doc.sweep.dwell_s * doc.lockin.sample_rate_hz)
+    samples = (doc.sweep.n_points + 1) * dwell_n if per_sample else 0
+    for key, passes in (("demod", 1), ("comb", 2)):
+        assert runs[1][key] - runs[0][key] == passes * samples
+        assert runs[0][key] > 0
 
 
 # The mini steps run is 2 x 10 s at 500 Hz: 10,000 samples.

@@ -48,6 +48,7 @@ from odmrsim.signal_chain import (
     GAUSSIAN_MEAN_THRESHOLD,
     _am_gate,
     _cycle_cos,
+    _CycleMean,
     _Demodulator,
     _dwell_response,
     _filter_energy_pure,
@@ -402,7 +403,20 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
     return np.array(lockin), np.array(dc)
 
 
-@pytest.mark.parametrize(
+def am_sweep_case(p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle):
+    cfg = LockInConfig(
+        mode="am",
+        mod_freq_hz=5e3,
+        time_constant_s=time_constant_s,
+        sample_rate_hz=5e3 * samples_per_cycle,
+    )
+    plan = SweepPlan(
+        f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=n_points, dwell_s=dwell_s
+    )
+    return quenched_scene(p_opt=p_opt, p_rf=p_rf), cfg, plan
+
+
+AM_SWEEP_CASES = pytest.mark.parametrize(
     "p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle",
     [
         # Cells of the shipped 20x20 map: its argmin and a corner.
@@ -428,24 +442,22 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         pytest.param(0.2, 1.0, 0.01234, 2e-3, 41, 11, id="11-samples-per-cycle"),
     ],
 )
+
+
+@AM_SWEEP_CASES
 @pytest.mark.parametrize("shot_noise", [False, True])
 def test_am_sweep_matches_per_dwell_reference(
     p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle, shot_noise
 ):
-    scene = quenched_scene(p_opt=p_opt, p_rf=p_rf)
-    cfg = LockInConfig(
-        mode="am",
-        mod_freq_hz=5e3,
-        time_constant_s=time_constant_s,
-        sample_rate_hz=5e3 * samples_per_cycle,
+    scene, cfg, plan = am_sweep_case(
+        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
     )
-    plan = SweepPlan(
-        f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=n_points, dwell_s=dwell_s
-    )
-    # Shot noise stays in the Gaussian regime, whose draws do not depend on
-    # how the samples are grouped.
-    min_count = scene.photon_rate_hz() * cfg.dt_s
-    assert min_count * (1.0 - scene.broadening.contrast_max) > GAUSSIAN_MEAN_THRESHOLD
+    if shot_noise:
+        # About 50 counts in the brightest sample: below the Gaussian
+        # threshold every count is a Poisson draw, which the sweep still
+        # takes sample by sample in the reference's order.
+        scene = replace(scene, pl_rate_per_w=50.0 / (p_opt * cfg.dt_s))
+        assert scene.photon_rate_hz() * cfg.dt_s < GAUSSIAN_MEAN_THRESHOLD
     seed = np.random.SeedSequence((0, 3, 7))
     record = simulate_am_sweep(scene, plan, cfg, seed=seed, shot_noise=shot_noise)
     lockin, dc = reference_am_sweep(
@@ -473,6 +485,88 @@ def test_am_sweep_matches_per_dwell_reference(
     np.testing.assert_allclose(record.lockin_v, lockin, rtol=0, atol=1e-9 * peak)
 
 
+def impulse_weights(cfg, dwell_n, settle_n, n_lags, start):
+    """Rows: each sample's weight on a dwell's settled DC mean, then on its
+    settled lock-in means at lags 0 .. n_lags - 1, for a dwell that starts
+    at reference sample start; from unit impulses through the chain."""
+    n = cfg.samples_per_cycle
+    impulse = np.zeros(n_lags * dwell_n)
+    impulse[0] = 1.0
+    # Cumulative responses, so a window's sum is a difference of two.
+    comb = np.cumsum(np.concatenate(([0.0], _CycleMean(cfg).process(impulse))))
+    lock = []
+    for phase in range(n):
+        demod = _Demodulator(cfg)
+        demod.index = phase
+        lock.append(np.cumsum(np.concatenate(([0.0], demod.process(impulse)))))
+    lock = np.array(lock)
+    i = np.arange(dwell_n)
+    m = dwell_n - settle_n
+    rows = [(comb[dwell_n - i] - comb[np.maximum(settle_n - i, 0)]) / m]
+    phase = (start + i) % n
+    for j in range(n_lags):
+        first = np.maximum(j * dwell_n + settle_n - i, 0)
+        stop = (j + 1) * dwell_n - i
+        rows.append((lock[phase, stop] - lock[phase, first]) / m)
+    return np.array(rows)
+
+
+@AM_SWEEP_CASES
+def test_dwell_noise_factors_match_impulse_response_grams(
+    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+):
+    # A Gaussian-regime sweep draws each dwell's noise on its settled means
+    # through R_on and R_off; their R^T R must be the Gram matrices of the
+    # samples' weights over the gate-on and the gate-off samples.
+    _, cfg, plan = am_sweep_case(
+        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+    )
+    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
+    settle_n = min(cfg.settle_samples, dwell_n - 1)
+    _, lags, r_on, r_off = _dwell_response(cfg, dwell_n, settle_n, n_points + 1)
+    n_phases, n_lags = lags.shape
+    for p in range(n_phases):
+        start = p * dwell_n % cfg.samples_per_cycle
+        w = impulse_weights(cfg, dwell_n, settle_n, n_lags, start)
+        gate = _am_gate(cfg, start, dwell_n)
+        for r, side in ((r_on[p], gate), (r_off[p], ~gate)):
+            gram = w[:, side] @ w[:, side].T
+            scale = np.abs(gram).max()
+            np.testing.assert_allclose(r.T @ r, gram, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_gaussian_am_sweep_noise_matches_per_sample_reference():
+    # The per-dwell draw against the per-sample chain over fixed seeds: the
+    # means, variances and lag-1 covariances of lockin_v and dc_v agree
+    # within 4 standard errors of their difference at this seed count.
+    # 617-sample dwells start at six gate phases.
+    scene, cfg, plan = am_sweep_case(0.2, 1.0, 0.01234, 2e-3, 5, 10)
+    min_count = scene.photon_rate_hz() * cfg.dt_s
+    assert min_count * (1.0 - scene.broadening.contrast_max) > GAUSSIAN_MEAN_THRESHOLD
+    n_seeds = 600
+    drawn = []
+    for seed in range(n_seeds):
+        record = simulate_am_sweep(scene, plan, cfg, seed=seed)
+        drawn.append((record.lockin_v, record.dc_v))
+    # Seeds of their own, so the two sets share no stream.
+    reference = [
+        reference_am_sweep(scene, plan, cfg, seed, True)
+        for seed in range(n_seeds, 2 * n_seeds)
+    ]
+    z = 4.0
+    for a, b in zip(np.moveaxis(drawn, 1, 0), np.moveaxis(reference, 1, 0)):
+        var_a, var_b = (x.var(axis=0, ddof=1) for x in (a, b))
+        cov_a, cov_b = (np.diagonal(np.cov(x.T), 1) for x in (a, b))
+        se = np.sqrt((var_a + var_b) / n_seeds)
+        assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= z * se)
+        se = np.sqrt(2.0 / (n_seeds - 1) * (var_a**2 + var_b**2))
+        assert np.all(np.abs(var_a - var_b) <= z * se)
+        # Var of a sample covariance: (var_x var_y + cov^2) / (n - 1).
+        pair = var_a[1:] * var_a[:-1] + cov_a**2 + var_b[1:] * var_b[:-1] + cov_b**2
+        se = np.sqrt(pair / (n_seeds - 1))
+        assert np.all(np.abs(cov_a - cov_b) <= z * se)
+
+
 @pytest.mark.parametrize("n", [10, 20])
 def test_dwell_response_column_sum_is_sampled_gain(n):
     # A unit dip held for one whole-cycle dwell demodulates, over that
@@ -482,7 +576,7 @@ def test_dwell_response_column_sum_is_sampled_gain(n):
     cfg = replace(doc.lockin, sample_rate_hz=n * doc.lockin.mod_freq_hz)
     dwell_n = round(doc.sweep.dwell_s * cfg.sample_rate_hz)
     settle_n = min(cfg.settle_samples, dwell_n - 1)
-    _, lags = _dwell_response(cfg, dwell_n, settle_n, doc.sweep.n_points + 1)
+    _, lags = _dwell_response(cfg, dwell_n, settle_n, doc.sweep.n_points + 1)[:2]
     cos = np.cos(2.0 * math.pi * np.arange(n) / n)
     gain = (2.0 / n) * np.sum(np.abs(cos[cos < 0]))
     assert lags.shape[0] == 1  # every dwell starts at the same gate phase
