@@ -7,7 +7,9 @@ the contrast saturates in both RF and optical power.
 lorentzian_sum is the one line formula; the spectrum, the fitted curve and
 the FM chain evaluate lines through it.  analysis._lorentz_model keeps its
 own because the fit's Jacobian reuses its intermediates, and its rounding
-defines every fitted and map value.
+defines every fitted and map value.  The one derivative formula, a line's
+analytic derivative in its centre, is simulate_fm_tracking's field-noise
+calibration, which weighs each line by its exact field slope.
 """
 
 from __future__ import annotations

@@ -103,6 +103,7 @@ from .spin_model import (
     TransitionLine,
     build_hamiltonian,
     eigenlevels,
+    gyromagnetic_ratio,
     transitions,
 )
 
@@ -709,54 +710,38 @@ class TrackingResult:
     field_noise_sigma_in_t: float
 
 
-def _line_slopes(scene: Scene, h: float) -> np.ndarray:
-    """d(freq)/d(bz) of each scene line: a central difference over +-h.
-
-    At bz +- h each line is paired with the line of its label and its rank
-    in frequency among that label's lines, so lines sharing a label each
-    get their own slope.
-    """
-    lines = scene.lines()
-    labels = sorted(ln.label for ln in lines)
-    # Stable sorts: each label's lines stay in frequency order.
-    by_label = sorted(range(len(lines)), key=lambda i: lines[i].label)
-    shifts = np.zeros(len(lines))
-    for sign in (+1.0, -1.0):
-        shifted = replace(
-            scene, field=replace(scene.field, bz_t=scene.field.bz_t + sign * h)
-        ).lines()
-        if sorted(ln.label for ln in shifted) != labels:
-            raise ValueError(
-                f"the scene's lines change within {h:g} T of bz = "
-                f"{scene.field.bz_t:g} T, so their field slopes are undefined"
-            )
-        for i, ln in zip(by_label, sorted(shifted, key=lambda ln: ln.label)):
-            shifts[i] += sign * ln.frequency_hz
-    return shifts / (2.0 * h)
-
-
 def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray, int]:
     """Scene lines, each line's d(freq)/d(bz) and the tracked (first) nu2 line.
 
-    Slopes are central differences over +-1 uT.  In a transverse field
-    within 1 uT of bz = 0, the label nu2 can name one line below the bias
-    and another above it, and its slope then reads hundreds of gamma.  So
-    the tracked line's slope is also taken over +-0.1 uT; where the two
-    differ by more than half of the larger, ValueError says the slope is
-    undefined.  A scene with no nu2 line raises ValueError too.
+    A slope is gyromagnetic_ratio(g) * delta_sz, exact.  ValueError says the
+    slopes are undefined where the lines at bz +- 1 uT differ from those at
+    bz, or where the first nu2's chord over that step and its slope differ
+    by more than half of the larger: in a transverse field within 1 uT of
+    bz = 0, nu2 can name one line below the bias and another above it.  A
+    scene with no nu2 line raises ValueError too.
     """
     lines = scene.lines()
     labels = [ln.label for ln in lines]
     if "nu2" not in labels:
         raise ValueError("scene produces no nu2 line to track")
     nu2 = labels.index("nu2")
-    slopes = _line_slopes(scene, 1e-6)
-    wide, narrow = slopes[nu2], _line_slopes(scene, 1e-7)[nu2]
-    if abs(wide - narrow) > 0.5 * max(abs(wide), abs(narrow)):
+    gamma = gyromagnetic_ratio(scene.spin.g_factor)
+    slopes = np.array([gamma * ln.delta_sz for ln in lines])
+    h, bz = 1e-6, scene.field.bz_t
+    ends = []
+    for shift in (h, -h):
+        shifted = _solve_lines(scene.spin, replace(scene.field, bz_t=bz + shift))
+        if sorted(ln.label for ln in shifted) != sorted(labels):
+            raise ValueError(
+                f"the scene's lines change within {h:g} T of bz = "
+                f"{bz:g} T, so their field slopes are undefined"
+            )
+        ends.append(next(ln.frequency_hz for ln in shifted if ln.label == "nu2"))
+    chord, exact = (ends[0] - ends[1]) / (2.0 * h), slopes[nu2]
+    if abs(exact - chord) > 0.5 * max(abs(exact), abs(chord)):
         raise ValueError(
-            f"d(nu2)/d(bz) at bz = {scene.field.bz_t:g} T is "
-            f"{wide:.4g} Hz/T over 1 uT but {narrow:.4g} Hz/T over "
-            "0.1 uT, so the field slope is undefined there"
+            f"d(nu2)/d(bz) at bz = {bz:g} T is {exact:.4g} Hz/T but "
+            f"{chord:.4g} Hz/T over +-1 uT, so the field slope is undefined there"
         )
     return lines, slopes, nu2
 
@@ -789,8 +774,9 @@ def simulate_fm_tracking(
     The RF carrier is parked on the rising (nu2) resonance of the scene's
     bias field and square-wave switched by +-fm_deviation_hz.  The
     demodulated output is converted to a field estimate with the modelled
-    discriminator slope and the numeric d(nu2)/d(bz) of the scene, so a
-    constant field reads back as the bias.
+    discriminator slope and the exact d(nu2)/d(bz) of the scene
+    (gyromagnetic_ratio(g) * delta_sz), so a constant field reads back as
+    the bias.
 
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
@@ -826,15 +812,15 @@ def simulate_fm_tracking(
     sigma_in = 0.0
     if field_noise_step_sigma_t > 0:
         # Field noise sees a gain that varies over a cycle: the field slope
-        # of the modulated line times the reference.  The settled output
-        # variance is its mean square times the demod filter energy.
-        n = cfg.samples_per_cycle
-        sign = np.where(_am_gate(cfg, 0, n), -1.0, 1.0)
-        nu_cycle = carrier + cfg.fm_deviation_hz * sign
-        eps = 1e-8
-        plus = lorentzian_sum(nu_cycle, centers + slopes * eps, amps, fwhm)
-        minus = lorentzian_sum(nu_cycle, centers - slopes * eps, amps, fwhm)
-        gain = 2.0 * _cycle_cos(cfg) * v_dc * (minus - plus) / (2.0 * eps)
+        # of the modulated depth times the reference.  Each line adds its
+        # centre derivative a (G/2)^2 2 (f - f0) / ((f - f0)^2 + (G/2)^2)^2
+        # times its own field slope.  The settled output variance is the
+        # gain's mean square times the demod filter energy.
+        sign = np.where(_am_gate(cfg, 0, cfg.samples_per_cycle), -1.0, 1.0)
+        detune = (carrier + cfg.fm_deviation_hz * sign)[:, None] - centers
+        half2 = 0.25 * fwhm * fwhm
+        ddepth = (2.0 * half2 * detune / (detune**2 + half2) ** 2) @ (amps * slopes)
+        gain = -2.0 * _cycle_cos(cfg) * v_dc * ddepth
         sigma_out = math.sqrt(np.mean(gain**2) * _filter_energy_pure(cfg))
         if sigma_out <= 0:
             raise ValueError("cannot calibrate field noise for a flat response")

@@ -135,7 +135,10 @@ class TransitionLine:
 
     lower_m/upper_m are the dominant spin projections of the lower and
     upper level in the plotting convention described in the module
-    docstring.  rel_strength is dimensionless, >= 0.
+    docstring.  rel_strength is dimensionless, >= 0.  delta_sz is
+    <u|Sz|u> - <l|Sz|l> over the upper and lower eigenstates, so the line
+    moves with axial field at gyromagnetic_ratio(g) * delta_sz Hz/T
+    (Hellmann-Feynman; for non-degenerate levels).
     """
 
     label: str
@@ -143,6 +146,7 @@ class TransitionLine:
     upper_m: float
     frequency_hz: float
     rel_strength: float
+    delta_sz: float
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,7 @@ class LineTable:
     upper_m: np.ndarray
     frequency_hz: np.ndarray
     rel_strength: np.ndarray
+    delta_sz: np.ndarray
 
 
 # Fields per stacked solve of a scan.  One stack of a whole 3000-field
@@ -270,6 +275,8 @@ def _line_table(
     # pow() per element, as float ** 2 computes it; array ** 2 squares by
     # multiplication and moves the last bit of some strengths.
     strength = np.float_power(np.abs(sx[:, _UPPER, _LOWER]), 2) / _NU_LINE_SX2
+    sz = np.array(M_VALUES) @ np.abs(states) ** 2  # <k|Sz|k>, Sz diagonal
+    delta_sz = sz[:, _UPPER] - sz[:, _LOWER]
 
     # Flat indexes of each field's lines in order; the sort is stable, so
     # lines equal in frequency and label keep their listed order.
@@ -284,6 +291,7 @@ def _line_table(
         upper_m=upper_m.ravel()[order],
         frequency_hz=freq.ravel()[order],
         rel_strength=strength.ravel()[order],
+        delta_sz=delta_sz.ravel()[order],
     )
 
 
@@ -310,6 +318,7 @@ def transitions(levels: LevelSet) -> list[TransitionLine]:
             table.upper_m.tolist(),
             table.frequency_hz.tolist(),
             table.rel_strength.tolist(),
+            table.delta_sz.tolist(),
         )
     ]
 

@@ -241,7 +241,7 @@ def test_sensitivity_prefactor_value():
 def test_sensitivity_spot_value():
     # 1 MHz linewidth, 1% contrast, 1e12 detected photons per second.
     eta = shot_noise_sensitivity(1e6, 0.01, 1e12)
-    assert eta == pytest.approx(3.8829e-9, rel=1e-4)
+    assert eta == pytest.approx(3.8829e-9, rel=1e-4, abs=0)
 
 
 def test_sensitivity_scalings():
@@ -394,7 +394,7 @@ def test_analyze_steps_statistics():
     np.testing.assert_allclose(report.residuals_t, 0.0, atol=1e-9)
     assert report.pooled_std_t == pytest.approx(sigma, rel=0.10)
     assert report.sensitivity_t_rthz == pytest.approx(
-        report.pooled_std_t * math.sqrt(cfg.time_constant_s), rel=1e-12
+        report.pooled_std_t * math.sqrt(cfg.time_constant_s), rel=1e-12, abs=0
     )
 
 

@@ -596,13 +596,13 @@ def test_failed_steps_writes_nothing(tmp_path, capsys):
         # No RF power: zero contrast, so a zero discriminator slope.
         ({"sweep": {"p_rf_w": 0.0}}, "flat discriminator response"),
         # A transverse field alone: nu2 names one line 1 uT below bz = 0 and
-        # another above, so its slope there reads -98 gamma over 1 uT.
+        # another above, so its chord over +-1 uT reads -98 gamma.
         ({"field": {"bx_t": 1e-4, "bz_t": 0.0}}, "field slope is undefined"),
         # A 3 mT transverse field mixes the levels until no line is
         # labelled nu2: two nu1 lines and m2_plus remain.
         ({"field": {"bx_t": 3e-3, "bz_t": 1e-3}}, "no nu2 line to track"),
-        # Likewise within the 1 uT difference step of bz = 0; the slope read
-        # -2.758e12 Hz/T and the run reported 0.20 nT/sqrt(Hz).
+        # Likewise within 1 uT of bz = 0: the chord reads -2.758e12 Hz/T
+        # against an exact slope of 4.146e10 Hz/T.
         ({"field": {"bx_t": 1e-4, "bz_t": 5e-7}}, "field slope is undefined"),
         # A satellite line exists at the bias field but not 1 uT either side.
         (

@@ -78,7 +78,7 @@ def test_fwhm_rejects_negative_power():
 def test_contrast_double_saturation_spot_value():
     # 0.04 * (1 / (1 + 2/3)) * (0.4 / 0.6) = 0.016 at 1 W RF, 0.4 W optical.
     assert saturated_contrast(QUENCHED, 1.0, 0.4) == pytest.approx(
-        0.016, rel=1e-12
+        0.016, rel=1e-12, abs=0
     )
 
 

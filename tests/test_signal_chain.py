@@ -567,6 +567,99 @@ def test_gaussian_am_sweep_noise_matches_per_sample_reference():
         assert np.all(np.abs(cov_a - cov_b) <= z * se)
 
 
+class BasisNormals(np.random.Generator):
+    """A generator whose standard_normal returns scale at one flat index
+    and zeros elsewhere, or all zeros for index None; it keeps the size."""
+
+    def __init__(self, index, scale):
+        super().__init__(np.random.PCG64(0))
+        self.index, self.scale, self.size = index, scale, None
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        self.size = size
+        z = np.zeros(size)
+        if self.index is not None:
+            z.flat[self.index] = self.scale
+        return z
+
+
+def start_phases(case):
+    _, cfg, plan = am_sweep_case(*case.values)
+    n = cfg.samples_per_cycle
+    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
+    return min(n // math.gcd(dwell_n, n), plan.n_points + 1)
+
+
+@pytest.mark.parametrize(
+    AM_SWEEP_CASES.args[0],
+    [case for case in AM_SWEEP_CASES.args[1] if start_phases(case) > 1],
+)
+def test_gaussian_am_sweep_noise_covariance_is_exact(
+    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+):
+    # The per-dwell draw is linear in its normals.  With one normal at a
+    # time set to 2^30 and the rest to 0, the sweep less its noise-free
+    # output is 2^30 times one column of that linear map, so the covariance
+    # it implies for lockin_v and dc_v is known without sampling.  It must
+    # be the covariance the per-sample chain gives, from unit impulses
+    # through the demodulator and the cycle mean at each dwell's own gate
+    # phase, with each sample's variance s (1 - level gate).
+    scene, cfg, plan = am_sweep_case(
+        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+    )
+    # A peak contrast near 0.5, so (1 - level) is far from 1 and differs
+    # from dwell to dwell; 4e4 counts per sample keep every dwell Gaussian.
+    broadening = replace(
+        scene.broadening, contrast_max=0.5, rf_contrast_sat_w=1e-3, opt_sat_w=1e-3
+    )
+    scene = replace(
+        scene, broadening=broadening, pl_rate_per_w=4e4 / (p_opt * cfg.dt_s)
+    )
+    levels = synthesize_odmr(
+        scene.lines(), scene.broadening, scene.p_rf_w, scene.p_opt_w,
+        plan.frequencies(),
+    ).values
+    assert 0.4 < levels.max() < 0.5
+    assert scene.photon_rate_hz() * cfg.dt_s * (1.0 - levels.max()) > (
+        GAUSSIAN_MEAN_THRESHOLD
+    )
+
+    def outputs(index, scale):
+        rng = BasisNormals(index, scale)
+        record = simulate_am_sweep(scene, plan, cfg, seed=rng)
+        return np.concatenate((record.lockin_v, record.dc_v)), rng.size
+
+    free, size = outputs(None, 0.0)
+    clean = simulate_am_sweep(scene, plan, cfg, shot_noise=False)
+    np.testing.assert_array_equal(free, np.concatenate((clean.lockin_v, clean.dc_v)))
+    scale = 2.0**30
+    columns = [(outputs(k, scale)[0] - free) / scale for k in range(np.prod(size))]
+    got = np.transpose(columns) @ np.array(columns)
+
+    n_dwells = n_points + 1
+    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
+    settle_n = min(cfg.settle_samples, dwell_n - 1)
+    n_lags = _dwell_response(cfg, dwell_n, settle_n, n_dwells)[1].shape[1]
+    k_v = scene.detector.volts_per_photon_rate
+    s = k_v * k_v * scene.photon_rate_hz() / cfg.dt_s
+    # Rows 0 .. n_dwells - 1: lockin_v of each dwell, lead-in first; then dc_v.
+    expected = np.zeros((2 * n_dwells, 2 * n_dwells))
+    for d, level in enumerate(np.concatenate((levels[:1], levels))):
+        start = d * dwell_n % cfg.samples_per_cycle
+        w = impulse_weights(cfg, dwell_n, settle_n, n_lags, start)
+        reach = np.zeros((2 * n_dwells, dwell_n))
+        reach[n_dwells + d] = w[0]
+        for j in range(min(n_lags, n_dwells - d)):
+            reach[d + j] = w[1 + j]
+        var = s * (1.0 - level * _am_gate(cfg, start, dwell_n))
+        expected += (reach * var) @ reach.T
+    keep = np.r_[1:n_dwells, n_dwells + 1 : 2 * n_dwells]
+    expected = expected[np.ix_(keep, keep)]
+    np.testing.assert_allclose(
+        got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+    )
+
+
 @pytest.mark.parametrize("n", [10, 20])
 def test_dwell_response_column_sum_is_sampled_gain(n):
     # A unit dip held for one whole-cycle dwell demodulates, over that
@@ -677,7 +770,7 @@ def test_fm_slope_matches_per_sample_reference(deviation, sample_rate_hz):
     cfg = replace(fm_config(deviation=deviation), sample_rate_hz=sample_rate_hz)
     expected = reference_fm_slope(peak, cfg, 0.0636)
     assert fm_discriminator_slope(peak, cfg, 0.0636) == pytest.approx(
-        expected, rel=1e-11
+        expected, rel=1e-11, abs=0
     )
 
 
@@ -726,6 +819,33 @@ def test_tracking_field_noise_calibration():
     assert res.field_noise_sigma_in_t > 70e-9
 
 
+def assert_slopes_match_richardson(scene):
+    """Each line's slope against Richardson extrapolation of its central
+    differences over h = 1 uT and 0.5 uT, which cancels their h^2 error."""
+    lines, slopes, _ = _line_table(scene)
+    bz = scene.field.bz_t
+
+    def positions(b):
+        # A line's own position at b: the nearest line of its label.
+        others = replace(scene, field=replace(scene.field, bz_t=b)).lines()
+        return np.array(
+            [
+                min(
+                    (o.frequency_hz for o in others if o.label == ln.label),
+                    key=lambda f: abs(f - ln.frequency_hz),
+                )
+                for ln in lines
+            ]
+        )
+
+    def central(h):
+        return (positions(bz + h) - positions(bz - h)) / (2.0 * h)
+
+    expected = (4.0 * central(0.5e-6) - central(1e-6)) / 3.0
+    assert slopes == pytest.approx(expected, rel=1e-10, abs=0)
+    return lines
+
+
 def test_lines_sharing_a_label_each_get_their_own_slope():
     # Two nu2 lines, at 71.7 and 143.6 MHz, each flanked by satellites.
     scene = replace(
@@ -733,42 +853,37 @@ def test_lines_sharing_a_label_each_get_their_own_slope():
         spin=SpinParams(zfs_hz=6.3e6, g_factor=2.0996),
         field=FieldVector(1.19e-3, -1.56e-3, -1.46e-3),
     )
-    lines, slopes, _ = _line_table(scene)
+    lines = assert_slopes_match_richardson(scene)
     assert [ln.label for ln in lines].count("nu2") == 2
-    h = 1e-6
-    plus_lines, minus_lines = (
-        replace(scene, field=replace(scene.field, bz_t=bz)).lines()
-        for bz in (scene.field.bz_t + h, scene.field.bz_t - h)
-    )
-    for ln, slope in zip(lines, slopes):
-        # The line's own position at bz +- h: the nearest line of its label.
-        plus, minus = (
-            min(
-                (other.frequency_hz for other in side if other.label == ln.label),
-                key=lambda f: abs(f - ln.frequency_hz),
-            )
-            for side in (plus_lines, minus_lines)
-        )
-        assert slope == pytest.approx((plus - minus) / (2.0 * h), rel=1e-12)
+
+
+def test_line_slopes_in_a_tilted_field_match_richardson():
+    # A 0.1 mT transverse field, where a +-1 uT central difference alone is
+    # off by about 2e-8 relative.
+    scene = replace(quenched_scene(), field=FieldVector(1e-4, 0.0, 1e-3))
+    lines = assert_slopes_match_richardson(scene)
+    assert {"nu1", "nu2", "dark", "m2_plus", "m2_minus"} <= {ln.label for ln in lines}
 
 
 def reference_field_noise_sigma(target, scene, cfg, slope_v):
-    """Reference field-noise input sigma, summing the field slope line by line."""
+    """Reference field-noise input sigma, summing the field slope line by line.
+
+    Each line's field slope is its centre derivative in the normalised
+    detuning u = (f - f0) / (G/2), a / (1 + u^2), times its own d(f0)/d(bz).
+    """
     lines, slopes, _ = _line_table(scene)
     fwhm = saturated_fwhm(scene.broadening, scene.p_rf_w)
     contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
     carrier = next(ln.frequency_hz for ln in lines if ln.label == "nu2")
     gamma_eff = slopes[[ln.label for ln in lines].index("nu2")]
-    n = cfg.samples_per_cycle
     sign = np.where(_cycle_cos(cfg) >= 0, 1.0, -1.0)
     nu_inst = carrier + cfg.fm_deviation_hz * sign
-    eps = 1e-8
-    dv_db = np.zeros(n)
+    half = 0.5 * fwhm
+    dv_db = 0.0
     for ln, line_slope in zip(lines, slopes):
-        center, amp = [ln.frequency_hz], [contrast * ln.rel_strength]
-        plus = lorentzian_sum(nu_inst - line_slope * eps, center, amp, fwhm)
-        minus = lorentzian_sum(nu_inst + line_slope * eps, center, amp, fwhm)
-        dv_db += -scene.dc_voltage() * (plus - minus) / (2.0 * eps)
+        u = (nu_inst - ln.frequency_hz) / half
+        d_depth_d_center = contrast * ln.rel_strength * 2.0 * u / half / (1 + u * u) ** 2
+        dv_db = dv_db - scene.dc_voltage() * d_depth_d_center * line_slope
     gain = 2.0 * _cycle_cos(cfg) * dv_db
     sigma_out = math.sqrt(float(np.mean(gain**2)) * _filter_energy_pure(cfg))
     return target * abs(slope_v * gamma_eff) / sigma_out
@@ -785,7 +900,7 @@ def test_field_noise_calibration_matches_per_line_reference():
     expected = reference_field_noise_sigma(
         target, scene, cfg.lockin, res.slope_v_per_hz
     )
-    assert res.field_noise_sigma_in_t == pytest.approx(expected, rel=1e-12)
+    assert res.field_noise_sigma_in_t == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_tracking_shot_noise_reproducibility():

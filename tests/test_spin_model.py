@@ -105,6 +105,10 @@ def test_axial_branch_slopes_against_field():
     assert slope["nu1"] == pytest.approx(-GAMMA_DEFAULT, rel=1e-6)
     assert slope["nu2"] == pytest.approx(+GAMMA_DEFAULT, rel=1e-6)
     assert slope["dark"] == pytest.approx(+GAMMA_DEFAULT, rel=1e-6)
+    # Each line's own slope, gamma * delta_sz, is exact at axial field.
+    for label, sign in (("nu1", -1.0), ("nu2", 1.0), ("dark", 1.0)):
+        for lines in (lines1, lines2):
+            assert lines[label].delta_sz == pytest.approx(sign, rel=1e-15, abs=0)
 
 
 def test_axial_frequencies_match_eigensolver_route():
@@ -231,7 +235,15 @@ def per_field_rows(params, field, bz_values):
     for k, bz in enumerate(bz_values):
         levels = eigenlevels(build_hamiltonian(params, replace(field, bz_t=bz)))
         rows += [
-            (k, ln.label, ln.lower_m, ln.upper_m, ln.frequency_hz, ln.rel_strength)
+            (
+                k,
+                ln.label,
+                ln.lower_m,
+                ln.upper_m,
+                ln.frequency_hz,
+                ln.rel_strength,
+                ln.delta_sz,
+            )
             for ln in transitions(levels)
         ]
     return rows
@@ -265,6 +277,7 @@ def test_scan_matches_per_field_solves(field, bz_values):
             t.upper_m.tolist(),
             t.frequency_hz.tolist(),
             t.rel_strength.tolist(),
+            t.delta_sz.tolist(),
         )
     assert got == per_field_rows(params, field, bz_values)
 
