@@ -7,10 +7,17 @@ contrast 1.0166 x high at n = 10 (ROADMAP item 5).
 
 A sensitivity map is four (n_opt, n_rf) arrays, fwhm_hz, contrast,
 rate_hz and eta_t_rthz, rows by optical and columns by RF power.
+
+The Lorentzian fit has two loops over the same model, Jacobian, initial
+guess and final gates: fit_lorentzian runs one sweep, as odmr fit does,
+and fit_lorentzian_rows runs a stack of sweeps, as a map chunk does.
+Every row of the stack ends bit for bit where fit_lorentzian ends on it;
+a one-row stack is slower than the scalar loop, which is why both exist.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -88,24 +95,24 @@ def _lorentz_model(params: np.ndarray, x: np.ndarray):
 def _lorentz_jac(parts) -> np.ndarray:
     """Jacobian of the model from the intermediates of _lorentz_model."""
     amp, half, u, dx, denom, shape = parts
-    jac = np.empty((dx.size, 4))
-    jac[:, 0] = amp * u * 2.0 * dx / (denom * denom)
-    jac[:, 1] = amp * half * dx * dx / (denom * denom)
-    jac[:, 2] = shape
-    jac[:, 3] = 1.0
+    jac = np.empty(dx.shape + (4,))
+    jac[..., 0] = amp * u * 2.0 * dx / (denom * denom)
+    jac[..., 1] = amp * half * dx * dx / (denom * denom)
+    jac[..., 2] = shape
+    jac[..., 3] = 1.0
     return jac
 
 
 def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    offset = float(np.median(y))
+    """Starting (centre, width, amplitude, offset) of each row of y, (..., 4)."""
+    offset = np.median(y, axis=-1, keepdims=True)
     dev = y - offset
-    idx = int(np.argmax(np.abs(dev)))
-    amp = float(dev[idx])
-    center = float(x[idx])
-    above = np.abs(dev) > 0.5 * abs(amp)
-    dx = float(np.median(np.diff(x)))
-    width = max(float(np.count_nonzero(above)) * dx, 2.0 * dx)
-    return np.array([center, width, amp, offset])
+    idx = np.argmax(np.abs(dev), axis=-1, keepdims=True)
+    amp = np.take_along_axis(dev, idx, axis=-1)
+    above = np.abs(dev) > 0.5 * np.abs(amp)
+    dx = np.median(np.diff(x))
+    width = np.maximum(np.count_nonzero(above, axis=-1, keepdims=True) * dx, 2.0 * dx)
+    return np.concatenate((x[idx], width, amp, offset), axis=-1)
 
 
 # A trial that leaves floating-point range (a CSV may hold 1e300) has a NaN
@@ -192,7 +199,15 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
             narrow = narrow + 1 if abs(params[1]) < spacing else 0
         if stop or not accepted or narrow == 3:
             break
+    return _fit_result(x, spacing, params, jac, rss, n_iter, stop)
 
+
+def _fit_result(x, spacing, params, jac, rss, n_iter, stop) -> LorentzFit:
+    """The gates, covariance and LorentzFit of one finished loop.
+
+    Both fit_lorentzian and fit_lorentzian_rows end here, so a row fails
+    for the same reasons and with the same messages in either.
+    """
     center, width, amp, offset = params
     width = abs(width)
     dof = max(x.size - 4, 1)
@@ -240,6 +255,130 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
         n_iter=n_iter,
         stop_test=stop,
     )
+
+
+def _row_dots(a: np.ndarray) -> np.ndarray:
+    """a[k] @ a[k] for each row; matmul on a stack rounds as each row alone."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+
+_STOP_TESTS = (None, "step", "ftol", "gtol")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def fit_lorentzian_rows(x: np.ndarray, y: np.ndarray) -> list:
+    """fit_lorentzian on each row of y (rows, points), all swept over x.
+
+    Entry k is the LorentzFit that fit_lorentzian returns on row k alone,
+    or the NoPeakFound or NonConvergence it raises, bit for bit: one
+    Levenberg-Marquardt loop runs on the whole stack, with its own damping,
+    iteration count, retry count, narrow-width run and stop test per row,
+    and the stacked matmul and solve round as the single-row calls do.  A
+    row leaves the stack when its loop ends, so a slow row costs only its
+    own iterations.  Raises ValueError for fewer than five points.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size < 5:
+        raise ValueError("need at least five samples to fit four parameters")
+    y = np.asarray(y, dtype=float)
+    spacing = float(np.median(np.diff(x)))
+    params = _initial_guess(x, y)
+    flat = params[:, 2] == 0.0
+    results = [NoPeakFound("input data are exactly flat") if f else None for f in flat]
+    rows = np.flatnonzero(~flat)
+    y, params = y[rows], params[rows]
+    model, parts = _lorentz_model(params.T[..., None], x)
+    jac, resid = _lorentz_jac(parts), y - model
+    rss = _row_dots(resid)
+    # Each (rows, points) temporary is dropped once used, so at most one
+    # round's stacks are alive at a time.
+    del model, parts
+    lam = np.full(rows.size, 1e-3)
+    # tries counts the damping retries of the current iteration, so a row
+    # with none is starting one; stop indexes _STOP_TESTS.
+    n_iter, tries, narrow, stop = (np.zeros(rows.size, dtype=int) for _ in range(4))
+    while rows.size:
+        # A retrying row's jac and resid have not moved, so its normal
+        # equations come out as before and its gtol test fails again.
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        jtr = (jt @ resid[..., None])[..., 0]
+        del jt
+        n_iter[tries == 0] += 1
+        diag = np.diagonal(jtj, axis1=1, axis2=2)
+        scale = np.sqrt(diag * rss[:, None])
+        cosine = np.abs(jtr) / np.where(scale > 0.0, scale, np.inf)
+        done = np.max(cosine, axis=1) <= _GTOL
+        stop[done] = _STOP_TESTS.index("gtol")
+        jtj_diag = np.zeros_like(jtj)
+        jtj_diag[:, range(4), range(4)] = diag
+        damped = jtj + lam[:, None, None] * jtj_diag
+        try:
+            step = np.linalg.solve(damped, jtr[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # A singular row gets a NaN step: a rejected trial, as the
+            # single-row loop's retry after its LinAlgError.
+            step = np.full(jtr.shape, math.nan)
+            for k in range(rows.size):
+                with contextlib.suppress(np.linalg.LinAlgError):
+                    step[k] = np.linalg.solve(damped[k], jtr[k])
+        trial = params + step
+        trial_model, trial_parts = _lorentz_model(trial.T[..., None], x)
+        trial_resid = y - trial_model
+        del trial_model
+        trial_rss = _row_dots(trial_resid)
+        accepted = (trial_rss <= rss) & ~done
+        actual = np.where(trial_rss < 100.0 * rss, 1.0 - trial_rss / rss, -1.0)
+        close = np.flatnonzero((np.abs(actual) <= _FTOL) & ~done)
+        if close.size:
+            s = step[close]
+            # 2 lam (diag * step) @ step and step @ (jtj @ step), in that order.
+            scaled = 2.0 * lam[close, None] * (diag[close] * s)
+            damping = scaled[:, None] @ s[..., None]
+            predicted = (s[:, None] @ (jtj[close] @ s[..., None]) + damping)[:, 0, 0]
+            predicted /= rss[close]
+            ftol = close[(predicted <= _FTOL) & (actual[close] <= 2.0 * predicted)]
+            stop[ftol], done[ftol] = _STOP_TESTS.index("ftol"), True
+        rejected = ~accepted & ~done
+        lam[rejected] *= 10.0
+        tries[rejected] += 1
+        done |= tries == 50
+
+        if accepted.any():
+            rel_step = np.max(
+                np.abs(step[accepted]) / (np.abs(params[accepted]) + _REL_TOL), axis=1
+            )
+            params[accepted] = trial[accepted]
+            np.copyto(jac, _lorentz_jac(trial_parts), where=accepted[:, None, None])
+            np.copyto(resid, trial_resid, where=accepted[:, None])
+            rss[accepted] = trial_rss[accepted]
+            lam[accepted] = np.maximum(lam[accepted] / 10.0, 1e-12)
+            moved = np.flatnonzero(accepted)
+            by_step = moved[(stop[moved] == 0) & (rel_step < _REL_TOL)]
+            stop[by_step] = _STOP_TESTS.index("step")
+            thin = np.abs(params[accepted, 1]) < spacing
+            narrow[accepted] = np.where(thin, narrow[accepted] + 1, 0)
+            done |= accepted & ((stop > 0) | (narrow == 3) | (n_iter == _MAX_ITER))
+            tries[accepted] = 0
+        del trial, trial_parts, trial_resid
+
+        for k in np.flatnonzero(done):
+            try:
+                results[rows[k]] = _fit_result(
+                    x, spacing, params[k], jac[k], float(rss[k]),
+                    int(n_iter[k]), _STOP_TESTS[stop[k]],
+                )
+            except (NoPeakFound, NonConvergence) as exc:
+                # Without its traceback, which would keep this frame's
+                # arrays alive in a reference cycle.
+                results[rows[k]] = exc.with_traceback(None)
+        if done.any():
+            live = (rows, y, params, jac, resid, rss, lam, n_iter, tries, narrow, stop)
+            rows, y, params, jac, resid, rss, lam, n_iter, tries, narrow, stop = (
+                a[~done] for a in live
+            )
+            del live
+    return results
 
 
 def odmr_contrast(

@@ -15,8 +15,8 @@ with manifest.json written last, only when all of them were written.
 Exit codes: 0 success, 1 domain error (bad data, no peak, out of range),
 2 usage, config or file format error.
 
-The map command runs its grid cells one after another, each with its own
-generator seeded by (seed, i, j) for grid indexes i and j.
+The map command runs its grid cells in chunks, in grid order, each cell
+with its own generator seeded by (seed, i, j) for grid indexes i and j.
 """
 
 from __future__ import annotations
@@ -37,14 +37,16 @@ from . import __version__
 from .analysis import (
     analyze_steps,
     build_sensitivity_map,
+    LorentzFit,
     fit_lorentzian,
+    fit_lorentzian_rows,
     map_argmin,
     odmr_contrast,
     shot_noise_sensitivity,
     step_windows,
 )
 from .config import ConfigDoc, load_config
-from .errors import FormatError, IoFailure, NonConvergence, NoPeakFound, OdmrError
+from .errors import FormatError, IoFailure, NoPeakFound, OdmrError
 from .errors import ScheduleMismatch, SchemaViolation, ZeroDC
 from .io_formats import (
     FORMAT_VERSION,
@@ -64,7 +66,7 @@ from .signal_chain import (
     FieldTimeline,
     Scene,
     photon_rate_from_voltage,
-    simulate_am_sweep,
+    simulate_am_cells,
     simulate_fm_tracking,
 )
 from .spin_model import scan_transitions
@@ -228,21 +230,45 @@ def cmd_fit(args, cfg: ConfigDoc, t0: float) -> int:
     return 0
 
 
-def _map_cell(
-    cfg: ConfigDoc, scene: Scene, p_opt, p_rf, seed
-) -> tuple[float, float, float]:
-    """fwhm_hz, contrast and rate_hz of one simulated cell; NaNs if it fails."""
-    scene = replace(scene, p_opt_w=float(p_opt), p_rf_w=float(p_rf))
-    record = simulate_am_sweep(
-        scene, cfg.sweep, cfg.lockin, seed=seed, shot_noise=cfg.detector.shot_noise
-    )
-    try:
-        fit = fit_lorentzian(record)
-        dc = float(np.nanmedian(record.dc_v))
-        contrast = odmr_contrast(fit, dc)
-    except (NoPeakFound, NonConvergence, ZeroDC):
-        return (math.nan,) * 3
-    return fit.fwhm_hz, contrast, photon_rate_from_voltage(dc, scene.detector)
+# A map runs in chunks of consecutive cells in grid order, each chunk's
+# arrays about this many cells x points, so no array scales with the grid
+# times the points.  On the shipped 41-point maps (2-vCPU host) 4,096 ran
+# about 10% faster but peaked 0.5 MB higher, and 1,024 about 15% slower.
+_MAP_CHUNK_VALUES = 2048
+
+
+def _simulated_map(cfg: ConfigDoc, scene: Scene, p_opts, p_rfs, seed):
+    """fwhm_hz, contrast and rate_hz, (n_opt, n_rf) each; NaN where a cell fails.
+
+    Cell (i, j) is simulated at p_opts[i] and p_rfs[j], with its own
+    generator seeded by (seed, i, j), and fitted; a chunk of cells runs as
+    one stack from simulation to fit.
+    """
+    maps = np.full((3, p_opts.size, p_rfs.size), math.nan)
+    flat = maps.reshape(3, -1)
+    freqs = cfg.sweep.frequencies()
+    size = max(1, _MAP_CHUNK_VALUES // cfg.sweep.n_points)
+    for first in range(0, flat.shape[1], size):
+        i, j = np.divmod(np.arange(first, min(first + size, flat.shape[1])), p_rfs.size)
+        seeds = None
+        if cfg.detector.shot_noise:
+            seeds = [(seed, int(a), int(b)) for a, b in zip(i, j)]
+        lockin, dc_v = simulate_am_cells(
+            scene, cfg.sweep, cfg.lockin, p_opts[i], p_rfs[j], seeds
+        )
+        fits = fit_lorentzian_rows(freqs, lockin)
+        # np.nanmedian of a stack goes through masked arrays; a row with no
+        # NaN has the same median from np.median, at a fraction of the cost.
+        dcs = np.median(dc_v, axis=1)
+        for k in np.flatnonzero(np.isnan(dcs)):
+            dcs[k] = np.nanmedian(dc_v[k])
+        for k, (fit, dc) in enumerate(zip(fits, dcs)):
+            if isinstance(fit, LorentzFit):
+                with contextlib.suppress(ZeroDC):
+                    contrast = odmr_contrast(fit, dc)
+                    rate = photon_rate_from_voltage(dc, scene.detector)
+                    flat[:, first + k] = fit.fwhm_hz, contrast, rate
+    return maps
 
 
 def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
@@ -269,11 +295,7 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()
 
-    cells = [
-        [_map_cell(cfg, scene, po, pr, (args.seed, i, j)) for j, pr in enumerate(p_rfs)]
-        for i, po in enumerate(p_opts)
-    ]
-    fwhm, contrast, rate = np.moveaxis(np.array(cells), -1, 0)
+    fwhm, contrast, rate = _simulated_map(cfg, scene, p_opts, p_rfs, args.seed)
     eta = shot_noise_sensitivity(fwhm, contrast, rate, g_factor=cfg.spin.g_factor)
     n_failed = int(np.count_nonzero(~np.isfinite(eta)))
     if n_failed == eta.size:

@@ -108,11 +108,14 @@ def lorentzian_sum(frequency_hz, centers_hz, amplitudes, fwhm_hz) -> np.ndarray:
     """Sum of a * (G/2)^2 / ((f - f0)^2 + (G/2)^2) over lines, in order.
 
     A center may be an array of the frequency's shape (a moving line), and
-    centers_hz a generator, so such arrays need not all exist at once.
+    centers_hz a generator, so such arrays need not all exist at once.  The
+    amplitudes and the linewidth may be arrays too, such as (cells, 1)
+    columns against a (points,) grid; the sum takes their broadcast shape.
     """
     half = 0.5 * fwhm_hz
     freq = np.asarray(frequency_hz, dtype=float)
-    out = np.zeros(freq.shape)
+    amplitudes = list(amplitudes)
+    out = np.zeros(np.broadcast_shapes(freq.shape, *map(np.shape, [half, *amplitudes])))
     for center, amp in zip(centers_hz, amplitudes):
         detune = freq - center
         out += amp * half * half / (detune * detune + half * half)
@@ -152,8 +155,8 @@ def saturated_contrast(model: BroadeningModel, p_rf_w, p_opt_w):
 def synthesize_odmr(
     lines: list[TransitionLine],
     model: BroadeningModel,
-    p_rf_w: float,
-    p_opt_w: float,
+    p_rf_w,
+    p_opt_w,
     grid_hz: np.ndarray,
 ) -> SyntheticSpectrum:
     """Superpose Lorentzians for every transition line on a frequency grid.
@@ -161,7 +164,8 @@ def synthesize_odmr(
     All lines share the saturated linewidth; each line's amplitude is the
     saturated contrast scaled by its rel_strength.  Every given line is
     drawn, hyperfine satellites included; leave them out of lines to drop
-    them.  Returns the grid and the summed fractional contrast on it.
+    them.  Returns the grid and the summed fractional contrast on it; with
+    (cells, 1) columns of powers, one row of contrast per cell.
     """
     if not lines:
         raise EmptyTransitionList("no transition lines to synthesise")

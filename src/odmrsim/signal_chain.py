@@ -602,71 +602,100 @@ def simulate_am_sweep(
     per dwell from its exact covariance, and again no per-sample array is
     built.  Otherwise the counts are drawn per sample, in the order and
     stream of a seed, their residual about the noise-free rate is
-    demodulated, and dc_v is the cycle mean of the drawn volts.
+    demodulated, and dc_v is the cycle mean of the drawn volts.  This is
+    simulate_am_cells at one cell.
+    """
+    lockin, dc = simulate_am_cells(
+        scene,
+        plan,
+        cfg,
+        [scene.p_opt_w],
+        [scene.p_rf_w],
+        seeds=[seed] if shot_noise else None,
+    )
+    return SweepRecord(frequency_hz=plan.frequencies(), lockin_v=lockin[0], dc_v=dc[0])
+
+
+def simulate_am_cells(
+    scene: Scene, plan: SweepPlan, cfg: LockInConfig, p_opt_w, p_rf_w, seeds=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """lockin_v and dc_v, (cells, n_points), of one AM sweep per cell.
+
+    Cell k is the scene at optical power p_opt_w[k] and RF power p_rf_w[k],
+    swept as simulate_am_sweep sweeps it, with the same arithmetic per
+    element: the noise-free levels, responses and DC readings of all cells
+    are built as one array.  With seeds None the sweeps are noise-free;
+    otherwise cell k adds its shot noise from its own generator,
+    np.random.default_rng(seeds[k]).  A power whose linewidth or photon
+    rate overflows raises ValueError naming the first such cell's power.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
     if plan.dwell_s < cfg.settle_discard_s - 1e-12:
         raise ValueError("dwell_s must be at least 5 lock-in time constants")
 
-    freqs = plan.frequencies()
-    spectrum = synthesize_odmr(
-        scene.lines(),
-        scene.broadening,
-        scene.p_rf_w,
-        scene.p_opt_w,
-        freqs,
-    )
-    depth = spectrum.values
-    rate0 = scene.photon_rate_hz()
+    p_opt = np.asarray(p_opt_w, dtype=float)
+    p_rf = np.asarray(p_rf_w, dtype=float)
+    try:
+        depth = synthesize_odmr(
+            scene.lines(), scene.broadening, p_rf[:, None], p_opt[:, None],
+            plan.frequencies(),
+        ).values
+        rate0 = photon_rate(scene.pl_rate_per_w, p_opt)
+    except ValueError:
+        # Name the first failing cell's power, as that cell alone would.
+        for po, pr in zip(p_opt, p_rf):
+            saturated_fwhm(scene.broadening, pr)
+            photon_rate(scene.pl_rate_per_w, po)
+        raise
     k_v = scene.detector.volts_per_photon_rate
     dt = cfg.dt_s
     dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
     settle_n = min(cfg.settle_samples, dwell_n - 1)
 
     # Dwell 0 is the discarded lead-in at the first frequency.
-    levels = np.concatenate((depth[:1], depth))
-    base, lags, r_on, r_off = _dwell_response(cfg, dwell_n, settle_n, levels.size)
+    levels = np.concatenate((depth[:, :1], depth), axis=1)
+    n_dwells = levels.shape[1]
+    base, lags, r_on, r_off = _dwell_response(cfg, dwell_n, settle_n, n_dwells)
     n_phases, n_lags = lags.shape
-    response = base.copy()
+    response = np.repeat(base[None], p_opt.size, axis=0)
     for p in range(n_phases):
         for j in range(n_lags):
-            later = response[p + j :: n_phases]
-            later += lags[p, j] * levels[p::n_phases][: later.size]
-    scale = k_v * rate0
+            later = response[:, p + j :: n_phases]
+            later += lags[p, j] * levels[:, p::n_phases][:, : later.shape[1]]
+    scale = (k_v * rate0)[:, None]
     lockin = scale * response
     duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
     # Rounds the small term, not 1 - level * duty, so it stays nearer the
     # exact value.
     dc = scale - scale * duty * levels
-    if not shot_noise:
-        return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
 
-    rng = np.random.default_rng(seed)
-    if rate0 * dt * (1.0 - levels.max()) > GAUSSIAN_MEAN_THRESHOLD:
-        # Every count is a Gaussian draw: draw each dwell's noise on its
-        # settled means from their exact covariance (module docstring).
-        z = rng.standard_normal((2, levels.size, 1 + n_lags))
-        phase = np.arange(levels.size) % n_phases
-        s = k_v * k_v * rate0 / dt
-        noise = np.einsum("dk,dkl->dl", z[0], r_on[phase])
-        noise *= np.sqrt(s * (1.0 - levels))[:, None]
-        noise += math.sqrt(s) * np.einsum("dk,dkl->dl", z[1], r_off[phase])
-        dc += noise[:, 0]
-        for j in range(n_lags):
-            lockin[j:] += noise[: levels.size - j, 1 + j]
-        return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
-
-    demod = _Demodulator(cfg)
-    cycle_mean = _CycleMean(cfg)
-    for block in _dwell_blocks(levels.size, dwell_n):
-        gate = _am_gate(cfg, block.start * dwell_n, (block.stop - block.start) * dwell_n)
-        rate = (rate0 * (1.0 - levels[block, None] * gate.reshape(-1, dwell_n))).ravel()
-        noisy = k_v * _shot_counts(rate * dt, rng) / dt
-        residual = demod.process(noisy - k_v * rate)
-        lockin[block] += _settled_means(residual, dwell_n, settle_n)
-        dc[block] = _settled_means(cycle_mean.process(noisy), dwell_n, settle_n)
-    return SweepRecord(frequency_hz=freqs, lockin_v=lockin[1:], dc_v=dc[1:])
+    for level, lock, dc_k, rate, seed in zip(levels, lockin, dc, rate0, seeds or ()):
+        rng = np.random.default_rng(seed)
+        if rate * dt * (1.0 - level.max()) > GAUSSIAN_MEAN_THRESHOLD:
+            # Every count is a Gaussian draw: draw each dwell's noise on its
+            # settled means from their exact covariance (module docstring).
+            z = rng.standard_normal((2, n_dwells, 1 + n_lags))
+            phase = np.arange(n_dwells) % n_phases
+            s = k_v * k_v * rate / dt
+            noise = np.einsum("dk,dkl->dl", z[0], r_on[phase])
+            noise *= np.sqrt(s * (1.0 - level))[:, None]
+            noise += math.sqrt(s) * np.einsum("dk,dkl->dl", z[1], r_off[phase])
+            dc_k += noise[:, 0]
+            for j in range(n_lags):
+                lock[j:] += noise[: n_dwells - j, 1 + j]
+            continue
+        demod = _Demodulator(cfg)
+        cycle_mean = _CycleMean(cfg)
+        for block in _dwell_blocks(n_dwells, dwell_n):
+            n = (block.stop - block.start) * dwell_n
+            gate = _am_gate(cfg, block.start * dwell_n, n).reshape(-1, dwell_n)
+            rates = (rate * (1.0 - level[block, None] * gate)).ravel()
+            noisy = k_v * _shot_counts(rates * dt, rng) / dt
+            residual = demod.process(noisy - k_v * rates)
+            lock[block] += _settled_means(residual, dwell_n, settle_n)
+            dc_k[block] = _settled_means(cycle_mean.process(noisy), dwell_n, settle_n)
+    return lockin[:, 1:], dc[:, 1:]
 
 
 def fm_discriminator_slope(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odmrsim import (
     EmptyGrid,
@@ -27,6 +29,7 @@ from odmrsim import (
     shot_noise_sensitivity,
 )
 from odmrsim import analysis
+from odmrsim.analysis import fit_lorentzian_rows
 
 TRUE_CENTER = 98.04e6
 TRUE_FWHM = 1.0e6
@@ -221,6 +224,107 @@ def test_fit_input_validation():
         fit_lorentzian(sweep(np.arange(4.0), np.arange(4.0)))
     with pytest.raises(ValueError):
         sweep(np.arange(10.0), np.arange(9.0))
+
+
+def fit_or_error(x, y):
+    """fit_lorentzian on one sweep, or the NoPeakFound or NonConvergence it raises."""
+    try:
+        return fit_lorentzian(sweep(x, y))
+    except (NoPeakFound, NonConvergence) as exc:
+        return exc
+
+
+def assert_rows_match_single_fits(x, y):
+    stacked = fit_lorentzian_rows(x, y)
+    assert len(stacked) == len(y)
+    for row, got in zip(y, stacked):
+        want = fit_or_error(x, row)
+        assert type(got) is type(want)
+        # repr round-trips every float and tells -0.0 from 0.0, so equal
+        # reprs are equal bits; an exception's repr holds its message.
+        assert repr(got) == repr(want)
+
+
+@st.composite
+def sweep_stacks(draw):
+    """Rows of one 41- or 201-point sweep: SNR 20, SNR < 1, flat or 1e300."""
+    n = draw(st.sampled_from([41, 201]))
+    x = np.linspace(95e6, 101e6, n)
+    rows = []
+    kinds = st.sampled_from(["snr20", "low", "flat", "huge"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "flat":
+            rows.append(np.full(n, draw(st.floats(-1.0, 1.0))))
+            continue
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        center = draw(st.floats(95.5e6, 100.5e6))
+        fwhm = draw(st.floats(2e5, 2e6))
+        snr = 20.0 if kind == "snr20" else draw(st.floats(0.05, 0.99))
+        row = lorentz(x, center, fwhm, 4e-4, 1e-4) + rng.normal(0.0, 4e-4 / snr, n)
+        if kind == "huge":
+            spots = rng.choice(n, size=draw(st.integers(1, 3)), replace=False)
+            row[spots] = rng.choice([-1e300, 1e300], size=spots.size)
+        rows.append(row)
+    return x, np.array(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_stacks())
+def test_stacked_fit_rows_equal_single_fits(stack):
+    # Each row of the stacked loop ends where fit_lorentzian ends on it
+    # alone, with the same bits, or fails with the same class and message.
+    assert_rows_match_single_fits(*stack)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3])
+def test_stacked_fit_rows_run_out_of_iterations_as_single_fits(monkeypatch, max_iter):
+    monkeypatch.setattr(analysis, "_MAX_ITER", max_iter)
+    x, y = clean_sweep()
+    noisy = y + np.random.default_rng(5).normal(0.0, 0.05, x.size)
+    stack = np.array([y, noisy, np.full(x.size, 0.3), noisy[::-1]])
+    assert_rows_match_single_fits(x, stack)
+    assert isinstance(fit_lorentzian_rows(x, stack)[0], NonConvergence)
+
+
+def test_singular_stacked_solve_falls_back_to_single_rows(monkeypatch):
+    # On an axis spaced 1e76 Hz the step's 40-sample initial width makes
+    # every (dx^2 + (G/2)^2)^2 overflow, so its centre and width columns
+    # are zero and every damped matrix of that row is singular: the stacked
+    # solve raises, each row is solved alone, and the step row takes the
+    # single-row loop's 50 tenfold retries.
+    x = np.arange(41) * 1e76
+    step = np.repeat([-1.0, 0.0, 1.0], [20, 1, 20])
+    noise = np.random.default_rng(0).normal(0.0, 0.01, x.size)
+    stack = np.array(
+        [
+            step,
+            lorentz(x, 20e76, 3e76, 1.0, 0.0),
+            lorentz(x, 12e76, 4e76, -2.0, 0.0) + noise,
+        ]
+    )
+    real_solve = np.linalg.solve
+    raised = []
+
+    def spying_solve(a, b):
+        try:
+            return real_solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(np.ndim(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spying_solve)
+    stacked = fit_lorentzian_rows(x, stack)
+    # One stacked and one single-row LinAlgError for each of the 50 tries.
+    assert raised.count(3) == raised.count(2) == 50
+    monkeypatch.setattr(np.linalg, "solve", real_solve)
+    assert_rows_match_single_fits(x, stack)
+    assert isinstance(stacked[0], NoPeakFound)
+    assert all(isinstance(fit, analysis.LorentzFit) for fit in stacked[1:])
+
+
+def test_stacked_fit_input_validation():
+    with pytest.raises(ValueError):
+        fit_lorentzian_rows(np.arange(4.0), np.zeros((2, 4)))
 
 
 def test_contrast_inverts_demodulation_gain():

@@ -922,7 +922,7 @@ ONE_SAMPLE_STEPS_CONFIG = {
             "map",
             {**MINI_MAP_CONFIG, "sweep": {**MINI_MAP_CONFIG["sweep"], "n_points": 4}},
             [],
-            "simulate_am_sweep",
+            "simulate_am_cells",
             "sweep.n_points",
         ),
         # 5 tau is 2.5 s, so a 2.5 s step keeps no sample after the discard.
@@ -1072,3 +1072,123 @@ def test_seed_changes_noisy_output(tmp_path):
     track_a = (out_a / "tracking.csv").read_bytes()
     assert track_a == (out_b / "tracking.csv").read_bytes()
     assert track_a != (out_c / "tracking.csv").read_bytes()
+
+
+def per_cell_map(cfg, scene, p_opts, p_rfs, seed):
+    """The map one cell at a time: simulate_am_sweep, then fit_lorentzian."""
+    from dataclasses import replace
+
+    from odmrsim import odmr_contrast, photon_rate_from_voltage, simulate_am_sweep
+
+    maps = np.full((3, p_opts.size, p_rfs.size), math.nan)
+    for i, p_opt in enumerate(p_opts):
+        for j, p_rf in enumerate(p_rfs):
+            cell = replace(scene, p_opt_w=float(p_opt), p_rf_w=float(p_rf))
+            record = simulate_am_sweep(
+                cell, cfg.sweep, cfg.lockin, seed=(seed, i, j),
+                shot_noise=cfg.detector.shot_noise,
+            )
+            try:
+                fit = odmrsim.fit_lorentzian(record)
+                dc = float(np.nanmedian(record.dc_v))
+                contrast = odmr_contrast(fit, dc)
+            except (odmrsim.NoPeakFound, odmrsim.NonConvergence, odmrsim.ZeroDC):
+                continue
+            rate = photon_rate_from_voltage(dc, cell.detector)
+            maps[:, i, j] = fit.fwhm_hz, contrast, rate
+    return maps
+
+
+MAP_FILES = ("map.csv", "argmin.json", "map.svg")
+
+
+def map_bytes(cfg, out, seed):
+    argv = ["map", "--svg", "--config", cfg, "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+    return [(out / name).read_bytes() for name in MAP_FILES]
+
+
+def shot_noise_map(tmp_path, side, **lineshape):
+    data = json.loads((CONFIG_DIR / "sensitivity_map_annealed.json").read_text())
+    data["detector"]["shot_noise"] = True
+    data["sweep"]["grid"].update(n_opt=side, n_rf=side)
+    if lineshape:
+        data["lineshape"] = lineshape
+    return write_config(tmp_path, data, f"shot_{side}_{len(lineshape)}.json")
+
+
+@pytest.mark.parametrize(
+    "config, seed",
+    [
+        ("quenched", 0),
+        ("annealed", 0),
+        # The benchmark's shot-noise grid: long-tail fits, NaN cells and
+        # chunk boundaries inside grid rows.
+        ("shot-10x10", 1),
+        ("shot-10x10", 2),
+        # 400-8,000 mean counts a sample: every cell draws per-sample counts.
+        ("poisson-3x3", 1),
+    ],
+)
+def test_map_is_the_per_cell_loop_byte_for_byte(tmp_path, monkeypatch, config, seed):
+    from odmrsim import cli
+
+    cfg = {
+        "quenched": str(CONFIG_DIR / "sensitivity_map_quenched.json"),
+        "annealed": str(CONFIG_DIR / "sensitivity_map_annealed.json"),
+        "shot-10x10": shot_noise_map(tmp_path, 10),
+        "poisson-3x3": shot_noise_map(tmp_path, 3, pl_rate_per_w=1e9),
+    }[config]
+    stacked = map_bytes(cfg, tmp_path / "stacked", seed)
+    monkeypatch.setattr(cli, "_simulated_map", per_cell_map)
+    assert stacked == map_bytes(cfg, tmp_path / "per_cell", seed)
+
+
+def test_map_does_not_depend_on_its_chunk_size(tmp_path, monkeypatch):
+    from odmrsim import cli
+
+    cfg = shot_noise_map(tmp_path, 10)
+    n_points = 41
+    runs = []
+    # One grid row, three rows, seven cells (chunks end inside rows) and the
+    # whole grid.
+    for cells in (10, 30, 7, 100):
+        monkeypatch.setattr(cli, "_MAP_CHUNK_VALUES", cells * n_points)
+        runs.append(map_bytes(cfg, tmp_path / f"cells_{cells}", 3))
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_large_map_holds_one_chunk_at_a_time(tmp_path, monkeypatch):
+    # A 50 x 50 grid at 401 points: a whole-grid (cells, points) array takes
+    # 8 MB and a (cells, points, 4) Jacobian stack 32 MB.  Every chunk
+    # stays within _MAP_CHUNK_VALUES cells x points, and the command's traced
+    # peak stays under half of one whole-grid (cells, points) array.  The
+    # first chunk runs the full stacked fit and the rest skip it, to keep
+    # the test quick.
+    import tracemalloc
+
+    from odmrsim import cli
+
+    data = json.loads((CONFIG_DIR / "sensitivity_map_quenched.json").read_text())
+    data["sweep"].update(n_points=401, dwell_s=0.025)
+    data["sweep"]["grid"].update(n_opt=50, n_rf=50)
+    cfg = write_config(tmp_path, data)
+    real_fit = cli.fit_lorentzian_rows
+    shapes = []
+
+    def first_chunk_only(x, y):
+        shapes.append(y.shape)
+        if len(shapes) == 1:
+            return real_fit(x, y)
+        return [odmrsim.NoPeakFound("not fitted")] * len(y)
+
+    monkeypatch.setattr(cli, "fit_lorentzian_rows", first_chunk_only)
+    tracemalloc.start()
+    try:
+        assert main(["map", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(rows for rows, _ in shapes) == 2500
+    assert all(rows * points <= cli._MAP_CHUNK_VALUES for rows, points in shapes)
+    assert peak < 2500 * 401 * 8 / 2

@@ -49,6 +49,37 @@ def test_lorentzian_sum_is_the_per_line_loop_bit_for_bit():
     assert np.array_equal(lorentzian_sum(freq, [], [], fwhm), np.zeros(freq.size))
 
 
+def test_lorentzian_sum_broadcasts_column_amplitudes_and_widths():
+    # (cells, 1) amplitudes and widths against a (points,) grid give
+    # (cells, points), each row the sum at that cell's values alone.
+    rng = np.random.default_rng(9)
+    freq = rng.uniform(97e6, 99e6, 31)
+    centers = list(rng.uniform(97e6, 99e6, 3))
+    amps = rng.uniform(-0.02, 0.03, (3, 4, 1))
+    fwhm = rng.uniform(3e5, 2e6, (4, 1))
+    got = lorentzian_sum(freq, centers, list(amps), fwhm)
+    assert got.shape == (4, freq.size)
+    for k in range(4):
+        want = lorentzian_sum(freq, centers, list(amps[:, k, 0]), float(fwhm[k, 0]))
+        assert np.array_equal(got[k], want)
+    # A scalar amplitude on a column of widths broadcasts the same way.
+    assert lorentzian_sum(freq, centers, [0.01] * 3, fwhm).shape == (4, freq.size)
+
+
+def test_synthesis_over_power_columns_is_the_per_cell_synthesis():
+    # The map's noise-free levels: one synthesis over (cells, 1) power
+    # columns equals each cell's own synthesis, bit for bit.
+    lines = lines_at(hyperfine=True)
+    grid = np.linspace(95.5e6, 100.5e6, 41)
+    p_opt = np.repeat(np.linspace(0.02, 0.4, 4), 5)
+    p_rf = np.tile(np.linspace(0.05, 2.0, 5), 4)
+    levels = synthesize_odmr(lines, QUENCHED, p_rf[:, None], p_opt[:, None], grid)
+    assert levels.values.shape == (20, grid.size)
+    for row, po, pr in zip(levels.values, p_opt, p_rf):
+        cell = synthesize_odmr(lines, QUENCHED, float(pr), float(po), grid)
+        assert np.array_equal(row, cell.values)
+
+
 def test_fwhm_square_root_power_broadening():
     # Half-saturation power doubles the squared width: fwhm0 sqrt(1 + p/p_sat).
     assert saturated_fwhm(QUENCHED, 0.0) == pytest.approx(450e3)

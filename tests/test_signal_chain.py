@@ -55,6 +55,7 @@ from odmrsim.signal_chain import (
     _line_table,
     _Pole,
     _shot_counts,
+    simulate_am_cells,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -680,6 +681,44 @@ def test_dwell_response_column_sum_is_sampled_gain(n):
         assert gain == pytest.approx(0.6472135955, rel=0, abs=1e-10)
         assert lags[0, 0] == pytest.approx(0.6463, rel=1e-3)
         assert lags[0, 1] == pytest.approx(8.82e-4, rel=1e-3)
+
+
+@pytest.mark.parametrize("regime", ["noise-free", "gaussian", "poisson"])
+def test_am_cells_are_per_cell_sweeps(regime):
+    # Each cell of one stacked call is simulate_am_sweep at that cell's
+    # powers and seed, bit for bit, in every noise regime.
+    cfg = sweep_config()
+    plan = SweepPlan(f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=21, dwell_s=0.025)
+    scene = quenched_scene()
+    if regime == "poisson":
+        scene = replace(scene, pl_rate_per_w=1e9)
+    p_opt = np.array([0.02, 0.4, 0.1, 0.3, 0.25])
+    p_rf = np.array([0.05, 2.0, 1.0, 0.5, 0.05])
+    seeds = [(7, k, 4 - k) for k in range(p_opt.size)]
+    noisy = regime != "noise-free"
+    lockin, dc = simulate_am_cells(
+        scene, plan, cfg, p_opt, p_rf, seeds if noisy else None
+    )
+    assert lockin.shape == dc.shape == (p_opt.size, plan.n_points)
+    for k, (po, pr) in enumerate(zip(p_opt, p_rf)):
+        cell = replace(scene, p_opt_w=float(po), p_rf_w=float(pr))
+        dimmest = cell.photon_rate_hz() * cfg.dt_s * (1.0 - 0.05)
+        assert (dimmest > GAUSSIAN_MEAN_THRESHOLD) == (regime != "poisson")
+        record = simulate_am_sweep(cell, plan, cfg, seed=seeds[k], shot_noise=noisy)
+        assert np.array_equal(lockin[k], record.lockin_v)
+        assert np.array_equal(dc[k], record.dc_v)
+
+
+def test_am_cells_name_the_first_overflowing_cell():
+    # The stacked synthesis would name the largest RF power; the message
+    # names the first failing cell's power, as that cell alone would.
+    cfg = sweep_config()
+    plan = SweepPlan(f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=5, dwell_s=0.025)
+    scene = quenched_scene()
+    with pytest.raises(ValueError, match=r"p_rf_w 1e\+307 W: the linewidth"):
+        simulate_am_cells(scene, plan, cfg, [0.4, 0.4, 0.4], [1.0, 1e307, 1e308])
+    with pytest.raises(ValueError, match=r"p_opt_w 1e\+300 W: the photon rate"):
+        simulate_am_cells(scene, plan, cfg, [0.4, 1e300, 0.4], [1.0, 1.0, 1e308])
 
 
 def test_am_sweep_seed_reproducibility():
