@@ -51,7 +51,8 @@ from .errors import ScheduleMismatch, SchemaViolation, ZeroDC
 from .io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
-    format_rows,
+    csv_chunks,
+    format_float,
     load_manifest,
     load_sweep,
     write_json_record,
@@ -144,16 +145,14 @@ def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
     )
     tables = scan_transitions(scene.spin, cfg.field, bz_values)
 
-    rows = [TRANSITIONS_HEADER]
-    for t in tables:
-        rows += format_rows(
-            bz_values[t.field_index],
-            t.label,
-            t.lower_m,
-            t.upper_m,
-            t.frequency_hz,
-            t.rel_strength,
+    # The blocks' rows as one table, which one writer formats in chunks.
+    columns = [
+        np.concatenate([getattr(t, name) for t in tables])
+        for name in (
+            "field_index", "label", "lower_m", "upper_m", "frequency_hz", "rel_strength"
         )
+    ]
+    columns[0] = bz_values[columns[0]]
 
     spectrum = synthesize_odmr(
         scene.lines(),
@@ -162,12 +161,12 @@ def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
         scene.p_opt_w,
         cfg.sweep.frequencies(),
     )
-    spec_rows = ["frequency_hz,contrast"] + format_rows(
-        spectrum.frequency_hz, spectrum.values
-    )
     with _publish(args, cfg, t0) as stage:
-        _write_text(stage("transitions.csv"), "\n".join(rows) + "\n")
-        _write_text(stage("spectrum.csv"), "\n".join(spec_rows) + "\n")
+        _write_text(stage("transitions.csv"), csv_chunks(TRANSITIONS_HEADER, *columns))
+        _write_text(
+            stage("spectrum.csv"),
+            csv_chunks("frequency_hz,contrast", spectrum.frequency_hz, spectrum.values),
+        )
         if args.svg:
             line_plot(
                 spectrum.frequency_hz / 1e6,
@@ -178,7 +177,7 @@ def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
                 y_label="contrast",
             )
     print(
-        f"spectrum: {len(rows) - 1} transition rows, "
+        f"spectrum: {columns[0].size} transition rows, "
         f"{spectrum.frequency_hz.size} samples -> {Path(args.out)}"
     )
     return 0
@@ -382,8 +381,9 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     t = result.field_estimate.times(decim)
     est = result.field_estimate.values[::decim]
     lockin = result.lockin.values[::decim]
-    true = timeline.value_at(t)
-    rows = ["t_s,bz_true_t,bz_est_t,lockin_v"] + format_rows(t, true, est, lockin)
+    # Each level is formatted once; its text is repeated down its step.
+    levels = np.array([format_float(v) for v in timeline.bz_t])
+    true = levels[timeline.step_index(t)]
 
     payload = {"format_version": FORMAT_VERSION}
     payload.update(report.to_dict())
@@ -396,7 +396,10 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         }
     )
     with _publish(args, cfg, t0) as stage:
-        _write_text(stage("tracking.csv"), "\n".join(rows) + "\n")
+        _write_text(
+            stage("tracking.csv"),
+            csv_chunks("t_s,bz_true_t,bz_est_t,lockin_v", t, true, est, lockin),
+        )
         write_json_record(payload, stage("steps.json"))
         if args.svg:
             line_plot(

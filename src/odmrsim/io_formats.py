@@ -11,6 +11,7 @@ import contextlib
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,28 +37,40 @@ def format_float(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def format_rows(*columns) -> list[str]:
-    """CSV lines from equal-length columns, one line per row.
+# Rows per formatted chunk of a CSV table: enough that one % call
+# amortises its setup, few enough that a chunk's Python objects stay small.
+_CHUNK_ROWS = 4096
 
-    Numbers render as format_float renders them and NaN as an empty cell;
-    strings as they are.
+
+def csv_chunks(header: str, *columns) -> Iterator[str]:
+    """The text of a CSV table: its header line, then its rows in chunks.
+
+    Columns have equal length.  Numbers render as format_float renders
+    them and NaN as an empty cell; strings as they are.  Each chunk of up
+    to _CHUNK_ROWS rows is formatted by one % call.
     """
-    specs, cells = [], []
-    for column in map(np.asarray, columns):
-        values = column.tolist()
-        holed = column.dtype.kind == "f" and np.isnan(column).any()
-        if holed:
-            values = ["" if math.isnan(v) else format_float(v) for v in values]
-        specs.append("{}" if holed or column.dtype.kind == "U" else "{:.17g}")
-        cells.append(values)
-    template = ",".join(specs)
-    return [template.format(*row) for row in zip(*cells)]
+    yield header + "\n"
+    columns = [np.asarray(c) for c in columns]
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        chunk = [c[start : start + _CHUNK_ROWS] for c in columns]
+        cells = np.empty((chunk[0].size, len(chunk)), dtype=object)
+        specs = []
+        for j, column in enumerate(chunk):
+            spec = "%s" if column.dtype.kind == "U" else "%.17g"
+            if column.dtype.kind == "f" and np.isnan(column).any():
+                spec = "%s"
+                column = ["" if v != v else format_float(v) for v in column.tolist()]
+            cells[:, j] = column
+            specs.append(spec)
+        yield (",".join(specs) + "\n") * len(cells) % tuple(cells.ravel().tolist())
 
 
-def _write_text(path, text: str) -> Path:
+def _write_text(path, text) -> Path:
+    """Write text, a str or an iterable of str chunks, to path as UTF-8."""
     path = Path(path)
     try:
-        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
@@ -130,8 +143,8 @@ class SweepRecord:
 
 
 def write_sweep(record: SweepRecord, path) -> Path:
-    rows = format_rows(record.frequency_hz, record.lockin_v, record.dc_v)
-    return _write_text(path, "\n".join([SWEEP_HEADER, *rows]) + "\n")
+    columns = (record.frequency_hz, record.lockin_v, record.dc_v)
+    return _write_text(path, csv_chunks(SWEEP_HEADER, *columns))
 
 
 def load_sweep(path) -> SweepRecord:
@@ -185,8 +198,8 @@ def write_map_csv(p_opt_w, p_rf_w, arrays, path) -> Path:
     arrays holds the (n_opt, n_rf) arrays of the other columns, NaN as empty.
     """
     p_opt, p_rf = np.meshgrid(p_opt_w, p_rf_w, indexing="ij")
-    rows = format_rows(*(np.ravel(a) for a in (p_opt, p_rf, *arrays)))
-    return _write_text(path, "\n".join([MAP_HEADER, *rows]) + "\n")
+    columns = (np.ravel(a) for a in (p_opt, p_rf, *arrays))
+    return _write_text(path, csv_chunks(MAP_HEADER, *columns))
 
 
 def load_map_csv(path) -> list[dict]:

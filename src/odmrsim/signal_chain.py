@@ -200,8 +200,12 @@ def _shot_counts(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if small.any():
         out[small] = rng.poisson(mean[small])
     if big.any():
+        # rng.normal(mu, sqrt(mu)) in bulk: the same draws and arithmetic.
         mu = mean[big]
-        out[big] = np.maximum(rng.normal(mu, np.sqrt(mu)), 0.0)
+        z = rng.standard_normal(mu.size)
+        z *= np.sqrt(mu)
+        z += mu
+        out[big] = np.maximum(z, 0.0, out=z)
     return out
 
 
@@ -295,9 +299,13 @@ class FieldTimeline:
         if starts.size >= 2 and not np.all(np.diff(starts) > 0):
             raise ValueError("timeline starts must be strictly increasing")
 
-    def value_at(self, t_s: np.ndarray) -> np.ndarray:
+    def step_index(self, t_s):
+        """Index of the step each time falls in; times before 0 take step 0."""
         idx = np.searchsorted(self.starts_s, t_s, side="right") - 1
-        return self.bz_t[np.clip(idx, 0, self.bz_t.size - 1)]
+        return np.clip(idx, 0, self.bz_t.size - 1)
+
+    def value_at(self, t_s) -> np.ndarray:
+        return self.bz_t[self.step_index(t_s)]
 
     @classmethod
     def staircase(
@@ -866,11 +874,15 @@ def simulate_fm_tracking(
     demod = _Demodulator(cfg)
     out = np.empty(n_total)
     for block in _dwell_blocks(n_total, 1):
-        t = np.arange(block.start, block.stop) * dt
-        db = timeline.value_at(t) - bias
+        # A block inside one step takes that step's level as a scalar.
+        first, last = timeline.step_index([block.start * dt, (block.stop - 1) * dt])
+        if first == last:
+            db = timeline.bz_t[first] - bias
+        else:
+            db = timeline.value_at(np.arange(block.start, block.stop) * dt) - bias
         if noise is not None:
             db = db + noise[block]
-        sign = np.where(_am_gate(cfg, block.start, db.size), -1.0, 1.0)
+        sign = np.where(_am_gate(cfg, block.start, block.stop - block.start), -1.0, 1.0)
         nu_inst = carrier + cfg.fm_deviation_hz * sign
         moving = (center + slope * db for center, slope in zip(centers, slopes))
         depth = lorentzian_sum(nu_inst, moving, amps, fwhm)

@@ -27,7 +27,8 @@ from odmrsim import (
     write_sweep,
 )
 from odmrsim import io_formats
-from odmrsim.io_formats import dump_json, format_float, format_rows, sha256_file
+from odmrsim.io_formats import csv_chunks, dump_json, format_float, sha256_file
+from odmrsim import svgplot
 from odmrsim.svgplot import heatmap, line_plot
 
 
@@ -320,7 +321,11 @@ def test_format_float_round_trips():
     assert float(format_float(3.8829e-9)) == 3.8829e-9
 
 
-def test_format_rows_matches_format_float_bytes():
+def _csv_text(header, *columns) -> str:
+    return "".join(csv_chunks(header, *columns))
+
+
+def test_csv_chunks_match_format_float_bytes():
     rng = np.random.default_rng(6)
     numbers = np.concatenate(
         (
@@ -332,18 +337,42 @@ def test_format_rows_matches_format_float_bytes():
     )
     labels = [f"nu{k % 3}" for k in range(numbers.size)]
     whole = np.round(numbers[::-1] * 1e-3)
-    expected = [
-        f"{format_float(a)},{label},{format_float(b)}"
+    expected = "".join(
+        f"{format_float(a)},{label},{format_float(b)}\n"
         for a, label, b in zip(numbers, labels, whole)
-    ]
-    assert format_rows(numbers, labels, whole) == expected
-    assert format_rows(list(numbers)) == [format_float(v) for v in numbers]
+    )
+    assert _csv_text("a,label,b", numbers, labels, whole) == "a,label,b\n" + expected
+    assert _csv_text("a", list(numbers)) == "a\n" + "".join(
+        f"{format_float(v)}\n" for v in numbers
+    )
     holed = numbers.copy()
     holed[[1, 7]] = math.nan
-    assert format_rows(holed, labels) == [
-        f"{'' if math.isnan(a) else format_float(a)},{label}"
+    assert _csv_text("a,label", holed, labels) == "a,label\n" + "".join(
+        f"{'' if math.isnan(a) else format_float(a)},{label}\n"
         for a, label in zip(holed, labels)
-    ]
+    )
+    ints = np.array([0, -3, 2**53 + 1, 10**18], dtype=np.int64)
+    assert _csv_text("m", ints) == "m\n" + "".join(
+        f"{format_float(v)}\n" for v in ints.tolist()
+    )
+
+
+def test_csv_chunks_stream_long_tables_in_chunks():
+    rng = np.random.default_rng(7)
+    n = 2 * io_formats._CHUNK_ROWS + 17
+    values = rng.normal(0.0, 1e3, n)
+    # NaN only in the last chunk: earlier chunks format the column as numbers.
+    holed = rng.uniform(-1.0, 1.0, n)
+    holed[n - 5] = math.nan
+    labels = np.array([f"s{k % 11}" for k in range(n)])
+    chunks = list(csv_chunks("v,h,l", values, holed, labels))
+    assert len(chunks) == 1 + 3
+    assert chunks[0] == "v,h,l\n"
+    assert "".join(chunks) == "v,h,l\n" + "".join(
+        f"{format_float(v)},{'' if math.isnan(h) else format_float(h)},{label}\n"
+        for v, h, label in zip(values, holed, labels)
+    )
+    assert list(csv_chunks("v,l", np.empty(0), np.array([], dtype=str))) == ["v,l\n"]
 
 
 def test_dump_json_rejects_nan():
@@ -377,3 +406,56 @@ def test_svg_bytes_are_pinned(tmp_path):
     assert sha256_file(tmp_path / "heat.svg") == (
         "f41c7e100857dce5655aada4ad4a5cd09b4ebc9e4bf6321adad125a6a60d22d8"
     )
+
+
+def _polyline(path) -> list[str]:
+    text = Path(path).read_text()
+    return text.split('<polyline points="', 1)[1].split('"', 1)[0].split(" ")
+
+
+def _full_plot(monkeypatch, x, y, path) -> list[str]:
+    """The polyline of line_plot with every point kept."""
+    with monkeypatch.context() as m:
+        m.setattr(svgplot, "_m4", lambda xa, ya, columns: slice(None))
+        line_plot(x, y, path)
+    return _polyline(path)
+
+
+def test_line_plot_keeps_each_pixel_columns_extremes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    n = 40_000
+    x = np.cumsum(rng.uniform(0.5, 1.5, n))
+    y = np.cumsum(rng.normal(0.0, 1.0, n)) + rng.normal(0.0, 5.0, n)
+    full = _full_plot(monkeypatch, x, y, tmp_path / "full.svg")
+    line_plot(x, y, tmp_path / "m4.svg")
+    kept = _polyline(tmp_path / "m4.svg")
+    width = 640 - 2 * 56
+    assert len(kept) <= 4 * width
+    columns: dict[int, list[int]] = {}
+    for k, xk in enumerate(x):
+        col = min(math.floor((xk - x[0]) / (x[-1] - x[0]) * width), width - 1)
+        columns.setdefault(col, []).append(k)
+    assert len(columns) == width
+    wanted = set()
+    for members in columns.values():
+        ys = y[members]
+        low, high = members[int(ys.argmin())], members[int(ys.argmax())]
+        wanted.update((members[0], members[-1], low, high))
+    # The kept points are the wanted ones, in order, at the full plot's
+    # coordinates.
+    assert kept == [full[k] for k in sorted(wanted)]
+
+
+@pytest.mark.parametrize("case", ["at_limit", "x_repeats", "x_falls"])
+def test_line_plot_keeps_every_point_otherwise(tmp_path, monkeypatch, case):
+    rng = np.random.default_rng(9)
+    n = 2112 if case == "at_limit" else 10_000
+    x = np.arange(n, dtype=float)
+    if case == "x_repeats":
+        x[n // 2] = x[n // 2 - 1]
+    elif case == "x_falls":
+        x = x[::-1]
+    y = rng.normal(0.0, 1.0, n)
+    _full_plot(monkeypatch, x, y, tmp_path / "full.svg")
+    line_plot(x, y, tmp_path / "plot.svg")
+    assert (tmp_path / "plot.svg").read_bytes() == (tmp_path / "full.svg").read_bytes()

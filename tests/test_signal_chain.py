@@ -166,6 +166,31 @@ def test_shot_noise_zero_mean_gives_zero():
     np.testing.assert_array_equal(draws, np.zeros(50))
 
 
+def test_shot_counts_match_numpy_normal_bit_for_bit():
+    # The bulk draw z * sqrt(mu) + mu must repeat numpy's own
+    # normal(mu, sqrt(mu)) exactly; a build whose normal() fused its
+    # loc + scale * z into one rounding would differ here.
+    rng = np.random.default_rng(11)
+    mean = np.concatenate(
+        (
+            [0.0, 3.0, GAUSSIAN_MEAN_THRESHOLD],
+            [np.nextafter(GAUSSIAN_MEAN_THRESHOLD, np.inf)],
+            rng.uniform(0.0, 2.0 * GAUSSIAN_MEAN_THRESHOLD, 500),
+            rng.uniform(1e4, 1e12, 500),
+        )
+    )
+    rng.shuffle(mean)
+    got = _shot_counts(mean, np.random.default_rng(12))
+    big = mean > GAUSSIAN_MEAN_THRESHOLD
+    ref_rng = np.random.default_rng(12)
+    expected = np.empty_like(mean)
+    expected[~big] = ref_rng.poisson(mean[~big])
+    mu = mean[big]
+    expected[big] = np.maximum(ref_rng.normal(mu, np.sqrt(mu)), 0.0)
+    assert big.sum() > 500 and (~big).sum() > 200
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_lockin_config_validation():
     with pytest.raises(ValueError):
         LockInConfig(mode="pm")
@@ -838,6 +863,39 @@ def test_tracking_recovers_staircase_steps():
     for k in range(4):
         sel = (t >= k * 20.0 + 10.0) & (t < (k + 1) * 20.0)
         assert np.mean(est[sel]) == pytest.approx(tl.bz_t[k], abs=2e-9)
+
+
+@pytest.mark.parametrize("field_noise", [0.0, 70e-9])
+@pytest.mark.parametrize("block", [64, 7])
+def test_tracking_staircase_levels_match_full_series_lookup(
+    monkeypatch, block, field_noise
+):
+    # Step edges at samples 128, 319, 542 and 641: the first sample, the
+    # last sample, the inside and the second sample of 64-sample blocks.
+    # One block as long as the run crosses every edge, so it looks up the
+    # level of every sample.
+    cfg = fm_config()
+    dt = cfg.dt_s
+    tl = FieldTimeline(
+        starts_s=np.array([0, 128, 319, 542, 641]) * dt,
+        bz_t=1e-3 + 500e-9 * np.array([-1.0, 0.5, 2.0, -0.5, 1.0]),
+    )
+
+    def run(block_n):
+        monkeypatch.setattr("odmrsim.signal_chain._BLOCK", block_n)
+        res = simulate_fm_tracking(
+            tl,
+            quenched_scene(),
+            cfg,
+            1000 * dt,
+            seed=3,
+            field_noise_step_sigma_t=field_noise,
+        )
+        return res.lockin.values
+
+    reference = run(1000)
+    got = run(block)
+    np.testing.assert_array_equal(got.view(np.uint64), reference.view(np.uint64))
 
 
 def test_tracking_field_noise_calibration():
