@@ -69,6 +69,7 @@ from .signal_chain import (
     photon_rate_from_voltage,
     simulate_am_cells,
     simulate_fm_tracking,
+    _dwell_lags,
 )
 from .spin_model import scan_transitions
 from .svgplot import heatmap, line_plot
@@ -289,6 +290,15 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
     if cfg.sweep.dwell_s < cfg.lockin.settle_discard_s - 1e-12:
         raise SchemaViolation(
             "sweep.dwell_s must be at least 5 x lockin.time_constant_s"
+        )
+    # The dwell-response operator holds the weights of every dwell one
+    # dwell's samples reach.
+    dwell_n = int(round(cfg.sweep.dwell_s * cfg.lockin.sample_rate_hz))
+    n_lags = _dwell_lags(cfg.lockin, dwell_n, cfg.sweep.n_points + 1)
+    if n_lags * dwell_n > MAX_SAMPLES:
+        raise SchemaViolation(
+            f"sweep.dwell_s: the lock-in response of one dwell spans {n_lags} "
+            f"dwells of {dwell_n} samples, more than {MAX_SAMPLES} samples"
         )
     scene = cfg.scene()
     p_opts = grid.p_opt_values()

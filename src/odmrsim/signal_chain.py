@@ -40,18 +40,22 @@ cos = 0 when samples_per_cycle is divisible by 4.
 Dwell response
 --------------
 An AM sweep holds depth level l_d for dwell d and reads the settled mean
-of the demodulated output in each dwell.  Without noise the chain is
-linear in the levels, so per unit photon rate the means are
-base + W @ levels: base is the response to a constant 1 and column d of W
-the response to the unit dip gated through dwell d alone.  Because the
-chain repeats every cycle, a column depends only on the gate phase at its
-dwell start (one phase when a dwell is a whole number of cycles), and
-because a dwell is at least 5 tau it reaches only a few later dwells
-before it falls below double precision.  So W is stored as a few lags per
-start phase, built once per lock-in config and dwell layout.  An interior
-column sums to the sampled demodulation gain (2/n) sum_{cos<0} |cos|,
-0.6472 at n = 10 samples per cycle, not 2/pi; about 0.14% of it spills
-into the next dwell at the shipped 10 tau dwell.
+of the demodulated output in each dwell.  The chain is linear, so each
+settled mean weighs the input samples with weights w: the chain's
+adjoint, 2 ref times the comb-then-pole response summed over the settled
+window.  Because the chain repeats every cycle, a dwell's weights depend
+only on the gate phase at its start (one phase when a dwell is a whole
+number of cycles), and because a dwell is at least 5 tau they reach only
+a few later dwells, the lags, before they fall below double precision.
+Without noise the means per unit photon rate are base + W @ levels,
+built once per lock-in config and dwell layout with no demodulator run.
+Column d of W, the unit dip gated through dwell d alone, is minus the sum
+of w over its gate-on samples, stored as a few lags per start phase;
+base, a constant 1 from a chain started at sample 0, sums the whole-dwell
+totals of w over the dwells before, start-up transient included.  An
+interior column sums to the sampled demodulation gain
+(2/n) sum_{cos<0} |cos|, 0.6472 at n = 10 samples per cycle, not 2/pi;
+about 0.14% of it spills into the next dwell at the shipped 10 tau dwell.
 
 Without noise dc_v is exactly k_v rate0 (1 - level m/n), m the RF-on
 samples per n-sample cycle: after the settling discard (5 tau, over five
@@ -59,10 +63,9 @@ periods) every comb output averages one whole gate cycle at one level.
 
 Shot noise adds the chain's response to the counts' deviation from the
 noise-free rate.  A dwell's samples reach its own settled DC mean and the
-settled lock-in means of its own and the next lags - 1 dwells, with
-weights w: the adjoint of the chain, 2 ref times the comb-then-pole
-response summed over each settled window.  A sample's variance in volts
-is s (1 - level gate), s = k_v^2 rate0 / dt, so those 1 + lags means have
+settled lock-in means of its own and the next lags - 1 dwells, with the
+cycle mean's adjoint and with w.  A sample's variance in volts is
+s (1 - level gate), s = k_v^2 rate0 / dt, so those 1 + lags means have
 covariance s (1 - level) A_on + s A_off, where A = sum w w^T over the
 dwell's gate-on or gate-off samples, stored beside W as triangular factors
 R^T R = A.  When every sample's mean count, at least rate0 dt (1 - max
@@ -235,7 +238,7 @@ class LockInConfig:
             )
         if self.fm_deviation_hz is None or self.fm_deviation_hz <= 0:
             raise ValueError("fm_deviation_hz must be positive")
-        # The FM slope runs one 8 tau dwell; the settling discard is 5 tau.
+        # The FM slope weighs one 8 tau dwell's samples; the discard is 5 tau.
         if 8.0 * self.time_constant_s * self.sample_rate_hz > MAX_SAMPLES:
             raise ValueError(
                 "time_constant_s x sample_rate_hz must be at most "
@@ -512,26 +515,25 @@ def _settled_means(values: np.ndarray, dwell_n: int, settle_n: int) -> np.ndarra
     return values.reshape(-1, dwell_n)[:, settle_n:].mean(axis=1)
 
 
-def _dip_response(
-    cfg: LockInConfig,
-    phase: int,
-    dwell_n: int,
-    settle_n: int,
-    offset: float,
-    dips: np.ndarray,
-) -> np.ndarray:
-    """Settled lock-in mean per dwell of offset - dips[d] * gate.
+def _dwell_lags(cfg: LockInConfig, dwell_n: int, n_dwells: int) -> int:
+    """Dwells that one dwell's weights reach, its own included."""
+    tau_n = cfg.time_constant_s * cfg.sample_rate_hz
+    return min(1 + math.ceil(_LAG_TAUS * tau_n / dwell_n), n_dwells)
 
-    The run starts from a fresh demodulator at reference sample phase.
+
+def _chain_weights(cfg: LockInConfig, dwell_n: int, settle_n: int, n_lags: int):
+    """Each sample's weights on the settled means of a dwell (module docstring).
+
+    lock[j], still to be multiplied by the reference, weighs the lock-in
+    mean j dwells later and dc the dwell's own DC mean: the stages' adjoint,
+    run in reverse order over the last dwell's settled window reversed.
     """
-    demod = _Demodulator(cfg)
-    demod.index = phase
-    means = np.empty(dips.size)
-    for block in _dwell_blocks(dips.size, dwell_n):
-        gate = _am_gate(cfg, demod.index, (block.stop - block.start) * dwell_n)
-        x = offset - dips[block, None] * gate.reshape(-1, dwell_n)
-        means[block] = _settled_means(demod.process(x.ravel()), dwell_n, settle_n)
-    return means
+    window = np.zeros(n_lags * dwell_n)
+    window[(n_lags - 1) * dwell_n + settle_n :] = 1.0 / (dwell_n - settle_n)
+    lock = _CycleMean(cfg).process(_Pole(cfg).process(window[::-1]))[::-1]
+    # The DC window reaches only its own dwell, as settle_n >= n - 1.
+    dc = _CycleMean(cfg).process(window[::-1][:dwell_n])[::-1]
+    return lock.reshape(n_lags, dwell_n)[::-1], dc
 
 
 @functools.lru_cache(maxsize=8)
@@ -547,38 +549,27 @@ def _dwell_response(
     factors, R^T R = sum w w^T over the gate-on and the gate-off samples of
     such a dwell, where w is a sample's weight on the dwell's settled DC
     mean and on its settled lock-in means at lags 0 .. lags.shape[1] - 1.
-    All four are read-only.
+    All four come from those weights, and are read-only.
     """
     n = cfg.samples_per_cycle
     n_phases = min(n // math.gcd(dwell_n, n), n_dwells)
-    tau_n = cfg.time_constant_s * cfg.sample_rate_hz
-    n_lags = min(1 + math.ceil(_LAG_TAUS * tau_n / dwell_n), n_dwells)
-    pulse = np.zeros(n_lags)
-    pulse[0] = 1.0
-    lags = np.array(
-        [
-            _dip_response(cfg, p * dwell_n % n, dwell_n, settle_n, 0.0, pulse)
-            for p in range(n_phases)
-        ]
-    )
-    base = _dip_response(cfg, 0, dwell_n, settle_n, 1.0, np.zeros(n_dwells))
-    # Each sample's weight on the settled mean of the last of n_lags
-    # dwells: the adjoint of the linear time-invariant stages, which run in
-    # reverse order over the window reversed.  The dwell n_lags - 1 - j
-    # before the last holds the weights at lag j.  The DC window reaches
-    # only its own dwell, as settle_n >= n - 1.
-    window = np.zeros(n_lags * dwell_n)
-    window[(n_lags - 1) * dwell_n + settle_n :] = 1.0 / (dwell_n - settle_n)
-    lock = _CycleMean(cfg).process(_Pole(cfg).process(window[::-1]))[::-1]
-    dc = _CycleMean(cfg).process(window[::-1][:dwell_n])[::-1]
+    n_lags = _dwell_lags(cfg, dwell_n, n_dwells)
+    lock, dc = _chain_weights(cfg, dwell_n, settle_n, n_lags)
     ref = 2.0 * _cycle_cos(cfg)
+    lags, totals = np.empty((2, n_phases, n_lags))
     factors = []
     for p in range(n_phases):
         start = p * dwell_n % n
-        w = lock.reshape(n_lags, dwell_n)[::-1] * _periodic(ref, start, dwell_n)
-        w = np.vstack((dc, w))
+        w = lock * _periodic(ref, start, dwell_n)
         gate = _am_gate(cfg, start, dwell_n)
+        lags[p] = -w[:, gate].sum(axis=1)
+        totals[p] = w.sum(axis=1)
+        w = np.vstack((dc, w))
         factors.append([np.linalg.qr(w[:, g].T, mode="r") for g in (gate, ~gate)])
+    # Dwell d of a constant 1 sums what each dwell d - j leaves at lag j.
+    base = np.zeros(n_dwells)
+    for j in range(n_lags):
+        base[j:] += totals[np.arange(n_dwells - j) % n_phases, j]
     r_on, r_off = np.moveaxis(np.array(factors), 1, 0)
     for a in (base, lags, r_on, r_off):
         a.flags.writeable = False
@@ -715,8 +706,9 @@ def fm_discriminator_slope(
     discretisation gain of the sampled chain cancels when readouts are
     converted back to frequency or field.  At detuning d the input is
     v_dc (1 - L(d + dev) - gate (L(d - dev) - L(d + dev))); the difference
-    at d = +-h is one 8 tau dip-response dwell, whose 5 to 8 tau window
-    keeps the start-up transient (0.287% low at 10 samples per cycle).
+    at d = +-h, offset - dip gate, is read from one 8 tau dwell's weights
+    as offset sum w - dip sum_gate w.  Its 5 to 8 tau window keeps the
+    start-up transient (0.287% low at 10 samples per cycle).
     """
     if cfg.fm_deviation_hz >= peak.fwhm_hz:
         raise DeviationTooLarge(
@@ -731,8 +723,10 @@ def fm_discriminator_slope(
     )
     offset, dip = up_m - up_p, (down_p - up_p) - (down_m - up_m)
     n = int(round(8.0 * cfg.time_constant_s * cfg.sample_rate_hz))
-    diff = _dip_response(cfg, 0, n, cfg.settle_samples, offset, np.array([dip]))
-    return float(diff[0]) / (2.0 * h)
+    w = _chain_weights(cfg, n, cfg.settle_samples, 1)[0][0]
+    w *= _periodic(2.0 * _cycle_cos(cfg), 0, n)
+    diff = offset * w.sum() - dip * w[_am_gate(cfg, 0, n)].sum()
+    return float(diff) / (2.0 * h)
 
 
 @dataclass
@@ -817,7 +811,7 @@ def simulate_fm_tracking(
 
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
-    requested value.
+    requested value; a per-sample sigma beyond MAX_FIELD_T raises ValueError.
     """
     if cfg.mode != "fm":
         raise ValueError("simulate_fm_tracking needs an 'fm' lock-in config")
@@ -862,6 +856,11 @@ def simulate_fm_tracking(
         if sigma_out <= 0:
             raise ValueError("cannot calibrate field noise for a flat response")
         sigma_in = field_noise_step_sigma_t * abs(field_gain) / sigma_out
+        if not sigma_in <= MAX_FIELD_T:
+            raise ValueError(
+                f"field_noise_step_sigma_t {field_noise_step_sigma_t:g} T asks for a "
+                f"per-sample sigma of {sigma_in:.3g} T, beyond {MAX_FIELD_T:g} T"
+            )
 
     dt = cfg.dt_s
     n_total = int(round(duration_s * cfg.sample_rate_hz))

@@ -591,6 +591,31 @@ def test_failed_steps_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "sigma, per_sample", [(1e-2, "0.206 T"), (1e308, "inf T")]
+)
+def test_out_of_range_field_noise_exits_1_before_drawing(
+    tmp_path, capsys, monkeypatch, sigma, per_sample
+):
+    # The linear calibration asks 20.55 x the requested spread per sample:
+    # 1e-2 T would need 0.21 T of field noise and 1e308 T an infinite one.
+    from odmrsim import signal_chain
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(signal_chain.np.random, "default_rng", unexpected)
+    data = json.loads((CONFIG_DIR / "field_steps_tracking.json").read_text())
+    data["schedule"]["field_noise_step_sigma_t"] = sigma
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"field_noise_step_sigma_t {sigma:g} T" in err
+    assert f"per-sample sigma of {per_sample}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "data, message",
     [
         # No RF power: zero contrast, so a zero discriminator slope.
@@ -801,9 +826,10 @@ def test_map_mini_grid_outputs(tmp_path):
 
 
 def test_noise_free_map_demodulates_no_per_cell_samples(tmp_path, monkeypatch):
-    # Only the dwell-response operator, built once per map, runs the
-    # demodulator or the cycle mean; the cells of a noise-free map reuse it
-    # and take dc_v from its closed form, the exact one-cycle mean.
+    # No noise-free reading runs the demodulator: the dwell-response
+    # operator, built once per map from the chain's adjoint weights, is the
+    # only code that runs the cycle mean, and the cells of a noise-free map
+    # reuse it and take dc_v from its closed form, the exact one-cycle mean.
     from odmrsim import signal_chain
 
     counted = {"demod": [], "comb": []}
@@ -829,7 +855,7 @@ def test_noise_free_map_demodulates_no_per_cell_samples(tmp_path, monkeypatch):
         out = tmp_path / f"map{side}"
         assert main(["map", "--config", cfg, "--out", str(out)]) == 0
         assert len(load_map_csv(out / "map.csv")) == side * side
-    assert counted["demod"][0] == counted["demod"][1] > 0
+    assert counted["demod"] == [0, 0]
     assert counted["comb"][0] == counted["comb"][1] > 0
 
 
@@ -858,10 +884,10 @@ def test_shot_noise_cell_runs_samples_only_below_gaussian_threshold(
 ):
     # One cell whose dimmest sample holds margin x GAUSSIAN_MEAN_THRESHOLD
     # counts.  Above it the cell draws its noise per dwell, so the map runs
-    # the demodulator and the cycle mean only where its noise-free twin
-    # does, in the dwell-response operator; below it every sample of the
-    # cell's lead-in and sweep runs through the demodulator and through two
-    # cycle means, the demodulator's comb and the DC reading.
+    # the cycle mean only where its noise-free twin does, in the
+    # dwell-response operator, and the demodulator nowhere; below it every
+    # sample of the cell's lead-in and sweep runs through the demodulator
+    # and through two cycle means, the demodulator's comb and the DC reading.
     from dataclasses import replace
 
     from odmrsim import signal_chain, synthesize_odmr
@@ -905,7 +931,8 @@ def test_shot_noise_cell_runs_samples_only_below_gaussian_threshold(
     samples = (doc.sweep.n_points + 1) * dwell_n if per_sample else 0
     for key, passes in (("demod", 1), ("comb", 2)):
         assert runs[1][key] - runs[0][key] == passes * samples
-        assert runs[0][key] > 0
+    assert runs[0]["demod"] == 0
+    assert runs[0]["comb"] > 0
 
 
 # The mini steps run is 2 x 10 s at 500 Hz: 10,000 samples.
@@ -960,6 +987,30 @@ def test_unanalysable_input_rejected_before_simulating(
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oversized_operator_window_exits_2_before_building_it(
+    tmp_path, capsys, monkeypatch
+):
+    # A 5 tau dwell of 31.25M samples passes every config bound, but one
+    # dwell's response reaches 9 dwells: 281M samples of weights.
+    from odmrsim import signal_chain
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("_dwell_response ran")
+
+    monkeypatch.setattr(signal_chain, "_dwell_response", unexpected)
+    data = json.loads((CONFIG_DIR / "sensitivity_map_quenched.json").read_text())
+    data["lockin"].update(
+        time_constant_s=62500.0, sample_rate_hz=100.0, mod_freq_hz=10.0
+    )
+    data["sweep"]["dwell_s"] = 312500.0
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["map", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.dwell_s: the lock-in response of one dwell spans 9 dwells" in err
     assert not out.exists()
 
 

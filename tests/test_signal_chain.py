@@ -561,6 +561,49 @@ def test_dwell_noise_factors_match_impulse_response_grams(
             np.testing.assert_allclose(r.T @ r, gram, rtol=1e-12, atol=1e-12 * scale)
 
 
+def forward_dip_response(cfg, phase, dwell_n, settle_n, offset, dips):
+    """Settled lock-in mean per dwell of offset - dips[d] * gate, run
+    forward through a fresh demodulator that starts at reference sample
+    phase, one whole dwell at a time."""
+    demod = _Demodulator(cfg)
+    demod.index = phase
+    means = []
+    for dip in dips:
+        x = offset - dip * _am_gate(cfg, demod.index, dwell_n)
+        means.append(np.mean(demod.process(x)[settle_n:]))
+    return np.array(means)
+
+
+@AM_SWEEP_CASES
+def test_dwell_response_matches_forward_demodulator(
+    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+):
+    # base and lags come from the chain's adjoint weights; run forward, the
+    # demodulator must give the same readings within a few ulp of the
+    # largest, base's lead-in transient included.
+    _, cfg, plan = am_sweep_case(
+        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+    )
+    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
+    settle_n = min(cfg.settle_samples, dwell_n - 1)
+    n_dwells = n_points + 1
+    base, lags = _dwell_response(cfg, dwell_n, settle_n, n_dwells)[:2]
+    n_phases, n_lags = lags.shape
+    pulse = np.zeros(n_lags)
+    pulse[0] = 1.0
+    expected = [
+        forward_dip_response(
+            cfg, p * dwell_n % cfg.samples_per_cycle, dwell_n, settle_n, 0.0, pulse
+        )
+        for p in range(n_phases)
+    ]
+    atol = 8 * np.spacing(np.abs(lags).max())
+    np.testing.assert_allclose(lags, expected, rtol=0, atol=atol)
+    expected = forward_dip_response(cfg, 0, dwell_n, settle_n, 1.0, np.zeros(n_dwells))
+    assert np.abs(expected).max() > 1e3 * atol  # a start-up transient to match
+    np.testing.assert_allclose(base, expected, rtol=0, atol=atol)
+
+
 def test_gaussian_am_sweep_noise_matches_per_sample_reference():
     # The per-dwell draw against the per-sample chain over fixed seeds: the
     # means, variances and lag-1 covariances of lockin_v and dc_v agree
