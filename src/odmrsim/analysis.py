@@ -28,7 +28,6 @@ from .errors import (
     NonConvergence,
     NonPositiveInput,
     NoPeakFound,
-    ScheduleMismatch,
     ZeroDC,
 )
 from .io_formats import MAP_HEADER, SweepRecord
@@ -38,7 +37,6 @@ from .signal_chain import (
     FieldTimeline,
     LockInConfig,
     SQUARE_AM_GAIN,
-    TimeSeries,
     photon_rate,
 )
 from .spin_model import G_FACTOR, gyromagnetic_ratio
@@ -199,14 +197,33 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
             narrow = narrow + 1 if abs(params[1]) < spacing else 0
         if stop or not accepted or narrow == 3:
             break
-    return _fit_result(x, spacing, params, jac, rss, n_iter, stop)
+    inv_jtj = _inverse_normals(jac[None])[0]
+    return _fit_result(x, spacing, params, inv_jtj, rss, n_iter, stop)
 
 
-def _fit_result(x, spacing, params, jac, rss, n_iter, stop) -> LorentzFit:
+def _inverse_normals(jac: np.ndarray) -> np.ndarray:
+    """inv(J^T J) of each Jacobian of a (rows, points, 4) stack.
+
+    One stacked inverse rounds as each row's alone; when a row is singular,
+    each row is inverted alone and a singular one reads all NaN.
+    """
+    jtj = jac.transpose(0, 2, 1) @ jac
+    try:
+        return np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        out = np.full(jtj.shape, math.nan)
+        for k, a in enumerate(jtj):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = np.linalg.inv(a)
+        return out
+
+
+def _fit_result(x, spacing, params, inv_jtj, rss, n_iter, stop) -> LorentzFit:
     """The gates, covariance and LorentzFit of one finished loop.
 
-    Both fit_lorentzian and fit_lorentzian_rows end here, so a row fails
-    for the same reasons and with the same messages in either.
+    inv_jtj is inv(J^T J) at params, from _inverse_normals.  Both
+    fit_lorentzian and fit_lorentzian_rows end here, so a row fails for the
+    same reasons and with the same messages in either.
     """
     center, width, amp, offset = params
     width = abs(width)
@@ -230,10 +247,7 @@ def _fit_result(x, spacing, params, jac, rss, n_iter, stop) -> LorentzFit:
     if stop is None:
         raise NonConvergence(f"no convergence after {n_iter} iterations")
 
-    try:
-        cov = resid_rms**2 * np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        cov = np.full((4, 4), math.nan)
+    cov = resid_rms**2 * inv_jtj
     sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
     if not np.all(np.isfinite(sigma)):
         raise NoPeakFound("singular covariance: the confidence intervals are undefined")
@@ -362,10 +376,12 @@ def fit_lorentzian_rows(x: np.ndarray, y: np.ndarray) -> list:
             tries[accepted] = 0
         del trial, trial_parts, trial_resid
 
-        for k in np.flatnonzero(done):
+        finished = np.flatnonzero(done)
+        inverses = _inverse_normals(jac[finished]) if finished.size else ()
+        for k, inv_jtj in zip(finished, inverses):
             try:
                 results[rows[k]] = _fit_result(
-                    x, spacing, params[k], jac[k], float(rss[k]),
+                    x, spacing, params[k], inv_jtj, float(rss[k]),
                     int(n_iter[k]), _STOP_TESTS[stop[k]],
                 )
             except (NoPeakFound, NonConvergence) as exc:
@@ -477,53 +493,25 @@ class StepReport:
         }
 
 
-def step_windows(
-    timeline: FieldTimeline, n: int, dt: float, t0: float, cfg: LockInConfig
-) -> list[tuple[int, int]]:
-    """Sample range [i0, i1) of each step of n samples after its 5 tau discard.
-
-    Raises ScheduleMismatch when any step keeps fewer than two samples.
-    """
-    starts = timeline.starts_s
-    ends = np.append(starts[1:], n * dt + t0)
-    windows = []
-    for start, end in zip(starts, ends):
-        i0 = int(math.ceil((start + cfg.settle_discard_s - t0) / dt))
-        i1 = min(int(math.floor((end - t0) / dt)), n)
-        if i1 - i0 < 2:
-            raise ScheduleMismatch(
-                f"step at t = {start:.6g} s has {max(i1 - i0, 0)} samples "
-                "after the settling discard"
-            )
-        windows.append((i0, i1))
-    return windows
-
-
 def analyze_steps(
-    estimate: TimeSeries, timeline: FieldTimeline, cfg: LockInConfig
+    step_means_t, step_stds_t, timeline: FieldTimeline, cfg: LockInConfig
 ) -> StepReport:
-    """Per-step mean/std of a field-estimate series against its timeline.
+    """Report of a tracked staircase from its per-step means and stds.
 
-    Discards 5 tau after every step edge, pools the per-step standard
-    deviations as an RMS and quotes sensitivity as pooled std times
-    sqrt(time constant).  Raises ScheduleMismatch when any step has fewer
-    than two samples left after the discard.
+    The means and standard deviations (ddof=1) are simulate_fm_tracking's,
+    each over its step's settled window, 5 tau after the step edge.  Pools
+    the per-step standard deviations as an RMS and quotes sensitivity as
+    pooled std times sqrt(time constant).
     """
-    series = np.asarray(estimate.values, dtype=float)
-    windows = step_windows(timeline, series.size, estimate.dt_s, estimate.t0_s, cfg)
-    means, stds = [], []
-    for i0, i1 in windows:
-        window = series[i0:i1]
-        means.append(float(np.mean(window)))
-        stds.append(float(np.std(window, ddof=1)))
-    means_arr = np.array(means)
-    stds_arr = np.array(stds)
-    pooled = float(np.sqrt(np.mean(stds_arr**2)))
+    means = np.asarray(step_means_t, dtype=float)
+    stds = np.asarray(step_stds_t, dtype=float)
+    true = np.asarray(timeline.bz_t, dtype=float)
+    pooled = float(np.sqrt(np.mean(stds**2)))
     return StepReport(
-        step_true_t=np.asarray(timeline.bz_t, dtype=float).copy(),
-        step_means_t=means_arr,
-        step_stds_t=stds_arr,
-        residuals_t=means_arr - np.asarray(timeline.bz_t, dtype=float),
+        step_true_t=true.copy(),
+        step_means_t=means,
+        step_stds_t=stds,
+        residuals_t=means - true,
         pooled_std_t=pooled,
         sensitivity_t_rthz=pooled * math.sqrt(cfg.time_constant_s),
         settle_discard_s=cfg.settle_discard_s,

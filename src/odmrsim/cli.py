@@ -43,7 +43,6 @@ from .analysis import (
     map_argmin,
     odmr_contrast,
     shot_noise_sensitivity,
-    step_windows,
 )
 from .config import ConfigDoc, load_config
 from .errors import FormatError, IoFailure, NoPeakFound, OdmrError
@@ -69,6 +68,7 @@ from .signal_chain import (
     photon_rate_from_voltage,
     simulate_am_cells,
     simulate_fm_tracking,
+    step_windows,
     _dwell_lags,
 )
 from .spin_model import scan_transitions
@@ -364,10 +364,10 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         period_s=sched.step_period_s,
         n_steps=sched.n_steps,
     )
-    # The windows analyze_steps will cut from the simulated series.
+    # Every step must keep two samples after its settling discard.
     n_total = int(round(duration * cfg.lockin.sample_rate_hz))
     try:
-        step_windows(timeline, n_total, cfg.lockin.dt_s, 0.0, cfg.lockin)
+        step_windows(timeline, n_total, cfg.lockin)
     except ScheduleMismatch as exc:
         raise SchemaViolation(f"schedule.step_period_s: {exc}") from None
     if args.svg and sched.output_decimation >= n_total:
@@ -384,13 +384,14 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         seed=args.seed,
         shot_noise=cfg.detector.shot_noise,
         field_noise_step_sigma_t=sched.field_noise_step_sigma_t,
+        decimation=sched.output_decimation,
     )
-    report = analyze_steps(result.field_estimate, timeline, cfg.lockin)
-
-    decim = sched.output_decimation
-    t = result.field_estimate.times(decim)
-    est = result.field_estimate.values[::decim]
-    lockin = result.lockin.values[::decim]
+    report = analyze_steps(
+        result.step_means_t, result.step_stds_t, timeline, cfg.lockin
+    )
+    t = result.field_estimate.times()
+    est = result.field_estimate.values
+    lockin = result.lockin.values
     # Each level is formatted once; its text is repeated down its step.
     levels = np.array([format_float(v) for v in timeline.bz_t])
     true = levels[timeline.step_index(t)]

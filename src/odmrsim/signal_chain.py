@@ -89,6 +89,7 @@ from .errors import (
     DeviationTooLarge,
     NegativeVoltage,
     SampleRateMismatch,
+    ScheduleMismatch,
 )
 from .lineshape import (
     BroadeningModel,
@@ -195,20 +196,29 @@ def photon_rate(pl_rate_per_w: float, p_opt_w):
     return rate
 
 
+def _gaussian_counts(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """rng.normal(mu, sqrt(mu)) in bulk, the same draws and arithmetic, at least 0."""
+    z = rng.standard_normal(mu.size)
+    z *= np.sqrt(mu)
+    z += mu
+    return np.maximum(z, 0.0, out=z)
+
+
 def _shot_counts(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised photon counts with the Gaussian switch; returns floats."""
+    """Vectorised photon counts with the Gaussian switch; returns floats.
+
+    A block whose every mean is above the threshold draws the same normals
+    without the masks.
+    """
+    if mean.min(initial=math.inf) > GAUSSIAN_MEAN_THRESHOLD:
+        return _gaussian_counts(mean, rng)
     out = np.empty_like(mean)
     big = mean > GAUSSIAN_MEAN_THRESHOLD
     small = ~big
     if small.any():
         out[small] = rng.poisson(mean[small])
     if big.any():
-        # rng.normal(mu, sqrt(mu)) in bulk: the same draws and arithmetic.
-        mu = mean[big]
-        z = rng.standard_normal(mu.size)
-        z *= np.sqrt(mu)
-        z += mu
-        out[big] = np.maximum(z, 0.0, out=z)
+        out[big] = _gaussian_counts(mean[big], rng)
     return out
 
 
@@ -266,21 +276,27 @@ class LockInConfig:
 
 @dataclass
 class TimeSeries:
-    """Uniformly sampled series with a unit tag."""
+    """Uniformly sampled series with a unit tag.
+
+    values holds every stride-th sample of a series sampled every dt_s from
+    t0_s, so a decimated series keeps its samples' times.
+    """
 
     t0_s: float
     dt_s: float
     values: np.ndarray
     unit: str
+    stride: int = 1
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
         self.values = np.asarray(self.values, dtype=float)
 
-    def times(self, step: int = 1) -> np.ndarray:
-        """Time of every step-th sample, without building the others."""
-        return self.t0_s + self.dt_s * np.arange(0, self.values.size, step)
+    def times(self) -> np.ndarray:
+        """Time of each held sample, from its index in the full series."""
+        index = np.arange(0, self.stride * self.values.size, self.stride)
+        return self.t0_s + self.dt_s * index
 
 
 @dataclass(frozen=True)
@@ -731,14 +747,52 @@ def fm_discriminator_slope(
 
 @dataclass
 class TrackingResult:
-    """Output of simulate_fm_tracking."""
+    """Output of simulate_fm_tracking.
+
+    lockin and field_estimate hold every decimation-th sample of the run
+    (their stride).  step_means_t and step_stds_t are each step's settled
+    mean and standard deviation (ddof=1) of the field estimate over its
+    step_windows range, NaN for a step that keeps fewer than two samples.
+    """
 
     lockin: TimeSeries
     field_estimate: TimeSeries
+    step_means_t: np.ndarray
+    step_stds_t: np.ndarray
     carrier_hz: float
     slope_v_per_hz: float
     gamma_eff_hz_per_t: float
     field_noise_sigma_in_t: float
+
+
+def _settled_ranges(timeline: FieldTimeline, n: int, cfg: LockInConfig):
+    """step_windows without its check: a short step's range holds under 2 samples."""
+    dt = cfg.dt_s
+    ends = np.append(timeline.starts_s[1:], n * dt)
+    return [
+        (
+            int(math.ceil((start + cfg.settle_discard_s) / dt)),
+            min(int(math.floor(end / dt)), n),
+        )
+        for start, end in zip(timeline.starts_s, ends)
+    ]
+
+
+def step_windows(
+    timeline: FieldTimeline, n: int, cfg: LockInConfig
+) -> list[tuple[int, int]]:
+    """Sample range [i0, i1) of each step of n samples after its 5 tau discard.
+
+    Raises ScheduleMismatch when any step keeps fewer than two samples.
+    """
+    windows = _settled_ranges(timeline, n, cfg)
+    for start, (i0, i1) in zip(timeline.starts_s, windows):
+        if i1 - i0 < 2:
+            raise ScheduleMismatch(
+                f"step at t = {start:.6g} s has {max(i1 - i0, 0)} samples "
+                "after the settling discard"
+            )
+    return windows
 
 
 def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray, int]:
@@ -799,6 +853,7 @@ def simulate_fm_tracking(
     seed=0,
     shot_noise: bool = True,
     field_noise_step_sigma_t: float = 0.0,
+    decimation: int = 1,
 ) -> TrackingResult:
     """Track an axial field timeline with the FM-locked discriminator.
 
@@ -809,12 +864,23 @@ def simulate_fm_tracking(
     (gyromagnetic_ratio(g) * delta_sz), so a constant field reads back as
     the bias.
 
+    The run is reduced block by block as it is demodulated: the result
+    keeps every decimation-th sample of the lock-in output and of the
+    estimate, by global sample index, and each step's settled mean and
+    standard deviation, taken with np.mean and np.std(ddof=1) on one
+    contiguous copy of its step_windows range, so they equal those of the
+    full series' slices bit for bit.  Beyond the decimated series the run
+    holds one step's settled window at a time, plus the field-noise series
+    when there is field noise: no other array grows with the run.
+
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
     requested value; a per-sample sigma beyond MAX_FIELD_T raises ValueError.
     """
     if cfg.mode != "fm":
         raise ValueError("simulate_fm_tracking needs an 'fm' lock-in config")
+    if decimation < 1:
+        raise ValueError("decimation must be at least 1")
     rate0 = scene.photon_rate_hz()
     if rate0 <= 0:
         raise ValueError("scene photon rate must be positive for tracking")
@@ -840,6 +906,10 @@ def simulate_fm_tracking(
             f"(p_rf_w {scene.p_rf_w:g} W, linewidth {fwhm:.3g} Hz)"
         )
 
+    # The carrier over one FM cycle: -deviation while the gate is on.
+    n_cycle = cfg.samples_per_cycle
+    sign = np.where(_am_gate(cfg, 0, n_cycle), -1.0, 1.0)
+    nu_cycle = carrier + cfg.fm_deviation_hz * sign
     sigma_in = 0.0
     if field_noise_step_sigma_t > 0:
         # Field noise sees a gain that varies over a cycle: the field slope
@@ -847,8 +917,7 @@ def simulate_fm_tracking(
         # centre derivative a (G/2)^2 2 (f - f0) / ((f - f0)^2 + (G/2)^2)^2
         # times its own field slope.  The settled output variance is the
         # gain's mean square times the demod filter energy.
-        sign = np.where(_am_gate(cfg, 0, cfg.samples_per_cycle), -1.0, 1.0)
-        detune = (carrier + cfg.fm_deviation_hz * sign)[:, None] - centers
+        detune = nu_cycle[:, None] - centers
         half2 = 0.25 * fwhm * fwhm
         ddepth = (2.0 * half2 * detune / (detune**2 + half2) ** 2) @ (amps * slopes)
         gain = -2.0 * _cycle_cos(cfg) * v_dc * ddepth
@@ -862,42 +931,75 @@ def simulate_fm_tracking(
                 f"per-sample sigma of {sigma_in:.3g} T, beyond {MAX_FIELD_T:g} T"
             )
 
+    def rate_at(nu, db):
+        moving = (center + slope * db for center, slope in zip(centers, slopes))
+        return rate0 * (1.0 - lorentzian_sum(nu, moving, amps, fwhm))
+
     dt = cfg.dt_s
     n_total = int(round(duration_s * cfg.sample_rate_hz))
     bias = scene.field.bz_t
+    n_kept = len(range(0, n_total, decimation))
+    kept_lockin, kept_estimate = np.empty((2, n_kept))
+    windows = _settled_ranges(timeline, n_total, cfg)
+    step_means, step_stds = np.full((2, len(windows)), math.nan)
+    pending = [(k, i0, i1) for k, (i0, i1) in enumerate(windows) if i1 - i0 >= 2]
+    gathered = None
 
     # The whole run's field noise is drawn first, then the shot noise block
     # by block, so the field noise does not depend on the block size.
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma_in, n_total) if sigma_in > 0 else None
     demod = _Demodulator(cfg)
-    out = np.empty(n_total)
     for block in _dwell_blocks(n_total, 1):
-        # A block inside one step takes that step's level as a scalar.
+        n = block.stop - block.start
+        # A block inside one step takes that step's level as a scalar, and
+        # without field noise its input repeats every FM cycle.
         first, last = timeline.step_index([block.start * dt, (block.stop - 1) * dt])
         if first == last:
             db = timeline.bz_t[first] - bias
         else:
             db = timeline.value_at(np.arange(block.start, block.stop) * dt) - bias
-        if noise is not None:
-            db = db + noise[block]
-        sign = np.where(_am_gate(cfg, block.start, block.stop - block.start), -1.0, 1.0)
-        nu_inst = carrier + cfg.fm_deviation_hz * sign
-        moving = (center + slope * db for center, slope in zip(centers, slopes))
-        depth = lorentzian_sum(nu_inst, moving, amps, fwhm)
-        rate = rate0 * (1.0 - depth)
+        if noise is None and first == last:
+            rate = _periodic(rate_at(nu_cycle, db), block.start, n)
+        else:
+            if noise is not None:
+                db = db + noise[block]
+            rate = rate_at(_periodic(nu_cycle, block.start, n), db)
         if shot_noise:
             volts = k_v * _shot_counts(rate * dt, rng) / dt
         else:
             volts = k_v * rate
-        out[block] = demod.process(volts)
+        lockin = demod.process(volts)
+        # bias - lockin / field_gain, in place.
+        estimate = lockin / field_gain
+        np.subtract(bias, estimate, out=estimate)
 
-    # bias - out / field_gain, in place: one full-length temporary fewer.
-    estimate = out / field_gain
-    np.subtract(bias, estimate, out=estimate)
+        # Every decimation-th sample of the run, by global index.
+        skip = -block.start % decimation
+        at = (block.start + skip) // decimation
+        for kept, series in (kept_lockin, lockin), (kept_estimate, estimate):
+            part = series[skip::decimation]
+            kept[at : at + part.size] = part
+        # Copy this block's share of the current step's settled window; a
+        # window's statistics are taken once its last sample is in.
+        while pending and pending[0][1] < block.stop:
+            k, i0, i1 = pending[0]
+            if gathered is None:
+                gathered = np.empty(i1 - i0)
+            lo, hi = max(i0, block.start), min(i1, block.stop)
+            gathered[lo - i0 : hi - i0] = estimate[lo - block.start : hi - block.start]
+            if i1 > block.stop:
+                break
+            step_means[k] = np.mean(gathered)
+            step_stds[k] = np.std(gathered, ddof=1)
+            gathered = None
+            del pending[0]
+
     return TrackingResult(
-        lockin=TimeSeries(t0_s=0.0, dt_s=dt, values=out, unit="V"),
-        field_estimate=TimeSeries(t0_s=0.0, dt_s=dt, values=estimate, unit="T"),
+        lockin=TimeSeries(0.0, dt, kept_lockin, "V", stride=decimation),
+        field_estimate=TimeSeries(0.0, dt, kept_estimate, "T", stride=decimation),
+        step_means_t=step_means,
+        step_stds_t=step_stds,
         carrier_hz=carrier,
         slope_v_per_hz=slope_v,
         gamma_eff_hz_per_t=gamma_eff,

@@ -17,7 +17,6 @@ from odmrsim import (
     SHOT_NOISE_PREFACTOR,
     SQUARE_AM_GAIN,
     SweepRecord,
-    TimeSeries,
     ZeroDC,
     analyze_steps,
     build_sensitivity_map,
@@ -30,6 +29,7 @@ from odmrsim import (
 )
 from odmrsim import analysis
 from odmrsim.analysis import fit_lorentzian_rows
+from odmrsim.signal_chain import step_windows
 
 TRUE_CENTER = 98.04e6
 TRUE_FWHM = 1.0e6
@@ -322,6 +322,26 @@ def test_singular_stacked_solve_falls_back_to_single_rows(monkeypatch):
     assert all(isinstance(fit, analysis.LorentzFit) for fit in stacked[1:])
 
 
+def test_stacked_inverse_normals_equal_single_inverses():
+    # One stacked inverse of the finishing rows rounds as each row's alone;
+    # with a singular row (a zero column) in the stack each row is inverted
+    # alone, the singular one reads NaN and the others keep their bits.
+    rng = np.random.default_rng(3)
+    jac = rng.normal(size=(37, 41, 4)) * [1e-6, 1e-5, 1.0, 1.0]
+    single = np.array([np.linalg.inv(j.T @ j) for j in jac])
+    stacked = analysis._inverse_normals(jac)
+    np.testing.assert_array_equal(stacked.view(np.uint64), single.view(np.uint64))
+    jac[2, :, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(jac[2].T @ jac[2])
+    fallback = analysis._inverse_normals(jac)
+    assert np.isnan(fallback[2]).all()
+    others = np.delete(np.arange(37), 2)
+    np.testing.assert_array_equal(
+        fallback[others].view(np.uint64), single[others].view(np.uint64)
+    )
+
+
 def test_stacked_fit_input_validation():
     with pytest.raises(ValueError):
         fit_lorentzian_rows(np.arange(4.0), np.zeros((2, 4)))
@@ -492,8 +512,12 @@ def test_analyze_steps_statistics():
     t = np.arange(n) * dt
     sigma = 5e-9
     values = tl.value_at(t) + rng.normal(0, sigma, n)
-    report = analyze_steps(TimeSeries(0.0, dt, values, "T"), tl, cfg)
+    windows = [values[i0:i1] for i0, i1 in step_windows(tl, n, cfg)]
+    means = [np.mean(w) for w in windows]
+    stds = [np.std(w, ddof=1) for w in windows]
+    report = analyze_steps(means, stds, tl, cfg)
     assert report.step_means_t.size == 3
+    np.testing.assert_array_equal(report.step_stds_t, stds)
     np.testing.assert_allclose(report.step_true_t, tl.bz_t)
     np.testing.assert_allclose(report.residuals_t, 0.0, atol=1e-9)
     assert report.pooled_std_t == pytest.approx(sigma, rel=0.10)
@@ -502,9 +526,9 @@ def test_analyze_steps_statistics():
     )
 
 
-def test_analyze_steps_schedule_mismatch():
+def test_step_windows_schedule_mismatch():
     cfg = steps_config()
     tl = FieldTimeline.staircase(1e-3, 0.0, 2.0, 4)
-    short = TimeSeries(0.0, cfg.dt_s, np.zeros(int(5.0 / cfg.dt_s)), "T")
-    with pytest.raises(ScheduleMismatch):
-        analyze_steps(short, tl, cfg)
+    # 5 s of samples: the step at 6 s has none.
+    with pytest.raises(ScheduleMismatch, match="t = 6 s has 0 samples"):
+        step_windows(tl, int(5.0 / cfg.dt_s), cfg)

@@ -8,6 +8,7 @@ update weight.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -54,6 +55,7 @@ from odmrsim.signal_chain import (
     _filter_energy_pure,
     _line_table,
     _Pole,
+    _settled_ranges,
     _shot_counts,
     simulate_am_cells,
 )
@@ -334,7 +336,8 @@ def test_timeseries_times_and_validation():
     ts = TimeSeries(1.0, 0.5, np.arange(4.0), "T")
     np.testing.assert_allclose(ts.times(), [1.0, 1.5, 2.0, 2.5])
     long = TimeSeries(0.25, 1e-5, np.zeros(1000), "T")
-    np.testing.assert_array_equal(long.times(7), long.times()[::7])
+    every_7th = TimeSeries(0.25, 1e-5, np.zeros(1000)[::7], "T", stride=7)
+    np.testing.assert_array_equal(every_7th.times(), long.times()[::7])
     with pytest.raises(ValueError):
         TimeSeries(0.0, 0.0, np.zeros(3), "V")
 
@@ -941,6 +944,102 @@ def test_tracking_staircase_levels_match_full_series_lookup(
     np.testing.assert_array_equal(got.view(np.uint64), reference.view(np.uint64))
 
 
+@pytest.mark.parametrize("shot_noise", [False, True], ids=["no-shot", "shot"])
+@pytest.mark.parametrize("field_noise", [0.0, 70e-9])
+@pytest.mark.parametrize("block", [64, 7])
+def test_streamed_tracking_equals_full_series(
+    monkeypatch, block, field_noise, shot_noise
+):
+    # Step edges at samples 1500, 2900, 4333 and 5800, and settled windows
+    # starting 1250 samples (5 tau) after each edge: inside 64- and
+    # 7-sample blocks.  The last step keeps no settled sample.
+    cfg = fm_config()
+    dt = cfg.dt_s
+    n_total = 6000
+    tl = FieldTimeline(
+        starts_s=np.array([0, 1500, 2900, 4333, 5800]) * dt,
+        bz_t=1e-3 + 500e-9 * np.array([-1.0, 0.5, 2.0, -0.5, 1.0]),
+    )
+
+    def run(block_n, decimation):
+        monkeypatch.setattr("odmrsim.signal_chain._BLOCK", block_n)
+        return simulate_fm_tracking(
+            tl,
+            quenched_scene(),
+            cfg,
+            n_total * dt,
+            seed=3,
+            shot_noise=shot_noise,
+            field_noise_step_sigma_t=field_noise,
+            decimation=decimation,
+        )
+
+    def bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    # One block as long as the run: the full series.
+    full = run(n_total, 1)
+    lockin, estimate = full.lockin.values, full.field_estimate.values
+    assert lockin.size == estimate.size == n_total
+    windows = _settled_ranges(tl, n_total, cfg)
+    assert [i1 - i0 for i0, i1 in windows][-1] < 2
+    means = [np.mean(estimate[i0:i1]) for i0, i1 in windows[:-1]] + [math.nan]
+    stds = [np.std(estimate[i0:i1], ddof=1) for i0, i1 in windows[:-1]] + [math.nan]
+    for decimation in (1, 25):
+        got = run(block, decimation)
+        np.testing.assert_array_equal(bits(got.lockin.values), bits(lockin[::decimation]))
+        np.testing.assert_array_equal(
+            bits(got.field_estimate.values), bits(estimate[::decimation])
+        )
+        np.testing.assert_array_equal(
+            got.field_estimate.times(), dt * np.arange(0, n_total, decimation)
+        )
+        np.testing.assert_array_equal(bits(got.step_means_t), bits(means))
+        np.testing.assert_array_equal(bits(got.step_stds_t), bits(stds))
+
+
+def test_tracking_memory_is_one_step_window():
+    # 8 steps of 100k samples, no field noise.  The run keeps its decimated
+    # series and one step's settled window at a time, gathered into a
+    # buffer that np.std copies once more, plus one block's working set.
+    # That is bounded by a step's window, not by the run: 8 equal steps put
+    # 1/8 of the run in each window, so it is below half of one series of
+    # the run's length, which the full series held three times over.
+    cfg = fm_config()
+    n_total = 800_000
+    tl = FieldTimeline.staircase(1e-3, 500e-9, n_total // 8 * cfg.dt_s, 8)
+
+    def run():
+        return simulate_fm_tracking(
+            tl, quenched_scene(), cfg, n_total * cfg.dt_s,
+            shot_noise=False, decimation=25,
+        )
+
+    run()  # cached line solves and dwell weights out of the measurement
+    tracemalloc.start()
+    try:
+        res = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window = max(i1 - i0 for i0, i1 in _settled_ranges(tl, n_total, cfg)) * 8
+    kept = res.lockin.values.nbytes + res.field_estimate.values.nbytes
+    assert peak < 2 * window + kept + 2**20
+    assert peak < n_total * 8 / 2
+
+
+def test_all_gaussian_shot_counts_match_numpy_normal_bit_for_bit():
+    # A block whose every mean is above the threshold skips the masks, and
+    # must draw as the masked path and numpy's normal(mu, sqrt(mu)) do.
+    rng = np.random.default_rng(11)
+    mean = np.concatenate(
+        ([np.nextafter(GAUSSIAN_MEAN_THRESHOLD, np.inf)], rng.uniform(1e4, 1e12, 500))
+    )
+    got = _shot_counts(mean, np.random.default_rng(12))
+    expected = np.maximum(np.random.default_rng(12).normal(mean, np.sqrt(mean)), 0.0)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def test_tracking_field_noise_calibration():
     scene = quenched_scene()
     cfg = fm_config()
@@ -954,7 +1053,7 @@ def test_tracking_field_noise_calibration():
         shot_noise=False,
         field_noise_step_sigma_t=70e-9,
     )
-    report = analyze_steps(res.field_estimate, tl, cfg)
+    report = analyze_steps(res.step_means_t, res.step_stds_t, tl, cfg)
     assert report.pooled_std_t == pytest.approx(70e-9, rel=0.15)
     assert res.field_noise_sigma_in_t > 70e-9
 
