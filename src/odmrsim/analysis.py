@@ -101,15 +101,15 @@ def _lorentz_jac(parts) -> np.ndarray:
     return jac
 
 
-def _initial_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _initial_guess(x: np.ndarray, y: np.ndarray, spacing: float) -> np.ndarray:
     """Starting (centre, width, amplitude, offset) of each row of y, (..., 4)."""
     offset = np.median(y, axis=-1, keepdims=True)
     dev = y - offset
     idx = np.argmax(np.abs(dev), axis=-1, keepdims=True)
     amp = np.take_along_axis(dev, idx, axis=-1)
     above = np.abs(dev) > 0.5 * np.abs(amp)
-    dx = np.median(np.diff(x))
-    width = np.maximum(np.count_nonzero(above, axis=-1, keepdims=True) * dx, 2.0 * dx)
+    count = np.count_nonzero(above, axis=-1, keepdims=True)
+    width = np.maximum(count * spacing, 2.0 * spacing)
     return np.concatenate((x[idx], width, amp, offset), axis=-1)
 
 
@@ -139,10 +139,10 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     if x.size < 5:
         raise ValueError("need at least five samples to fit four parameters")
 
-    params = _initial_guess(x, y)
+    spacing = float(np.median(np.diff(x)))
+    params = _initial_guess(x, y, spacing)
     if params[2] == 0.0:
         raise NoPeakFound("input data are exactly flat")
-    spacing = float(np.median(np.diff(x)))
 
     model, parts = _lorentz_model(params, x)
     jac = _lorentz_jac(parts)
@@ -296,7 +296,7 @@ def fit_lorentzian_rows(x: np.ndarray, y: np.ndarray) -> list:
         raise ValueError("need at least five samples to fit four parameters")
     y = np.asarray(y, dtype=float)
     spacing = float(np.median(np.diff(x)))
-    params = _initial_guess(x, y)
+    params = _initial_guess(x, y, spacing)
     flat = params[:, 2] == 0.0
     results = [NoPeakFound("input data are exactly flat") if f else None for f in flat]
     rows = np.flatnonzero(~flat)
@@ -467,36 +467,10 @@ def build_sensitivity_map(
     return fwhm, contrast, rate, eta
 
 
-@dataclass
-class StepReport:
-    """Per-step statistics of a tracked field staircase."""
-
-    step_true_t: np.ndarray
-    step_means_t: np.ndarray
-    step_stds_t: np.ndarray
-    residuals_t: np.ndarray
-    pooled_std_t: float
-    sensitivity_t_rthz: float
-    settle_discard_s: float
-    time_constant_s: float
-
-    def to_dict(self) -> dict:
-        return {
-            "step_true_t": [float(v) for v in self.step_true_t],
-            "step_means_t": [float(v) for v in self.step_means_t],
-            "step_stds_t": [float(v) for v in self.step_stds_t],
-            "residuals_t": [float(v) for v in self.residuals_t],
-            "pooled_std_t": float(self.pooled_std_t),
-            "sensitivity_t_rthz": float(self.sensitivity_t_rthz),
-            "settle_discard_s": float(self.settle_discard_s),
-            "time_constant_s": float(self.time_constant_s),
-        }
-
-
 def analyze_steps(
     step_means_t, step_stds_t, timeline: FieldTimeline, cfg: LockInConfig
-) -> StepReport:
-    """Report of a tracked staircase from its per-step means and stds.
+) -> dict:
+    """The steps.json statistics of a tracked staircase, as Python floats.
 
     The means and standard deviations (ddof=1) are simulate_fm_tracking's,
     each over its step's settled window, 5 tau after the step edge.  Pools
@@ -507,13 +481,13 @@ def analyze_steps(
     stds = np.asarray(step_stds_t, dtype=float)
     true = np.asarray(timeline.bz_t, dtype=float)
     pooled = float(np.sqrt(np.mean(stds**2)))
-    return StepReport(
-        step_true_t=true.copy(),
-        step_means_t=means,
-        step_stds_t=stds,
-        residuals_t=means - true,
-        pooled_std_t=pooled,
-        sensitivity_t_rthz=pooled * math.sqrt(cfg.time_constant_s),
-        settle_discard_s=cfg.settle_discard_s,
-        time_constant_s=float(cfg.time_constant_s),
-    )
+    return {
+        "step_true_t": true.tolist(),
+        "step_means_t": means.tolist(),
+        "step_stds_t": stds.tolist(),
+        "residuals_t": (means - true).tolist(),
+        "pooled_std_t": pooled,
+        "sensitivity_t_rthz": pooled * math.sqrt(cfg.time_constant_s),
+        "settle_discard_s": float(cfg.settle_discard_s),
+        "time_constant_s": float(cfg.time_constant_s),
+    }

@@ -386,9 +386,6 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         field_noise_step_sigma_t=sched.field_noise_step_sigma_t,
         decimation=sched.output_decimation,
     )
-    report = analyze_steps(
-        result.step_means_t, result.step_stds_t, timeline, cfg.lockin
-    )
     t = result.field_estimate.times()
     est = result.field_estimate.values
     lockin = result.lockin.values
@@ -396,16 +393,14 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     levels = np.array([format_float(v) for v in timeline.bz_t])
     true = levels[timeline.step_index(t)]
 
-    payload = {"format_version": FORMAT_VERSION}
-    payload.update(report.to_dict())
-    payload.update(
-        {
-            "carrier_hz": result.carrier_hz,
-            "slope_v_per_hz": result.slope_v_per_hz,
-            "gamma_eff_hz_per_t": result.gamma_eff_hz_per_t,
-            "field_noise_sigma_in_t": result.field_noise_sigma_in_t,
-        }
-    )
+    payload = {
+        "format_version": FORMAT_VERSION,
+        **analyze_steps(result.step_means_t, result.step_stds_t, timeline, cfg.lockin),
+        "carrier_hz": result.carrier_hz,
+        "slope_v_per_hz": result.slope_v_per_hz,
+        "gamma_eff_hz_per_t": result.gamma_eff_hz_per_t,
+        "field_noise_sigma_in_t": result.field_noise_sigma_in_t,
+    }
     with _publish(args, cfg, t0) as stage:
         _write_text(
             stage("tracking.csv"),
@@ -422,8 +417,8 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
                 y_label="field (uT)",
             )
     print(
-        f"steps: pooled std {report.pooled_std_t * 1e9:.2f} nT, "
-        f"sensitivity {report.sensitivity_t_rthz * 1e9:.2f} nT/sqrt(Hz)"
+        f"steps: pooled std {payload['pooled_std_t'] * 1e9:.2f} nT, "
+        f"sensitivity {payload['sensitivity_t_rthz'] * 1e9:.2f} nT/sqrt(Hz)"
     )
     return 0
 

@@ -642,7 +642,8 @@ def simulate_am_cells(
     are built as one array.  With seeds None the sweeps are noise-free;
     otherwise cell k adds its shot noise from its own generator,
     np.random.default_rng(seeds[k]).  A power whose linewidth or photon
-    rate overflows raises ValueError naming the first such cell's power.
+    rate overflows, or whose summed dip depth exceeds 1 (a negative photon
+    rate), raises ValueError naming the first such cell's power.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
@@ -668,6 +669,13 @@ def simulate_am_cells(
     dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
     settle_n = min(cfg.settle_samples, dwell_n - 1)
 
+    deep = depth.max(axis=1) > 1.0
+    if deep.any():
+        k = np.argmax(deep)
+        raise ValueError(
+            f"p_opt_w {p_opt[k]:g} W, p_rf_w {p_rf[k]:g} W: the summed dip "
+            f"depth {depth[k].max():.3g} exceeds 1, a negative photon rate"
+        )
     # Dwell 0 is the discarded lead-in at the first frequency.
     levels = np.concatenate((depth[:, :1], depth), axis=1)
     n_dwells = levels.shape[1]
@@ -752,7 +760,7 @@ class TrackingResult:
     lockin and field_estimate hold every decimation-th sample of the run
     (their stride).  step_means_t and step_stds_t are each step's settled
     mean and standard deviation (ddof=1) of the field estimate over its
-    step_windows range, NaN for a step that keeps fewer than two samples.
+    step_windows range.
     """
 
     lockin: TimeSeries
@@ -765,19 +773,6 @@ class TrackingResult:
     field_noise_sigma_in_t: float
 
 
-def _settled_ranges(timeline: FieldTimeline, n: int, cfg: LockInConfig):
-    """step_windows without its check: a short step's range holds under 2 samples."""
-    dt = cfg.dt_s
-    ends = np.append(timeline.starts_s[1:], n * dt)
-    return [
-        (
-            int(math.ceil((start + cfg.settle_discard_s) / dt)),
-            min(int(math.floor(end / dt)), n),
-        )
-        for start, end in zip(timeline.starts_s, ends)
-    ]
-
-
 def step_windows(
     timeline: FieldTimeline, n: int, cfg: LockInConfig
 ) -> list[tuple[int, int]]:
@@ -785,13 +780,18 @@ def step_windows(
 
     Raises ScheduleMismatch when any step keeps fewer than two samples.
     """
-    windows = _settled_ranges(timeline, n, cfg)
-    for start, (i0, i1) in zip(timeline.starts_s, windows):
+    dt = cfg.dt_s
+    ends = np.append(timeline.starts_s[1:], n * dt)
+    windows = []
+    for start, end in zip(timeline.starts_s, ends):
+        i0 = int(math.ceil((start + cfg.settle_discard_s) / dt))
+        i1 = min(int(math.floor(end / dt)), n)
         if i1 - i0 < 2:
             raise ScheduleMismatch(
                 f"step at t = {start:.6g} s has {max(i1 - i0, 0)} samples "
                 "after the settling discard"
             )
+        windows.append((i0, i1))
     return windows
 
 
@@ -876,11 +876,16 @@ def simulate_fm_tracking(
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
     requested value; a per-sample sigma beyond MAX_FIELD_T raises ValueError.
+    A step that keeps fewer than two settled samples raises ScheduleMismatch
+    (step_windows) before anything is drawn, and a summed dip depth above 1,
+    a negative photon rate, raises ValueError.
     """
     if cfg.mode != "fm":
         raise ValueError("simulate_fm_tracking needs an 'fm' lock-in config")
     if decimation < 1:
         raise ValueError("decimation must be at least 1")
+    n_total = int(round(duration_s * cfg.sample_rate_hz))
+    windows = step_windows(timeline, n_total, cfg)
     rate0 = scene.photon_rate_hz()
     if rate0 <= 0:
         raise ValueError("scene photon rate must be positive for tracking")
@@ -933,17 +938,20 @@ def simulate_fm_tracking(
 
     def rate_at(nu, db):
         moving = (center + slope * db for center, slope in zip(centers, slopes))
-        return rate0 * (1.0 - lorentzian_sum(nu, moving, amps, fwhm))
+        depth = lorentzian_sum(nu, moving, amps, fwhm)
+        if depth.max() > 1.0:
+            raise ValueError(
+                f"p_opt_w {scene.p_opt_w:g} W, p_rf_w {scene.p_rf_w:g} W: the "
+                f"summed dip depth {depth.max():.3g} exceeds 1, a negative photon rate"
+            )
+        return rate0 * (1.0 - depth)
 
     dt = cfg.dt_s
-    n_total = int(round(duration_s * cfg.sample_rate_hz))
     bias = scene.field.bz_t
     n_kept = len(range(0, n_total, decimation))
     kept_lockin, kept_estimate = np.empty((2, n_kept))
-    windows = _settled_ranges(timeline, n_total, cfg)
-    step_means, step_stds = np.full((2, len(windows)), math.nan)
-    pending = [(k, i0, i1) for k, (i0, i1) in enumerate(windows) if i1 - i0 >= 2]
-    gathered = None
+    step_means, step_stds = np.empty((2, len(windows)))
+    k, gathered = 0, None
 
     # The whole run's field noise is drawn first, then the shot noise block
     # by block, so the field noise does not depend on the block size.
@@ -982,8 +990,8 @@ def simulate_fm_tracking(
             kept[at : at + part.size] = part
         # Copy this block's share of the current step's settled window; a
         # window's statistics are taken once its last sample is in.
-        while pending and pending[0][1] < block.stop:
-            k, i0, i1 = pending[0]
+        while k < len(windows) and windows[k][0] < block.stop:
+            i0, i1 = windows[k]
             if gathered is None:
                 gathered = np.empty(i1 - i0)
             lo, hi = max(i0, block.start), min(i1, block.stop)
@@ -993,7 +1001,7 @@ def simulate_fm_tracking(
             step_means[k] = np.mean(gathered)
             step_stds[k] = np.std(gathered, ddof=1)
             gathered = None
-            del pending[0]
+            k += 1
 
     return TrackingResult(
         lockin=TimeSeries(0.0, dt, kept_lockin, "V", stride=decimation),

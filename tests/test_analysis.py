@@ -187,6 +187,50 @@ def count_solves(monkeypatch) -> list:
     return calls
 
 
+class RecordingTolerance(np.float64):
+    """A tolerance that records each value v compared with it as `v <= tol`.
+
+    A subclass of np.float64, and so of float: Python calls its reflected
+    __ge__ first for a float or numpy-float v.
+    """
+
+    def __ge__(self, other):
+        self.seen.append(other)
+        return float(self) >= other
+
+
+@pytest.mark.parametrize(
+    "seed, binding", [(3, "actual"), (0, "predicted")], ids=["actual", "predicted"]
+)
+def test_ftol_stops_where_a_reduction_equals_the_tolerance(monkeypatch, seed, binding):
+    # The ftol test is |actual| <= _FTOL and predicted <= _FTOL, in that
+    # order, on the trial that ends a fit.  At _FTOL equal to the larger of
+    # that trial's two reductions, both loops stop on that same trial.
+    x, clean = clean_sweep()
+    y = clean + np.random.default_rng(seed).normal(0, 0.05, x.size)
+    monkeypatch.setattr(analysis, "_GTOL", 0.0)
+    tol = RecordingTolerance(analysis._FTOL)
+    tol.seen = []
+    monkeypatch.setattr(analysis, "_FTOL", tol)
+    calls = count_solves(monkeypatch)
+    ref = fit_lorentzian(sweep(x, y))
+    n_trials = len(calls)
+    actual, predicted = tol.seen[-2:]
+    assert ref.stop_test == "ftol"
+    assert (actual >= predicted) == (binding == "actual")
+    monkeypatch.setattr(analysis, "_FTOL", float(max(actual, predicted)))
+    for fit_once in (
+        lambda: fit_lorentzian(sweep(x, y)),
+        lambda: fit_lorentzian_rows(x, y[None])[0],
+    ):
+        calls.clear()
+        fit = fit_once()
+        assert (fit.stop_test, len(calls)) == ("ftol", n_trials)
+        assert (fit.n_iter, fit.center_hz, fit.fwhm_hz) == (
+            ref.n_iter, ref.center_hz, ref.fwhm_hz
+        )
+
+
 def test_failing_fit_stops_early(monkeypatch):
     # Pure noise holds no resonance.  With the step test alone this fit runs
     # all 200 iterations (397 solves) before its amplitude gate rejects it.
@@ -516,13 +560,13 @@ def test_analyze_steps_statistics():
     means = [np.mean(w) for w in windows]
     stds = [np.std(w, ddof=1) for w in windows]
     report = analyze_steps(means, stds, tl, cfg)
-    assert report.step_means_t.size == 3
-    np.testing.assert_array_equal(report.step_stds_t, stds)
-    np.testing.assert_allclose(report.step_true_t, tl.bz_t)
-    np.testing.assert_allclose(report.residuals_t, 0.0, atol=1e-9)
-    assert report.pooled_std_t == pytest.approx(sigma, rel=0.10)
-    assert report.sensitivity_t_rthz == pytest.approx(
-        report.pooled_std_t * math.sqrt(cfg.time_constant_s), rel=1e-12, abs=0
+    assert len(report["step_means_t"]) == 3
+    np.testing.assert_array_equal(report["step_stds_t"], stds)
+    np.testing.assert_allclose(report["step_true_t"], tl.bz_t)
+    np.testing.assert_allclose(report["residuals_t"], 0.0, atol=1e-9)
+    assert report["pooled_std_t"] == pytest.approx(sigma, rel=0.10)
+    assert report["sensitivity_t_rthz"] == pytest.approx(
+        report["pooled_std_t"] * math.sqrt(cfg.time_constant_s), rel=1e-12, abs=0
     )
 
 

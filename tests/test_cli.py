@@ -703,6 +703,32 @@ def test_flat_discriminator_names_the_rf_power(tmp_path, capsys, p_rf_w):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, base, shot_noise, powers, depth",
+    [
+        # Cell (1, 1) is the first in grid order to go below zero.
+        ("map", MINI_MAP_CONFIG, True, "p_opt_w 0.25 W, p_rf_w 1 W", 1.03),
+        ("steps", MINI_STEPS_CONFIG, False, "p_opt_w 0.4 W, p_rf_w 1 W", 1.24),
+    ],
+    ids=["map", "steps"],
+)
+def test_negative_photon_rate_writes_nothing(
+    tmp_path, capsys, command, base, shot_noise, powers, depth
+):
+    # Lines 200 MHz wide at 95% contrast overlap to a dip deeper than the PL.
+    data = {
+        **base,
+        "detector": {"shot_noise": shot_noise},
+        "lineshape": {"fwhm0_hz": 2e8, "contrast_max": 0.95},
+    }
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{powers}: the summed dip depth {depth:g} exceeds 1, a negative" in err
+    assert not out.exists()
+
+
 def test_failed_map_writes_nothing(tmp_path, capsys):
     # Too few photons for any cell's resonance to rise above the shot noise.
     data = json.loads(json.dumps(MINI_MAP_CONFIG))

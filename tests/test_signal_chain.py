@@ -27,6 +27,7 @@ from odmrsim import (
     PeakShape,
     PRESETS,
     SampleRateMismatch,
+    ScheduleMismatch,
     Scene,
     SpinParams,
     SQUARE_AM_GAIN,
@@ -55,9 +56,9 @@ from odmrsim.signal_chain import (
     _filter_energy_pure,
     _line_table,
     _Pole,
-    _settled_ranges,
     _shot_counts,
     simulate_am_cells,
+    step_windows,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -919,8 +920,9 @@ def test_tracking_staircase_levels_match_full_series_lookup(
     # Step edges at samples 128, 319, 542 and 641: the first sample, the
     # last sample, the inside and the second sample of 64-sample blocks.
     # One block as long as the run crosses every edge, so it looks up the
-    # level of every sample.
-    cfg = fm_config()
+    # level of every sample.  A 25 ms time constant leaves every step
+    # settled samples after its 63-sample discard.
+    cfg = replace(fm_config(), time_constant_s=0.025)
     dt = cfg.dt_s
     tl = FieldTimeline(
         starts_s=np.array([0, 128, 319, 542, 641]) * dt,
@@ -950,15 +952,16 @@ def test_tracking_staircase_levels_match_full_series_lookup(
 def test_streamed_tracking_equals_full_series(
     monkeypatch, block, field_noise, shot_noise
 ):
-    # Step edges at samples 1500, 2900, 4333 and 5800, and settled windows
+    # Step edges at samples 1500, 2900 and 4333, and settled windows
     # starting 1250 samples (5 tau) after each edge: inside 64- and
-    # 7-sample blocks.  The last step keeps no settled sample.
+    # 7-sample blocks, but for the edge at 4333, which ends a 7-sample block.
+    # Every window keeps at least 150 samples.
     cfg = fm_config()
     dt = cfg.dt_s
     n_total = 6000
     tl = FieldTimeline(
-        starts_s=np.array([0, 1500, 2900, 4333, 5800]) * dt,
-        bz_t=1e-3 + 500e-9 * np.array([-1.0, 0.5, 2.0, -0.5, 1.0]),
+        starts_s=np.array([0, 1500, 2900, 4333]) * dt,
+        bz_t=1e-3 + 500e-9 * np.array([-1.0, 0.5, 2.0, -0.5]),
     )
 
     def run(block_n, decimation):
@@ -981,10 +984,9 @@ def test_streamed_tracking_equals_full_series(
     full = run(n_total, 1)
     lockin, estimate = full.lockin.values, full.field_estimate.values
     assert lockin.size == estimate.size == n_total
-    windows = _settled_ranges(tl, n_total, cfg)
-    assert [i1 - i0 for i0, i1 in windows][-1] < 2
-    means = [np.mean(estimate[i0:i1]) for i0, i1 in windows[:-1]] + [math.nan]
-    stds = [np.std(estimate[i0:i1], ddof=1) for i0, i1 in windows[:-1]] + [math.nan]
+    windows = step_windows(tl, n_total, cfg)
+    means = [np.mean(estimate[i0:i1]) for i0, i1 in windows]
+    stds = [np.std(estimate[i0:i1], ddof=1) for i0, i1 in windows]
     for decimation in (1, 25):
         got = run(block, decimation)
         np.testing.assert_array_equal(bits(got.lockin.values), bits(lockin[::decimation]))
@@ -1022,7 +1024,7 @@ def test_tracking_memory_is_one_step_window():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    window = max(i1 - i0 for i0, i1 in _settled_ranges(tl, n_total, cfg)) * 8
+    window = max(i1 - i0 for i0, i1 in step_windows(tl, n_total, cfg)) * 8
     kept = res.lockin.values.nbytes + res.field_estimate.values.nbytes
     assert peak < 2 * window + kept + 2**20
     assert peak < n_total * 8 / 2
@@ -1054,7 +1056,7 @@ def test_tracking_field_noise_calibration():
         field_noise_step_sigma_t=70e-9,
     )
     report = analyze_steps(res.step_means_t, res.step_stds_t, tl, cfg)
-    assert report.pooled_std_t == pytest.approx(70e-9, rel=0.15)
+    assert report["pooled_std_t"] == pytest.approx(70e-9, rel=0.15)
     assert res.field_noise_sigma_in_t > 70e-9
 
 
@@ -1133,8 +1135,9 @@ def test_field_noise_calibration_matches_per_line_reference():
     scene = cfg.scene()
     target = cfg.schedule.field_noise_step_sigma_t
     tl = FieldTimeline(starts_s=np.array([0.0]), bz_t=np.array([cfg.field.bz_t]))
+    # 3 s keeps 0.5 s of settled samples after the 2.5 s discard.
     res = simulate_fm_tracking(
-        tl, scene, cfg.lockin, 1.0, field_noise_step_sigma_t=target
+        tl, scene, cfg.lockin, 3.0, field_noise_step_sigma_t=target
     )
     expected = reference_field_noise_sigma(
         target, scene, cfg.lockin, res.slope_v_per_hz
@@ -1161,3 +1164,21 @@ def test_tracking_guards():
     dark_scene = quenched_scene(p_opt=0.0)
     with pytest.raises(ValueError):
         simulate_fm_tracking(tl, dark_scene, fm_config(), 10.0)
+
+
+def test_tracking_rejects_a_short_step_before_drawing(monkeypatch):
+    # The second step starts 1 s before the run ends, inside its 2.5 s
+    # settling discard, so it keeps no settled sample.
+    def no_demodulator(cfg):
+        raise AssertionError("the demodulator ran")
+
+    monkeypatch.setattr("odmrsim.signal_chain._Demodulator", no_demodulator)
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    tl = FieldTimeline.staircase(1e-3, 500e-9, 9.0, 2)
+    with pytest.raises(ScheduleMismatch, match="t = 9 s has 0 samples"):
+        simulate_fm_tracking(
+            tl, quenched_scene(), fm_config(), 10.0, seed=rng,
+            field_noise_step_sigma_t=70e-9,
+        )
+    assert rng.bit_generator.state == state
