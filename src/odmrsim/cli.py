@@ -389,8 +389,8 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     t = result.field_estimate.times()
     est = result.field_estimate.values
     lockin = result.lockin.values
-    # Each level is formatted once; its text is repeated down its step.
-    levels = np.array([format_float(v) for v in timeline.bz_t])
+    # Each level is formatted once; its step's rows refer to that one text.
+    levels = np.array([format_float(v) for v in timeline.bz_t], dtype=object)
     true = levels[timeline.step_index(t)]
 
     payload = {

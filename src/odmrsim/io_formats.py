@@ -46,8 +46,9 @@ def csv_chunks(header: str, *columns) -> Iterator[str]:
     """The text of a CSV table: its header line, then its rows in chunks.
 
     Columns have equal length.  Numbers render as format_float renders
-    them and NaN as an empty cell; strings as they are.  Each chunk of up
-    to _CHUNK_ROWS rows is formatted by one % call.
+    them and NaN as an empty cell; strings, in a str or an object column,
+    as they are.  Each chunk of up to _CHUNK_ROWS rows is formatted by one
+    % call.
     """
     yield header + "\n"
     columns = [np.asarray(c) for c in columns]
@@ -56,7 +57,7 @@ def csv_chunks(header: str, *columns) -> Iterator[str]:
         cells = np.empty((chunk[0].size, len(chunk)), dtype=object)
         specs = []
         for j, column in enumerate(chunk):
-            spec = "%s" if column.dtype.kind == "U" else "%.17g"
+            spec = "%s" if column.dtype.kind in "UO" else "%.17g"
             if column.dtype.kind == "f" and np.isnan(column).any():
                 spec = "%s"
                 column = ["" if v != v else format_float(v) for v in column.tolist()]

@@ -222,6 +222,32 @@ def _shot_counts(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _noise_streams(seed, sigma_in: float, n_total: int, shot_noise: bool):
+    """FM tracking's shot-noise generator and its field noise, block by block.
+
+    The field noise is default_rng(seed).normal(0, sigma_in, n_total), drawn
+    one _dwell_blocks(n_total, 1) block at a time from a second generator of
+    the seed: chunked draws equal the whole draw bit for bit.  The shot
+    noise continues the stream where the whole draw leaves it, so with shot
+    noise the first generator skips n_total standard normals, the same
+    ziggurat draws as normal's.  Without field noise the noise is None, and
+    nothing is skipped.
+    """
+    rng = np.random.default_rng(seed)
+    if sigma_in <= 0:
+        return rng, None
+    if shot_noise:
+        buf = np.empty(min(_BLOCK, n_total))
+        for start in range(0, n_total, _BLOCK):
+            rng.standard_normal(out=buf[: n_total - start])
+    field = np.random.default_rng(seed)
+    noise = (
+        field.normal(0.0, sigma_in, block.stop - block.start)
+        for block in _dwell_blocks(n_total, 1)
+    )
+    return rng, noise
+
+
 @dataclass(frozen=True)
 class LockInConfig:
     """Demodulator settings; see the module docstring for conventions."""
@@ -870,8 +896,8 @@ def simulate_fm_tracking(
     standard deviation, taken with np.mean and np.std(ddof=1) on one
     contiguous copy of its step_windows range, so they equal those of the
     full series' slices bit for bit.  Beyond the decimated series the run
-    holds one step's settled window at a time, plus the field-noise series
-    when there is field noise: no other array grows with the run.
+    holds one step's settled window at a time: no other array grows with
+    the run.  The field noise is drawn block by block (_noise_streams).
 
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
@@ -936,9 +962,13 @@ def simulate_fm_tracking(
                 f"per-sample sigma of {sigma_in:.3g} T, beyond {MAX_FIELD_T:g} T"
             )
 
+    # A line of zero strength adds exactly +0.0 to the depth: skip it.
+    live = np.flatnonzero(amps)
+    live_centers, live_slopes, live_amps = centers[live], slopes[live], amps[live]
+
     def rate_at(nu, db):
-        moving = (center + slope * db for center, slope in zip(centers, slopes))
-        depth = lorentzian_sum(nu, moving, amps, fwhm)
+        moving = (c + s * db for c, s in zip(live_centers, live_slopes))
+        depth = lorentzian_sum(nu, moving, live_amps, fwhm)
         if depth.max() > 1.0:
             raise ValueError(
                 f"p_opt_w {scene.p_opt_w:g} W, p_rf_w {scene.p_rf_w:g} W: the "
@@ -953,10 +983,7 @@ def simulate_fm_tracking(
     step_means, step_stds = np.empty((2, len(windows)))
     k, gathered = 0, None
 
-    # The whole run's field noise is drawn first, then the shot noise block
-    # by block, so the field noise does not depend on the block size.
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma_in, n_total) if sigma_in > 0 else None
+    rng, noise = _noise_streams(seed, sigma_in, n_total, shot_noise)
     demod = _Demodulator(cfg)
     for block in _dwell_blocks(n_total, 1):
         n = block.stop - block.start
@@ -971,7 +998,7 @@ def simulate_fm_tracking(
             rate = _periodic(rate_at(nu_cycle, db), block.start, n)
         else:
             if noise is not None:
-                db = db + noise[block]
+                db = db + next(noise)
             rate = rate_at(_periodic(nu_cycle, block.start, n), db)
         if shot_noise:
             volts = k_v * _shot_counts(rate * dt, rng) / dt

@@ -375,6 +375,26 @@ def test_csv_chunks_stream_long_tables_in_chunks():
     assert list(csv_chunks("v,l", np.empty(0), np.array([], dtype=str))) == ["v,l\n"]
 
 
+def test_csv_chunks_write_object_text_as_str_text():
+    # An object column of str, as steps holds its levels by reference,
+    # writes the bytes of the same strings in a U column: texts of mixed
+    # lengths, across a chunk boundary where the row length changes.
+    n = io_formats._CHUNK_ROWS + 5
+    shared = [format_float(v) for v in (1e-3, -2.5e-9, 1e-3 + 5e-7, 7.0, 1e22)]
+    shared += ["", "nu2_sat_minus" * 3]
+    rows = np.array(shared, dtype=object)[np.arange(n) % len(shared)]
+    assert len(rows[io_formats._CHUNK_ROWS - 1]) != len(rows[io_formats._CHUNK_ROWS])
+    values = np.arange(n) * 0.1
+    chunks = list(csv_chunks("l,v", rows, values))
+    assert len(chunks) == 1 + 2
+    text = rows.astype(str)
+    assert text.dtype.kind == "U"
+    assert "".join(chunks) == _csv_text("l,v", text, values)
+    assert "".join(chunks) == "l,v\n" + "".join(
+        f"{label},{format_float(v)}\n" for label, v in zip(shared * n, values)
+    )
+
+
 def test_dump_json_rejects_nan():
     with pytest.raises(ValueError):
         dump_json({"x": math.nan})

@@ -49,6 +49,31 @@ def test_lorentzian_sum_is_the_per_line_loop_bit_for_bit():
     assert np.array_equal(lorentzian_sum(freq, [], [], fwhm), np.zeros(freq.size))
 
 
+def test_zero_amplitude_lines_leave_lorentzian_sum_bit_for_bit():
+    # FM tracking sums only lines of nonzero strength.  A line of amplitude
+    # 0 (or -0) adds exactly +0.0 or -0.0, so every partial sum is unchanged:
+    # in the far tails, at detunings of 1e150 Hz, and with the dead lines
+    # before, between and after the live ones.
+    rng = np.random.default_rng(10)
+    fwhm = 7.3e5
+    freq = np.concatenate(
+        (rng.uniform(97e6, 99e6, 64), [98e6, 98e6 + 1e9, -1e12, 1e150, -1e150])
+    )
+    db = rng.normal(0.0, 1e-7, freq.size)
+    live = [(97.7e6, 0.02), (98.0e6, 0.013), (98.4e6, 0.001)]
+    dead = [(-1e150, 0.0), (90e6, -0.0), (97.9e6, 0.0), (110e6, 0.0), (1e150, 0.0)]
+    lines = [dead[0], dead[1], live[0], dead[2], live[1], live[2], dead[3], dead[4]]
+
+    def centers(table, moving):
+        # A moving line is centre + slope * db, as tracking evaluates it.
+        return [c + 2.8e10 * db if moving else c for c, _ in table]
+
+    for moving in (False, True):
+        want = lorentzian_sum(freq, centers(live, moving), [a for _, a in live], fwhm)
+        got = lorentzian_sum(freq, centers(lines, moving), [a for _, a in lines], fwhm)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_lorentzian_sum_broadcasts_column_amplitudes_and_widths():
     # (cells, 1) amplitudes and widths against a (points,) grid give
     # (cells, points), each row the sum at that cell's values alone.

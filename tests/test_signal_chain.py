@@ -55,6 +55,7 @@ from odmrsim.signal_chain import (
     _dwell_response,
     _filter_energy_pure,
     _line_table,
+    _noise_streams,
     _Pole,
     _shot_counts,
     simulate_am_cells,
@@ -1000,13 +1001,54 @@ def test_streamed_tracking_equals_full_series(
         np.testing.assert_array_equal(bits(got.step_stds_t), bits(stds))
 
 
-def test_tracking_memory_is_one_step_window():
-    # 8 steps of 100k samples, no field noise.  The run keeps its decimated
-    # series and one step's settled window at a time, gathered into a
-    # buffer that np.std copies once more, plus one block's working set.
-    # That is bounded by a step's window, not by the run: 8 equal steps put
-    # 1/8 of the run in each window, so it is below half of one series of
-    # the run's length, which the full series held three times over.
+@pytest.mark.parametrize("shot_noise", [False, True], ids=["no-shot", "shot"])
+def test_tracking_field_noise_is_the_seeds_whole_draw(monkeypatch, shot_noise):
+    # The field noise is drawn block by block, yet it is the whole
+    # normal(0, sigma_in, n_total) draw of default_rng(seed), bit for bit.
+    # The shot noise continues that generator where the whole draw leaves
+    # it; a run without shot noise skips no draws.
+    cfg = fm_config()
+    n_total, seed = 3000, 4
+    tl = FieldTimeline.staircase(1e-3, 500e-9, n_total // 2 * cfg.dt_s, 2)
+    seen = {"blocks": []}
+
+    def spy(*args):
+        rng, noise = _noise_streams(*args)
+        seen["state"] = rng.bit_generator.state
+
+        def recorded():
+            for block in noise:
+                seen["blocks"].append(block.copy())
+                yield block
+
+        return rng, recorded()
+
+    monkeypatch.setattr("odmrsim.signal_chain._noise_streams", spy)
+    monkeypatch.setattr("odmrsim.signal_chain._BLOCK", 64)
+    res = simulate_fm_tracking(
+        tl, quenched_scene(), cfg, n_total * cfg.dt_s, seed=seed,
+        shot_noise=shot_noise, field_noise_step_sigma_t=70e-9,
+    )
+    whole = np.random.default_rng(seed)
+    expected = whole.normal(0.0, res.field_noise_sigma_in_t, n_total)
+    got = np.concatenate(seen["blocks"])
+    assert len(seen["blocks"]) == math.ceil(n_total / 64)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    fresh = np.random.default_rng(seed).bit_generator.state
+    assert seen["state"] == (whole.bit_generator.state if shot_noise else fresh)
+
+
+@pytest.mark.parametrize(
+    "field_noise", [0.0, 70e-9], ids=["no-field-noise", "field-noise"]
+)
+def test_tracking_memory_is_one_step_window(field_noise):
+    # 8 steps of 100k samples, with shot noise where there is field noise.
+    # The run keeps its decimated series and one step's settled window at a
+    # time, gathered into a buffer that np.std copies once more, plus one
+    # block's working set; the field noise is drawn block by block.  That
+    # is bounded by a step's window, not by the run: 8 equal steps put 1/8
+    # of the run in each window, so it is below half of one series of the
+    # run's length, which the full series held three times over.
     cfg = fm_config()
     n_total = 800_000
     tl = FieldTimeline.staircase(1e-3, 500e-9, n_total // 8 * cfg.dt_s, 8)
@@ -1014,7 +1056,8 @@ def test_tracking_memory_is_one_step_window():
     def run():
         return simulate_fm_tracking(
             tl, quenched_scene(), cfg, n_total * cfg.dt_s,
-            shot_noise=False, decimation=25,
+            shot_noise=field_noise > 0, field_noise_step_sigma_t=field_noise,
+            decimation=25,
         )
 
     run()  # cached line solves and dwell weights out of the measurement
