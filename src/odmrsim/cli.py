@@ -519,30 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _fix_mmap_threshold() -> None:
-    """Pin glibc's mmap threshold at its 128 KiB default.
-
-    glibc otherwise raises the threshold to the size of each large block
-    it frees, up to 32 MiB, so later arrays of that size come from the
-    heap.  Freed under a small live object there, they stay resident: in
-    one process running odmr steps back to back, peak RSS rose by 11 MB
-    or not depending on the length of the --out path.  With the threshold
-    fixed, every array of 128 KiB or more is mapped on its own and given
-    back when freed.  Other C libraries are left as they are.
-    """
-    import ctypes
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    m_mmap_threshold = -3  # from glibc's malloc.h
-    mallopt(m_mmap_threshold, 128 * 1024)
-
-
 def main(argv=None) -> int:
-    _fix_mmap_threshold()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -129,9 +129,9 @@ MAX_SAMPLES = 50_000_000
 
 # AM sweeps and FM tracking run in blocks of at most this many samples (an
 # AM block holds whole dwells, at least one), which bounds the memory a run
-# needs.  At 2**13 the block's arrays stay under 64 KiB, below which glibc
-# frees without trimming the heap, so the heap is not refaulted block after
-# block.
+# needs; no output depends on it.  At 2**13 the block's arrays stay under
+# 64 KiB, below which glibc frees without trimming the heap, so the heap is
+# not refaulted block after block.
 _BLOCK = 2**13
 
 # Time constants after which the pole's decay falls below 2^-53; the dwell
@@ -204,48 +204,36 @@ def _gaussian_counts(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-def _shot_counts(mean: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _shot_counts(
+    mean: np.ndarray, gauss: np.random.Generator, poisson: np.random.Generator
+) -> np.ndarray:
     """Vectorised photon counts with the Gaussian switch; returns floats.
 
-    A block whose every mean is above the threshold draws the same normals
-    without the masks.
+    Gaussian counts draw from gauss and Poisson counts from poisson, each in
+    sample order, so block-by-block draws equal the whole draw.  A block
+    whose every mean is above the threshold skips the masks.
     """
     if mean.min(initial=math.inf) > GAUSSIAN_MEAN_THRESHOLD:
-        return _gaussian_counts(mean, rng)
+        return _gaussian_counts(mean, gauss)
     out = np.empty_like(mean)
     big = mean > GAUSSIAN_MEAN_THRESHOLD
     small = ~big
     if small.any():
-        out[small] = rng.poisson(mean[small])
+        out[small] = poisson.poisson(mean[small])
     if big.any():
-        out[big] = _gaussian_counts(mean[big], rng)
+        out[big] = _gaussian_counts(mean[big], gauss)
     return out
 
 
-def _noise_streams(seed, sigma_in: float, n_total: int, shot_noise: bool):
-    """FM tracking's shot-noise generator and its field noise, block by block.
+def _noise_streams(seed):
+    """The Gaussian-count, Poisson-count and field-noise generators of a seed.
 
-    The field noise is default_rng(seed).normal(0, sigma_in, n_total), drawn
-    one _dwell_blocks(n_total, 1) block at a time from a second generator of
-    the seed: chunked draws equal the whole draw bit for bit.  The shot
-    noise continues the stream where the whole draw leaves it, so with shot
-    noise the first generator skips n_total standard normals, the same
-    ziggurat draws as normal's.  Without field noise the noise is None, and
-    nothing is skipped.
+    Gaussian counts draw from default_rng(seed) itself (the generator, if
+    seed is one); Poisson counts and field noise each from a spawned child.
     """
-    rng = np.random.default_rng(seed)
-    if sigma_in <= 0:
-        return rng, None
-    if shot_noise:
-        buf = np.empty(min(_BLOCK, n_total))
-        for start in range(0, n_total, _BLOCK):
-            rng.standard_normal(out=buf[: n_total - start])
-    field = np.random.default_rng(seed)
-    noise = (
-        field.normal(0.0, sigma_in, block.stop - block.start)
-        for block in _dwell_blocks(n_total, 1)
-    )
-    return rng, noise
+    gauss = np.random.default_rng(seed)
+    poisson, field = map(np.random.default_rng, gauss.bit_generator.seed_seq.spawn(2))
+    return gauss, poisson, field
 
 
 @dataclass(frozen=True)
@@ -642,7 +630,7 @@ def simulate_am_sweep(
     every sample's mean count is above GAUSSIAN_MEAN_THRESHOLD, it is drawn
     per dwell from its exact covariance, and again no per-sample array is
     built.  Otherwise the counts are drawn per sample, in the order and
-    stream of a seed, their residual about the noise-free rate is
+    streams of a seed, their residual about the noise-free rate is
     demodulated, and dc_v is the cycle mean of the drawn volts.  This is
     simulate_am_cells at one cell.
     """
@@ -666,8 +654,8 @@ def simulate_am_cells(
     swept as simulate_am_sweep sweeps it, with the same arithmetic per
     element: the noise-free levels, responses and DC readings of all cells
     are built as one array.  With seeds None the sweeps are noise-free;
-    otherwise cell k adds its shot noise from its own generator,
-    np.random.default_rng(seeds[k]).  A power whose linewidth or photon
+    otherwise cell k adds its shot noise from its own streams,
+    _noise_streams(seeds[k]).  A power whose linewidth or photon
     rate overflows, or whose summed dip depth exceeds 1 (a negative photon
     rate), raises ValueError naming the first such cell's power.
     """
@@ -734,13 +722,14 @@ def simulate_am_cells(
             for j in range(n_lags):
                 lock[j:] += noise[: n_dwells - j, 1 + j]
             continue
+        rng, poisson, _ = _noise_streams(rng)
         demod = _Demodulator(cfg)
         cycle_mean = _CycleMean(cfg)
         for block in _dwell_blocks(n_dwells, dwell_n):
             n = (block.stop - block.start) * dwell_n
             gate = _am_gate(cfg, block.start * dwell_n, n).reshape(-1, dwell_n)
             rates = (rate * (1.0 - level[block, None] * gate)).ravel()
-            noisy = k_v * _shot_counts(rates * dt, rng) / dt
+            noisy = k_v * _shot_counts(rates * dt, rng, poisson) / dt
             residual = demod.process(noisy - k_v * rates)
             lock[block] += _settled_means(residual, dwell_n, settle_n)
             dc_k[block] = _settled_means(cycle_mean.process(noisy), dwell_n, settle_n)
@@ -897,7 +886,8 @@ def simulate_fm_tracking(
     contiguous copy of its step_windows range, so they equal those of the
     full series' slices bit for bit.  Beyond the decimated series the run
     holds one step's settled window at a time: no other array grows with
-    the run.  The field noise is drawn block by block (_noise_streams).
+    the run.  The field and shot noise draw block by block from the seed's
+    streams (_noise_streams), so no output depends on the block size.
 
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
@@ -983,7 +973,7 @@ def simulate_fm_tracking(
     step_means, step_stds = np.empty((2, len(windows)))
     k, gathered = 0, None
 
-    rng, noise = _noise_streams(seed, sigma_in, n_total, shot_noise)
+    gauss, poisson, field = _noise_streams(seed)
     demod = _Demodulator(cfg)
     for block in _dwell_blocks(n_total, 1):
         n = block.stop - block.start
@@ -994,14 +984,14 @@ def simulate_fm_tracking(
             db = timeline.bz_t[first] - bias
         else:
             db = timeline.value_at(np.arange(block.start, block.stop) * dt) - bias
-        if noise is None and first == last:
+        if sigma_in == 0 and first == last:
             rate = _periodic(rate_at(nu_cycle, db), block.start, n)
         else:
-            if noise is not None:
-                db = db + next(noise)
+            if sigma_in > 0:
+                db = db + field.normal(0.0, sigma_in, n)
             rate = rate_at(_periodic(nu_cycle, block.start, n), db)
         if shot_noise:
-            volts = k_v * _shot_counts(rate * dt, rng) / dt
+            volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
         else:
             volts = k_v * rate
         lockin = demod.process(volts)

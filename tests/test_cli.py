@@ -1,7 +1,6 @@
 """End-to-end checks of the command line interface (in-process)."""
 
 import contextlib
-import ctypes
 import io
 import json
 import math
@@ -1060,30 +1059,6 @@ def test_steps_command_tracks_and_reports(tmp_path):
     # 10 s at 500 Hz per step, two steps, decimated by ten.
     assert len(lines) - 1 == 1000
     assert all(verify_manifest(out / "manifest.json").values())
-
-
-class _MallInfo2(ctypes.Structure):
-    _fields_ = [
-        (name, ctypes.c_size_t)
-        for name in (
-            "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks "
-            "fordblks keepcost"
-        ).split()
-    ]
-
-
-def test_main_keeps_large_arrays_off_the_heap():
-    libc = ctypes.CDLL(None)
-    if not hasattr(libc, "mallinfo2"):
-        pytest.skip("needs glibc 2.33 or later")
-    libc.mallinfo2.restype = _MallInfo2
-    assert main(["--version"]) == 0
-    # Freeing a mapped 8 MiB array would let glibc serve the next smaller
-    # arrays from the heap; main() keeps them mapped on their own.
-    np.ones(1 << 20)
-    before = libc.mallinfo2().hblkhd
-    held = np.ones(1 << 19)
-    assert libc.mallinfo2().hblkhd - before >= held.nbytes
 
 
 def test_steps_rejects_am_config(tmp_path):

@@ -149,7 +149,7 @@ def test_detector_validation():
 
 def test_shot_noise_poisson_regime_statistics():
     mean = 80.0
-    draws = _shot_counts(np.full(3000, mean), np.random.default_rng(0))
+    draws = _shot_counts(np.full(3000, mean), *_noise_streams(0)[:2])
     assert draws.mean() == pytest.approx(mean, rel=0.05)
     assert draws.var() == pytest.approx(mean, rel=0.15)
     assert np.all(draws == np.round(draws))
@@ -158,7 +158,7 @@ def test_shot_noise_poisson_regime_statistics():
 def test_shot_noise_gaussian_regime_statistics():
     mean = 4e6
     assert mean > GAUSSIAN_MEAN_THRESHOLD
-    draws = _shot_counts(np.full(400, mean), np.random.default_rng(0))
+    draws = _shot_counts(np.full(400, mean), *_noise_streams(0)[:2])
     assert draws.mean() == pytest.approx(mean, rel=0.01)
     assert draws.var() == pytest.approx(mean, rel=0.25)
     # Gaussian draws are not rounded to whole counts.
@@ -166,7 +166,7 @@ def test_shot_noise_gaussian_regime_statistics():
 
 
 def test_shot_noise_zero_mean_gives_zero():
-    draws = _shot_counts(np.zeros(50), np.random.default_rng(0))
+    draws = _shot_counts(np.zeros(50), *_noise_streams(0)[:2])
     np.testing.assert_array_equal(draws, np.zeros(50))
 
 
@@ -184,13 +184,13 @@ def test_shot_counts_match_numpy_normal_bit_for_bit():
         )
     )
     rng.shuffle(mean)
-    got = _shot_counts(mean, np.random.default_rng(12))
+    got = _shot_counts(mean, *_noise_streams(12)[:2])
     big = mean > GAUSSIAN_MEAN_THRESHOLD
-    ref_rng = np.random.default_rng(12)
+    gauss, poisson, _ = _noise_streams(12)
     expected = np.empty_like(mean)
-    expected[~big] = ref_rng.poisson(mean[~big])
+    expected[~big] = poisson.poisson(mean[~big])
     mu = mean[big]
-    expected[big] = np.maximum(ref_rng.normal(mu, np.sqrt(mu)), 0.0)
+    expected[big] = np.maximum(gauss.normal(mu, np.sqrt(mu)), 0.0)
     assert big.sum() > 500 and (~big).sum() > 200
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -413,7 +413,7 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
     comb = np.full(n, 1.0 / n)
     beta = 1.0 - math.exp(-dt / cfg.time_constant_s)
     zi_dc, zi_comb, zi_pole = np.zeros(n - 1), np.zeros(n - 1), np.zeros(1)
-    rng = np.random.default_rng(seed)
+    gauss, poisson, _ = _noise_streams(seed)
     lockin, dc = [], []
     for point in range(-1, plan.n_points):
         k = (point + 1) * dwell_n + np.arange(dwell_n)
@@ -421,7 +421,7 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         gate = cos < 0
         rate = rate0 * (1.0 - depth[max(point, 0)] * gate)
         if shot_noise:
-            volts = k_v * _shot_counts(rate * dt, rng) / dt
+            volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
         else:
             volts = k_v * rate
         smooth, zi_dc = lfilter(comb, [1.0], volts, zi=zi_dc)
@@ -1001,41 +1001,92 @@ def test_streamed_tracking_equals_full_series(
         np.testing.assert_array_equal(bits(got.step_stds_t), bits(stds))
 
 
-@pytest.mark.parametrize("shot_noise", [False, True], ids=["no-shot", "shot"])
-def test_tracking_field_noise_is_the_seeds_whole_draw(monkeypatch, shot_noise):
-    # The field noise is drawn block by block, yet it is the whole
-    # normal(0, sigma_in, n_total) draw of default_rng(seed), bit for bit.
-    # The shot noise continues that generator where the whole draw leaves
-    # it; a run without shot noise skips no draws.
+class RecordedNormals(np.random.Generator):
+    """A generator on a given bit generator that keeps each standard_normal
+    draw it makes."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.drawn = []
+
+    def standard_normal(self, *args, **kwargs):
+        z = super().standard_normal(*args, **kwargs)
+        self.drawn.append(z.copy())
+        return z
+
+
+def test_tracking_gaussian_counts_ignore_field_noise(monkeypatch):
+    # Each noise source draws from its own stream of the seed.  The
+    # Gaussian counts are the whole standard_normal draw of
+    # default_rng(seed), block by block, with field noise on or off; the
+    # field noise comes from a child stream and draws nothing from it.
     cfg = fm_config()
     n_total, seed = 3000, 4
     tl = FieldTimeline.staircase(1e-3, 500e-9, n_total // 2 * cfg.dt_s, 2)
-    seen = {"blocks": []}
+    recorded = []
 
-    def spy(*args):
-        rng, noise = _noise_streams(*args)
-        seen["state"] = rng.bit_generator.state
-
-        def recorded():
-            for block in noise:
-                seen["blocks"].append(block.copy())
-                yield block
-
-        return rng, recorded()
+    def spy(seed):
+        gauss, poisson, field = _noise_streams(seed)
+        recorded.append(RecordedNormals(gauss.bit_generator))
+        return recorded[-1], poisson, field
 
     monkeypatch.setattr("odmrsim.signal_chain._noise_streams", spy)
     monkeypatch.setattr("odmrsim.signal_chain._BLOCK", 64)
-    res = simulate_fm_tracking(
-        tl, quenched_scene(), cfg, n_total * cfg.dt_s, seed=seed,
-        shot_noise=shot_noise, field_noise_step_sigma_t=70e-9,
-    )
-    whole = np.random.default_rng(seed)
-    expected = whole.normal(0.0, res.field_noise_sigma_in_t, n_total)
-    got = np.concatenate(seen["blocks"])
-    assert len(seen["blocks"]) == math.ceil(n_total / 64)
-    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
-    fresh = np.random.default_rng(seed).bit_generator.state
-    assert seen["state"] == (whole.bit_generator.state if shot_noise else fresh)
+    runs = [
+        simulate_fm_tracking(
+            tl, quenched_scene(), cfg, n_total * cfg.dt_s, seed=seed,
+            field_noise_step_sigma_t=sigma,
+        )
+        for sigma in (0.0, 70e-9)
+    ]
+    assert runs[1].field_noise_sigma_in_t > 0
+    assert not np.array_equal(runs[0].lockin.values, runs[1].lockin.values)
+    expected = np.random.default_rng(seed).standard_normal(n_total)
+    for rng in recorded:
+        assert len(rng.drawn) == math.ceil(n_total / 64)
+        got = np.concatenate(rng.drawn)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_no_output_depends_on_block_size(monkeypatch):
+    # Counts straddle the Gaussian threshold, so blocks mix Poisson and
+    # Gaussian counts: an AM sweep at about 1.01e4 counts a sample off
+    # resonance and below 1e4 in the dip, and an FM run whose field noise
+    # moves its counts across 1e4.  Each regime draws in sample order from
+    # its own stream, so every block size gives the same bits.
+    mixed = []
+
+    def counting(mean, *streams):
+        big = mean > GAUSSIAN_MEAN_THRESHOLD
+        mixed.append(big.any() and not big.all())
+        return _shot_counts(mean, *streams)
+
+    monkeypatch.setattr("odmrsim.signal_chain._shot_counts", counting)
+    scene, am_cfg, plan = am_sweep_case(0.2, 1.0, 0.01234, 2e-3, 41, 10)
+    am_scene = replace(scene, pl_rate_per_w=1.01e4 / (0.2 * am_cfg.dt_s))
+    fm_cfg = fm_config()
+    fm_scene = replace(quenched_scene(), pl_rate_per_w=1.0137e4 / (0.4 * fm_cfg.dt_s))
+    n_total = 6000
+    tl = FieldTimeline.staircase(1e-3, 500e-9, n_total // 2 * fm_cfg.dt_s, 2)
+
+    def outputs(block_n):
+        monkeypatch.setattr("odmrsim.signal_chain._BLOCK", block_n)
+        am = simulate_am_sweep(am_scene, plan, am_cfg, seed=5)
+        fm = simulate_fm_tracking(
+            tl, fm_scene, fm_cfg, n_total * fm_cfg.dt_s, seed=5,
+            field_noise_step_sigma_t=70e-9,
+        )
+        series = (
+            am.lockin_v, am.dc_v, fm.lockin.values, fm.field_estimate.values,
+            fm.step_means_t, fm.step_stds_t,
+        )
+        return [np.asarray(x, dtype=float).view(np.uint64) for x in series]
+
+    reference = outputs(8192)
+    assert any(mixed)
+    for block_n in (2500, 64):
+        for got, want in zip(outputs(block_n), reference):
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -1080,7 +1131,7 @@ def test_all_gaussian_shot_counts_match_numpy_normal_bit_for_bit():
     mean = np.concatenate(
         ([np.nextafter(GAUSSIAN_MEAN_THRESHOLD, np.inf)], rng.uniform(1e4, 1e12, 500))
     )
-    got = _shot_counts(mean, np.random.default_rng(12))
+    got = _shot_counts(mean, *_noise_streams(12)[:2])
     expected = np.maximum(np.random.default_rng(12).normal(mean, np.sqrt(mean)), 0.0)
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
