@@ -1048,6 +1048,65 @@ def test_tracking_gaussian_counts_ignore_field_noise(monkeypatch):
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+class RecordedFieldNormals(np.random.Generator):
+    """A generator on a given bit generator that keeps each normal draw it
+    makes."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.drawn = []
+
+    def normal(self, *args, **kwargs):
+        x = super().normal(*args, **kwargs)
+        self.drawn.append(x.copy())
+        return x
+
+
+@pytest.mark.parametrize("shot_noise", [False, True], ids=["no-shot", "shot"])
+def test_tracking_field_noise_is_the_seeds_whole_draw(monkeypatch, shot_noise):
+    # The field noise is drawn block by block, yet it is the whole
+    # normal(0, sigma_in, n_total) draw of its spawned child of the seed,
+    # bit for bit.  The Gaussian counts draw the whole standard_normal
+    # stream of default_rng(seed) beside it; a run without shot noise
+    # draws no counts, and no run here draws a Poisson count.
+    cfg = fm_config()
+    n_total, seed = 3000, 4
+    tl = FieldTimeline.staircase(1e-3, 500e-9, n_total // 2 * cfg.dt_s, 2)
+    streams = []
+
+    def spy(seed):
+        gauss, poisson, field = _noise_streams(seed)
+        streams.extend([
+            RecordedNormals(gauss.bit_generator), poisson,
+            RecordedFieldNormals(field.bit_generator),
+        ])
+        return tuple(streams)
+
+    monkeypatch.setattr("odmrsim.signal_chain._noise_streams", spy)
+    monkeypatch.setattr("odmrsim.signal_chain._BLOCK", 64)
+    res = simulate_fm_tracking(
+        tl, quenched_scene(), cfg, n_total * cfg.dt_s, seed=seed,
+        shot_noise=shot_noise, field_noise_step_sigma_t=70e-9,
+    )
+    gauss, poisson, field = streams
+    children = np.random.SeedSequence(seed).spawn(2)
+    expected = np.random.default_rng(children[1]).normal(
+        0.0, res.field_noise_sigma_in_t, n_total
+    )
+    assert len(field.drawn) == math.ceil(n_total / 64)
+    got = np.concatenate(field.drawn)
+    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+    fresh = np.random.default_rng(children[0]).bit_generator.state
+    assert poisson.bit_generator.state == fresh
+    if shot_noise:
+        counts = np.random.default_rng(seed).standard_normal(n_total)
+        got = np.concatenate(gauss.drawn)
+        np.testing.assert_array_equal(got.view(np.uint64), counts.view(np.uint64))
+    else:
+        assert gauss.drawn == []
+        assert gauss.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
 def test_no_output_depends_on_block_size(monkeypatch):
     # Counts straddle the Gaussian threshold, so blocks mix Poisson and
     # Gaussian counts: an AM sweep at about 1.01e4 counts a sample off
