@@ -196,6 +196,26 @@ def photon_rate(pl_rate_per_w: float, p_opt_w):
     return rate
 
 
+def _refuse_negative_rate(depth: np.ndarray, p_opt_w, p_rf_w) -> None:
+    """Refuse the first row of depth (rows, points) summing above 1, by its powers."""
+    deep = np.flatnonzero(depth.max(axis=1) > 1.0)
+    if deep.size:
+        k = deep[0]
+        raise ValueError(
+            f"p_opt_w {p_opt_w[k]:g} W, p_rf_w {p_rf_w[k]:g} W: the summed dip "
+            f"depth {depth[k].max():.3g} exceeds 1, a negative photon rate"
+        )
+
+
+def _refuse_gain_overflow(value, detector: DetectorModel, what: str) -> None:
+    """Refuse a value formed through the detector gain that is not finite."""
+    if not np.isfinite(value).all():
+        raise ValueError(
+            f"detector.transimpedance_v_per_a {detector.transimpedance_v_per_a:g} "
+            f"V/A: {what} overflows"
+        )
+
+
 def _gaussian_counts(mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """rng.normal(mu, sqrt(mu)) in bulk, the same draws and arithmetic, at least 0."""
     z = rng.standard_normal(mu.size)
@@ -655,12 +675,13 @@ def simulate_am_cells(
     element: the noise-free levels, responses and DC readings of all cells
     are built as one array.  With seeds None the sweeps are noise-free;
     otherwise cell k adds its shot noise from its own streams,
-    _noise_streams(seeds[k]).  A power whose linewidth or photon
-    rate overflows, or whose summed dip depth exceeds 1 (a negative photon
-    rate), raises ValueError naming the first such cell's power.
+    _noise_streams(seeds[k]).  A power whose linewidth or photon rate
+    overflows, or whose summed dip depth exceeds 1 (a negative photon rate),
+    raises ValueError naming the first such cell's power, and a detector
+    gain whose volts or shot-noise variance overflow one naming the gain.
     """
     if cfg.mode != "am":
-        raise ValueError("simulate_am_sweep needs an 'am' lock-in config")
+        raise ValueError("simulate_am_cells needs an 'am' lock-in config")
     if plan.dwell_s < cfg.settle_discard_s - 1e-12:
         raise ValueError("dwell_s must be at least 5 lock-in time constants")
 
@@ -683,13 +704,7 @@ def simulate_am_cells(
     dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
     settle_n = min(cfg.settle_samples, dwell_n - 1)
 
-    deep = depth.max(axis=1) > 1.0
-    if deep.any():
-        k = np.argmax(deep)
-        raise ValueError(
-            f"p_opt_w {p_opt[k]:g} W, p_rf_w {p_rf[k]:g} W: the summed dip "
-            f"depth {depth[k].max():.3g} exceeds 1, a negative photon rate"
-        )
+    _refuse_negative_rate(depth, p_opt, p_rf)
     # Dwell 0 is the discarded lead-in at the first frequency.
     levels = np.concatenate((depth[:, :1], depth), axis=1)
     n_dwells = levels.shape[1]
@@ -700,7 +715,9 @@ def simulate_am_cells(
         for j in range(n_lags):
             later = response[:, p + j :: n_phases]
             later += lags[p, j] * levels[:, p::n_phases][:, : later.shape[1]]
-    scale = (k_v * rate0)[:, None]
+    with np.errstate(over="ignore"):
+        scale = (k_v * rate0)[:, None]
+    _refuse_gain_overflow(scale, scene.detector, "the detector voltage")
     lockin = scale * response
     duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
     # Rounds the small term, not 1 - level * duty, so it stays nearer the
@@ -714,7 +731,9 @@ def simulate_am_cells(
             # settled means from their exact covariance (module docstring).
             z = rng.standard_normal((2, n_dwells, 1 + n_lags))
             phase = np.arange(n_dwells) % n_phases
-            s = k_v * k_v * rate / dt
+            with np.errstate(over="ignore"):
+                s = k_v * k_v * rate / dt
+            _refuse_gain_overflow(s, scene.detector, "the shot-noise variance")
             noise = np.einsum("dk,dkl->dl", z[0], r_on[phase])
             noise *= np.sqrt(s * (1.0 - level))[:, None]
             noise += math.sqrt(s) * np.einsum("dk,dkl->dl", z[1], r_off[phase])
@@ -891,8 +910,9 @@ def simulate_fm_tracking(
 
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
-    requested value; a per-sample sigma beyond MAX_FIELD_T raises ValueError.
-    A step that keeps fewer than two settled samples raises ScheduleMismatch
+    requested value; a per-sample sigma beyond MAX_FIELD_T, or a detector
+    gain that overflows the calibration, raises ValueError.  A step that
+    keeps fewer than two settled samples raises ScheduleMismatch
     (step_windows) before anything is drawn, and a summed dip depth above 1,
     a negative photon rate, raises ValueError.
     """
@@ -942,7 +962,9 @@ def simulate_fm_tracking(
         half2 = 0.25 * fwhm * fwhm
         ddepth = (2.0 * half2 * detune / (detune**2 + half2) ** 2) @ (amps * slopes)
         gain = -2.0 * _cycle_cos(cfg) * v_dc * ddepth
-        sigma_out = math.sqrt(np.mean(gain**2) * _filter_energy_pure(cfg))
+        with np.errstate(over="ignore"):
+            sigma_out = math.sqrt(np.mean(gain**2) * _filter_energy_pure(cfg))
+        _refuse_gain_overflow(sigma_out, scene.detector, "the field-noise calibration")
         if sigma_out <= 0:
             raise ValueError("cannot calibrate field noise for a flat response")
         sigma_in = field_noise_step_sigma_t * abs(field_gain) / sigma_out
@@ -959,11 +981,7 @@ def simulate_fm_tracking(
     def rate_at(nu, db):
         moving = (c + s * db for c, s in zip(live_centers, live_slopes))
         depth = lorentzian_sum(nu, moving, live_amps, fwhm)
-        if depth.max() > 1.0:
-            raise ValueError(
-                f"p_opt_w {scene.p_opt_w:g} W, p_rf_w {scene.p_rf_w:g} W: the "
-                f"summed dip depth {depth.max():.3g} exceeds 1, a negative photon rate"
-            )
+        _refuse_negative_rate(depth[None], [scene.p_opt_w], [scene.p_rf_w])
         return rate0 * (1.0 - depth)
 
     dt = cfg.dt_s

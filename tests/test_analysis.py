@@ -175,12 +175,15 @@ def test_each_stop_test_ends_a_fit_near_the_reference(
 
 
 def count_solves(monkeypatch) -> list:
-    """A list that grows by one on every np.linalg.solve call."""
+    """A list that grows by one on every np.linalg.solve call.
+
+    Each entry is the rows that call solves: 1, or a stack's leading dimension.
+    """
     real_solve = np.linalg.solve
     calls = []
 
     def counting_solve(a, b):
-        calls.append(1)
+        calls.append(len(a) if np.ndim(a) == 3 else 1)
         return real_solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
@@ -364,6 +367,33 @@ def test_singular_stacked_solve_falls_back_to_single_rows(monkeypatch):
     assert_rows_match_single_fits(x, stack)
     assert isinstance(stacked[0], NoPeakFound)
     assert all(isinstance(fit, analysis.LorentzFit) for fit in stacked[1:])
+
+
+def test_stacked_fit_solves_what_single_fits_solve(monkeypatch):
+    # Each try solves only the rows still pending, so the stack solves each
+    # row exactly as often as fit_lorentzian does on it alone: no solve for
+    # a row whose gtol test fired, and no retry for a row that has moved.
+    x = np.linspace(95e6, 101e6, 201)
+    rng = np.random.default_rng(8)
+    rows = [
+        lorentz(x, center, 1e6, 4e-4, 1e-4) + rng.normal(0.0, 4e-4 / snr, x.size)
+        for center, snr in [(97e6, 20.0), (98.5e6, 20.0), (99e6, 0.4), (96e6, 0.9)]
+    ]
+    rows.append(np.full(x.size, 0.2))
+    for spot, value in (30, 1e300), (150, -1e300):
+        huge = lorentz(x, 98e6, 1.2e6, 4e-4, 1e-4) + rng.normal(0.0, 2e-5, x.size)
+        huge[spot] = value
+        rows.append(huge)
+    solved = count_solves(monkeypatch)
+    singles = []
+    for row in rows:
+        solved.clear()
+        fit_or_error(x, row)
+        singles.append(sum(solved))
+    solved.clear()
+    fit_lorentzian_rows(x, np.array(rows))
+    assert sum(solved) == sum(singles)
+    assert min(singles[:4]) > 0 and singles[4] == 0
 
 
 def test_stacked_inverse_normals_equal_single_inverses():

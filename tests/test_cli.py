@@ -728,6 +728,49 @@ def test_negative_photon_rate_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, changes, what",
+    [
+        # At 1e300 V/A the volts stay finite but their square does not.
+        (
+            "map",
+            "sensitivity_map_annealed.json",
+            {"detector": {"shot_noise": True}},
+            "the shot-noise variance",
+        ),
+        (
+            "steps",
+            "field_steps_tracking.json",
+            {},
+            "the field-noise calibration",
+        ),
+        # At 1e28 photons/s per watt the volts overflow too.
+        (
+            "map",
+            "sensitivity_map_quenched.json",
+            {"lineshape": {"pl_rate_per_w": 1e28}},
+            "the detector voltage",
+        ),
+    ],
+    ids=["map-shot-noise", "steps-field-noise", "map-volts"],
+)
+def test_overflowing_detector_gain_writes_nothing(
+    tmp_path, capsys, command, config, changes, what
+):
+    data = json.loads((CONFIG_DIR / config).read_text())
+    data["detector"]["transimpedance_v_per_a"] = 1e300
+    for section, values in changes.items():
+        data.setdefault(section, {}).update(values)
+    if command == "map":
+        data["sweep"]["grid"].update(n_opt=2, n_rf=2)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"detector.transimpedance_v_per_a 1e+300 V/A: {what} overflows" in err
+    assert not out.exists()
+
+
 def test_failed_map_writes_nothing(tmp_path, capsys):
     # Too few photons for any cell's resonance to rise above the shot noise.
     data = json.loads(json.dumps(MINI_MAP_CONFIG))
