@@ -128,10 +128,10 @@ GAUSSIAN_MEAN_THRESHOLD = 1e4
 MAX_SAMPLES = 50_000_000
 
 # AM sweeps and FM tracking run in blocks of at most this many samples (an
-# AM block holds whole dwells, at least one), which bounds the memory a run
-# needs; no output depends on it.  At 2**13 the block's arrays stay under
-# 64 KiB, below which glibc frees without trimming the heap, so the heap is
-# not refaulted block after block.
+# AM block holds whole dwells, at least one; an FM block lies in one step),
+# which bounds the memory a run needs; no output depends on it.  At 2**13
+# the block's arrays stay under 64 KiB, below which glibc frees without
+# trimming the heap, so the heap is not refaulted block after block.
 _BLOCK = 2**13
 
 # Time constants after which the pole's decay falls below 2^-53; the dwell
@@ -357,8 +357,13 @@ class FieldTimeline:
         idx = np.searchsorted(self.starts_s, t_s, side="right") - 1
         return np.clip(idx, 0, self.bz_t.size - 1)
 
-    def value_at(self, t_s) -> np.ndarray:
-        return self.bz_t[self.step_index(t_s)]
+    def first_samples(self, dt_s: float) -> np.ndarray:
+        """Each step's first sample, the least i with i dt_s >= its start."""
+        first = np.ceil(self.starts_s / dt_s)
+        # The quotient may round across an integer: one correction each way.
+        first -= (first - 1.0) * dt_s >= self.starts_s
+        first += first * dt_s < self.starts_s
+        return first.astype(np.int64)
 
     @classmethod
     def staircase(
@@ -551,10 +556,7 @@ class SweepPlan:
 
 
 def _dwell_blocks(n_dwells: int, dwell_n: int):
-    """Slices of whole dwells, each at most _BLOCK samples or one dwell.
-
-    With dwell_n = 1 the slices are of samples, as FM tracking runs them.
-    """
+    """Slices of whole AM dwells, each at most _BLOCK samples or one dwell."""
     per_block = max(1, _BLOCK // dwell_n)
     for first in range(0, n_dwells, per_block):
         yield slice(first, min(first + per_block, n_dwells))
@@ -678,7 +680,8 @@ def simulate_am_cells(
     _noise_streams(seeds[k]).  A power whose linewidth or photon rate
     overflows, or whose summed dip depth exceeds 1 (a negative photon rate),
     raises ValueError naming the first such cell's power, and a detector
-    gain whose volts or shot-noise variance overflow one naming the gain.
+    gain whose volts, squared volts or shot-noise variance overflow one
+    naming the gain.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_cells needs an 'am' lock-in config")
@@ -717,6 +720,7 @@ def simulate_am_cells(
             later += lags[p, j] * levels[:, p::n_phases][:, : later.shape[1]]
     with np.errstate(over="ignore"):
         scale = (k_v * rate0)[:, None]
+        squared = scale * scale
     _refuse_gain_overflow(scale, scene.detector, "the detector voltage")
     lockin = scale * response
     duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
@@ -752,6 +756,8 @@ def simulate_am_cells(
             residual = demod.process(noisy - k_v * rates)
             lock[block] += _settled_means(residual, dwell_n, settle_n)
             dc_k[block] = _settled_means(cycle_mean.process(noisy), dwell_n, settle_n)
+    # A fit squares the volts; checked after the shot-noise variance.
+    _refuse_gain_overflow(squared, scene.detector, "the squared detector voltage")
     return lockin[:, 1:], dc[:, 1:]
 
 
@@ -898,14 +904,15 @@ def simulate_fm_tracking(
     (gyromagnetic_ratio(g) * delta_sz), so a constant field reads back as
     the bias.
 
-    The run is reduced block by block as it is demodulated: the result
-    keeps every decimation-th sample of the lock-in output and of the
-    estimate, by global sample index, and each step's settled mean and
-    standard deviation, taken with np.mean and np.std(ddof=1) on one
-    contiguous copy of its step_windows range, so they equal those of the
-    full series' slices bit for bit.  Beyond the decimated series the run
-    holds one step's settled window at a time: no other array grows with
-    the run.  The field and shot noise draw block by block from the seed's
+    The run goes step by step, from each step's first sample
+    (FieldTimeline.first_samples) to the next's, in blocks of at most
+    _BLOCK samples, so a block has one field level.  It keeps every
+    decimation-th sample of the lock-in output and of the estimate, by
+    global sample index, and each step's settled mean and standard
+    deviation, taken at the step's end with np.mean and np.std(ddof=1) on
+    one contiguous copy of its step_windows range, so they equal those of
+    the full series' slices bit for bit; no other array grows with the
+    run.  The field and shot noise draw block by block from the seed's
     streams (_noise_streams), so no output depends on the block size.
 
     field_noise_step_sigma_t, when positive, injects white field noise
@@ -989,54 +996,45 @@ def simulate_fm_tracking(
     n_kept = len(range(0, n_total, decimation))
     kept_lockin, kept_estimate = np.empty((2, n_kept))
     step_means, step_stds = np.empty((2, len(windows)))
-    k, gathered = 0, None
+    edges = [*timeline.first_samples(dt).tolist(), n_total]
 
     gauss, poisson, field = _noise_streams(seed)
     demod = _Demodulator(cfg)
-    for block in _dwell_blocks(n_total, 1):
-        n = block.stop - block.start
-        # A block inside one step takes that step's level as a scalar, and
-        # without field noise its input repeats every FM cycle.
-        first, last = timeline.step_index([block.start * dt, (block.stop - 1) * dt])
-        if first == last:
-            db = timeline.bz_t[first] - bias
-        else:
-            db = timeline.value_at(np.arange(block.start, block.stop) * dt) - bias
-        if sigma_in == 0 and first == last:
-            rate = _periodic(rate_at(nu_cycle, db), block.start, n)
-        else:
-            if sigma_in > 0:
-                db = db + field.normal(0.0, sigma_in, n)
-            rate = rate_at(_periodic(nu_cycle, block.start, n), db)
-        if shot_noise:
-            volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
-        else:
-            volts = k_v * rate
-        lockin = demod.process(volts)
-        # bias - lockin / field_gain, in place.
-        estimate = lockin / field_gain
-        np.subtract(bias, estimate, out=estimate)
+    for k, ((i0, i1), first, end) in enumerate(zip(windows, edges, edges[1:])):
+        # Every block of a step takes its level as a scalar, and without
+        # field noise its input repeats the step's one-cycle rate.
+        db = timeline.bz_t[k] - bias
+        cycle_rate = rate_at(nu_cycle, db) if sigma_in == 0 else None
+        settled = np.empty(i1 - i0)
+        for start in range(first, end, _BLOCK):
+            n = min(_BLOCK, end - start)
+            if sigma_in == 0:
+                rate = _periodic(cycle_rate, start, n)
+            else:
+                noisy_db = db + field.normal(0.0, sigma_in, n)
+                rate = rate_at(_periodic(nu_cycle, start, n), noisy_db)
+            if shot_noise:
+                volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
+            else:
+                volts = k_v * rate
+            lockin = demod.process(volts)
+            # bias - lockin / field_gain, in place.
+            estimate = lockin / field_gain
+            np.subtract(bias, estimate, out=estimate)
 
-        # Every decimation-th sample of the run, by global index.
-        skip = -block.start % decimation
-        at = (block.start + skip) // decimation
-        for kept, series in (kept_lockin, lockin), (kept_estimate, estimate):
-            part = series[skip::decimation]
-            kept[at : at + part.size] = part
-        # Copy this block's share of the current step's settled window; a
-        # window's statistics are taken once its last sample is in.
-        while k < len(windows) and windows[k][0] < block.stop:
-            i0, i1 = windows[k]
-            if gathered is None:
-                gathered = np.empty(i1 - i0)
-            lo, hi = max(i0, block.start), min(i1, block.stop)
-            gathered[lo - i0 : hi - i0] = estimate[lo - block.start : hi - block.start]
-            if i1 > block.stop:
-                break
-            step_means[k] = np.mean(gathered)
-            step_stds[k] = np.std(gathered, ddof=1)
-            gathered = None
-            k += 1
+            # Every decimation-th sample of the run, by global index.
+            skip = -start % decimation
+            at = (start + skip) // decimation
+            for kept, series in (kept_lockin, lockin), (kept_estimate, estimate):
+                part = series[skip::decimation]
+                kept[at : at + part.size] = part
+            # This block's share of the step's settled window.
+            lo, hi = max(i0, start), min(i1, start + n)
+            if lo < hi:
+                settled[lo - i0 : hi - i0] = estimate[lo - start : hi - start]
+        step_means[k] = np.mean(settled)
+        step_stds[k] = np.std(settled, ddof=1)
+        del settled  # before the next step allocates its window
 
     return TrackingResult(
         lockin=TimeSeries(0.0, dt, kept_lockin, "V", stride=decimation),

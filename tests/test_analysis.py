@@ -585,7 +585,7 @@ def test_analyze_steps_statistics():
     n = int(6.0 / dt)
     t = np.arange(n) * dt
     sigma = 5e-9
-    values = tl.value_at(t) + rng.normal(0, sigma, n)
+    values = tl.bz_t[tl.step_index(t)] + rng.normal(0, sigma, n)
     windows = [values[i0:i1] for i0, i1 in step_windows(tl, n, cfg)]
     means = [np.mean(w) for w in windows]
     stds = [np.std(w, ddof=1) for w in windows]

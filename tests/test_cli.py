@@ -729,19 +729,21 @@ def test_negative_photon_rate_writes_nothing(
 
 
 @pytest.mark.parametrize(
-    "command, config, changes, what",
+    "command, config, changes, gain, what",
     [
         # At 1e300 V/A the volts stay finite but their square does not.
         (
             "map",
             "sensitivity_map_annealed.json",
             {"detector": {"shot_noise": True}},
+            1e300,
             "the shot-noise variance",
         ),
         (
             "steps",
             "field_steps_tracking.json",
             {},
+            1e300,
             "the field-noise calibration",
         ),
         # At 1e28 photons/s per watt the volts overflow too.
@@ -749,16 +751,36 @@ def test_negative_photon_rate_writes_nothing(
             "map",
             "sensitivity_map_quenched.json",
             {"lineshape": {"pl_rate_per_w": 1e28}},
+            1e300,
             "the detector voltage",
         ),
+        # Noise-free, the squared volts a fit takes overflow from 1e162 V/A:
+        # unrefused, 1e165 mapped a wrong best cell and 1e300 no cell.
+        (
+            "map",
+            "sensitivity_map_quenched.json",
+            {},
+            1e165,
+            "the squared detector voltage",
+        ),
+        (
+            "map",
+            "sensitivity_map_quenched.json",
+            {},
+            1e300,
+            "the squared detector voltage",
+        ),
     ],
-    ids=["map-shot-noise", "steps-field-noise", "map-volts"],
+    ids=[
+        "map-shot-noise", "steps-field-noise", "map-volts",
+        "map-squared-volts-1e165", "map-squared-volts-1e300",
+    ],
 )
 def test_overflowing_detector_gain_writes_nothing(
-    tmp_path, capsys, command, config, changes, what
+    tmp_path, capsys, command, config, changes, gain, what
 ):
     data = json.loads((CONFIG_DIR / config).read_text())
-    data["detector"]["transimpedance_v_per_a"] = 1e300
+    data["detector"]["transimpedance_v_per_a"] = gain
     for section, values in changes.items():
         data.setdefault(section, {}).update(values)
     if command == "map":
@@ -767,7 +789,7 @@ def test_overflowing_detector_gain_writes_nothing(
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"detector.transimpedance_v_per_a 1e+300 V/A: {what} overflows" in err
+    assert f"detector.transimpedance_v_per_a {gain:g} V/A: {what} overflows" in err
     assert not out.exists()
 
 

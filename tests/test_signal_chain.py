@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from odmrsim import (
@@ -351,9 +353,47 @@ def test_field_timeline_staircase_and_lookup():
         tl.bz_t, 1e-3 + 100e-9 * np.array([-1.5, -0.5, 0.5, 1.5])
     )
     np.testing.assert_allclose(
-        tl.value_at(np.array([0.0, 9.9, 10.0, 35.0, 99.0])),
+        tl.bz_t[tl.step_index(np.array([0.0, 9.9, 10.0, 35.0, 99.0]))],
         [tl.bz_t[0], tl.bz_t[0], tl.bz_t[1], tl.bz_t[3], tl.bz_t[3]],
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1.0, 1e6),
+    st.lists(st.integers(2, 10**7), min_size=1, max_size=12),
+    st.sampled_from(["i * dt", "i / rate", "between samples"]),
+)
+def test_first_samples_invert_step_index(rate_hz, gaps, form):
+    # Sample first[k] is step k's and the sample before it step k - 1's.
+    # Steps start on sample i's time, written i * dt or i / rate, where
+    # start / dt can round past i either way, or between two samples.
+    dt = 1.0 / rate_hz
+    i = np.cumsum([0, *gaps])
+    starts = {
+        "i * dt": i * dt, "i / rate": i / rate_hz, "between samples": (i + 0.37) * dt
+    }
+    tl = FieldTimeline(np.append(0.0, starts[form][1:]), np.zeros(i.size))
+    first = tl.first_samples(dt)
+    k = np.arange(i.size)
+    np.testing.assert_array_equal(tl.step_index(first * dt), k)
+    np.testing.assert_array_equal(tl.step_index((first[1:] - 1) * dt), k[:-1])
+
+
+def test_first_samples_keep_each_sample_in_its_step():
+    # Step 3 starts at 3 * 3.2 = 9.600000000000001 s, so sample 4800, at
+    # 9.6 s, is still step 2's.
+    tl = FieldTimeline.staircase(1e-3, 5e-7, 3.2, 8)
+    dt = 1.0 / 500.0
+    assert tl.starts_s[3] == 9.600000000000001 and 4800 * dt == 9.6
+    first = tl.first_samples(dt)
+    assert first[3] == 4801
+    assert tl.step_index(4800 * dt) == 2
+    np.testing.assert_array_equal(tl.step_index(first * dt), np.arange(8))
+    # At 3 kHz, 29 / 3000 is sample 29's time though the quotient rounds
+    # above 29, and 35 / 3000 lies after sample 35's though it rounds to 35.
+    tl = FieldTimeline(np.array([0.0, 29 / 3000, 35 / 3000]), np.zeros(3))
+    np.testing.assert_array_equal(tl.first_samples(1 / 3000), [0, 29, 36])
 
 
 def test_field_timeline_validation():
@@ -918,33 +958,61 @@ def test_tracking_recovers_staircase_steps():
 def test_tracking_staircase_levels_match_full_series_lookup(
     monkeypatch, block, field_noise
 ):
-    # Step edges at samples 128, 319, 542 and 641: the first sample, the
-    # last sample, the inside and the second sample of 64-sample blocks.
-    # One block as long as the run crosses every edge, so it looks up the
-    # level of every sample.  A 25 ms time constant leaves every step
-    # settled samples after its 63-sample discard.
+    # Step edges at samples 128, 319, 542 and 641, each step run in blocks
+    # of 64 or 7 samples from its edge.  The reference is built outside the
+    # tracker: each sample's level from step_index, the line depths at the
+    # FM carrier, the seed's field noise and counts, and one demodulator
+    # over the whole run.  A 25 ms time constant leaves every step settled
+    # samples after its 63-sample discard.
     cfg = replace(fm_config(), time_constant_s=0.025)
-    dt = cfg.dt_s
+    dt, n = cfg.dt_s, 1000
     tl = FieldTimeline(
         starts_s=np.array([0, 128, 319, 542, 641]) * dt,
         bz_t=1e-3 + 500e-9 * np.array([-1.0, 0.5, 2.0, -0.5, 1.0]),
     )
+    scene = quenched_scene()
+    monkeypatch.setattr("odmrsim.signal_chain._BLOCK", block)
+    res = simulate_fm_tracking(
+        tl, scene, cfg, n * dt, seed=3, field_noise_step_sigma_t=field_noise
+    )
 
-    def run(block_n):
-        monkeypatch.setattr("odmrsim.signal_chain._BLOCK", block_n)
-        res = simulate_fm_tracking(
-            tl,
-            quenched_scene(),
-            cfg,
-            1000 * dt,
-            seed=3,
-            field_noise_step_sigma_t=field_noise,
-        )
-        return res.lockin.values
+    lines, slopes, _ = _line_table(scene)
+    contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
+    gauss, poisson, field = _noise_streams(3)
+    db = tl.bz_t[tl.step_index(np.arange(n) * dt)] - scene.field.bz_t
+    if field_noise:
+        db = db + field.normal(0.0, res.field_noise_sigma_in_t, n)
+    sign = np.where(_am_gate(cfg, 0, n), -1.0, 1.0)
+    depth = lorentzian_sum(
+        res.carrier_hz + cfg.fm_deviation_hz * sign,
+        [ln.frequency_hz + s * db for ln, s in zip(lines, slopes)],
+        [contrast * ln.rel_strength for ln in lines],
+        saturated_fwhm(scene.broadening, scene.p_rf_w),
+    )
+    rate = scene.photon_rate_hz() * (1.0 - depth)
+    k_v = scene.detector.volts_per_photon_rate
+    volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
+    want = _Demodulator(cfg).process(volts)
+    np.testing.assert_allclose(res.lockin.values, want, rtol=1e-12, atol=0)
 
-    reference = run(1000)
-    got = run(block)
-    np.testing.assert_array_equal(got.view(np.uint64), reference.view(np.uint64))
+
+def test_tracking_blocks_never_straddle_a_step_edge(monkeypatch):
+    # Without field noise every block tiles its step's one-cycle rate, so
+    # the lines are never evaluated over more than one cycle of carriers.
+    # 3.2 s steps at 500 Hz put edges inside 8,192-sample stretches of the
+    # run, and step 3 starts one ulp after sample 4800.
+    sizes = []
+
+    def spy(frequency_hz, *args):
+        sizes.append(np.size(frequency_hz))
+        return lorentzian_sum(frequency_hz, *args)
+
+    monkeypatch.setattr("odmrsim.signal_chain.lorentzian_sum", spy)
+    cfg = fm_config()
+    tl = FieldTimeline.staircase(1e-3, 500e-9, 3.2, 8)
+    simulate_fm_tracking(tl, quenched_scene(), cfg, 25.6, seed=2)
+    assert len(sizes) == 1 + 8  # the discriminator slope and one per step
+    assert max(sizes) <= cfg.samples_per_cycle
 
 
 @pytest.mark.parametrize("shot_noise", [False, True], ids=["no-shot", "shot"])
@@ -954,9 +1022,9 @@ def test_streamed_tracking_equals_full_series(
     monkeypatch, block, field_noise, shot_noise
 ):
     # Step edges at samples 1500, 2900 and 4333, and settled windows
-    # starting 1250 samples (5 tau) after each edge: inside 64- and
-    # 7-sample blocks, but for the edge at 4333, which ends a 7-sample block.
-    # Every window keeps at least 150 samples.
+    # starting 1250 samples (5 tau) after each edge: inside the 64- and
+    # 7-sample blocks that each step runs in from its edge.  Every window
+    # keeps at least 150 samples.
     cfg = fm_config()
     dt = cfg.dt_s
     n_total = 6000
@@ -981,7 +1049,7 @@ def test_streamed_tracking_equals_full_series(
     def bits(a):
         return np.asarray(a, dtype=float).view(np.uint64)
 
-    # One block as long as the run: the full series.
+    # Blocks as long as the run: each step in one block.
     full = run(n_total, 1)
     lockin, estimate = full.lockin.values, full.field_estimate.values
     assert lockin.size == estimate.size == n_total
@@ -1043,7 +1111,8 @@ def test_tracking_gaussian_counts_ignore_field_noise(monkeypatch):
     assert not np.array_equal(runs[0].lockin.values, runs[1].lockin.values)
     expected = np.random.default_rng(seed).standard_normal(n_total)
     for rng in recorded:
-        assert len(rng.drawn) == math.ceil(n_total / 64)
+        # Two 1500-sample steps of 64-sample blocks.
+        assert len(rng.drawn) == 2 * math.ceil(n_total / 2 / 64)
         got = np.concatenate(rng.drawn)
         np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
 
@@ -1093,7 +1162,7 @@ def test_tracking_field_noise_is_the_seeds_whole_draw(monkeypatch, shot_noise):
     expected = np.random.default_rng(children[1]).normal(
         0.0, res.field_noise_sigma_in_t, n_total
     )
-    assert len(field.drawn) == math.ceil(n_total / 64)
+    assert len(field.drawn) == 2 * math.ceil(n_total / 2 / 64)
     got = np.concatenate(field.drawn)
     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
     fresh = np.random.default_rng(children[0]).bit_generator.state
