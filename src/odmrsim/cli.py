@@ -46,7 +46,7 @@ from .analysis import (
 )
 from .config import ConfigDoc, load_config
 from .errors import FormatError, IoFailure, NoPeakFound, OdmrError
-from .errors import ScheduleMismatch, SchemaViolation, ZeroDC
+from .errors import ScheduleMismatch, SchemaViolation
 from .io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -65,7 +65,7 @@ from .signal_chain import (
     MAX_SAMPLES,
     FieldTimeline,
     Scene,
-    photon_rate_from_voltage,
+    photon_rate,
     simulate_am_cells,
     simulate_fm_tracking,
     step_windows,
@@ -253,16 +253,18 @@ def _simulated_map(cfg: ConfigDoc, scene: Scene, p_opts, p_rfs, seed):
         seeds = None
         if cfg.detector.shot_noise:
             seeds = [(seed, int(a), int(b)) for a, b in zip(i, j)]
-        lockin, dc_v = simulate_am_cells(
+        lockin, dc = simulate_am_cells(
             scene, cfg.sweep, cfg.lockin, p_opts[i], p_rfs[j], seeds
         )
         fits = fit_lorentzian_rows(freqs, lockin)
-        for k, (fit, dc) in enumerate(zip(fits, np.median(dc_v, axis=1))):
-            if isinstance(fit, LorentzFit):
-                with contextlib.suppress(ZeroDC):
-                    contrast = odmr_contrast(fit, dc)
-                    rate = photon_rate_from_voltage(dc, scene.detector)
-                    flat[:, first + k] = fit.fwhm_hz, contrast, rate
+        # The readings are in units of each cell's unmodulated photon rate.
+        dc = np.median(dc, axis=1)
+        rate = photon_rate(scene.pl_rate_per_w, p_opts[i]) * dc
+        for k, (fit, dc_k, rate_k) in enumerate(zip(fits, dc, rate)):
+            # A dark or negative DC reading has no shot-noise sensitivity.
+            if isinstance(fit, LorentzFit) and rate_k > 0:
+                contrast = odmr_contrast(fit, dc_k)
+                flat[:, first + k] = fit.fwhm_hz, contrast, rate_k
     return maps
 
 
@@ -383,7 +385,10 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     )
     t = result.field_estimate.times()
     est = result.field_estimate.values
-    lockin = result.lockin.values
+    # The detector gain enters only here, on the volts steps writes; in
+    # place, so the kept series is not held twice.
+    lockin = scene.in_volts(result.lockin.values, out=result.lockin.values)
+    slope = float(scene.in_volts(result.slope_per_hz))
     # Each level is formatted once; its step's rows refer to that one text.
     levels = np.array([format_float(v) for v in timeline.bz_t], dtype=object)
     true = levels[timeline.step_index(t)]
@@ -392,7 +397,7 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         "format_version": FORMAT_VERSION,
         **analyze_steps(result.step_means_t, result.step_stds_t, timeline, cfg.lockin),
         "carrier_hz": result.carrier_hz,
-        "slope_v_per_hz": result.slope_v_per_hz,
+        "slope_v_per_hz": slope,
         "gamma_eff_hz_per_t": result.gamma_eff_hz_per_t,
         "field_noise_sigma_in_t": result.field_noise_sigma_in_t,
     }

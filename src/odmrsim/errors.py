@@ -32,10 +32,6 @@ class EmptyTransitionList(OdmrError):
 # signal chain
 
 
-class NegativeVoltage(OdmrError):
-    """Detector voltage must be non-negative."""
-
-
 class SampleRateMismatch(OdmrError):
     """Time series sample rate disagrees with the lock-in configuration."""
 

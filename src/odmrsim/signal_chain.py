@@ -1,5 +1,15 @@
 """Detector, shot noise and lock-in signal chain simulation.
 
+Units
+-----
+simulate_am_cells and simulate_fm_tracking run in units of each cell's or
+scene's unmodulated photon rate rate0, so every simulated value is O(1):
+a sample reads counts / dt / rate0, its mean 1 - depth.  The detector
+gain k_v (DetectorModel.volts_per_photon_rate) cancels from every result,
+so it is applied only to volts a caller sees: Scene.in_volts multiplies
+by Scene.dc_voltage(), k_v rate0, for the sweep simulate_am_sweep
+returns and the lock-in and slope `odmr steps` writes.
+
 Scaling convention
 ------------------
 The demodulator multiplies the input by a unit-amplitude cosine reference
@@ -57,15 +67,15 @@ interior column sums to the sampled demodulation gain
 (2/n) sum_{cos<0} |cos|, 0.6472 at n = 10 samples per cycle, not 2/pi;
 about 0.14% of it spills into the next dwell at the shipped 10 tau dwell.
 
-Without noise dc_v is exactly k_v rate0 (1 - level m/n), m the RF-on
+Without noise the DC reading is exactly 1 - level m/n, m the RF-on
 samples per n-sample cycle: after the settling discard (5 tau, over five
 periods) every comb output averages one whole gate cycle at one level.
 
 Shot noise adds the chain's response to the counts' deviation from the
 noise-free rate.  A dwell's samples reach its own settled DC mean and the
 settled lock-in means of its own and the next lags - 1 dwells, with the
-cycle mean's adjoint and with w.  A sample's variance in volts is
-s (1 - level gate), s = k_v^2 rate0 / dt, so those 1 + lags means have
+cycle mean's adjoint and with w.  A sample's variance is
+s (1 - level gate), s = 1 / (rate0 dt), so those 1 + lags means have
 covariance s (1 - level) A_on + s A_off, where A = sum w w^T over the
 dwell's gate-on or gate-off samples, stored beside W as triangular factors
 R^T R = A.  When every sample's mean count, at least rate0 dt (1 - max
@@ -85,12 +95,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DeviationTooLarge,
-    NegativeVoltage,
-    SampleRateMismatch,
-    ScheduleMismatch,
-)
+from .errors import DeviationTooLarge, SampleRateMismatch, ScheduleMismatch
 from .lineshape import (
     BroadeningModel,
     PeakShape,
@@ -170,18 +175,6 @@ class DetectorModel:
         )
 
 
-def photon_rate_from_voltage(v_dc: float, detector: DetectorModel) -> float:
-    """Detected photon rate implied by a DC detector voltage."""
-    if v_dc < 0:
-        raise NegativeVoltage(f"detector voltage must be >= 0, got {v_dc}")
-    return v_dc / detector.volts_per_photon_rate
-
-
-def voltage_from_photon_rate(rate_hz: float, detector: DetectorModel) -> float:
-    """Inverse of photon_rate_from_voltage."""
-    return rate_hz * detector.volts_per_photon_rate
-
-
 def photon_rate(pl_rate_per_w: float, p_opt_w):
     """Detected photon rate pl_rate_per_w * p_opt_w, elementwise.
 
@@ -204,15 +197,6 @@ def _refuse_negative_rate(depth: np.ndarray, p_opt_w, p_rf_w) -> None:
         raise ValueError(
             f"p_opt_w {p_opt_w[k]:g} W, p_rf_w {p_rf_w[k]:g} W: the summed dip "
             f"depth {depth[k].max():.3g} exceeds 1, a negative photon rate"
-        )
-
-
-def _refuse_gain_overflow(value, detector: DetectorModel, what: str) -> None:
-    """Refuse a value formed through the detector gain that is not finite."""
-    if not np.isfinite(value).all():
-        raise ValueError(
-            f"detector.transimpedance_v_per_a {detector.transimpedance_v_per_a:g} "
-            f"V/A: {what} overflows"
         )
 
 
@@ -395,7 +379,24 @@ class Scene:
         return float(photon_rate(self.pl_rate_per_w, self.p_opt_w))
 
     def dc_voltage(self) -> float:
-        return voltage_from_photon_rate(self.photon_rate_hz(), self.detector)
+        """Detector volts of the unmodulated photon rate, k_v rate0."""
+        return self.photon_rate_hz() * self.detector.volts_per_photon_rate
+
+    def in_volts(self, values, out=None) -> np.ndarray:
+        """values, in units of the unmodulated photon rate, in detector volts.
+
+        Written into out if given.  Raises ValueError naming the detector
+        gain where a volt overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            volts = np.multiply(values, self.dc_voltage(), out=out)
+        if not np.isfinite(volts).all():
+            gain = self.detector.transimpedance_v_per_a
+            raise ValueError(
+                f"detector.transimpedance_v_per_a {gain:g} V/A: the detector voltage "
+                "overflows"
+            )
+        return volts
 
     def lines(self) -> list[TransitionLine]:
         return list(_solve_lines(self.spin, self.field))
@@ -645,24 +646,19 @@ def simulate_am_sweep(
     reading is the synthesized lineshape times V_dc times the sampled
     demodulation gain (2/n) sum_{cos<0} |cos(2 pi k / n)| (0.6472 at
     n = 10 samples per cycle, 1.0166 x 2/pi), plus the small carry-over of
-    the previous dwell.  The noise-free lock-in comes from the shared
-    dwell-response operator and the noise-free dc_v is the exact one-cycle
-    mean (module docstring), so a noise-free sweep builds no per-sample
-    array.  Shot noise adds each dwell's noise on its settled means.  If
-    every sample's mean count is above GAUSSIAN_MEAN_THRESHOLD, it is drawn
-    per dwell from its exact covariance, and again no per-sample array is
-    built.  Otherwise the counts are drawn per sample, in the order and
-    streams of a seed, their residual about the noise-free rate is
-    demodulated, and dc_v is the cycle mean of the drawn volts.  This is
-    simulate_am_cells at one cell.
+    the previous dwell.  This is simulate_am_cells at one cell, taken to
+    volts by Scene.in_volts, which raises ValueError naming the detector
+    gain where a volt overflows.
     """
-    lockin, dc = simulate_am_cells(
-        scene,
-        plan,
-        cfg,
-        [scene.p_opt_w],
-        [scene.p_rf_w],
-        seeds=[seed] if shot_noise else None,
+    lockin, dc = scene.in_volts(
+        simulate_am_cells(
+            scene,
+            plan,
+            cfg,
+            [scene.p_opt_w],
+            [scene.p_rf_w],
+            seeds=[seed] if shot_noise else None,
+        )
     )
     return SweepRecord(frequency_hz=plan.frequencies(), lockin_v=lockin[0], dc_v=dc[0])
 
@@ -670,18 +666,30 @@ def simulate_am_sweep(
 def simulate_am_cells(
     scene: Scene, plan: SweepPlan, cfg: LockInConfig, p_opt_w, p_rf_w, seeds=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """lockin_v and dc_v, (cells, n_points), of one AM sweep per cell.
+    """Lock-in and DC readings, (cells, n_points), of one AM sweep per cell.
 
     Cell k is the scene at optical power p_opt_w[k] and RF power p_rf_w[k],
-    swept as simulate_am_sweep sweeps it, with the same arithmetic per
-    element: the noise-free levels, responses and DC readings of all cells
-    are built as one array.  With seeds None the sweeps are noise-free;
-    otherwise cell k adds its shot noise from its own streams,
-    _noise_streams(seeds[k]).  A power whose linewidth or photon rate
-    overflows, or whose summed dip depth exceeds 1 (a negative photon rate),
-    raises ValueError naming the first such cell's power, and a detector
-    gain whose volts, squared volts or shot-noise variance overflow one
-    naming the gain.
+    swept as simulate_am_sweep sweeps it, in units of the cell's
+    unmodulated photon rate rate0 (module docstring), with the same
+    arithmetic per element: the noise-free levels, responses and DC
+    readings of all cells are built as one array.  The noise-free lock-in
+    comes from the shared dwell-response operator and the noise-free DC
+    reading is the exact one-cycle mean 1 - duty level, so a noise-free
+    sweep builds no per-sample array.
+
+    With seeds None the sweeps are noise-free; otherwise cell k adds its
+    shot noise on its settled means from its own streams,
+    _noise_streams(seeds[k]).  If every sample's mean count is above
+    GAUSSIAN_MEAN_THRESHOLD, it is drawn per dwell from its exact
+    covariance, and again no per-sample array is built.  Otherwise the
+    counts are drawn per sample, in the order and streams of the seed, from
+    the means rate0 unit dt, read as counts / dt / rate0; their residual
+    about the noise-free unit rate is demodulated, and the DC reading is
+    their cycle mean.  A cell whose rate0 is 0 has no counts to draw and
+    keeps its noise-free readings (0 volts, as its counts would read).  A
+    power whose linewidth or photon rate overflows, or whose summed dip
+    depth exceeds 1 (a negative photon rate), raises ValueError naming the
+    first such cell's power.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_cells needs an 'am' lock-in config")
@@ -702,7 +710,6 @@ def simulate_am_cells(
             saturated_fwhm(scene.broadening, pr)
             photon_rate(scene.pl_rate_per_w, po)
         raise
-    k_v = scene.detector.volts_per_photon_rate
     dt = cfg.dt_s
     dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
     settle_n = min(cfg.settle_samples, dwell_n - 1)
@@ -713,20 +720,13 @@ def simulate_am_cells(
     n_dwells = levels.shape[1]
     base, lags, r_on, r_off = _dwell_response(cfg, dwell_n, settle_n, n_dwells)
     n_phases, n_lags = lags.shape
-    response = np.repeat(base[None], p_opt.size, axis=0)
+    lockin = np.repeat(base[None], p_opt.size, axis=0)
     for p in range(n_phases):
         for j in range(n_lags):
-            later = response[:, p + j :: n_phases]
+            later = lockin[:, p + j :: n_phases]
             later += lags[p, j] * levels[:, p::n_phases][:, : later.shape[1]]
-    with np.errstate(over="ignore"):
-        scale = (k_v * rate0)[:, None]
-        squared = scale * scale
-    _refuse_gain_overflow(scale, scene.detector, "the detector voltage")
-    lockin = scale * response
     duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
-    # Rounds the small term, not 1 - level * duty, so it stays nearer the
-    # exact value.
-    dc = scale - scale * duty * levels
+    dc = 1.0 - duty * levels
 
     for level, lock, dc_k, rate, seed in zip(levels, lockin, dc, rate0, seeds or ()):
         rng = np.random.default_rng(seed)
@@ -735,9 +735,7 @@ def simulate_am_cells(
             # settled means from their exact covariance (module docstring).
             z = rng.standard_normal((2, n_dwells, 1 + n_lags))
             phase = np.arange(n_dwells) % n_phases
-            with np.errstate(over="ignore"):
-                s = k_v * k_v * rate / dt
-            _refuse_gain_overflow(s, scene.detector, "the shot-noise variance")
+            s = 1.0 / (rate * dt)
             noise = np.einsum("dk,dkl->dl", z[0], r_on[phase])
             noise *= np.sqrt(s * (1.0 - level))[:, None]
             noise += math.sqrt(s) * np.einsum("dk,dkl->dl", z[1], r_off[phase])
@@ -745,28 +743,30 @@ def simulate_am_cells(
             for j in range(n_lags):
                 lock[j:] += noise[: n_dwells - j, 1 + j]
             continue
+        if rate == 0:
+            continue  # no photons: no counts to draw, and 0 volts either way
         rng, poisson, _ = _noise_streams(rng)
         demod = _Demodulator(cfg)
         cycle_mean = _CycleMean(cfg)
         for block in _dwell_blocks(n_dwells, dwell_n):
             n = (block.stop - block.start) * dwell_n
             gate = _am_gate(cfg, block.start * dwell_n, n).reshape(-1, dwell_n)
-            rates = (rate * (1.0 - level[block, None] * gate)).ravel()
-            noisy = k_v * _shot_counts(rates * dt, rng, poisson) / dt
-            residual = demod.process(noisy - k_v * rates)
+            unit = (1.0 - level[block, None] * gate).ravel()
+            # Divided by dt first: rate dt can underflow to 0 in a dark cell.
+            noisy = _shot_counts(rate * unit * dt, rng, poisson) / dt / rate
+            residual = demod.process(noisy - unit)
             lock[block] += _settled_means(residual, dwell_n, settle_n)
             dc_k[block] = _settled_means(cycle_mean.process(noisy), dwell_n, settle_n)
-    # A fit squares the volts; checked after the shot-noise variance.
-    _refuse_gain_overflow(squared, scene.detector, "the squared detector voltage")
     return lockin[:, 1:], dc[:, 1:]
 
 
 def fm_discriminator_slope(
     peak: PeakShape, cfg: LockInConfig, v_dc: float
 ) -> float:
-    """Demodulated volts per hertz of carrier detuning, at resonance.
+    """Demodulated output per hertz of carrier detuning, at resonance.
 
-    A symmetric numeric derivative of the modelled FM response, so that any
+    A symmetric numeric derivative of the modelled FM response, in the
+    units of the unmodulated DC level v_dc, so that any
     discretisation gain of the sampled chain cancels when readouts are
     converted back to frequency or field.  At detuning d the input is
     v_dc (1 - L(d + dev) - gate (L(d - dev) - L(d + dev))); the difference
@@ -798,9 +798,10 @@ class TrackingResult:
     """Output of simulate_fm_tracking.
 
     lockin and field_estimate hold every decimation-th sample of the run
-    (their stride).  step_means_t and step_stds_t are each step's settled
-    mean and standard deviation (ddof=1) of the field estimate over its
-    step_windows range.
+    (their stride).  lockin and slope_per_hz are in units of the scene's
+    unmodulated photon rate; Scene.in_volts takes them to volts.
+    step_means_t and step_stds_t are each step's settled mean and standard
+    deviation (ddof=1) of the field estimate over its step_windows range.
     """
 
     lockin: TimeSeries
@@ -808,7 +809,7 @@ class TrackingResult:
     step_means_t: np.ndarray
     step_stds_t: np.ndarray
     carrier_hz: float
-    slope_v_per_hz: float
+    slope_per_hz: float
     gamma_eff_hz_per_t: float
     field_noise_sigma_in_t: float
 
@@ -902,7 +903,8 @@ def simulate_fm_tracking(
     demodulated output is converted to a field estimate with the modelled
     discriminator slope and the exact d(nu2)/d(bz) of the scene
     (gyromagnetic_ratio(g) * delta_sz), so a constant field reads back as
-    the bias.
+    the bias.  It runs in units of the scene's unmodulated photon rate
+    (module docstring), and so do the lock-in output and slope it returns.
 
     The run goes step by step, from each step's first sample
     (FieldTimeline.first_samples) to the next's, in blocks of at most
@@ -917,11 +919,10 @@ def simulate_fm_tracking(
 
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
-    requested value; a per-sample sigma beyond MAX_FIELD_T, or a detector
-    gain that overflows the calibration, raises ValueError.  A step that
-    keeps fewer than two settled samples raises ScheduleMismatch
-    (step_windows) before anything is drawn, and a summed dip depth above 1,
-    a negative photon rate, raises ValueError.
+    requested value; a per-sample sigma beyond MAX_FIELD_T raises
+    ValueError.  A step that keeps fewer than two settled samples raises
+    ScheduleMismatch (step_windows) before anything is drawn, and a summed
+    dip depth above 1, a negative photon rate, raises ValueError.
     """
     if cfg.mode != "fm":
         raise ValueError("simulate_fm_tracking needs an 'fm' lock-in config")
@@ -940,14 +941,12 @@ def simulate_fm_tracking(
     centers = np.array([ln.frequency_hz for ln in lines])
     carrier = lines[nu2].frequency_hz
     gamma_eff = float(slopes[nu2])
-    v_dc = scene.dc_voltage()
-    k_v = scene.detector.volts_per_photon_rate
-    slope_v = fm_discriminator_slope(PeakShape(carrier, fwhm, amps[nu2]), cfg, v_dc)
-    field_gain = slope_v * gamma_eff
-    # The rounding of the DC level alone, eps v_dc, reads as eps v_dc /
+    slope = fm_discriminator_slope(PeakShape(carrier, fwhm, amps[nu2]), cfg, 1.0)
+    field_gain = slope * gamma_eff
+    # The rounding of the unit DC level alone, eps, reads as eps /
     # |field_gain| tesla: beyond the model's field range, the response is
     # flat, and the field estimate and its spread can overflow.
-    flat = not abs(field_gain) * MAX_FIELD_T > np.finfo(float).eps * v_dc
+    flat = not abs(field_gain) * MAX_FIELD_T > np.finfo(float).eps
     if flat or not math.isfinite(field_gain):
         raise ValueError(
             "cannot track the field with a flat discriminator response "
@@ -968,10 +967,8 @@ def simulate_fm_tracking(
         detune = nu_cycle[:, None] - centers
         half2 = 0.25 * fwhm * fwhm
         ddepth = (2.0 * half2 * detune / (detune**2 + half2) ** 2) @ (amps * slopes)
-        gain = -2.0 * _cycle_cos(cfg) * v_dc * ddepth
-        with np.errstate(over="ignore"):
-            sigma_out = math.sqrt(np.mean(gain**2) * _filter_energy_pure(cfg))
-        _refuse_gain_overflow(sigma_out, scene.detector, "the field-noise calibration")
+        gain = -2.0 * _cycle_cos(cfg) * ddepth
+        sigma_out = math.sqrt(np.mean(gain**2) * _filter_energy_pure(cfg))
         if sigma_out <= 0:
             raise ValueError("cannot calibrate field noise for a flat response")
         sigma_in = field_noise_step_sigma_t * abs(field_gain) / sigma_out
@@ -986,10 +983,11 @@ def simulate_fm_tracking(
     live_centers, live_slopes, live_amps = centers[live], slopes[live], amps[live]
 
     def rate_at(nu, db):
+        """The photon rate in units of rate0, 1 - depth."""
         moving = (c + s * db for c, s in zip(live_centers, live_slopes))
         depth = lorentzian_sum(nu, moving, live_amps, fwhm)
         _refuse_negative_rate(depth[None], [scene.p_opt_w], [scene.p_rf_w])
-        return rate0 * (1.0 - depth)
+        return 1.0 - depth
 
     dt = cfg.dt_s
     bias = scene.field.bz_t
@@ -1014,10 +1012,8 @@ def simulate_fm_tracking(
                 noisy_db = db + field.normal(0.0, sigma_in, n)
                 rate = rate_at(_periodic(nu_cycle, start, n), noisy_db)
             if shot_noise:
-                volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
-            else:
-                volts = k_v * rate
-            lockin = demod.process(volts)
+                rate = _shot_counts(rate0 * rate * dt, gauss, poisson) / dt / rate0
+            lockin = demod.process(rate)
             # bias - lockin / field_gain, in place.
             estimate = lockin / field_gain
             np.subtract(bias, estimate, out=estimate)
@@ -1037,12 +1033,12 @@ def simulate_fm_tracking(
         del settled  # before the next step allocates its window
 
     return TrackingResult(
-        lockin=TimeSeries(0.0, dt, kept_lockin, "V", stride=decimation),
+        lockin=TimeSeries(0.0, dt, kept_lockin, "rate0", stride=decimation),
         field_estimate=TimeSeries(0.0, dt, kept_estimate, "T", stride=decimation),
         step_means_t=step_means,
         step_stds_t=step_stds,
         carrier_hz=carrier,
-        slope_v_per_hz=slope_v,
+        slope_per_hz=slope,
         gamma_eff_hz_per_t=gamma_eff,
         field_noise_sigma_in_t=sigma_in,
     )

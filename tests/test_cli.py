@@ -728,68 +728,101 @@ def test_negative_photon_rate_writes_nothing(
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "command, config, changes, gain, what",
-    [
-        # At 1e300 V/A the volts stay finite but their square does not.
-        (
-            "map",
-            "sensitivity_map_annealed.json",
-            {"detector": {"shot_noise": True}},
-            1e300,
-            "the shot-noise variance",
-        ),
-        (
-            "steps",
-            "field_steps_tracking.json",
-            {},
-            1e300,
-            "the field-noise calibration",
-        ),
-        # At 1e28 photons/s per watt the volts overflow too.
-        (
-            "map",
-            "sensitivity_map_quenched.json",
-            {"lineshape": {"pl_rate_per_w": 1e28}},
-            1e300,
-            "the detector voltage",
-        ),
-        # Noise-free, the squared volts a fit takes overflow from 1e162 V/A:
-        # unrefused, 1e165 mapped a wrong best cell and 1e300 no cell.
-        (
-            "map",
-            "sensitivity_map_quenched.json",
-            {},
-            1e165,
-            "the squared detector voltage",
-        ),
-        (
-            "map",
-            "sensitivity_map_quenched.json",
-            {},
-            1e300,
-            "the squared detector voltage",
-        ),
-    ],
-    ids=[
-        "map-shot-noise", "steps-field-noise", "map-volts",
-        "map-squared-volts-1e165", "map-squared-volts-1e300",
-    ],
-)
-def test_overflowing_detector_gain_writes_nothing(
-    tmp_path, capsys, command, config, changes, gain, what
-):
+# The detector gain enters only the volts steps writes: at every gain each
+# case writes the same bytes, apart from those volts.
+GAIN_CASES = {
+    "map-quenched": ("map", "sensitivity_map_quenched.json", {}),
+    "map-shot-noise": (
+        "map", "sensitivity_map_annealed.json", {"detector": {"shot_noise": True}}
+    ),
+    "map-pl-rate-1e28": (
+        "map", "sensitivity_map_quenched.json", {"lineshape": {"pl_rate_per_w": 1e28}}
+    ),
+    "steps-field-noise": ("steps", "field_steps_tracking.json", {}),
+}
+
+
+def gain_config(tmp_path, config, changes, gain):
     data = json.loads((CONFIG_DIR / config).read_text())
     data["detector"]["transimpedance_v_per_a"] = gain
     for section, values in changes.items():
         data.setdefault(section, {}).update(values)
-    if command == "map":
+    if "grid" in data["sweep"]:
         data["sweep"]["grid"].update(n_opt=2, n_rf=2)
+    return write_config(tmp_path, data, f"gain_{gain:g}.json")
+
+
+@pytest.mark.parametrize("case", list(GAIN_CASES))
+def test_detector_gain_changes_only_the_written_volts(tmp_path, case):
+    command, config, changes = GAIN_CASES[case]
+    gains = (1e-100, 1e6, 1e300)
+    runs, slopes = [], []
+    for gain in gains:
+        cfg = gain_config(tmp_path, config, changes, gain)
+        out = tmp_path / f"out_{gain:g}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        if command == "map":
+            runs.append([(out / name).read_bytes() for name in ("map.csv", "argmin.json")])
+            continue
+        steps = json.loads((out / "steps.json").read_text())
+        slopes.append(steps.pop("slope_v_per_hz"))
+        # lockin_v is the last column of tracking.csv.
+        track = (out / "tracking.csv").read_text().splitlines()
+        runs.append([steps, [row.rsplit(",", 1)[0] for row in track]])
+    assert runs == runs[:1] * len(gains)
+    for gain, slope in zip(gains, slopes):
+        assert slope / slopes[1] == pytest.approx(gain / gains[1], rel=1e-12)
+
+
+def test_overflowing_detector_gain_writes_nothing(tmp_path, capsys):
+    # At 1e28 photons/s per watt and 1e300 V/A the volts steps writes
+    # overflow: the one place the detector gain can fail a run.
+    cfg = gain_config(
+        tmp_path,
+        "field_steps_tracking.json",
+        {"lineshape": {"pl_rate_per_w": 1e28}},
+        1e300,
+    )
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert (
+        "detector.transimpedance_v_per_a 1e+300 V/A: the detector voltage overflows"
+        in err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "p_opt_min_w",
+    [
+        # rate0 dt underflows to 0: the counts are read as counts / dt /
+        # rate0, never over rate0 dt.
+        pytest.param(1e-20, id="rate0-dt-underflows"),
+        # rate0 itself underflows to 0: the cell draws no counts.
+        pytest.param(1e-30, id="rate0-underflows"),
+    ],
+)
+def test_dark_shot_noise_map_fails_without_a_warning(tmp_path, p_opt_min_w):
+    # At 1e-300 photons/s per watt no cell sees a photon, and no 0/0
+    # warning becomes a traceback under PYTHONWARNINGS=error.
+    data = json.loads((CONFIG_DIR / "sensitivity_map_quenched.json").read_text())
+    data["detector"]["shot_noise"] = True
+    data["lineshape"] = {"pl_rate_per_w": 1e-300}
+    data["sweep"]["grid"].update(n_opt=2, n_rf=2, p_opt_min_w=p_opt_min_w)
     cfg = write_config(tmp_path, data)
     out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert f"detector.transimpedance_v_per_a {gain:g} V/A: {what} overflows" in err
+    src = str(Path(odmrsim.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "odmrsim.cli", "map", "--config", cfg, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"},
+    )
+    assert proc.returncode == 1
+    assert "no map cell produced a fittable resonance" in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not out.exists()
 
 
@@ -1192,27 +1225,30 @@ def test_seed_changes_noisy_output(tmp_path):
 
 
 def per_cell_map(cfg, scene, p_opts, p_rfs, seed):
-    """The map one cell at a time: simulate_am_sweep, then fit_lorentzian."""
+    """The map one cell at a time: one-cell simulate_am_cells, then
+    fit_lorentzian, in units of the cell's unmodulated photon rate."""
     from dataclasses import replace
 
-    from odmrsim import odmr_contrast, photon_rate_from_voltage, simulate_am_sweep
+    from odmrsim import odmr_contrast
+    from odmrsim.signal_chain import simulate_am_cells
 
     maps = np.full((3, p_opts.size, p_rfs.size), math.nan)
     for i, p_opt in enumerate(p_opts):
         for j, p_rf in enumerate(p_rfs):
             cell = replace(scene, p_opt_w=float(p_opt), p_rf_w=float(p_rf))
-            record = simulate_am_sweep(
-                cell, cfg.sweep, cfg.lockin, seed=(seed, i, j),
-                shot_noise=cfg.detector.shot_noise,
+            seeds = [(seed, i, j)] if cfg.detector.shot_noise else None
+            lockin, dc = simulate_am_cells(
+                cell, cfg.sweep, cfg.lockin, [cell.p_opt_w], [cell.p_rf_w], seeds
             )
+            record = SweepRecord(cfg.sweep.frequencies(), lockin[0], dc[0])
             try:
                 fit = odmrsim.fit_lorentzian(record)
-                dc = float(np.nanmedian(record.dc_v))
-                contrast = odmr_contrast(fit, dc)
-            except (odmrsim.NoPeakFound, odmrsim.NonConvergence, odmrsim.ZeroDC):
+            except (odmrsim.NoPeakFound, odmrsim.NonConvergence):
                 continue
-            rate = photon_rate_from_voltage(dc, cell.detector)
-            maps[:, i, j] = fit.fwhm_hz, contrast, rate
+            dc = float(np.median(record.dc_v))
+            rate = cell.photon_rate_hz() * dc
+            if rate > 0:
+                maps[:, i, j] = fit.fwhm_hz, odmr_contrast(fit, dc), rate
     return maps
 
 

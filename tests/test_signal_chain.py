@@ -25,7 +25,6 @@ from odmrsim import (
     FieldTimeline,
     FieldVector,
     LockInConfig,
-    NegativeVoltage,
     PeakShape,
     PRESETS,
     SampleRateMismatch,
@@ -38,13 +37,11 @@ from odmrsim import (
     analyze_steps,
     fm_discriminator_slope,
     lockin_demodulate,
-    photon_rate_from_voltage,
     saturated_contrast,
     saturated_fwhm,
     simulate_am_sweep,
     simulate_fm_tracking,
     synthesize_odmr,
-    voltage_from_photon_rate,
 )
 from odmrsim.config import load_config
 from odmrsim.lineshape import lorentzian_sum
@@ -124,24 +121,21 @@ def test_photon_rate_for_one_volt():
     # rate = V / (E_photon * responsivity * transimpedance)
     expected = 1.0 / (HC_JM / 900e-9 * 0.6 * 1e6)
     assert expected == pytest.approx(7.5512e12, rel=1e-4)
-    assert photon_rate_from_voltage(1.0, det) == pytest.approx(expected, rel=1e-12)
+    assert 1.0 / det.volts_per_photon_rate == pytest.approx(expected, rel=1e-12)
 
 
 def test_voltage_rate_round_trip():
+    # A scene's values in units of its photon rate become volts through
+    # dc_voltage, the rate times the detector's volts per photon rate.
     det = DetectorModel(
         responsivity_a_per_w=0.42,
         transimpedance_v_per_a=2.2e5,
         effective_wavelength_m=860e-9,
     )
-    rate = 3.1e11
-    assert photon_rate_from_voltage(
-        voltage_from_photon_rate(rate, det), det
-    ) == pytest.approx(rate, rel=1e-12)
-
-
-def test_negative_voltage_rejected():
-    with pytest.raises(NegativeVoltage):
-        photon_rate_from_voltage(-1e-6, DetectorModel())
+    scene = replace(quenched_scene(), detector=det, pl_rate_per_w=3.1e11 / 0.4)
+    v_dc = scene.dc_voltage()
+    assert v_dc / det.volts_per_photon_rate == pytest.approx(3.1e11, rel=1e-12)
+    np.testing.assert_array_equal(scene.in_volts([1.0, 0.5]), [v_dc, 0.5 * v_dc])
 
 
 def test_detector_validation():
@@ -432,9 +426,11 @@ def test_am_sweep_noise_free_matches_lineshape():
 def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
     """The per-dwell simulator loop: cos per sample, lfilter with state.
 
-    Each sample's cos is taken at its phase within the cycle, k mod n, the
-    package's clock: cos(omega k) at large k would flip the samples that sit
-    exactly on cos = 0 when n is divisible by 4.
+    In units of the scene's unmodulated photon rate rate0: a sample reads
+    counts / dt / rate0, or its unit rate without noise.  Each sample's cos
+    is taken at its phase within the cycle, k mod n, the package's clock:
+    cos(omega k) at large k would flip the samples that sit exactly on
+    cos = 0 when n is divisible by 4.
     """
     freqs = plan.frequencies()
     depth = synthesize_odmr(
@@ -445,7 +441,6 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         freqs,
     ).values
     rate0 = scene.photon_rate_hz()
-    k_v = scene.detector.volts_per_photon_rate
     dt = cfg.dt_s
     dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
     settle_n = min(cfg.settle_samples, dwell_n - 1)
@@ -459,13 +454,11 @@ def reference_am_sweep(scene, plan, cfg, seed, shot_noise):
         k = (point + 1) * dwell_n + np.arange(dwell_n)
         cos = np.cos(2.0 * math.pi * (k % n) / n)
         gate = cos < 0
-        rate = rate0 * (1.0 - depth[max(point, 0)] * gate)
+        unit = 1.0 - depth[max(point, 0)] * gate
         if shot_noise:
-            volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
-        else:
-            volts = k_v * rate
-        smooth, zi_dc = lfilter(comb, [1.0], volts, zi=zi_dc)
-        prod = 2.0 * volts * cos
+            unit = _shot_counts(rate0 * unit * dt, gauss, poisson) / dt / rate0
+        smooth, zi_dc = lfilter(comb, [1.0], unit, zi=zi_dc)
+        prod = 2.0 * unit * cos
         out, zi_comb = lfilter(comb, [1.0], prod, zi=zi_comb)
         out, zi_pole = lfilter([beta], [1.0, beta - 1.0], out, zi=zi_pole)
         if point >= 0:
@@ -529,16 +522,19 @@ def test_am_sweep_matches_per_dwell_reference(
         # takes sample by sample in the reference's order.
         scene = replace(scene, pl_rate_per_w=50.0 / (p_opt * cfg.dt_s))
         assert scene.photon_rate_hz() * cfg.dt_s < GAUSSIAN_MEAN_THRESHOLD
-    seed = np.random.SeedSequence((0, 3, 7))
-    record = simulate_am_sweep(scene, plan, cfg, seed=seed, shot_noise=shot_noise)
+    # The sweep in units of rate0: simulate_am_cells at one cell.
+    seeds = [np.random.SeedSequence((0, 3, 7))] if shot_noise else None
+    got_lockin, got_dc = simulate_am_cells(
+        scene, plan, cfg, [scene.p_opt_w], [scene.p_rf_w], seeds
+    )
     lockin, dc = reference_am_sweep(
         scene, plan, cfg, np.random.SeedSequence((0, 3, 7)), shot_noise
     )
     if shot_noise:
-        np.testing.assert_array_equal(record.dc_v, dc)
+        np.testing.assert_array_equal(got_dc[0], dc)
     else:
         # Every settled comb output averages one whole gate cycle at one
-        # level, so dc_v is k_v rate0 (1 - level m/n) exactly; the
+        # level, so the DC reading is 1 - level m/n exactly; the
         # time-domain reference misses that by a few ulp.
         depth = synthesize_odmr(
             scene.lines(), scene.broadening, scene.p_rf_w, scene.p_opt_w,
@@ -546,14 +542,11 @@ def test_am_sweep_matches_per_dwell_reference(
         ).values
         n = cfg.samples_per_cycle
         duty = Fraction(int(np.sum(np.cos(2.0 * math.pi * np.arange(n) / n) < 0)), n)
-        k_rate = Fraction(scene.detector.volts_per_photon_rate) * Fraction(
-            scene.photon_rate_hz()
-        )
-        for value, level in zip(record.dc_v, depth):
-            exact = k_rate * (1 - Fraction(level) * duty)
+        for value, level in zip(got_dc[0], depth):
+            exact = 1 - Fraction(level) * duty
             assert abs(Fraction(value) - exact) <= Fraction(np.spacing(value))
     peak = np.max(np.abs(lockin))
-    np.testing.assert_allclose(record.lockin_v, lockin, rtol=0, atol=1e-9 * peak)
+    np.testing.assert_allclose(got_lockin[0], lockin, rtol=0, atol=1e-9 * peak)
 
 
 def impulse_weights(cfg, dwell_n, settle_n, n_lags, start):
@@ -662,9 +655,9 @@ def test_gaussian_am_sweep_noise_matches_per_sample_reference():
     for seed in range(n_seeds):
         record = simulate_am_sweep(scene, plan, cfg, seed=seed)
         drawn.append((record.lockin_v, record.dc_v))
-    # Seeds of their own, so the two sets share no stream.
+    # Seeds of their own, so the two sets share no stream; in volts.
     reference = [
-        reference_am_sweep(scene, plan, cfg, seed, True)
+        scene.in_volts(reference_am_sweep(scene, plan, cfg, seed, True))
         for seed in range(n_seeds, 2 * n_seeds)
     ]
     z = 4.0
@@ -798,8 +791,8 @@ def test_dwell_response_column_sum_is_sampled_gain(n):
 
 @pytest.mark.parametrize("regime", ["noise-free", "gaussian", "poisson"])
 def test_am_cells_are_per_cell_sweeps(regime):
-    # Each cell of one stacked call is simulate_am_sweep at that cell's
-    # powers and seed, bit for bit, in every noise regime.
+    # Each cell of one stacked call, in volts, is simulate_am_sweep at that
+    # cell's powers and seed, bit for bit, in every noise regime.
     cfg = sweep_config()
     plan = SweepPlan(f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=21, dwell_s=0.025)
     scene = quenched_scene()
@@ -818,8 +811,8 @@ def test_am_cells_are_per_cell_sweeps(regime):
         dimmest = cell.photon_rate_hz() * cfg.dt_s * (1.0 - 0.05)
         assert (dimmest > GAUSSIAN_MEAN_THRESHOLD) == (regime != "poisson")
         record = simulate_am_sweep(cell, plan, cfg, seed=seeds[k], shot_noise=noisy)
-        assert np.array_equal(lockin[k], record.lockin_v)
-        assert np.array_equal(dc[k], record.dc_v)
+        assert np.array_equal(cell.in_volts(lockin[k]), record.lockin_v)
+        assert np.array_equal(cell.in_volts(dc[k]), record.dc_v)
 
 
 def test_am_cells_name_the_first_overflowing_cell():
@@ -989,10 +982,9 @@ def test_tracking_staircase_levels_match_full_series_lookup(
         [contrast * ln.rel_strength for ln in lines],
         saturated_fwhm(scene.broadening, scene.p_rf_w),
     )
-    rate = scene.photon_rate_hz() * (1.0 - depth)
-    k_v = scene.detector.volts_per_photon_rate
-    volts = k_v * _shot_counts(rate * dt, gauss, poisson) / dt
-    want = _Demodulator(cfg).process(volts)
+    rate0 = scene.photon_rate_hz()
+    unit = _shot_counts(rate0 * (1.0 - depth) * dt, gauss, poisson) / dt / rate0
+    want = _Demodulator(cfg).process(unit)
     np.testing.assert_allclose(res.lockin.values, want, rtol=1e-12, atol=0)
 
 
@@ -1328,11 +1320,12 @@ def test_line_slopes_in_a_tilted_field_match_richardson():
     assert {"nu1", "nu2", "dark", "m2_plus", "m2_minus"} <= {ln.label for ln in lines}
 
 
-def reference_field_noise_sigma(target, scene, cfg, slope_v):
+def reference_field_noise_sigma(target, scene, cfg, slope):
     """Reference field-noise input sigma, summing the field slope line by line.
 
     Each line's field slope is its centre derivative in the normalised
     detuning u = (f - f0) / (G/2), a / (1 + u^2), times its own d(f0)/d(bz).
+    The response and slope are in units of the unmodulated photon rate.
     """
     lines, slopes, _ = _line_table(scene)
     fwhm = saturated_fwhm(scene.broadening, scene.p_rf_w)
@@ -1346,10 +1339,10 @@ def reference_field_noise_sigma(target, scene, cfg, slope_v):
     for ln, line_slope in zip(lines, slopes):
         u = (nu_inst - ln.frequency_hz) / half
         d_depth_d_center = contrast * ln.rel_strength * 2.0 * u / half / (1 + u * u) ** 2
-        dv_db = dv_db - scene.dc_voltage() * d_depth_d_center * line_slope
+        dv_db = dv_db - d_depth_d_center * line_slope
     gain = 2.0 * _cycle_cos(cfg) * dv_db
     sigma_out = math.sqrt(float(np.mean(gain**2)) * _filter_energy_pure(cfg))
-    return target * abs(slope_v * gamma_eff) / sigma_out
+    return target * abs(slope * gamma_eff) / sigma_out
 
 
 def test_field_noise_calibration_matches_per_line_reference():
@@ -1362,7 +1355,7 @@ def test_field_noise_calibration_matches_per_line_reference():
         tl, scene, cfg.lockin, 3.0, field_noise_step_sigma_t=target
     )
     expected = reference_field_noise_sigma(
-        target, scene, cfg.lockin, res.slope_v_per_hz
+        target, scene, cfg.lockin, res.slope_per_hz
     )
     assert res.field_noise_sigma_in_t == pytest.approx(expected, rel=1e-12, abs=0)
 
