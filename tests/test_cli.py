@@ -729,16 +729,25 @@ def test_negative_photon_rate_writes_nothing(
 
 
 # The detector gain enters only the volts steps writes: at every gain each
-# case writes the same bytes, apart from those volts.
+# case writes the same bytes, apart from those volts. The last entry is the
+# largest gain tried; the squared volts of a noise-free map in volts would
+# overflow from 1e162 V/A.
 GAIN_CASES = {
-    "map-quenched": ("map", "sensitivity_map_quenched.json", {}),
+    "map-quenched-1e165": ("map", "sensitivity_map_quenched.json", {}, 1e165),
+    "map-quenched-1e300": ("map", "sensitivity_map_quenched.json", {}, 1e300),
     "map-shot-noise": (
-        "map", "sensitivity_map_annealed.json", {"detector": {"shot_noise": True}}
+        "map",
+        "sensitivity_map_annealed.json",
+        {"detector": {"shot_noise": True}},
+        1e300,
     ),
     "map-pl-rate-1e28": (
-        "map", "sensitivity_map_quenched.json", {"lineshape": {"pl_rate_per_w": 1e28}}
+        "map",
+        "sensitivity_map_quenched.json",
+        {"lineshape": {"pl_rate_per_w": 1e28}},
+        1e300,
     ),
-    "steps-field-noise": ("steps", "field_steps_tracking.json", {}),
+    "steps-field-noise": ("steps", "field_steps_tracking.json", {}, 1e300),
 }
 
 
@@ -754,8 +763,8 @@ def gain_config(tmp_path, config, changes, gain):
 
 @pytest.mark.parametrize("case", list(GAIN_CASES))
 def test_detector_gain_changes_only_the_written_volts(tmp_path, case):
-    command, config, changes = GAIN_CASES[case]
-    gains = (1e-100, 1e6, 1e300)
+    command, config, changes, top_gain = GAIN_CASES[case]
+    gains = (1e-100, 1e6, top_gain)
     runs, slopes = [], []
     for gain in gains:
         cfg = gain_config(tmp_path, config, changes, gain)
