@@ -43,6 +43,7 @@ from .analysis import (
     map_argmin,
     odmr_contrast,
     shot_noise_sensitivity,
+    _median,
 )
 from .config import ConfigDoc, load_config
 from .errors import FormatError, IoFailure, NoPeakFound, OdmrError
@@ -127,6 +128,7 @@ def _publish(args, cfg: ConfigDoc, t0: float):
             seed=args.seed,
             output_paths=[out_dir / name for name in staged],
             duration_s=time.perf_counter() - t0,
+            config_json=cfg.manifest_json,
         )
     except BaseException as exc:
         for path in staged.values():
@@ -188,7 +190,7 @@ def cmd_fit(args, cfg: ConfigDoc, t0: float) -> int:
     record = load_sweep(args.sweep_csv)
     fit = fit_lorentzian(record)
     dc_v = record.dc_v[~np.isnan(record.dc_v)]
-    dc = float(np.median(dc_v)) if dc_v.size else math.nan
+    dc = float(_median(dc_v)) if dc_v.size else math.nan
     contrast = None
     if math.isfinite(dc) and dc > 0:
         contrast = odmr_contrast(fit, dc)
@@ -258,7 +260,7 @@ def _simulated_map(cfg: ConfigDoc, scene: Scene, p_opts, p_rfs, seed):
         )
         fits = fit_lorentzian_rows(freqs, lockin)
         # The readings are in units of each cell's unmodulated photon rate.
-        dc = np.median(dc, axis=1)
+        dc = _median(dc)
         rate = photon_rate(scene.pl_rate_per_w, p_opts[i]) * dc
         for k, (fit, dc_k, rate_k) in enumerate(zip(fits, dc, rate)):
             # A dark or negative DC reading has no shot-noise sensitivity.

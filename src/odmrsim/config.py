@@ -18,7 +18,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 import numpy as np
 
 from .errors import OdmrError, SchemaViolation
-from .io_formats import FORMAT_VERSION, _read_text
+from .io_formats import FORMAT_VERSION, _read_text, manifest_config_json
 from .lineshape import PRESETS, BroadeningModel
 from .signal_chain import (
     MAX_SAMPLES,
@@ -152,7 +152,18 @@ class ConfigDoc:
     schedule: ScheduleCfg
 
     def as_dict(self) -> dict:
-        return {"format_version": FORMAT_VERSION, **_plain(self)}
+        # By field name: the instance dict also caches manifest_json.
+        sections = {name: _plain(getattr(self, name)) for name in _hints(ConfigDoc)}
+        return {"format_version": FORMAT_VERSION, **sections}
+
+    @functools.cached_property
+    def manifest_json(self) -> str:
+        """as_dict() as a run manifest holds it, encoded once per document.
+
+        Kept on the document, so two equal documents that print apart
+        (0.0 == -0.0) each keep their own text.
+        """
+        return manifest_config_json(self.as_dict())
 
     def scene(self) -> Scene:
         """The configured scene at the sweep powers."""
@@ -168,17 +179,26 @@ class ConfigDoc:
 
 
 def load_config(path=None) -> ConfigDoc:
-    """Load and validate a JSON config; None or an empty file means defaults."""
+    """Load and validate a JSON config; None or an empty file means defaults.
+
+    The defaults are one ConfigDoc, built on first use: it is frozen, so
+    every caller can share it (``replace`` makes a changed copy).
+    """
     if path is None:
-        return config_from_dict({})
+        return _default_config()
     text = _read_text(path)
     if text.strip() == "":
-        return config_from_dict({})
+        return _default_config()
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaViolation(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(data)
+
+
+@functools.cache
+def _default_config() -> ConfigDoc:
+    return config_from_dict({})
 
 
 def config_from_dict(data) -> ConfigDoc:

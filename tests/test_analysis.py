@@ -257,6 +257,65 @@ def test_pure_noise_fit_ends_once_its_width_collapses(monkeypatch):
     assert len(calls) == 26
 
 
+def test_slow_low_snr_fit_keeps_its_solves_and_iterations(monkeypatch):
+    # An SNR-0.5 sweep whose fit creeps for 184 iterations (246 solves)
+    # before its gtol test fires and its amplitude gate rejects it.  The
+    # baseline is today's damping rule; a new rule moves it on purpose.
+    x = np.linspace(95e6, 101e6, 201)
+    noise = np.random.default_rng(261).normal(0.0, 8e-4, x.size)
+    y = lorentz(x, 98e6, 1e6, 4e-4, 1e-5) + noise
+    ends = []
+    real_result = analysis._fit_result
+
+    def spying_result(x, spacing, params, inv_jtj, rss, n_iter, stop):
+        ends.append((n_iter, stop))
+        return real_result(x, spacing, params, inv_jtj, rss, n_iter, stop)
+
+    monkeypatch.setattr(analysis, "_fit_result", spying_result)
+    calls = count_solves(monkeypatch)
+    message = "fitted amplitude 0.000449 below twice the residual scatter 0.000795"
+    with pytest.raises(NoPeakFound, match=f"^{message}$"):
+        fit_lorentzian(sweep(x, y))
+    assert (len(calls), ends) == (246, [(184, "gtol")])
+    calls.clear()
+    (stacked,) = fit_lorentzian_rows(x, y[None])
+    assert (sum(calls), ends[1:]) == (246, [(184, "gtol")])
+    assert isinstance(stacked, NoPeakFound) and str(stacked) == message
+
+
+def special_floats():
+    """Floats with the values a median orders or averages oddly."""
+    specials = [
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300,
+        5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+    ]
+    return st.one_of(st.sampled_from(specials), st.floats(width=64))
+
+
+@st.composite
+def median_inputs(draw):
+    """A 1-D array or a (rows, points) stack, 1 to 60 points a row."""
+    n = draw(st.integers(1, 60))
+    rows = draw(st.one_of(st.none(), st.integers(1, 4)))
+    shape = (n,) if rows is None else (rows, n)
+    size = n * (rows or 1)
+    values = draw(st.lists(special_floats(), min_size=size, max_size=size))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(median_inputs())
+def test_median_equals_numpy_median_bit_for_bit(a):
+    # Bytes, so the sign of a zero and a NaN's bits count too.
+    with np.errstate(all="ignore"):
+        want = np.median(a, axis=-1)
+        got = analysis._median(a)
+        if a.ndim == 1:
+            assert np.median(a).tobytes() == want.tobytes()
+    assert (got.dtype, got.shape) == (want.dtype, np.shape(want))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_fit_out_of_iterations_is_non_convergence(monkeypatch):
     # One step from the initial guess clears both NoPeakFound gates but no
     # stop test, so the fit has not converged.

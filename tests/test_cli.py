@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +19,17 @@ from hypothesis import strategies as st
 import odmrsim
 from odmrsim import (
     FormatError,
+    RunManifest,
+    SpinParams,
     SweepRecord,
+    load_config,
     load_map_csv,
     load_sweep,
     verify_manifest,
     write_sweep,
 )
 from odmrsim.cli import main
+from odmrsim.io_formats import dump_json
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -140,6 +145,61 @@ def test_no_hyperfine_manifest_config_reproduces_outputs(tmp_path, command):
     again = json.loads((rerun / "manifest.json").read_text())
     assert again["config"] == manifest["config"]
     assert again["outputs"] == manifest["outputs"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [None, *sorted(p.name for p in CONFIG_DIR.glob("*.json")), "--no-hyperfine"],
+)
+def test_manifest_is_dump_json_of_its_run_manifest(tmp_path, config):
+    # The config block is encoded once per config; the bytes are still
+    # dump_json's of the whole manifest, duration_s included.
+    argv = ["spectrum", "--out", str(tmp_path / "run")]
+    cfg = load_config(None)
+    if config == "--no-hyperfine":
+        argv.append(config)
+        cfg = replace(cfg, spin=replace(cfg.spin, hyperfine_rel_amp=0.0))
+    elif config:
+        argv += ["--config", str(CONFIG_DIR / config)]
+        cfg = load_config(CONFIG_DIR / config)
+    assert main(argv) == 0
+    text = (tmp_path / "run" / "manifest.json").read_text()
+    recorded = json.loads(text)
+    manifest = RunManifest(
+        command="spectrum",
+        seed=0,
+        config=cfg.as_dict(),
+        outputs=recorded["outputs"],
+        duration_s=recorded["duration_s"],
+        tool_version=odmrsim.__version__,
+    )
+    assert text == dump_json(manifest.as_dict())
+
+
+def test_no_hyperfine_run_leaves_the_shared_defaults(tmp_path):
+    # --no-hyperfine copies the one default config, so a default run after
+    # it, in the same process, still records the default satellites.
+    assert main(["spectrum", "--no-hyperfine", "--out", str(tmp_path / "flagged")]) == 0
+    assert main(["spectrum", "--out", str(tmp_path / "default")]) == 0
+    amps = [
+        json.loads((tmp_path / run / "manifest.json").read_text())["config"]["spin"][
+            "hyperfine_rel_amp"
+        ]
+        for run in ("flagged", "default")
+    ]
+    assert amps == [0.0, SpinParams().hyperfine_rel_amp]
+    assert load_config(None) is load_config(None)
+    assert load_config(None).spin == SpinParams()
+
+
+def test_manifests_of_equal_configs_keep_their_own_text(tmp_path):
+    # 0.0 == -0.0, so these two configs are equal, yet each manifest
+    # records its own zero.
+    for zero in ("-0.0", "0.0"):
+        path = write_config(tmp_path, {"field": {"bx_t": float(zero)}}, f"{zero}.json")
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path / zero)]) == 0
+        text = (tmp_path / zero / "manifest.json").read_text()
+        assert f'"bx_t": {zero},' in text
 
 
 def test_spectrum_no_hyperfine_changes_output(tmp_path):

@@ -27,7 +27,13 @@ from odmrsim import (
     write_sweep,
 )
 from odmrsim import io_formats
-from odmrsim.io_formats import csv_chunks, dump_json, format_float, sha256_file
+from odmrsim.io_formats import (
+    csv_chunks,
+    dump_json,
+    format_float,
+    manifest_config_json,
+    sha256_file,
+)
 from odmrsim import svgplot
 from odmrsim.svgplot import heatmap, line_plot
 
@@ -273,6 +279,29 @@ def test_manifest_write_verify_and_tamper(tmp_path):
     assert verify_manifest(tmp_path / "manifest.json") == {"file.csv": True}
     out.write_text("tampered\n")
     assert verify_manifest(tmp_path / "manifest.json") == {"file.csv": False}
+
+
+def test_manifest_with_an_encoded_config_is_its_dump_json(tmp_path):
+    # The config block goes in through a placeholder: no other value may
+    # spell it, whatever its strings hold.
+    config = {
+        "name": 'a "config": "\0" key',
+        "nested": {"x": -0.0, "values": [1, 2.5], "empty": {}},
+    }
+    out = tmp_path / "file.csv"
+    out.write_text("hello\n")
+    for config_json in (None, manifest_config_json(config)):
+        manifest = write_run_manifest(
+            tmp_path,
+            command="\0",
+            config=config,
+            seed=1,
+            output_paths=[out],
+            duration_s=0.25,
+            config_json=config_json,
+        )
+        text = (tmp_path / "manifest.json").read_text()
+        assert text == dump_json(manifest.as_dict())
 
 
 def test_load_manifest_rejects_other_json(tmp_path):
