@@ -11,10 +11,13 @@ rate_hz and eta_t_rthz, rows by optical and columns by RF power.
 The Lorentzian fit has two loops of one shape (per iteration, the normal
 equations and gtol test, then up to 50 tries: solve, ftol, accept or damp
 harder) over the same model, Jacobian, guess and gates.  fit_lorentzian
-fits one sweep (odmr fit); fit_lorentzian_rows fits a stack (a map chunk),
-each row bit for bit and with the same solves as alone.  A one-row stack
-costs about 3x the scalar loop (1.3 against 0.43 ms a fit, medians on the
-benchmark's seed-1 sweeps), hence both loops.
+fits one sweep (odmr fit) in the scalar loop; fit_lorentzian_rows fits a
+stack (a map chunk) in the stacked loop until at most _HANDOFF_ROWS rows
+are live, then finishes each of those in the scalar loop from its state;
+each row ends bit for bit, and with the same solves, as alone.  A one-row
+stack costs about 3x the scalar loop (1.3 against 0.43 ms a fit, medians
+on the benchmark's seed-1 sweeps), hence the scalar loop for odmr fit and
+for the stack's tail.
 """
 
 from __future__ import annotations
@@ -114,9 +117,11 @@ def _median(a: np.ndarray):
     It is numpy's own recipe: one partition at numpy's kth (the middle
     index or two, and the last, where NaN sorts), the mean of the middle
     slice (a sum from +0.0, so a -0.0 median reads +0.0) and NaN wherever
-    the last partitioned value is NaN.  On one 201-point row it costs about
-    a quarter of np.median (3.7 against 13.6 us on a 2-vCPU host).  The
-    last axis must not be empty.
+    the last partitioned value is NaN.  One departure: two finite middle
+    values whose sum overflows (np.median reads inf) give lo/2 + hi/2, their
+    exact mean rounded.  On one 201-point row it costs about a quarter of
+    np.median (3.7 against 13.6 us on a 2-vCPU host).  The last axis must
+    not be empty.
     """
     n = a.shape[-1]
     k = n // 2
@@ -125,7 +130,13 @@ def _median(a: np.ndarray):
     if n % 2:
         mid = part[..., k] + 0.0
     else:
-        mid = (part[..., k - 1] + part[..., k] + 0.0) / 2.0
+        lo, hi = part[..., k - 1], part[..., k]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi + 0.0) / 2.0
+        over = np.isinf(mid)
+        if over.any():
+            over &= np.isfinite(lo) & np.isfinite(hi)
+            mid = np.where(over, lo / 2.0 + hi / 2.0, mid)[()]
     last = part[..., -1]
     if a.ndim == 1:  # numpy scalars, as np.median returns
         return last if math.isnan(last) else mid
@@ -181,11 +192,20 @@ def fit_lorentzian(sweep: SweepRecord) -> LorentzFit:
     jac = _lorentz_jac(parts)
     resid = y - model
     rss = float(resid @ resid)
-    lam = 1e-3
+    return _fit_from(x, y, spacing, params, jac, resid, rss, 1e-3, 0, 0)
+
+
+def _fit_from(x, y, spacing, params, jac, resid, rss, lam, narrow, n_iter):
+    """fit_lorentzian's loop from its state after n_iter iterations, and its end.
+
+    params is four floats, jac (points, 4) and resid (points,) arrays at
+    params, rss, lam and narrow (accepted steps in a row with |width| below
+    the spacing) plain numbers.  Returns the LorentzFit of the finished
+    loop or raises its NoPeakFound or NonConvergence; it runs under its
+    caller's np.errstate.
+    """
     stop = None
-    n_iter = 0
-    narrow = 0  # accepted steps in a row with |width| below the spacing
-    for n_iter in range(1, _MAX_ITER + 1):
+    for n_iter in range(n_iter + 1, _MAX_ITER + 1):
         jtj = jac.T @ jac
         jtr = jac.T @ resid
         diag = jtj.diagonal()
@@ -265,9 +285,10 @@ def _inverse_normals(jac: np.ndarray) -> np.ndarray:
 def _fit_result(x, spacing, params, inv_jtj, rss, n_iter, stop) -> LorentzFit:
     """The gates, covariance and LorentzFit of one finished loop.
 
-    inv_jtj is inv(J^T J) at params, from _inverse_normals.  Both
-    fit_lorentzian and fit_lorentzian_rows end here, so a row fails for the
-    same reasons and with the same messages in either.
+    params is four floats and rss a float; inv_jtj is inv(J^T J) at params,
+    from _inverse_normals.  Both fit_lorentzian and fit_lorentzian_rows end
+    here, so a row fails for the same reasons and with the same messages in
+    either.
     """
     center, width, amp, offset = params
     width = abs(width)
@@ -291,22 +312,32 @@ def _fit_result(x, spacing, params, inv_jtj, rss, n_iter, stop) -> LorentzFit:
     if stop is None:
         raise NonConvergence(f"no convergence after {n_iter} iterations")
 
-    cov = resid_rms**2 * inv_jtj
-    sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    if not np.all(np.isfinite(sigma)):
+    # The covariance diagonal, resid_rms**2 inv(J^T J), as plain floats; a
+    # NaN passes max and sqrt, as it passes np.maximum and np.sqrt.
+    var = resid_rms**2
+    sigma = [math.sqrt(max(var * d, 0.0)) for d in inv_jtj.diagonal().tolist()]
+    if not all(map(math.isfinite, sigma)):
         raise NoPeakFound("singular covariance: the confidence intervals are undefined")
-    half = 1.959963984540054 * sigma  # the 95% half-widths
+    half = [1.959963984540054 * s for s in sigma]  # the 95% half-widths
     return LorentzFit(
-        center_hz=float(center),
-        fwhm_hz=float(width),
-        amplitude=float(amp),
-        offset=float(offset),
-        center_ci_hz=(float(center - half[0]), float(center + half[0])),
-        fwhm_ci_hz=(float(width - half[1]), float(width + half[1])),
+        center_hz=center,
+        fwhm_hz=width,
+        amplitude=amp,
+        offset=offset,
+        center_ci_hz=(center - half[0], center + half[0]),
+        fwhm_ci_hz=(width - half[1], width + half[1]),
         rss=rss,
         n_iter=n_iter,
         stop_test=stop,
     )
+
+
+# A stack hands its live rows to the scalar loop once no more than this many
+# are left.  A stacked pass costs 0.14-0.31 ms with 1 to 8 rows, the scalar
+# loop about 0.04 ms a row an iteration (a 200-iteration 41-point row, 2-vCPU
+# host).  On the benchmark's maps at seeds 1-6 the fits took 0.60-1.02 of
+# the all-stacked time at 8 rows; hand-offs at 4 or 16 read within 0.04 of 8.
+_HANDOFF_ROWS = 8
 
 
 def _row_dots(a: np.ndarray) -> np.ndarray:
@@ -323,7 +354,9 @@ def fit_lorentzian_rows(x: np.ndarray, y: np.ndarray) -> list:
     is fit_lorentzian's, each pass one iteration of every live row, whose
     tries solve only the rows still pending, and the stacked matmul and
     solve round as the single-row calls do.  A row leaves the stack when
-    its loop ends.  Raises ValueError for fewer than five points.
+    its loop ends, and once at most _HANDOFF_ROWS rows are live each goes
+    on in fit_lorentzian's own loop.  Raises ValueError for fewer than five
+    points.
     """
     x = np.asarray(x, dtype=float)
     if x.size < 5:
@@ -344,7 +377,7 @@ def fit_lorentzian_rows(x: np.ndarray, y: np.ndarray) -> list:
     # steps in a row with |width| below the spacing.
     stop, narrow = np.full(rows.size, None), np.zeros(rows.size, dtype=int)
     n_iter = 0
-    while rows.size:
+    while rows.size > _HANDOFF_ROWS:
         n_iter += 1
         jtj = jac.transpose(0, 2, 1) @ jac
         jtr = (jac.transpose(0, 2, 1) @ resid[..., None])[..., 0]
@@ -411,9 +444,8 @@ def fit_lorentzian_rows(x: np.ndarray, y: np.ndarray) -> list:
         finished = np.flatnonzero(done)
         for k, inv_jtj in zip(finished, _inverse_normals(jac[finished])):
             try:
-                results[rows[k]] = _fit_result(
-                    x, spacing, params[k], inv_jtj, float(rss[k]), n_iter, stop[k]
-                )
+                end = params[k].tolist(), inv_jtj, float(rss[k]), n_iter, stop[k]
+                results[rows[k]] = _fit_result(x, spacing, *end)
             except (NoPeakFound, NonConvergence) as exc:
                 # Without its traceback, which would keep this frame's
                 # arrays alive in a reference cycle.
@@ -422,6 +454,15 @@ def fit_lorentzian_rows(x: np.ndarray, y: np.ndarray) -> list:
         rows, y, params, jac, resid, rss, lam, narrow, stop = (
             v[live] for v in (rows, y, params, jac, resid, rss, lam, narrow, stop)
         )
+    # The last few live rows go on in the scalar loop, each from its state.
+    for k in range(rows.size):
+        try:
+            results[rows[k]] = _fit_from(
+                x, y[k], spacing, params[k].tolist(), jac[k], resid[k],
+                float(rss[k]), float(lam[k]), int(narrow[k]), n_iter,
+            )
+        except (NoPeakFound, NonConvergence) as exc:
+            results[rows[k]] = exc.with_traceback(None)
     return results
 
 

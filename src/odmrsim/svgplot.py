@@ -197,11 +197,11 @@ def heatmap(
     zmin = float(finite.min()) if finite.size else 0.0
     zmax = float(finite.max()) if finite.size else 1.0
     span = (zmax - zmin) or 1.0
-    for row in range(ya.size):
+    # Python floats: the same IEEE arithmetic as numpy scalars, cheaper.
+    for row, zs in enumerate(za.tolist()):
         # Row 0 (smallest y) is drawn at the bottom edge.
         top = y1 - (row + 1) * cell_h
-        for col in range(xa.size):
-            z = za[row, col]
+        for col, z in enumerate(zs):
             fill = "#d0d0d0" if not math.isfinite(z) else _color((z - zmin) / span)
             parts.append(
                 f'<rect x="{_fmt(x0 + col * cell_w)}" y="{_fmt(top)}" '

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,7 +288,7 @@ def special_floats():
     """Floats with the values a median orders or averages oddly."""
     specials = [
         math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300,
-        5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+        5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.5e308, -1.5e308,
     ]
     return st.one_of(st.sampled_from(specials), st.floats(width=64))
 
@@ -306,14 +307,33 @@ def median_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(median_inputs())
 def test_median_equals_numpy_median_bit_for_bit(a):
-    # Bytes, so the sign of a zero and a NaN's bits count too.
+    # Bytes, so the sign of a zero and a NaN's bits count too.  The one
+    # departure: two finite middle values whose sum overflows, where
+    # np.median reads inf, give their mean lo/2 + hi/2.
     with np.errstate(all="ignore"):
         want = np.median(a, axis=-1)
         got = analysis._median(a)
         if a.ndim == 1:
             assert np.median(a).tobytes() == want.tobytes()
+        n = a.shape[-1]
+        if n % 2 == 0:
+            mids = np.sort(a, axis=-1)[..., n // 2 - 1 : n // 2 + 1]
+            lo, hi = mids[..., 0], mids[..., 1]
+            over = np.isinf(want) & np.isfinite(lo) & np.isfinite(hi)
+            want = np.where(over, lo / 2.0 + hi / 2.0, want)[()]
     assert (got.dtype, got.shape) == (want.dtype, np.shape(want))
     assert got.tobytes() == want.tobytes()
+
+
+def test_median_of_a_pair_past_the_float_range_is_finite():
+    # np.median overflows here to inf, with a RuntimeWarning; every warning
+    # is an error in this test.
+    a = np.array([1.5e308, -1.0, 1.7e308, 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analysis._median(a) == 1.5e308
+        got = analysis._median(np.array([a, -a, [4.0, 1.0, 3.0, 2.0]]))
+    np.testing.assert_array_equal(got, [1.5e308, -1.5e308, 2.5])
 
 
 def test_fit_out_of_iterations_is_non_convergence(monkeypatch):
@@ -378,13 +398,19 @@ def sweep_stacks(draw):
 @given(sweep_stacks())
 def test_stacked_fit_rows_equal_single_fits(stack):
     # Each row of the stacked loop ends where fit_lorentzian ends on it
-    # alone, with the same bits, or fails with the same class and message.
-    assert_rows_match_single_fits(*stack)
+    # alone, with the same bits, or fails with the same class and message:
+    # at the shipped hand-off, where a stack this small runs in the scalar
+    # loop from the start, with no hand-off, and with one after a few passes.
+    for handoff in (analysis._HANDOFF_ROWS, 0, 2):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_HANDOFF_ROWS", handoff)
+            assert_rows_match_single_fits(*stack)
 
 
 @pytest.mark.parametrize("max_iter", [1, 3])
 def test_stacked_fit_rows_run_out_of_iterations_as_single_fits(monkeypatch, max_iter):
     monkeypatch.setattr(analysis, "_MAX_ITER", max_iter)
+    monkeypatch.setattr(analysis, "_HANDOFF_ROWS", 0)
     x, y = clean_sweep()
     noisy = y + np.random.default_rng(5).normal(0.0, 0.05, x.size)
     stack = np.array([y, noisy, np.full(x.size, 0.3), noisy[::-1]])
@@ -392,12 +418,67 @@ def test_stacked_fit_rows_run_out_of_iterations_as_single_fits(monkeypatch, max_
     assert isinstance(fit_lorentzian_rows(x, stack)[0], NonConvergence)
 
 
+def test_long_row_finishes_in_the_scalar_loop_as_a_single_fit(monkeypatch):
+    # The SNR-0.5 sweep of test_slow_low_snr_fit_keeps_its_solves_and_iterations
+    # runs 184 iterations; its eleven SNR-20 neighbours end within a few, so
+    # the stack hands it to the scalar loop, last of the rows it hands over,
+    # where it ends as it does alone: same iterations, stop test, message and
+    # solves.
+    x = np.linspace(95e6, 101e6, 201)
+    slow = lorentz(x, 98e6, 1e6, 4e-4, 1e-5)
+    slow = slow + np.random.default_rng(261).normal(0.0, 8e-4, x.size)
+    rng = np.random.default_rng(4)
+    clean = [
+        lorentz(x, center, 1e6, 4e-4, 1e-4) + rng.normal(0.0, 2e-5, x.size)
+        for center in np.linspace(96.5e6, 99.5e6, 11)
+    ]
+    stack = np.array([*clean, slow])
+    assert len(stack) > analysis._HANDOFF_ROWS
+    ends = []
+    real_result = analysis._fit_result
+
+    def spying_result(x, spacing, params, inv_jtj, rss, n_iter, stop):
+        ends.append((n_iter, stop))
+        return real_result(x, spacing, params, inv_jtj, rss, n_iter, stop)
+
+    real_from = analysis._fit_from
+    handed = []  # the iterations each call of the scalar loop starts after
+
+    def spying_from(*state):
+        handed.append(state[-1])
+        return real_from(*state)
+
+    monkeypatch.setattr(analysis, "_fit_result", spying_result)
+    monkeypatch.setattr(analysis, "_fit_from", spying_from)
+    solved = count_solves(monkeypatch)
+    want = fit_or_error(x, slow)
+    single = (len(solved), ends.pop())
+    assert single == (246, (184, "gtol"))
+    others = []
+    for row in clean:
+        solved.clear()
+        fit_or_error(x, row)
+        others.append(sum(solved))
+    ends.clear()
+    solved.clear()
+    handed.clear()
+    stacked = fit_lorentzian_rows(x, stack)
+    assert solved[0] == len(stack)
+    assert 0 < len(handed) <= analysis._HANDOFF_ROWS and min(handed) > 0
+    assert sum(solved) == single[0] + sum(others)
+    assert ends[-1] == single[1]
+    assert type(stacked[-1]) is type(want) and str(stacked[-1]) == str(want)
+    monkeypatch.setattr(analysis, "_fit_result", real_result)
+    assert_rows_match_single_fits(x, stack)
+
+
 def test_singular_stacked_solve_falls_back_to_single_rows(monkeypatch):
     # On an axis spaced 1e76 Hz the step's 40-sample initial width makes
     # every (dx^2 + (G/2)^2)^2 overflow, so its centre and width columns
     # are zero and every damped matrix of that row is singular: the stacked
     # solve raises, each row is solved alone, and the step row takes the
-    # single-row loop's 50 tenfold retries.
+    # single-row loop's 50 tenfold retries.  Eight more peaks keep the
+    # stack above the hand-off to the scalar loop for that first pass.
     x = np.arange(41) * 1e76
     step = np.repeat([-1.0, 0.0, 1.0], [20, 1, 20])
     noise = np.random.default_rng(0).normal(0.0, 0.01, x.size)
@@ -406,8 +487,10 @@ def test_singular_stacked_solve_falls_back_to_single_rows(monkeypatch):
             step,
             lorentz(x, 20e76, 3e76, 1.0, 0.0),
             lorentz(x, 12e76, 4e76, -2.0, 0.0) + noise,
+            *(lorentz(x, c, 3e76, 1.0, 0.0) for c in np.r_[4:12:2, 24:32:2] * 1e76),
         ]
     )
+    assert len(stack) > analysis._HANDOFF_ROWS + 1
     real_solve = np.linalg.solve
     raised = []
 
@@ -449,6 +532,8 @@ def test_stacked_fit_solves_what_single_fits_solve(monkeypatch):
         solved.clear()
         fit_or_error(x, row)
         singles.append(sum(solved))
+    # With no hand-off, so the stack runs every row to its end.
+    monkeypatch.setattr(analysis, "_HANDOFF_ROWS", 0)
     solved.clear()
     fit_lorentzian_rows(x, np.array(rows))
     assert sum(solved) == sum(singles)

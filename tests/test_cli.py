@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -472,6 +473,21 @@ def test_fit_edge_data_ends_without_numpy_warnings(tmp_path, capsys):
         write_sweep(SweepRecord(f, y, np.full(f.size, dc)), path)
         assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == expected
     assert json.loads((tmp_path / "out" / "fit.json").read_text())["contrast"] is None
+    capsys.readouterr()
+
+
+def test_fit_dc_median_past_the_float_range_is_finite(tmp_path, capsys):
+    # 200 rows, so the median averages two middle values, whose sum
+    # overflows: np.median's recipe wrote "dc_v": null and warned.
+    freq = np.linspace(95e6, 101e6, 200)
+    lockin = 4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12)
+    path = tmp_path / "huge_dc.csv"
+    write_sweep(SweepRecord(freq, lockin, np.full(freq.size, 1.5e308)), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads((tmp_path / "out" / "fit.json").read_text())
+    assert payload["dc_v"] == 1.5e308 and payload["contrast"] > 0
     capsys.readouterr()
 
 
