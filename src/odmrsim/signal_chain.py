@@ -82,9 +82,11 @@ R^T R = A.  When every sample's mean count, at least rate0 dt (1 - max
 level), is above GAUSSIAN_MEAN_THRESHOLD, every count is a Gaussian draw
 and the means are linear in them, so a sweep draws each dwell's noise
 from that covariance with 2 (1 + lags) normals: exact in distribution,
-with no per-sample array.  Below it the Poisson counts are still drawn
-sample by sample and run through the demodulator and the cycle mean, in
-blocks of whole dwells.
+with no per-sample array.  Below it the counts are drawn sample by
+sample, in blocks of whole dwells, and each dwell's residual about the
+noise-free rate is weighed with the same weights, the cycle mean's
+adjoint and w, into the same 1 + lags noise values.  Either regime adds
+them to the noise-free readings, so no AM reading runs the demodulator.
 """
 
 from __future__ import annotations
@@ -563,36 +565,16 @@ def _dwell_blocks(n_dwells: int, dwell_n: int):
         yield slice(first, min(first + per_block, n_dwells))
 
 
-def _settled_means(values: np.ndarray, dwell_n: int, settle_n: int) -> np.ndarray:
-    """Mean of each whole dwell of values after its settling discard."""
-    return values.reshape(-1, dwell_n)[:, settle_n:].mean(axis=1)
-
-
 def _dwell_lags(cfg: LockInConfig, dwell_n: int, n_dwells: int) -> int:
     """Dwells that one dwell's weights reach, its own included."""
     tau_n = cfg.time_constant_s * cfg.sample_rate_hz
     return min(1 + math.ceil(_LAG_TAUS * tau_n / dwell_n), n_dwells)
 
 
-def _chain_weights(cfg: LockInConfig, dwell_n: int, settle_n: int, n_lags: int):
-    """Each sample's weights on the settled means of a dwell (module docstring).
-
-    lock[j], still to be multiplied by the reference, weighs the lock-in
-    mean j dwells later and dc the dwell's own DC mean: the stages' adjoint,
-    run in reverse order over the last dwell's settled window reversed.
-    """
-    window = np.zeros(n_lags * dwell_n)
-    window[(n_lags - 1) * dwell_n + settle_n :] = 1.0 / (dwell_n - settle_n)
-    lock = _CycleMean(cfg).process(_Pole(cfg).process(window[::-1]))[::-1]
-    # The DC window reaches only its own dwell, as settle_n >= n - 1.
-    dc = _CycleMean(cfg).process(window[::-1][:dwell_n])[::-1]
-    return lock.reshape(n_lags, dwell_n)[::-1], dc
-
-
 @functools.lru_cache(maxsize=8)
 def _dwell_response(
     cfg: LockInConfig, dwell_n: int, settle_n: int, n_dwells: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, ...]:
     """The dwell-response operator of an AM sweep (module docstring).
 
     Returns base, the settled means of a constant 1 over n_dwells dwells,
@@ -601,13 +583,22 @@ def _dwell_response(
     d mod lags.shape[0].  r_on[p] and r_off[p] are upper-triangular
     factors, R^T R = sum w w^T over the gate-on and the gate-off samples of
     such a dwell, where w is a sample's weight on the dwell's settled DC
-    mean and on its settled lock-in means at lags 0 .. lags.shape[1] - 1.
-    All four come from those weights, and are read-only.
+    mean and on its settled lock-in means at lags 0 .. lags.shape[1] - 1:
+    dc and lock[j], returned last over one dwell's samples, lock before
+    the reference.  All six are read-only.
     """
     n = cfg.samples_per_cycle
     n_phases = min(n // math.gcd(dwell_n, n), n_dwells)
     n_lags = _dwell_lags(cfg, dwell_n, n_dwells)
-    lock, dc = _chain_weights(cfg, dwell_n, settle_n, n_lags)
+    # The stages' adjoint, run in reverse order over the last dwell's
+    # settled window reversed.
+    window = np.zeros(n_lags * dwell_n)
+    window[(n_lags - 1) * dwell_n + settle_n :] = 1.0 / (dwell_n - settle_n)
+    lock = _CycleMean(cfg).process(_Pole(cfg).process(window[::-1]))[::-1]
+    lock = lock.reshape(n_lags, dwell_n)[::-1]
+    # The DC window reaches only its own dwell, as settle_n >= n - 1.
+    dc = _CycleMean(cfg).process(window[::-1][:dwell_n])[::-1]
+    del window  # before the loop's per-phase copies of the weights
     ref = 2.0 * _cycle_cos(cfg)
     lags, totals = np.empty((2, n_phases, n_lags))
     factors = []
@@ -624,9 +615,9 @@ def _dwell_response(
     for j in range(n_lags):
         base[j:] += totals[np.arange(n_dwells - j) % n_phases, j]
     r_on, r_off = np.moveaxis(np.array(factors), 1, 0)
-    for a in (base, lags, r_on, r_off):
+    for a in (base, lags, r_on, r_off, lock, dc):
         a.flags.writeable = False
-    return base, lags, r_on, r_off
+    return base, lags, r_on, r_off, lock, dc
 
 
 def simulate_am_sweep(
@@ -683,13 +674,15 @@ def simulate_am_cells(
     GAUSSIAN_MEAN_THRESHOLD, it is drawn per dwell from its exact
     covariance, and again no per-sample array is built.  Otherwise the
     counts are drawn per sample, in the order and streams of the seed, from
-    the means rate0 unit dt, read as counts / dt / rate0; their residual
-    about the noise-free unit rate is demodulated, and the DC reading is
-    their cycle mean.  A cell whose rate0 is 0 has no counts to draw and
-    keeps its noise-free readings (0 volts, as its counts would read).  A
-    power whose linewidth or photon rate overflows, or whose summed dip
-    depth exceeds 1 (a negative photon rate), raises ValueError naming the
-    first such cell's power.
+    the means rate0 unit dt, read as counts / dt / rate0, and their residual
+    about the noise-free unit rate is weighed per dwell with the operator's
+    weights.  Either way one (dwells, 1 + lags) array of noise is added to
+    the noise-free readings, and no demodulator runs.  A cell whose rate0
+    is 0 has no counts to draw and keeps its noise-free readings (0 volts,
+    as its counts would read).  Lengths of p_opt_w, p_rf_w and seeds that
+    differ, a power whose linewidth or photon rate overflows, or a summed
+    dip depth above 1 (a negative photon rate) raise ValueError, naming the
+    lengths or the first such cell's power.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_cells needs an 'am' lock-in config")
@@ -698,6 +691,9 @@ def simulate_am_cells(
 
     p_opt = np.asarray(p_opt_w, dtype=float)
     p_rf = np.asarray(p_rf_w, dtype=float)
+    lengths = [p_opt.size, p_rf.size, *([] if seeds is None else [len(seeds)])]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"p_opt_w, p_rf_w and seeds differ in length: {lengths}")
     try:
         depth = synthesize_odmr(
             scene.lines(), scene.broadening, p_rf[:, None], p_opt[:, None],
@@ -718,17 +714,22 @@ def simulate_am_cells(
     # Dwell 0 is the discarded lead-in at the first frequency.
     levels = np.concatenate((depth[:, :1], depth), axis=1)
     n_dwells = levels.shape[1]
-    base, lags, r_on, r_off = _dwell_response(cfg, dwell_n, settle_n, n_dwells)
+    base, lags, r_on, r_off, w_lock, w_dc = _dwell_response(
+        cfg, dwell_n, settle_n, n_dwells
+    )
     n_phases, n_lags = lags.shape
     lockin = np.repeat(base[None], p_opt.size, axis=0)
     for p in range(n_phases):
         for j in range(n_lags):
             later = lockin[:, p + j :: n_phases]
             later += lags[p, j] * levels[:, p::n_phases][:, : later.shape[1]]
-    duty = np.count_nonzero(_cycle_cos(cfg) < 0) / cfg.samples_per_cycle
+    ref = 2.0 * _cycle_cos(cfg)
+    duty = np.count_nonzero(ref < 0) / ref.size
     dc = 1.0 - duty * levels
 
-    for level, lock, dc_k, rate, seed in zip(levels, lockin, dc, rate0, seeds or ()):
+    for k, (level, rate, seed) in enumerate(zip(levels, rate0, seeds or ())):
+        if rate == 0:
+            continue  # no photons: no counts to draw, and 0 volts either way
         rng = np.random.default_rng(seed)
         if rate * dt * (1.0 - level.max()) > GAUSSIAN_MEAN_THRESHOLD:
             # Every count is a Gaussian draw: draw each dwell's noise on its
@@ -739,40 +740,40 @@ def simulate_am_cells(
             noise = np.einsum("dk,dkl->dl", z[0], r_on[phase])
             noise *= np.sqrt(s * (1.0 - level))[:, None]
             noise += math.sqrt(s) * np.einsum("dk,dkl->dl", z[1], r_off[phase])
-            dc_k += noise[:, 0]
-            for j in range(n_lags):
-                lock[j:] += noise[: n_dwells - j, 1 + j]
-            continue
-        if rate == 0:
-            continue  # no photons: no counts to draw, and 0 volts either way
-        rng, poisson, _ = _noise_streams(rng)
-        demod = _Demodulator(cfg)
-        cycle_mean = _CycleMean(cfg)
-        for block in _dwell_blocks(n_dwells, dwell_n):
-            n = (block.stop - block.start) * dwell_n
-            gate = _am_gate(cfg, block.start * dwell_n, n).reshape(-1, dwell_n)
-            unit = (1.0 - level[block, None] * gate).ravel()
-            # Divided by dt first: rate dt can underflow to 0 in a dark cell.
-            noisy = _shot_counts(rate * unit * dt, rng, poisson) / dt / rate
-            residual = demod.process(noisy - unit)
-            lock[block] += _settled_means(residual, dwell_n, settle_n)
-            dc_k[block] = _settled_means(cycle_mean.process(noisy), dwell_n, settle_n)
+        else:
+            # Weigh each dwell's count residual with the chain's weights, as
+            # row sums, so no value depends on the dwells a block holds.
+            rng, poisson, _ = _noise_streams(rng)
+            noise = np.empty((n_dwells, 1 + n_lags))
+            for block in _dwell_blocks(n_dwells, dwell_n):
+                first, n = block.start * dwell_n, (block.stop - block.start) * dwell_n
+                gate = _am_gate(cfg, first, n).reshape(-1, dwell_n)
+                unit = 1.0 - level[block, None] * gate
+                # Divided by dt first: rate dt can underflow to 0 in a dark cell.
+                counts = _shot_counts((rate * unit * dt).ravel(), rng, poisson)
+                residual = counts.reshape(unit.shape) / dt / rate - unit
+                noise[block, 0] = (residual * w_dc).sum(axis=1)
+                residual *= _periodic(ref, first, n).reshape(unit.shape)
+                for j in range(n_lags):
+                    noise[block, 1 + j] = (residual * w_lock[j]).sum(axis=1)
+        dc[k] += noise[:, 0]
+        for j in range(n_lags):
+            lockin[k, j:] += noise[: n_dwells - j, 1 + j]
     return lockin[:, 1:], dc[:, 1:]
 
 
-def fm_discriminator_slope(
-    peak: PeakShape, cfg: LockInConfig, v_dc: float
-) -> float:
+def fm_discriminator_slope(peak: PeakShape, cfg: LockInConfig) -> float:
     """Demodulated output per hertz of carrier detuning, at resonance.
 
-    A symmetric numeric derivative of the modelled FM response, in the
-    units of the unmodulated DC level v_dc, so that any
-    discretisation gain of the sampled chain cancels when readouts are
-    converted back to frequency or field.  At detuning d the input is
-    v_dc (1 - L(d + dev) - gate (L(d - dev) - L(d + dev))); the difference
-    at d = +-h, offset - dip gate, is read from one 8 tau dwell's weights
-    as offset sum w - dip sum_gate w.  Its 5 to 8 tau window keeps the
-    start-up transient (0.287% low at 10 samples per cycle).
+    A symmetric numeric derivative of the modelled FM response, in units
+    of the unmodulated level, so that any discretisation gain of the
+    sampled chain cancels when readouts are converted back to frequency or
+    field.  At detuning d the input is
+    1 - L(d + dev) - gate (L(d - dev) - L(d + dev)); the difference at
+    d = +-h, offset - dip gate, is read from the dwell-response operator of
+    one 8 tau dwell as offset base[0] + dip lags[0, 0].  Its 5 to 8 tau
+    window keeps the start-up transient (0.287% low at 10 samples per
+    cycle).
     """
     if cfg.fm_deviation_hz >= peak.fwhm_hz:
         raise DeviationTooLarge(
@@ -782,15 +783,13 @@ def fm_discriminator_slope(
     h = peak.fwhm_hz / 100.0
     dev = cfg.fm_deviation_hz * np.array([1.0, -1.0])
     nu = peak.center_hz + np.array([[h], [-h]]) + dev  # rows +-h, columns +-dev
-    (up_p, down_p), (up_m, down_m) = v_dc * lorentzian_sum(
+    (up_p, down_p), (up_m, down_m) = lorentzian_sum(
         nu, [peak.center_hz], [peak.contrast], peak.fwhm_hz
     )
     offset, dip = up_m - up_p, (down_p - up_p) - (down_m - up_m)
     n = int(round(8.0 * cfg.time_constant_s * cfg.sample_rate_hz))
-    w = _chain_weights(cfg, n, cfg.settle_samples, 1)[0][0]
-    w *= _periodic(2.0 * _cycle_cos(cfg), 0, n)
-    diff = offset * w.sum() - dip * w[_am_gate(cfg, 0, n)].sum()
-    return float(diff) / (2.0 * h)
+    base, lags = _dwell_response(cfg, n, cfg.settle_samples, 1)[:2]
+    return float(offset * base[0] + dip * lags[0, 0]) / (2.0 * h)
 
 
 @dataclass
@@ -941,7 +940,7 @@ def simulate_fm_tracking(
     centers = np.array([ln.frequency_hz for ln in lines])
     carrier = lines[nu2].frequency_hz
     gamma_eff = float(slopes[nu2])
-    slope = fm_discriminator_slope(PeakShape(carrier, fwhm, amps[nu2]), cfg, 1.0)
+    slope = fm_discriminator_slope(PeakShape(carrier, fwhm, amps[nu2]), cfg)
     field_gain = slope * gamma_eff
     # The rounding of the unit DC level alone, eps, reads as eps /
     # |field_gain| tesla: beyond the model's field range, the response is

@@ -1086,34 +1086,43 @@ def test_map_counts_a_dark_cell_as_failed(tmp_path):
     assert json.loads((out / "argmin.json").read_text())["n_failed"] == 1
 
 
+def count_chain_samples(monkeypatch):
+    """Counts of the samples drawn per sample (_shot_counts) and demodulated
+    (_Demodulator.process) from here on, by "shot" and "demod"."""
+    from odmrsim import signal_chain
+
+    counted = {"shot": 0, "demod": 0}
+    shot_counts = signal_chain._shot_counts
+    process = signal_chain._Demodulator.process
+
+    def counting_shot(mean, *streams):
+        counted["shot"] += mean.size
+        return shot_counts(mean, *streams)
+
+    def counting_demod(self, values):
+        counted["demod"] += values.size
+        return process(self, values)
+
+    monkeypatch.setattr(signal_chain, "_shot_counts", counting_shot)
+    monkeypatch.setattr(signal_chain._Demodulator, "process", counting_demod)
+    return counted
+
+
 @pytest.mark.parametrize("margin, per_sample", [(1.001, False), (0.999, True)])
 def test_shot_noise_cell_runs_samples_only_below_gaussian_threshold(
     tmp_path, monkeypatch, margin, per_sample
 ):
     # One cell whose dimmest sample holds margin x GAUSSIAN_MEAN_THRESHOLD
-    # counts.  Above it the cell draws its noise per dwell, so the map runs
-    # the cycle mean only where its noise-free twin does, in the
-    # dwell-response operator, and the demodulator nowhere; below it every
-    # sample of the cell's lead-in and sweep runs through the demodulator
-    # and through two cycle means, the demodulator's comb and the DC reading.
+    # counts.  Above it the cell draws its noise per dwell and no count per
+    # sample; below it every sample of the cell's lead-in and sweep draws a
+    # count.  Neither side runs the demodulator: below the threshold the
+    # counts' residual is weighed with the dwell-response operator's weights.
     from dataclasses import replace
 
     from odmrsim import signal_chain, synthesize_odmr
     from odmrsim.config import config_from_dict
 
-    counted = {"demod": 0, "comb": 0}
-
-    def counting(cls, key):
-        process = cls.process
-
-        def wrapper(self, values):
-            counted[key] += values.size
-            return process(self, values)
-
-        monkeypatch.setattr(cls, "process", wrapper)
-
-    counting(signal_chain._Demodulator, "demod")
-    counting(signal_chain._CycleMean, "comb")
+    counted = count_chain_samples(monkeypatch)
     data = json.loads(json.dumps(MINI_MAP_CONFIG))
     one_cell = dict(p_opt_min_w=0.4, p_opt_max_w=0.4, p_rf_min_w=1.0, p_rf_max_w=1.0)
     data["sweep"]["grid"].update(one_cell, n_opt=1, n_rf=1)
@@ -1130,17 +1139,40 @@ def test_shot_noise_cell_runs_samples_only_below_gaussian_threshold(
     for shot_noise in (False, True):
         data["detector"]["shot_noise"] = shot_noise
         cfg = write_config(tmp_path, data, f"shot_{shot_noise}.json")
-        signal_chain._dwell_response.cache_clear()
         before = dict(counted)
         out = tmp_path / f"map_{shot_noise}"
         assert main(["map", "--config", cfg, "--out", str(out)]) == 0
         runs.append({key: counted[key] - before[key] for key in counted})
     dwell_n = round(doc.sweep.dwell_s * doc.lockin.sample_rate_hz)
     samples = (doc.sweep.n_points + 1) * dwell_n if per_sample else 0
-    for key, passes in (("demod", 1), ("comb", 2)):
-        assert runs[1][key] - runs[0][key] == passes * samples
-    assert runs[0]["demod"] == 0
-    assert runs[0]["comb"] > 0
+    assert runs == [{"shot": 0, "demod": 0}, {"shot": samples, "demod": 0}]
+
+
+@pytest.mark.parametrize(
+    "pl_rate_per_w, per_sample_cells",
+    [(None, 0), (1e11, 0), (1e8, 9), (2.5e9, 3)],
+    ids=["noise-free", "gaussian", "poisson", "mixed"],
+)
+def test_map_runs_no_demodulator_in_any_noise_regime(
+    tmp_path, monkeypatch, pl_rate_per_w, per_sample_cells
+):
+    # A 3 x 3 map at 0.1 to 0.4 W: with shot noise at 1e11 photons/s per
+    # watt every sample holds over 10,000 mean counts, at 1e8 every one
+    # fewer, and at 2.5e9 only the 0.1 W row's do.  The cells that draw
+    # their counts per sample say which regime each cell took; no cell, in
+    # any regime, runs the demodulator.
+    counted = count_chain_samples(monkeypatch)
+    data = json.loads(json.dumps(MINI_MAP_CONFIG))
+    if pl_rate_per_w is not None:
+        data["detector"]["shot_noise"] = True
+        data["lineshape"] = {"pl_rate_per_w": pl_rate_per_w}
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["map", "--config", cfg, "--out", str(out)]) == 0
+    sweep = data["sweep"]
+    dwell_n = round(sweep["dwell_s"] * data["lockin"]["sample_rate_hz"])
+    samples = (sweep["n_points"] + 1) * dwell_n
+    assert counted == {"shot": per_sample_cells * samples, "demod": 0}
 
 
 # The mini steps run is 2 x 10 s at 500 Hz: 10,000 samples.

@@ -55,6 +55,7 @@ from odmrsim.signal_chain import (
     _filter_energy_pure,
     _line_table,
     _noise_streams,
+    _periodic,
     _Pole,
     _shot_counts,
     simulate_am_cells,
@@ -531,7 +532,9 @@ def test_am_sweep_matches_per_dwell_reference(
         scene, plan, cfg, np.random.SeedSequence((0, 3, 7)), shot_noise
     )
     if shot_noise:
-        np.testing.assert_array_equal(got_dc[0], dc)
+        # The drawn counts' residual, weighed with the cycle mean's adjoint,
+        # added to the exact noise-free DC reading.
+        assert np.all(np.abs(got_dc[0] - dc) <= 8 * np.spacing(dc))
     else:
         # Every settled comb output averages one whole gate cycle at one
         # level, so the DC reading is 1 - level m/n exactly; the
@@ -587,7 +590,7 @@ def test_dwell_noise_factors_match_impulse_response_grams(
     )
     dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
     settle_n = min(cfg.settle_samples, dwell_n - 1)
-    _, lags, r_on, r_off = _dwell_response(cfg, dwell_n, settle_n, n_points + 1)
+    _, lags, r_on, r_off, _, _ = _dwell_response(cfg, dwell_n, settle_n, n_points + 1)
     n_phases, n_lags = lags.shape
     for p in range(n_phases):
         start = p * dwell_n % cfg.samples_per_cycle
@@ -597,6 +600,32 @@ def test_dwell_noise_factors_match_impulse_response_grams(
             gram = w[:, side] @ w[:, side].T
             scale = np.abs(gram).max()
             np.testing.assert_allclose(r.T @ r, gram, rtol=1e-12, atol=1e-12 * scale)
+
+
+@AM_SWEEP_CASES
+def test_dwell_response_weights_match_impulse_responses(
+    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+):
+    # A sub-threshold sweep weighs its count residual with the operator's
+    # own weights: dc, and lock times the reference at the dwell's start
+    # phase.  At every start phase they must be the weights that unit
+    # impulses through the chain give.  Those are differences of cumulative
+    # sums, off by up to about 200 ulp of the largest weight, so the bound
+    # is the one the Gram test puts on the weights' products.
+    _, cfg, plan = am_sweep_case(
+        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
+    )
+    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
+    settle_n = min(cfg.settle_samples, dwell_n - 1)
+    _, lags, _, _, lock, dc = _dwell_response(cfg, dwell_n, settle_n, n_points + 1)
+    n_phases, n_lags = lags.shape
+    assert lock.shape == (n_lags, dwell_n) and dc.shape == (dwell_n,)
+    ref = 2.0 * _cycle_cos(cfg)
+    for p in range(n_phases):
+        start = p * dwell_n % cfg.samples_per_cycle
+        want = impulse_weights(cfg, dwell_n, settle_n, n_lags, start)
+        got = np.vstack((dc, lock * _periodic(ref, start, dwell_n)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def forward_dip_response(cfg, phase, dwell_n, settle_n, offset, dips):
@@ -827,6 +856,21 @@ def test_am_cells_name_the_first_overflowing_cell():
         simulate_am_cells(scene, plan, cfg, [0.4, 1e300, 0.4], [1.0, 1.0, 1e308])
 
 
+def test_am_cells_refuse_unequal_lengths():
+    # One seed for three cells would leave the later cells noise-free, and
+    # unequal power lists would not broadcast: each names the lengths.
+    cfg = sweep_config()
+    plan = SweepPlan(f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=5, dwell_s=0.025)
+    scene = quenched_scene()
+    p = [0.1, 0.2, 0.4]
+    with pytest.raises(ValueError, match=r"in length: \[3, 3, 1\]"):
+        simulate_am_cells(scene, plan, cfg, p, p, seeds=[5])
+    with pytest.raises(ValueError, match=r"in length: \[3, 2\]"):
+        simulate_am_cells(scene, plan, cfg, p, p[:2])
+    with pytest.raises(ValueError, match=r"in length: \[2, 3, 3\]"):
+        simulate_am_cells(scene, plan, cfg, p[:2], p, seeds=[1, 2, 3])
+
+
 def test_am_sweep_seed_reproducibility():
     scene = quenched_scene(p_opt=0.05)
     cfg = sweep_config()
@@ -882,7 +926,7 @@ def test_fm_slope_matches_analytic_derivative():
     peak = PeakShape(center_hz=98.04e6, fwhm_hz=1.0e6, contrast=0.016)
     v_dc = 0.0636
     cfg = fm_config()
-    slope = fm_discriminator_slope(peak, cfg, v_dc)
+    slope = v_dc * fm_discriminator_slope(peak, cfg)
     half = 0.5 * peak.fwhm_hz
     d = cfg.fm_deviation_hz
     lprime = 2 * peak.contrast * d * half**2 / (d**2 + half**2) ** 2
@@ -914,7 +958,7 @@ def test_fm_slope_matches_per_sample_reference(deviation, sample_rate_hz):
     peak = PeakShape(center_hz=98.04e6, fwhm_hz=1.0e6, contrast=0.016)
     cfg = replace(fm_config(deviation=deviation), sample_rate_hz=sample_rate_hz)
     expected = reference_fm_slope(peak, cfg, 0.0636)
-    assert fm_discriminator_slope(peak, cfg, 0.0636) == pytest.approx(
+    assert 0.0636 * fm_discriminator_slope(peak, cfg) == pytest.approx(
         expected, rel=1e-11, abs=0
     )
 
@@ -922,7 +966,7 @@ def test_fm_slope_matches_per_sample_reference(deviation, sample_rate_hz):
 def test_fm_slope_rejects_large_deviation():
     peak = PeakShape(center_hz=98e6, fwhm_hz=0.5e6, contrast=0.016)
     with pytest.raises(DeviationTooLarge):
-        fm_discriminator_slope(peak, fm_config(deviation=0.6e6), 0.06)
+        fm_discriminator_slope(peak, fm_config(deviation=0.6e6))
 
 
 def test_tracking_recovers_constant_field():
