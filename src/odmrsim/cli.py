@@ -366,7 +366,7 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     # Every step must keep two samples after its settling discard.
     n_total = int(round(duration * cfg.lockin.sample_rate_hz))
     try:
-        step_windows(timeline, n_total, cfg.lockin)
+        windows = step_windows(timeline, n_total, cfg.lockin)
     except ScheduleMismatch as exc:
         raise SchemaViolation(f"schedule.step_period_s: {exc}") from None
     if args.svg and sched.output_decimation >= n_total:
@@ -391,9 +391,10 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     # place, so the kept series is not held twice.
     lockin = scene.in_volts(result.lockin.values, out=result.lockin.values)
     slope = float(scene.in_volts(result.slope_per_hz))
-    # Each level is formatted once; its step's rows refer to that one text.
+    # One text per level, repeated over its step's rows; a step ends with its window.
     levels = np.array([format_float(v) for v in timeline.bz_t], dtype=object)
-    true = levels[timeline.step_index(t)]
+    rows_to_end = [-(-i1 // sched.output_decimation) for _, i1 in windows]
+    true = np.repeat(levels, np.diff([0, *rows_to_end]))
 
     payload = {
         "format_version": FORMAT_VERSION,

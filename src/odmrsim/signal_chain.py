@@ -338,13 +338,10 @@ class FieldTimeline:
         if starts.size >= 2 and not np.all(np.diff(starts) > 0):
             raise ValueError("timeline starts must be strictly increasing")
 
-    def step_index(self, t_s):
-        """Index of the step each time falls in; times before 0 take step 0."""
-        idx = np.searchsorted(self.starts_s, t_s, side="right") - 1
-        return np.clip(idx, 0, self.bz_t.size - 1)
-
     def first_samples(self, dt_s: float) -> np.ndarray:
-        """Each step's first sample, the least i with i dt_s >= its start."""
+        """Each step's first sample, the least i with i dt_s >= its start.
+
+        The one step-edge rule: step_windows and so `odmr steps` use it."""
         first = np.ceil(self.starts_s / dt_s)
         # The quotient may round across an integer: one correction each way.
         first -= (first - 1.0) * dt_s >= self.starts_s
@@ -799,8 +796,8 @@ class TrackingResult:
     lockin and field_estimate hold every decimation-th sample of the run
     (their stride).  lockin and slope_per_hz are in units of the scene's
     unmodulated photon rate; Scene.in_volts takes them to volts.
-    step_means_t and step_stds_t are each step's settled mean and standard
-    deviation (ddof=1) of the field estimate over its step_windows range.
+    step_means_t and step_stds_t are the mean and std (ddof=1) of the field
+    estimate over each step's settled tail, its step_windows range.
     """
 
     lockin: TimeSeries
@@ -816,22 +813,20 @@ class TrackingResult:
 def step_windows(
     timeline: FieldTimeline, n: int, cfg: LockInConfig
 ) -> list[tuple[int, int]]:
-    """Sample range [i0, i1) of each step of n samples after its 5 tau discard.
+    """Settled sample range [i0, i1) of each step of an n-sample run.
 
+    Window k is [f_k + settle_samples, f_(k+1)), its step's tail, f_k being
+    step k's first sample (FieldTimeline.first_samples); the last ends at n.
     Raises ScheduleMismatch when any step keeps fewer than two samples.
     """
-    dt = cfg.dt_s
-    ends = np.append(timeline.starts_s[1:], n * dt)
-    windows = []
-    for start, end in zip(timeline.starts_s, ends):
-        i0 = int(math.ceil((start + cfg.settle_discard_s) / dt))
-        i1 = min(int(math.floor(end / dt)), n)
+    first = np.minimum(timeline.first_samples(cfg.dt_s), n).tolist()
+    windows = list(zip([f + cfg.settle_samples for f in first], [*first[1:], n]))
+    for start, (i0, i1) in zip(timeline.starts_s, windows):
         if i1 - i0 < 2:
             raise ScheduleMismatch(
                 f"step at t = {start:.6g} s has {max(i1 - i0, 0)} samples "
                 "after the settling discard"
             )
-        windows.append((i0, i1))
     return windows
 
 
@@ -905,23 +900,24 @@ def simulate_fm_tracking(
     the bias.  It runs in units of the scene's unmodulated photon rate
     (module docstring), and so do the lock-in output and slope it returns.
 
-    The run goes step by step, from each step's first sample
-    (FieldTimeline.first_samples) to the next's, in blocks of at most
-    _BLOCK samples, so a block has one field level.  It keeps every
+    The run goes step by step: step k runs from the end of step_windows'
+    window k - 1 to the end of window k, its settled tail, in blocks of at
+    most _BLOCK samples, so a block has one field level.  It keeps every
     decimation-th sample of the lock-in output and of the estimate, by
     global sample index, and each step's settled mean and standard
     deviation, taken at the step's end with np.mean and np.std(ddof=1) on
-    one contiguous copy of its step_windows range, so they equal those of
-    the full series' slices bit for bit; no other array grows with the
-    run.  The field and shot noise draw block by block from the seed's
-    streams (_noise_streams), so no output depends on the block size.
+    one contiguous copy of its window, so they equal those of the full
+    series' slices bit for bit; no other array grows with the run.  The
+    field and shot noise draw block by block from the seed's streams
+    (_noise_streams), so no output depends on the block size.
 
     field_noise_step_sigma_t, when positive, injects white field noise
     calibrated so the settled field-estimate standard deviation equals the
     requested value; a per-sample sigma beyond MAX_FIELD_T raises
-    ValueError.  A step that keeps fewer than two settled samples raises
-    ScheduleMismatch (step_windows) before anything is drawn, and a summed
-    dip depth above 1, a negative photon rate, raises ValueError.
+    ValueError.  Before anything is drawn, a step that keeps fewer than two
+    settled samples raises ScheduleMismatch (step_windows) and a level
+    beyond MAX_FIELD_T FieldOutOfRange; a summed dip depth above 1, a
+    negative photon rate, raises ValueError.
     """
     if cfg.mode != "fm":
         raise ValueError("simulate_fm_tracking needs an 'fm' lock-in config")
@@ -929,6 +925,8 @@ def simulate_fm_tracking(
         raise ValueError("decimation must be at least 1")
     n_total = int(round(duration_s * cfg.sample_rate_hz))
     windows = step_windows(timeline, n_total, cfg)
+    # |B| is largest at the level of largest |bz|; FieldVector checks the limit.
+    replace(scene.field, bz_t=float(max(timeline.bz_t, key=abs)))
     rate0 = scene.photon_rate_hz()
     if rate0 <= 0:
         raise ValueError("scene photon rate must be positive for tracking")
@@ -993,18 +991,18 @@ def simulate_fm_tracking(
     n_kept = len(range(0, n_total, decimation))
     kept_lockin, kept_estimate = np.empty((2, n_kept))
     step_means, step_stds = np.empty((2, len(windows)))
-    edges = [*timeline.first_samples(dt).tolist(), n_total]
 
     gauss, poisson, field = _noise_streams(seed)
     demod = _Demodulator(cfg)
-    for k, ((i0, i1), first, end) in enumerate(zip(windows, edges, edges[1:])):
+    for k, (i0, i1) in enumerate(windows):
+        first = windows[k - 1][1] if k else 0  # where the last window ended
         # Every block of a step takes its level as a scalar, and without
         # field noise its input repeats the step's one-cycle rate.
         db = timeline.bz_t[k] - bias
         cycle_rate = rate_at(nu_cycle, db) if sigma_in == 0 else None
         settled = np.empty(i1 - i0)
-        for start in range(first, end, _BLOCK):
-            n = min(_BLOCK, end - start)
+        for start in range(first, i1, _BLOCK):
+            n = min(_BLOCK, i1 - start)
             if sigma_in == 0:
                 rate = _periodic(cycle_rate, start, n)
             else:
@@ -1023,10 +1021,10 @@ def simulate_fm_tracking(
             for kept, series in (kept_lockin, lockin), (kept_estimate, estimate):
                 part = series[skip::decimation]
                 kept[at : at + part.size] = part
-            # This block's share of the step's settled window.
-            lo, hi = max(i0, start), min(i1, start + n)
-            if lo < hi:
-                settled[lo - i0 : hi - i0] = estimate[lo - start : hi - start]
+            # The window is the step's tail: this block's last `tail` samples.
+            tail = start + n - i0
+            if tail > 0:
+                settled[max(tail - n, 0) : tail] = estimate[-tail:]
         step_means[k] = np.mean(settled)
         step_stds[k] = np.std(settled, ddof=1)
         del settled  # before the next step allocates its window

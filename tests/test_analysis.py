@@ -727,9 +727,9 @@ def test_analyze_steps_statistics():
     rng = np.random.default_rng(7)
     dt = cfg.dt_s
     n = int(6.0 / dt)
-    t = np.arange(n) * dt
     sigma = 5e-9
-    values = tl.bz_t[tl.step_index(t)] + rng.normal(0, sigma, n)
+    levels = np.repeat(tl.bz_t, np.diff([*tl.first_samples(dt), n]))
+    values = levels + rng.normal(0, sigma, n)
     windows = [values[i0:i1] for i0, i1 in step_windows(tl, n, cfg)]
     means = [np.mean(w) for w in windows]
     stds = [np.std(w, ddof=1) for w in windows]

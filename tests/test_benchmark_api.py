@@ -110,3 +110,37 @@ def test_benchmark_trace_sites_resolve():
     assert len(sites) == 1 and sites[0]
     for name in sites[0]:
         assert inspect.isfunction(getattr(signal_chain, name, None)), name
+
+
+def _reads_arguments(node):
+    """True for b[...] and bound(...)[...], the probes' bound arguments."""
+    if isinstance(node, ast.Name):
+        return node.id == "b"
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bound"
+
+
+def test_benchmark_probe_keys_name_parameters():
+    # The tracer's probes read call arguments by parameter name only in the
+    # traced pass, so a renamed parameter would pass every other check.
+    from odmrsim import cli, signal_chain
+
+    tree = ast.parse((BENCH / "tracer.py").read_text(encoding="utf-8"))
+    probe = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_probe"
+    )
+    keys = 0
+    for branch in ast.walk(probe):
+        test = getattr(branch, "test", None)
+        if not isinstance(test, ast.Compare) or not isinstance(test.ops[0], ast.Eq):
+            continue
+        name = ast.literal_eval(test.comparators[0])
+        fn = getattr(cli, name, None) or getattr(signal_chain, name)
+        params = inspect.signature(fn).parameters
+        for node in (n for stmt in branch.body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Subscript) and _reads_arguments(node.value):
+                key = ast.literal_eval(node.slice)
+                assert key in params, f"{name} has no parameter {key!r}"
+                keys += 1
+    assert keys

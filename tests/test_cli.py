@@ -690,6 +690,29 @@ def test_out_of_range_field_noise_exits_1_before_drawing(
     assert not out.exists()
 
 
+def test_staircase_level_out_of_field_range_exits_1_before_drawing(
+    tmp_path, capsys, monkeypatch
+):
+    # 50 mT steps around the 1 mT bias span -174 to +176 mT, beyond the
+    # spin model's 0.1 T range: refused before any generator is made.
+    from odmrsim import signal_chain
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(signal_chain.np.random, "default_rng", unexpected)
+    data = json.loads((CONFIG_DIR / "shot_noise_tracking.json").read_text())
+    data["detector"]["shot_noise"] = False
+    data["schedule"].update(step_period_s=6.0, step_t=0.05)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "|B| = 0.176 T exceeds 0.1 T" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "data, message",
     [

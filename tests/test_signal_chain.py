@@ -341,15 +341,11 @@ def test_timeseries_times_and_validation():
         TimeSeries(0.0, 0.0, np.zeros(3), "V")
 
 
-def test_field_timeline_staircase_and_lookup():
+def test_field_timeline_staircase():
     tl = FieldTimeline.staircase(1e-3, 100e-9, 10.0, 4)
     np.testing.assert_allclose(tl.starts_s, [0.0, 10.0, 20.0, 30.0])
     np.testing.assert_allclose(
         tl.bz_t, 1e-3 + 100e-9 * np.array([-1.5, -0.5, 0.5, 1.5])
-    )
-    np.testing.assert_allclose(
-        tl.bz_t[tl.step_index(np.array([0.0, 9.9, 10.0, 35.0, 99.0]))],
-        [tl.bz_t[0], tl.bz_t[0], tl.bz_t[1], tl.bz_t[3], tl.bz_t[3]],
     )
 
 
@@ -359,10 +355,11 @@ def test_field_timeline_staircase_and_lookup():
     st.lists(st.integers(2, 10**7), min_size=1, max_size=12),
     st.sampled_from(["i * dt", "i / rate", "between samples"]),
 )
-def test_first_samples_invert_step_index(rate_hz, gaps, form):
-    # Sample first[k] is step k's and the sample before it step k - 1's.
-    # Steps start on sample i's time, written i * dt or i / rate, where
-    # start / dt can round past i either way, or between two samples.
+def test_first_samples_are_the_least_at_or_after_each_start(rate_hz, gaps, form):
+    # Sample first[k] is at or after step k's start and the sample before
+    # it is before that start.  Steps start on sample i's time, written
+    # i * dt or i / rate, where start / dt can round past i either way, or
+    # between two samples.
     dt = 1.0 / rate_hz
     i = np.cumsum([0, *gaps])
     starts = {
@@ -370,9 +367,8 @@ def test_first_samples_invert_step_index(rate_hz, gaps, form):
     }
     tl = FieldTimeline(np.append(0.0, starts[form][1:]), np.zeros(i.size))
     first = tl.first_samples(dt)
-    k = np.arange(i.size)
-    np.testing.assert_array_equal(tl.step_index(first * dt), k)
-    np.testing.assert_array_equal(tl.step_index((first[1:] - 1) * dt), k[:-1])
+    assert np.all(first * dt >= tl.starts_s)
+    assert np.all(tl.starts_s > (first - 1) * dt)
 
 
 def test_first_samples_keep_each_sample_in_its_step():
@@ -383,8 +379,10 @@ def test_first_samples_keep_each_sample_in_its_step():
     assert tl.starts_s[3] == 9.600000000000001 and 4800 * dt == 9.6
     first = tl.first_samples(dt)
     assert first[3] == 4801
-    assert tl.step_index(4800 * dt) == 2
-    np.testing.assert_array_equal(tl.step_index(first * dt), np.arange(8))
+    # Each first sample is at or after its step's edge, the one before it
+    # is before that edge.
+    assert np.all(first * dt >= tl.starts_s)
+    assert np.all(tl.starts_s > (first - 1) * dt)
     # At 3 kHz, 29 / 3000 is sample 29's time though the quotient rounds
     # above 29, and 35 / 3000 lies after sample 35's though it rounds to 35.
     tl = FieldTimeline(np.array([0.0, 29 / 3000, 35 / 3000]), np.zeros(3))
@@ -997,7 +995,7 @@ def test_tracking_staircase_levels_match_full_series_lookup(
 ):
     # Step edges at samples 128, 319, 542 and 641, each step run in blocks
     # of 64 or 7 samples from its edge.  The reference is built outside the
-    # tracker: each sample's level from step_index, the line depths at the
+    # tracker: each sample's level from first_samples, the line depths at the
     # FM carrier, the seed's field noise and counts, and one demodulator
     # over the whole run.  A 25 ms time constant leaves every step settled
     # samples after its 63-sample discard.
@@ -1016,7 +1014,9 @@ def test_tracking_staircase_levels_match_full_series_lookup(
     lines, slopes, _ = _line_table(scene)
     contrast = saturated_contrast(scene.broadening, scene.p_rf_w, scene.p_opt_w)
     gauss, poisson, field = _noise_streams(3)
-    db = tl.bz_t[tl.step_index(np.arange(n) * dt)] - scene.field.bz_t
+    first = tl.first_samples(dt)
+    np.testing.assert_array_equal(first, [0, 128, 319, 542, 641])
+    db = np.repeat(tl.bz_t, np.diff([*first, n])) - scene.field.bz_t
     if field_noise:
         db = db + field.normal(0.0, res.field_noise_sigma_in_t, n)
     sign = np.where(_am_gate(cfg, 0, n), -1.0, 1.0)
@@ -1049,6 +1049,37 @@ def test_tracking_blocks_never_straddle_a_step_edge(monkeypatch):
     simulate_fm_tracking(tl, quenched_scene(), cfg, 25.6, seed=2)
     assert len(sizes) == 1 + 8  # the discriminator slope and one per step
     assert max(sizes) <= cfg.samples_per_cycle
+
+
+def test_step_windows_run_from_settle_samples_after_each_first_sample():
+    # Window k is [first_k + settle_samples, first_(k+1)), the last ending
+    # at n.  Step 3 of the 3.2 s staircase starts one ulp after sample
+    # 4800, so sample 4800 is step 2's and closes its window; a 4.002 s
+    # run keeps its last sample, 2000.
+    cfg = fm_config()
+    assert cfg.settle_samples == 1250
+    tl = FieldTimeline.staircase(1e-3, 500e-9, 3.2, 8)
+    n = 12800
+    first = tl.first_samples(cfg.dt_s).tolist()
+    want = [(f + 1250, end) for f, end in zip(first, [*first[1:], n])]
+    assert step_windows(tl, n, cfg) == want
+    assert want[2] == (4450, 4801)
+    one = FieldTimeline(np.array([0.0]), np.array([1e-3]))
+    assert step_windows(one, round(4.002 * cfg.sample_rate_hz), cfg) == [(1250, 2001)]
+
+    # The tracker's step statistics are those of the full series over
+    # these windows, bit for bit.
+    res = simulate_fm_tracking(tl, quenched_scene(), cfg, 25.6, seed=4)
+    est = res.field_estimate.values
+    assert est.size == n
+    means = [np.mean(est[i0:i1]) for i0, i1 in want]
+    stds = [np.std(est[i0:i1], ddof=1) for i0, i1 in want]
+    np.testing.assert_array_equal(
+        res.step_means_t.view(np.uint64), np.array(means).view(np.uint64)
+    )
+    np.testing.assert_array_equal(
+        res.step_stds_t.view(np.uint64), np.array(stds).view(np.uint64)
+    )
 
 
 @pytest.mark.parametrize("shot_noise", [False, True], ids=["no-shot", "shot"])
