@@ -146,16 +146,7 @@ def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
     bz_values = np.linspace(
         cfg.sweep.bz_start_t, cfg.sweep.bz_stop_t, cfg.sweep.n_fields
     )
-    tables = scan_transitions(scene.spin, cfg.field, bz_values)
-
-    # The blocks' rows as one table, which one writer formats in chunks.
-    columns = [
-        np.concatenate([getattr(t, name) for t in tables])
-        for name in (
-            "field_index", "label", "lower_m", "upper_m", "frequency_hz", "rel_strength"
-        )
-    ]
-    columns[0] = bz_values[columns[0]]
+    table = scan_transitions(scene.spin, cfg.field, bz_values)
 
     spectrum = synthesize_odmr(
         scene.lines(),
@@ -165,7 +156,11 @@ def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
         cfg.sweep.frequencies(),
     )
     with _publish(args, cfg, t0) as stage:
-        _write_text(stage("transitions.csv"), csv_chunks(TRANSITIONS_HEADER, *columns))
+        rows = csv_chunks(
+            TRANSITIONS_HEADER, bz_values[table.field_index], table.label,
+            table.lower_m, table.upper_m, table.frequency_hz, table.rel_strength,
+        )
+        _write_text(stage("transitions.csv"), rows)
         _write_text(
             stage("spectrum.csv"),
             csv_chunks("frequency_hz,contrast", spectrum.frequency_hz, spectrum.values),
@@ -180,7 +175,7 @@ def cmd_spectrum(args, cfg: ConfigDoc, t0: float) -> int:
                 y_label="contrast",
             )
     print(
-        f"spectrum: {columns[0].size} transition rows, "
+        f"spectrum: {table.label.size} transition rows, "
         f"{spectrum.frequency_hz.size} samples -> {Path(args.out)}"
     )
     return 0
@@ -385,11 +380,11 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         field_noise_step_sigma_t=sched.field_noise_step_sigma_t,
         decimation=sched.output_decimation,
     )
-    t = result.field_estimate.times()
-    est = result.field_estimate.values
+    t = cfg.lockin.dt_s * np.arange(0, n_total, sched.output_decimation)
+    est = result.field_estimate
     # The detector gain enters only here, on the volts steps writes; in
     # place, so the kept series is not held twice.
-    lockin = scene.in_volts(result.lockin.values, out=result.lockin.values)
+    lockin = scene.in_volts(result.lockin, out=result.lockin)
     slope = float(scene.in_volts(result.slope_per_hz))
     # One text per level, repeated over its step's rows; a step ends with its window.
     levels = np.array([format_float(v) for v in timeline.bz_t], dtype=object)

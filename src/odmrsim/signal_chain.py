@@ -97,7 +97,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DeviationTooLarge, SampleRateMismatch, ScheduleMismatch
+from .errors import DeviationTooLarge, FieldOutOfRange, SampleRateMismatch
+from .errors import ScheduleMismatch
 from .lineshape import (
     BroadeningModel,
     PeakShape,
@@ -296,27 +297,18 @@ class LockInConfig:
 
 @dataclass
 class TimeSeries:
-    """Uniformly sampled series with a unit tag.
-
-    values holds every stride-th sample of a series sampled every dt_s from
-    t0_s, so a decimated series keeps its samples' times.
-    """
+    """Series sampled every dt_s from t0_s, with a unit tag: the input and
+    output of lockin_demodulate."""
 
     t0_s: float
     dt_s: float
     values: np.ndarray
     unit: str
-    stride: int = 1
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0:
             raise ValueError("dt_s must be positive")
         self.values = np.asarray(self.values, dtype=float)
-
-    def times(self) -> np.ndarray:
-        """Time of each held sample, from its index in the full series."""
-        index = np.arange(0, self.stride * self.values.size, self.stride)
-        return self.t0_s + self.dt_s * index
 
 
 @dataclass(frozen=True)
@@ -793,15 +785,16 @@ def fm_discriminator_slope(peak: PeakShape, cfg: LockInConfig) -> float:
 class TrackingResult:
     """Output of simulate_fm_tracking.
 
-    lockin and field_estimate hold every decimation-th sample of the run
-    (their stride).  lockin and slope_per_hz are in units of the scene's
-    unmodulated photon rate; Scene.in_volts takes them to volts.
+    lockin and field_estimate keep every decimation-th sample of the run by
+    sample index from 0, kept sample k at time k * decimation * cfg.dt_s:
+    lockin, like slope_per_hz, in units of the scene's unmodulated photon
+    rate (Scene.in_volts takes them to volts), field_estimate in tesla.
     step_means_t and step_stds_t are the mean and std (ddof=1) of the field
     estimate over each step's settled tail, its step_windows range.
     """
 
-    lockin: TimeSeries
-    field_estimate: TimeSeries
+    lockin: np.ndarray
+    field_estimate: np.ndarray
     step_means_t: np.ndarray
     step_stds_t: np.ndarray
     carrier_hz: float
@@ -916,7 +909,8 @@ def simulate_fm_tracking(
     requested value; a per-sample sigma beyond MAX_FIELD_T raises
     ValueError.  Before anything is drawn, a step that keeps fewer than two
     settled samples raises ScheduleMismatch (step_windows) and a level
-    beyond MAX_FIELD_T FieldOutOfRange; a summed dip depth above 1, a
+    beyond MAX_FIELD_T FieldOutOfRange, naming the step of largest |bz|:
+    its index, start time and level; a summed dip depth above 1, a
     negative photon rate, raises ValueError.
     """
     if cfg.mode != "fm":
@@ -926,7 +920,12 @@ def simulate_fm_tracking(
     n_total = int(round(duration_s * cfg.sample_rate_hz))
     windows = step_windows(timeline, n_total, cfg)
     # |B| is largest at the level of largest |bz|; FieldVector checks the limit.
-    replace(scene.field, bz_t=float(max(timeline.bz_t, key=abs)))
+    k = int(np.argmax(np.abs(timeline.bz_t)))
+    try:
+        replace(scene.field, bz_t=float(timeline.bz_t[k]))
+    except FieldOutOfRange as exc:
+        step = f"step {k} at t = {timeline.starts_s[k]:.6g} s"
+        raise FieldOutOfRange(f"{step}, bz = {timeline.bz_t[k]:.6g} T: {exc}") from None
     rate0 = scene.photon_rate_hz()
     if rate0 <= 0:
         raise ValueError("scene photon rate must be positive for tracking")
@@ -1030,8 +1029,8 @@ def simulate_fm_tracking(
         del settled  # before the next step allocates its window
 
     return TrackingResult(
-        lockin=TimeSeries(0.0, dt, kept_lockin, "rate0", stride=decimation),
-        field_estimate=TimeSeries(0.0, dt, kept_estimate, "T", stride=decimation),
+        lockin=kept_lockin,
+        field_estimate=kept_estimate,
         step_means_t=step_means,
         step_stds_t=step_stds,
         carrier_hz=carrier,

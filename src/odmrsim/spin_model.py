@@ -25,7 +25,7 @@ which are out of scope here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -188,18 +188,21 @@ def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns the ascending energies (n, 4), the eigenvectors as columns
     (n, 4, 4) and the index into M_VALUES of each level's dominant
-    component (n, 4).  Raises ValueError for a non-Hermitian matrix and
-    ConvergenceFailure when an eigenpair residual exceeds 1e-8 * ||H||.
+    component (n, 4).  ||H||, the 2-norm, is the largest |eigenvalue|.
+    Raises ValueError when the skew H - H^dagger exceeds 1e-12 ||H||
+    (tested after eigh, which reads one triangle, before any result is
+    used) and ConvergenceFailure when an eigenpair residual exceeds
+    1e-8 max(||H||, 1), both in the Frobenius norm, 1 to 2 times the 2-norm.
     """
-    scale = np.linalg.norm(h, 2, axis=(-2, -1))
-    skew = np.linalg.norm(h - np.conj(np.swapaxes(h, -1, -2)), 2, axis=(-2, -1))
-    if np.any((scale > 0) & (skew > 1e-12 * scale)):
-        raise ValueError("Hamiltonian is not Hermitian")
     energies, states = np.linalg.eigh(h)
+    scale = np.max(np.abs(energies), axis=-1)
+    skew = np.linalg.norm(h - np.conj(np.swapaxes(h, -1, -2)), axis=(-2, -1))
+    if not np.all(skew <= 1e-12 * scale):  # not <=, so a NaN norm fails here and below
+        raise ValueError("Hamiltonian is not Hermitian")
     residual = np.linalg.norm(
-        h @ states - states * energies[..., None, :], 2, axis=(-2, -1)
+        h @ states - states * energies[..., None, :], axis=(-2, -1)
     )
-    failed = residual > 1e-8 * np.maximum(scale, 1.0)
+    failed = ~(residual <= 1e-8 * np.maximum(scale, 1.0))
     if np.any(failed):
         raise ConvergenceFailure(
             f"eigenpair residual {residual[failed][0]:.3g} exceeds tolerance"
@@ -210,8 +213,8 @@ def _solve(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def eigenlevels(hamiltonian_hz: np.ndarray) -> LevelSet:
     """Diagonalise a 4x4 Hermitian Hamiltonian.
 
-    Raises ConvergenceFailure when the eigenpair residual exceeds
-    1e-8 * ||H||, and ValueError for a non-Hermitian input.
+    Raises ValueError for a non-Hermitian input and ConvergenceFailure for
+    an inexact eigenpair: _solve states both tests and their norms.
     """
     h = np.asarray(hamiltonian_hz, dtype=complex)
     if h.shape != (4, 4):
@@ -242,8 +245,7 @@ class LineTable:
 
 
 # Fields per stacked solve of a scan.  One stack of a whole 3000-field
-# scan raised peak RSS by about 4.5 MB in temporaries, and formatting a
-# block's rows at a time keeps the per-row Python objects few.
+# scan raised peak RSS by about 4.5 MB in temporaries.
 _SCAN_BLOCK = 256
 
 # Level pairs (i, j), i < j, in the order lines are listed before sorting.
@@ -325,27 +327,28 @@ def transitions(levels: LevelSet) -> list[TransitionLine]:
 
 def scan_transitions(
     params: SpinParams, field: FieldVector, bz_t: np.ndarray
-) -> list[LineTable]:
-    """Transition lines of every class at each axial field in bz_t.
+) -> LineTable:
+    """One table of the lines of every class at each axial field in bz_t.
 
-    The transverse components come from field.  Returns one table per
-    block of up to _SCAN_BLOCK consecutive fields, each solved as one stack
-    with the checks of eigenlevels(); field_index counts from the start of
-    the scan.  The rows match what eigenlevels() and transitions() give
-    field by field.  Raises FieldOutOfRange, before any solve, when any
-    field of the scan exceeds MAX_FIELD_T.
+    The transverse components come from field; field_index counts from the
+    start of the scan.  Each block of up to _SCAN_BLOCK fields is solved as
+    one stack with the checks of eigenlevels(), and each column is joined
+    once.  The rows match what eigenlevels() and transitions() give field
+    by field.  Raises FieldOutOfRange, before any solve, when any field of
+    the scan exceeds MAX_FIELD_T.
     """
     bz = np.asarray(bz_t, dtype=float).reshape(-1)
-    if bz.size:
-        # |B| is largest at the largest |bz|; FieldVector checks the limit.
-        replace(field, bz_t=float(bz[np.argmax(np.abs(bz))]))
-    tables = []
-    for start in range(0, bz.size, _SCAN_BLOCK):
+    # |B| is largest at the largest |bz|; FieldVector checks the limit.
+    replace(field, bz_t=float(np.max(np.abs(bz), initial=0.0)))
+    blocks = []
+    # An empty scan solves one empty block, so its columns keep their dtypes.
+    for start in range(0, max(bz.size, 1), _SCAN_BLOCK):
         block_bz = bz[start : start + _SCAN_BLOCK]
         h = _hamiltonian_stack(params, field.bx_t, field.by_t, block_bz)
         table = _line_table(*_solve(h))
-        tables.append(replace(table, field_index=table.field_index + start))
-    return tables
+        blocks.append(replace(table, field_index=table.field_index + start))
+    names = [f.name for f in fields(LineTable)]
+    return LineTable(*(np.concatenate([getattr(b, n) for b in blocks]) for n in names))
 
 
 def axial_frequencies(params: SpinParams, bz_t: float) -> AxialFrequencies:

@@ -694,7 +694,8 @@ def test_staircase_level_out_of_field_range_exits_1_before_drawing(
     tmp_path, capsys, monkeypatch
 ):
     # 50 mT steps around the 1 mT bias span -174 to +176 mT, beyond the
-    # spin model's 0.1 T range: refused before any generator is made.
+    # spin model's 0.1 T range: refused before any generator is made,
+    # naming the step of largest |bz|, the last of eight 6 s steps.
     from odmrsim import signal_chain
 
     def unexpected(*args, **kwargs):
@@ -708,7 +709,7 @@ def test_staircase_level_out_of_field_range_exits_1_before_drawing(
     out = tmp_path / "out"
     assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "|B| = 0.176 T exceeds 0.1 T" in err
+    assert "step 7 at t = 42 s, bz = 0.176 T: |B| = 0.176 T exceeds 0.1 T" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -1297,6 +1298,24 @@ def test_steps_command_tracks_and_reports(tmp_path):
     # 10 s at 500 Hz per step, two steps, decimated by ten.
     assert len(lines) - 1 == 1000
     assert all(verify_manifest(out / "manifest.json").values())
+
+
+def test_steps_row_times_are_sample_indexes_times_dt(tmp_path):
+    # Row k of tracking.csv holds sample k * output_decimation of the run,
+    # so its t_s reads back as exactly (k * output_decimation) * dt; at a
+    # decimation of 13, (dt * 13) * k differs in 417 of the 985 rows.
+    data = json.loads((CONFIG_DIR / "shot_noise_tracking.json").read_text())
+    data["detector"]["shot_noise"] = False
+    data["schedule"].update(step_period_s=3.2, output_decimation=13)
+    cfg = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["steps", "--config", cfg, "--out", str(out)]) == 0
+    doc = load_config(cfg)
+    d, dt = doc.schedule.output_decimation, doc.lockin.dt_s
+    rows = (out / "tracking.csv").read_text().splitlines()[1:]
+    t = [float(row.split(",")[0]) for row in rows]
+    assert len(t) == len(range(0, 8 * 1600, d))  # 8 steps of 1,600 samples
+    assert t == [k * d * dt for k in range(len(t))]
 
 
 def test_steps_rejects_am_config(tmp_path):

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -331,12 +332,7 @@ def test_sample_rate_mismatch_detected():
         lockin_demodulate(raw, cfg)
 
 
-def test_timeseries_times_and_validation():
-    ts = TimeSeries(1.0, 0.5, np.arange(4.0), "T")
-    np.testing.assert_allclose(ts.times(), [1.0, 1.5, 2.0, 2.5])
-    long = TimeSeries(0.25, 1e-5, np.zeros(1000), "T")
-    every_7th = TimeSeries(0.25, 1e-5, np.zeros(1000)[::7], "T", stride=7)
-    np.testing.assert_array_equal(every_7th.times(), long.times()[::7])
+def test_timeseries_validation():
     with pytest.raises(ValueError):
         TimeSeries(0.0, 0.0, np.zeros(3), "V")
 
@@ -553,27 +549,32 @@ def test_am_sweep_matches_per_dwell_reference(
 def impulse_weights(cfg, dwell_n, settle_n, n_lags, start):
     """Rows: each sample's weight on a dwell's settled DC mean, then on its
     settled lock-in means at lags 0 .. n_lags - 1, for a dwell that starts
-    at reference sample start; from unit impulses through the chain."""
+    at reference sample start; from unit impulses through the chain, each
+    weight the direct sum of its window's slice of one impulse response."""
     n = cfg.samples_per_cycle
+    m = dwell_n - settle_n
     impulse = np.zeros(n_lags * dwell_n)
     impulse[0] = 1.0
-    # Cumulative responses, so a window's sum is a difference of two.
-    comb = np.cumsum(np.concatenate(([0.0], _CycleMean(cfg).process(impulse))))
-    lock = []
+
+    def windows(response):
+        # Row r sums outputs r .. r + m - 1, after dwell_n leading zeros
+        # (the outputs before an impulse enters): sample i's window at lag
+        # j is row (j + 1) dwell_n + settle_n - i.  Views, not copies.
+        return sliding_window_view(np.concatenate((np.zeros(dwell_n), response)), m)
+
+    top = dwell_n + settle_n
+    rows = np.empty((1 + n_lags, dwell_n))
+    rows[0] = windows(_CycleMean(cfg).process(impulse))[top:settle_n:-1].sum(axis=1)
     for phase in range(n):
         demod = _Demodulator(cfg)
         demod.index = phase
-        lock.append(np.cumsum(np.concatenate(([0.0], demod.process(impulse)))))
-    lock = np.array(lock)
-    i = np.arange(dwell_n)
-    m = dwell_n - settle_n
-    rows = [(comb[dwell_n - i] - comb[np.maximum(settle_n - i, 0)]) / m]
-    phase = (start + i) % n
-    for j in range(n_lags):
-        first = np.maximum(j * dwell_n + settle_n - i, 0)
-        stop = (j + 1) * dwell_n - i
-        rows.append((lock[phase, stop] - lock[phase, first]) / m)
-    return np.array(rows)
+        lock = windows(demod.process(impulse))
+        first = (phase - start) % n  # the dwell's first sample at this phase
+        count = len(range(first, dwell_n, n))
+        for j in range(n_lags):
+            row = top + j * dwell_n - first
+            rows[1 + j, first::n] = lock[row::-n][:count].sum(axis=1)
+    return rows / m
 
 
 @AM_SWEEP_CASES
@@ -596,8 +597,9 @@ def test_dwell_noise_factors_match_impulse_response_grams(
         gate = _am_gate(cfg, start, dwell_n)
         for r, side in ((r_on[p], gate), (r_off[p], ~gate)):
             gram = w[:, side] @ w[:, side].T
-            scale = np.abs(gram).max()
-            np.testing.assert_allclose(r.T @ r, gram, rtol=1e-12, atol=1e-12 * scale)
+            # Within 64 ulp of the largest entry (at most 32.5 measured).
+            ulp = np.spacing(np.abs(gram).max())
+            np.testing.assert_allclose(r.T @ r, gram, rtol=0, atol=64 * ulp)
 
 
 @AM_SWEEP_CASES
@@ -607,9 +609,8 @@ def test_dwell_response_weights_match_impulse_responses(
     # A sub-threshold sweep weighs its count residual with the operator's
     # own weights: dc, and lock times the reference at the dwell's start
     # phase.  At every start phase they must be the weights that unit
-    # impulses through the chain give.  Those are differences of cumulative
-    # sums, off by up to about 200 ulp of the largest weight, so the bound
-    # is the one the Gram test puts on the weights' products.
+    # impulses through the chain give, within 16 ulp of the largest weight
+    # (at most 9 measured).
     _, cfg, plan = am_sweep_case(
         p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
     )
@@ -623,7 +624,9 @@ def test_dwell_response_weights_match_impulse_responses(
         start = p * dwell_n % cfg.samples_per_cycle
         want = impulse_weights(cfg, dwell_n, settle_n, n_lags, start)
         got = np.vstack((dc, lock * _periodic(ref, start, dwell_n)))
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(
+            got, want, rtol=0, atol=16 * np.spacing(np.abs(want).max())
+        )
 
 
 def forward_dip_response(cfg, phase, dwell_n, settle_n, offset, dips):
@@ -789,8 +792,9 @@ def test_gaussian_am_sweep_noise_covariance_is_exact(
         expected += (reach * var) @ reach.T
     keep = np.r_[1:n_dwells, n_dwells + 1 : 2 * n_dwells]
     expected = expected[np.ix_(keep, keep)]
+    # Within 32 ulp of the largest entry (at most 11 measured).
     np.testing.assert_allclose(
-        got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+        got, expected, rtol=0, atol=32 * np.spacing(np.abs(expected).max())
     )
 
 
@@ -971,7 +975,7 @@ def test_tracking_recovers_constant_field():
     scene = quenched_scene()
     tl = FieldTimeline(starts_s=np.array([0.0]), bz_t=np.array([1e-3]))
     res = simulate_fm_tracking(tl, scene, fm_config(), 30.0, shot_noise=False)
-    settled = res.field_estimate.values[res.lockin.values.size // 2 :]
+    settled = res.field_estimate[res.lockin.size // 2 :]
     np.testing.assert_allclose(settled, 1e-3, atol=1e-12)
     assert res.carrier_hz == pytest.approx(98.0373e6, abs=1e3)
     assert res.gamma_eff_hz_per_t == pytest.approx(2.8037e10, rel=1e-4)
@@ -980,9 +984,10 @@ def test_tracking_recovers_constant_field():
 def test_tracking_recovers_staircase_steps():
     scene = quenched_scene()
     tl = FieldTimeline.staircase(1e-3, 500e-9, 20.0, 4)
-    res = simulate_fm_tracking(tl, scene, fm_config(), 80.0, shot_noise=False)
-    t = res.field_estimate.times()
-    est = res.field_estimate.values
+    cfg = fm_config()
+    res = simulate_fm_tracking(tl, scene, cfg, 80.0, shot_noise=False)
+    est = res.field_estimate
+    t = cfg.dt_s * np.arange(est.size)
     for k in range(4):
         sel = (t >= k * 20.0 + 10.0) & (t < (k + 1) * 20.0)
         assert np.mean(est[sel]) == pytest.approx(tl.bz_t[k], abs=2e-9)
@@ -1029,7 +1034,7 @@ def test_tracking_staircase_levels_match_full_series_lookup(
     rate0 = scene.photon_rate_hz()
     unit = _shot_counts(rate0 * (1.0 - depth) * dt, gauss, poisson) / dt / rate0
     want = _Demodulator(cfg).process(unit)
-    np.testing.assert_allclose(res.lockin.values, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.lockin, want, rtol=1e-12, atol=0)
 
 
 def test_tracking_blocks_never_straddle_a_step_edge(monkeypatch):
@@ -1070,7 +1075,7 @@ def test_step_windows_run_from_settle_samples_after_each_first_sample():
     # The tracker's step statistics are those of the full series over
     # these windows, bit for bit.
     res = simulate_fm_tracking(tl, quenched_scene(), cfg, 25.6, seed=4)
-    est = res.field_estimate.values
+    est = res.field_estimate
     assert est.size == n
     means = [np.mean(est[i0:i1]) for i0, i1 in want]
     stds = [np.std(est[i0:i1], ddof=1) for i0, i1 in want]
@@ -1118,19 +1123,16 @@ def test_streamed_tracking_equals_full_series(
 
     # Blocks as long as the run: each step in one block.
     full = run(n_total, 1)
-    lockin, estimate = full.lockin.values, full.field_estimate.values
+    lockin, estimate = full.lockin, full.field_estimate
     assert lockin.size == estimate.size == n_total
     windows = step_windows(tl, n_total, cfg)
     means = [np.mean(estimate[i0:i1]) for i0, i1 in windows]
     stds = [np.std(estimate[i0:i1], ddof=1) for i0, i1 in windows]
     for decimation in (1, 25):
         got = run(block, decimation)
-        np.testing.assert_array_equal(bits(got.lockin.values), bits(lockin[::decimation]))
+        np.testing.assert_array_equal(bits(got.lockin), bits(lockin[::decimation]))
         np.testing.assert_array_equal(
-            bits(got.field_estimate.values), bits(estimate[::decimation])
-        )
-        np.testing.assert_array_equal(
-            got.field_estimate.times(), dt * np.arange(0, n_total, decimation)
+            bits(got.field_estimate), bits(estimate[::decimation])
         )
         np.testing.assert_array_equal(bits(got.step_means_t), bits(means))
         np.testing.assert_array_equal(bits(got.step_stds_t), bits(stds))
@@ -1175,7 +1177,7 @@ def test_tracking_gaussian_counts_ignore_field_noise(monkeypatch):
         for sigma in (0.0, 70e-9)
     ]
     assert runs[1].field_noise_sigma_in_t > 0
-    assert not np.array_equal(runs[0].lockin.values, runs[1].lockin.values)
+    assert not np.array_equal(runs[0].lockin, runs[1].lockin)
     expected = np.random.default_rng(seed).standard_normal(n_total)
     for rng in recorded:
         # Two 1500-sample steps of 64-sample blocks.
@@ -1272,7 +1274,7 @@ def test_no_output_depends_on_block_size(monkeypatch):
             field_noise_step_sigma_t=70e-9,
         )
         series = (
-            am.lockin_v, am.dc_v, fm.lockin.values, fm.field_estimate.values,
+            am.lockin_v, am.dc_v, fm.lockin, fm.field_estimate,
             fm.step_means_t, fm.step_stds_t,
         )
         return [np.asarray(x, dtype=float).view(np.uint64) for x in series]
@@ -1314,7 +1316,7 @@ def test_tracking_memory_is_one_step_window(field_noise):
     finally:
         tracemalloc.stop()
     window = max(i1 - i0 for i0, i1 in step_windows(tl, n_total, cfg)) * 8
-    kept = res.lockin.values.nbytes + res.field_estimate.values.nbytes
+    kept = res.lockin.nbytes + res.field_estimate.nbytes
     assert peak < 2 * window + kept + 2**20
     assert peak < n_total * 8 / 2
 
@@ -1441,7 +1443,7 @@ def test_tracking_shot_noise_reproducibility():
     tl = FieldTimeline(starts_s=np.array([0.0]), bz_t=np.array([1e-3]))
     a = simulate_fm_tracking(tl, scene, cfg, 10.0, seed=9)
     b = simulate_fm_tracking(tl, scene, cfg, 10.0, seed=9)
-    np.testing.assert_array_equal(a.lockin.values, b.lockin.values)
+    np.testing.assert_array_equal(a.lockin, b.lockin)
 
 
 def test_tracking_guards():

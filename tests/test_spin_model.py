@@ -263,14 +263,26 @@ CROSSING = level_crossing_field(SpinParams())
             CROSSING * np.array([0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 1.5]),
         ),
         (FieldVector(1e-5, 0.0, 0.0), CROSSING * np.array([0.999, 1.0, 1.001])),
+        # The shipped scan's range at 600 fields in a 0.3 mT transverse
+        # field: three blocks of _SCAN_BLOCK (256) fields, the last partial.
+        (FieldVector(3e-4, 0.0, 0.0), np.linspace(0.0, 3e-3, 600)),
+        (FieldVector(), np.zeros(0)),
     ],
-    ids=["axial", "tilted", "zero_field", "axial_crossing", "tilted_crossing"],
+    ids=[
+        "axial",
+        "tilted",
+        "zero_field",
+        "axial_crossing",
+        "tilted_crossing",
+        "tilted_three_blocks",
+        "no_fields",
+    ],
 )
 def test_scan_matches_per_field_solves(field, bz_values):
     params = SpinParams()
-    got = []
-    for t in scan_transitions(params, field, bz_values):
-        got += zip(
+    t = scan_transitions(params, field, bz_values)
+    got = list(
+        zip(
             t.field_index.tolist(),
             t.label.tolist(),
             t.lower_m.tolist(),
@@ -279,6 +291,7 @@ def test_scan_matches_per_field_solves(field, bz_values):
             t.rel_strength.tolist(),
             t.delta_sz.tolist(),
         )
+    )
     assert got == per_field_rows(params, field, bz_values)
 
 
