@@ -111,6 +111,8 @@ def lorentzian_sum(frequency_hz, centers_hz, amplitudes, fwhm_hz) -> np.ndarray:
     centers_hz a generator, so such arrays need not all exist at once.  The
     amplitudes and the linewidth may be arrays too, such as (cells, 1)
     columns against a (points,) grid; the sum takes their broadcast shape.
+    A detuning whose square overflows (a line beyond about 1.3e154 Hz)
+    adds +0.0, the exact limit of its term.
     """
     half = 0.5 * fwhm_hz
     freq = np.asarray(frequency_hz, dtype=float)
@@ -118,7 +120,9 @@ def lorentzian_sum(frequency_hz, centers_hz, amplitudes, fwhm_hz) -> np.ndarray:
     out = np.zeros(np.broadcast_shapes(freq.shape, *map(np.shape, [half, *amplitudes])))
     for center, amp in zip(centers_hz, amplitudes):
         detune = freq - center
-        out += amp * half * half / (detune * detune + half * half)
+        with np.errstate(over="ignore"):
+            square = detune * detune
+        out += amp * half * half / (square + half * half)
     return out
 
 

@@ -133,6 +133,73 @@ def test_rerun_removes_only_bare_listed_names(tmp_path):
     assert all(verify_manifest(out / "manifest.json").values())
 
 
+def write_clean_sweep(path):
+    freq = np.linspace(95e6, 101e6, 41)
+    record = SweepRecord(
+        frequency_hz=freq,
+        lockin_v=4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12),
+        dc_v=np.full(freq.size, 0.0635),
+    )
+    write_sweep(record, path)
+    return str(path)
+
+
+def read_run(out):
+    """Each file in out as bytes, the manifest without its duration."""
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = json.loads(files["manifest.json"])
+    assert manifest.pop("duration_s") >= 0
+    files["manifest.json"] = json.dumps(manifest).encode()
+    return files
+
+
+def test_clean_rerun_reads_no_manifest_and_keeps_unlisted_files(
+    tmp_path, monkeypatch
+):
+    argv = ["fit", write_clean_sweep(tmp_path / "sweep.csv"), "--svg"]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 0
+    first = read_run(out)
+    read = []
+    load_manifest = odmrsim.cli.load_manifest
+
+    def counted(path):
+        read.append(path)
+        return load_manifest(path)
+
+    monkeypatch.setattr("odmrsim.cli.load_manifest", counted)
+    # --out holds only this run's names: no listed file can be stale.
+    assert main(argv + ["--out", str(out)]) == 0
+    assert read == []
+    assert read_run(out) == first
+    # A file the manifest does not list survives; the manifest is read.
+    (out / "notes.txt").write_text("mine\n")
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(read) == 1
+    assert (out / "notes.txt").read_text() == "mine\n"
+    assert read_run(out) == {**first, "notes.txt": b"mine\n"}
+
+
+def test_rerun_writes_no_file_linked_to_its_old_manifest(tmp_path):
+    # The old manifest becomes the new one's stage only when it is a plain
+    # file with one link: a hard link or a symlink target keeps its bytes.
+    argv = ["fit", write_clean_sweep(tmp_path / "sweep.csv")]
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out), "--seed", "1"]) == 0
+    old = (out / "manifest.json").read_bytes()
+    os.link(out / "manifest.json", tmp_path / "hard.json")
+    assert main(argv + ["--out", str(out), "--seed", "2"]) == 0
+    assert (tmp_path / "hard.json").read_bytes() == old
+    (out / "manifest.json").unlink()
+    (out / "manifest.json").symlink_to(tmp_path / "hard.json")
+    assert main(argv + ["--out", str(out), "--seed", "3"]) == 0
+    assert (tmp_path / "hard.json").read_bytes() == old
+    assert not (out / "manifest.json").is_symlink()
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 3
+    assert sorted(p.name for p in out.iterdir()) == ["fit.json", "manifest.json"]
+    assert all(verify_manifest(out / "manifest.json").values())
+
+
 @pytest.mark.parametrize("command", ["spectrum", "map", "steps"])
 def test_no_hyperfine_manifest_config_reproduces_outputs(tmp_path, command):
     data = {"map": MINI_MAP_CONFIG, "steps": MINI_STEPS_CONFIG}.get(command, {})
@@ -935,6 +1002,31 @@ def test_dark_shot_noise_map_fails_without_a_warning(tmp_path, p_opt_min_w):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("zfs_hz", [1e155, 1e200])
+def test_lines_whose_detuning_squares_overflow_add_nothing(tmp_path, capsys, zfs_hz):
+    # Beyond about 1.3e154 Hz a detuning's square overflows; the line's
+    # term is then +0.0, its exact limit, with no warning on the way.
+    spectrum = json.loads((CONFIG_DIR / "spectrum_scan.json").read_text())
+    spectrum["spin"] = {"zfs_hz": zfs_hz}
+    grid = json.loads((CONFIG_DIR / "sensitivity_map_quenched.json").read_text())
+    grid["spin"] = {"zfs_hz": zfs_hz}
+    grid["sweep"]["grid"].update(n_opt=2, n_rf=2)
+    out = tmp_path / "spectrum"
+    map_out = tmp_path / "map"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum_cfg = write_config(tmp_path, spectrum, "spectrum.json")
+        assert main(["spectrum", "--config", spectrum_cfg, "--out", str(out)]) == 0
+        map_cfg = write_config(tmp_path, grid, "map.json")
+        assert main(["map", "--config", map_cfg, "--out", str(map_out)]) == 1
+    values = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=1)
+    assert values.shape == (501, 2) and np.isfinite(values).all()
+    err = capsys.readouterr().err
+    assert "no map cell produced a fittable resonance" in err
+    assert "Traceback" not in err
+    assert not map_out.exists()
+
+
 def test_failed_map_writes_nothing(tmp_path, capsys):
     # Too few photons for any cell's resonance to rise above the shot noise.
     data = json.loads(json.dumps(MINI_MAP_CONFIG))
@@ -987,19 +1079,12 @@ def test_spectrum_and_fit_load_no_scipy(tmp_path):
     # The package runs on numpy alone: a fresh interpreter in which scipy
     # cannot be imported runs all four commands, and spectrum and fit load
     # no scipy module.
-    freq = np.linspace(95e6, 101e6, 41)
-    record = SweepRecord(
-        frequency_hz=freq,
-        lockin_v=4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12),
-        dc_v=np.full(freq.size, 0.0635),
-    )
-    sweep = tmp_path / "sweep.csv"
-    write_sweep(record, sweep)
+    sweep = write_clean_sweep(tmp_path / "sweep.csv")
     map_cfg = write_config(tmp_path, MINI_MAP_CONFIG, "map.json")
     steps_cfg = write_config(tmp_path, MINI_STEPS_CONFIG, "steps.json")
     runs = [
         ["spectrum", "--out", str(tmp_path / "s")],
-        ["fit", str(sweep), "--out", str(tmp_path / "f")],
+        ["fit", sweep, "--out", str(tmp_path / "f")],
         ["map", "--config", map_cfg, "--out", str(tmp_path / "m")],
         ["steps", "--config", steps_cfg, "--out", str(tmp_path / "t")],
     ]

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odmrsim import (
     FORMAT_VERSION,
@@ -28,6 +32,7 @@ from odmrsim import (
 )
 from odmrsim import io_formats
 from odmrsim.io_formats import (
+    SWEEP_HEADER,
     csv_chunks,
     dump_json,
     format_float,
@@ -103,6 +108,111 @@ def test_sweep_header_and_cell_errors(tmp_path):
     path.write_text("frequency_hz,lockin_v,dc_v\n1.0,2.0,inf\n2.0,nan,3.0\n")
     with pytest.raises(NonNumericCell, match="line 3: need a finite number, got 'nan'"):
         load_sweep(path)
+
+
+def scan_reference(path, text, header, required):
+    """A table as a line-by-line scan reads it, each cell by float(c or "nan").
+
+    Returns the columns, or the NonNumericCell message of the first bad
+    cell in file order.
+    """
+    width = header.count(",") + 1
+    rows = []
+    for lineno, line in enumerate(text.splitlines()[1:], 2):
+        if not line:
+            continue
+        where = f"{path}: line {lineno}"
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"{where}: expected {width} cells"
+        row = []
+        for k, cell in enumerate(cells):
+            try:
+                value = float(cell or "nan")
+            except ValueError:
+                return f"{where}: cannot parse '{cell}'"
+            if k < required and not math.isfinite(value):
+                return f"{where}: need a finite number, got '{cell}'"
+            row.append(value)
+        rows.append(row)
+    return [np.array(column, dtype=float) for column in zip(*rows)] or [
+        np.array([]) for _ in range(width)
+    ]
+
+
+# A finite number, written in one of several ways, with spaces around it.
+numbers = (
+    st.tuples(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:g}"]),
+        st.sampled_from(["", " ", "  "]),
+        st.sampled_from(["", " "]),
+    )
+    .map(lambda t: t[2] + t[1].format(t[0]) + t[3])
+    .filter(lambda cell: math.isfinite(float(cell)))
+)
+optional_cells = numbers | st.sampled_from(["", "nan", " nan", "inf", "-inf"])
+table_rows = st.tuples(numbers, numbers, optional_cells).map(list)
+bad_cells = st.sampled_from(["", "nan", "inf", "1e999", "x", "1.0.0", "1,2", "--1"])
+
+
+@st.composite
+def sweep_tables(draw, bad):
+    """Sweep CSV text: blank lines, \\n or \\r\\n endings, padded numbers;
+    with bad, one to three cells overwritten, added, dropped or moved to
+    another row (which keeps the table's cell count)."""
+    rows = draw(st.lists(table_rows, max_size=30))
+    if bad:
+        rows = rows or [draw(table_rows)]
+        for _ in range(draw(st.integers(1, 3))):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            k = draw(st.integers(0, len(row) - 1))
+            change = draw(st.sampled_from(["cell", "drop", "add", "move"]))
+            if change == "cell":
+                row[k] = draw(bad_cells)
+            elif change == "add" or len(row) == 1:
+                row.insert(k, draw(numbers))
+            elif change == "drop":
+                del row[k]
+            else:
+                rows[draw(st.integers(0, len(rows) - 1))].append(row.pop(k))
+    lines = [SWEEP_HEADER]
+    for row in rows:
+        lines += [""] * draw(st.integers(0, 2)) + [",".join(row)]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return ending.join(lines) + draw(st.sampled_from(["", ending]))
+
+
+def read_both(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sweep.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        expected = scan_reference(path, text, SWEEP_HEADER, required=2)
+        try:
+            got = io_formats._read_table(path, SWEEP_HEADER, required=2)
+        except NonNumericCell as exc:
+            got = str(exc)
+    return got, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_tables(bad=False))
+def test_read_table_columns_are_per_cell_floats_bit_for_bit(text):
+    got, expected = read_both(text)
+    assert not isinstance(expected, str)
+    assert [c.dtype for c in got] == [np.dtype(float)] * 3
+    assert [c.tobytes() for c in got] == [c.tobytes() for c in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_tables(bad=True))
+def test_read_table_names_the_first_bad_cell_as_the_line_scan(text):
+    got, expected = read_both(text)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert [c.tobytes() for c in got] == [c.tobytes() for c in expected]
 
 
 def test_sweep_requires_monotone_axis(tmp_path):
