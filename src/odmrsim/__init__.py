@@ -1,5 +1,7 @@
 """Simulation and analysis of CW ODMR magnetometry with S=3/2 defects."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConvergenceFailure,
     DeviationTooLarge,
@@ -84,76 +86,9 @@ from .io_formats import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxialFrequencies",
-    "BroadeningModel",
-    "ConfigDoc",
-    "ConvergenceFailure",
-    "DetectorModel",
-    "DeviationTooLarge",
-    "EmptyGrid",
-    "EmptyTransitionList",
-    "FieldOutOfRange",
-    "FieldTimeline",
-    "FieldVector",
-    "FormatError",
-    "FORMAT_VERSION",
-    "IoFailure",
-    "LevelSet",
-    "LockInConfig",
-    "LorentzFit",
-    "MalformedHeader",
-    "NonConvergence",
-    "NonMonotoneAxis",
-    "NonNumericCell",
-    "NonPositiveInput",
-    "NoPeakFound",
-    "OdmrError",
-    "PeakShape",
-    "PRESETS",
-    "RunManifest",
-    "SampleRateMismatch",
-    "SamplePreset",
-    "ScheduleMismatch",
-    "SchemaViolation",
-    "Scene",
-    "SHOT_NOISE_PREFACTOR",
-    "SpinParams",
-    "SQUARE_AM_GAIN",
-    "SweepPlan",
-    "SweepRecord",
-    "SyntheticSpectrum",
-    "TimeSeries",
-    "TrackingResult",
-    "TransitionLine",
-    "ZeroDC",
-    "analyze_steps",
-    "axial_frequencies",
-    "build_hamiltonian",
-    "build_sensitivity_map",
-    "config_from_dict",
-    "eigenlevels",
-    "fit_lorentzian",
-    "fm_discriminator_slope",
-    "gyromagnetic_ratio",
-    "level_crossing_field",
-    "load_config",
-    "load_manifest",
-    "load_map_csv",
-    "load_sweep",
-    "lockin_demodulate",
-    "map_argmin",
-    "odmr_contrast",
-    "saturated_contrast",
-    "saturated_fwhm",
-    "shot_noise_sensitivity",
-    "simulate_am_sweep",
-    "simulate_fm_tracking",
-    "spin_operators",
-    "synthesize_odmr",
-    "transitions",
-    "verify_manifest",
-    "write_map_csv",
-    "write_run_manifest",
-    "write_sweep",
-]
+# Every name imported above is public API; the submodules are not.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

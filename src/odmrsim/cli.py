@@ -73,7 +73,7 @@ from .signal_chain import (
     simulate_am_cells,
     simulate_fm_tracking,
     step_windows,
-    _dwell_lags,
+    _dwell_layout,
 )
 from .spin_model import scan_transitions
 from .svgplot import heatmap, line_plot
@@ -300,24 +300,10 @@ def cmd_map(args, cfg: ConfigDoc, t0: float) -> int:
             "sweep.n_points: the map command fits four parameters to each "
             "cell and needs at least 5 points"
         )
-    if cfg.sweep.dwell_s * cfg.lockin.sample_rate_hz > MAX_SAMPLES:
-        raise SchemaViolation(
-            "sweep.dwell_s x lockin.sample_rate_hz must be at most "
-            f"{MAX_SAMPLES} samples"
-        )
-    if cfg.sweep.dwell_s < cfg.lockin.settle_discard_s - 1e-12:
-        raise SchemaViolation(
-            "sweep.dwell_s must be at least 5 x lockin.time_constant_s"
-        )
-    # The dwell-response operator holds the weights of every dwell one
-    # dwell's samples reach.
-    dwell_n = int(round(cfg.sweep.dwell_s * cfg.lockin.sample_rate_hz))
-    n_lags = _dwell_lags(cfg.lockin, dwell_n, cfg.sweep.n_points + 1)
-    if n_lags * dwell_n > MAX_SAMPLES:
-        raise SchemaViolation(
-            f"sweep.dwell_s: the lock-in response of one dwell spans {n_lags} "
-            f"dwells of {dwell_n} samples, more than {MAX_SAMPLES} samples"
-        )
+    try:
+        _dwell_layout(cfg.sweep, cfg.lockin)
+    except ValueError as exc:
+        raise SchemaViolation(f"sweep.{exc}") from None
     scene = cfg.scene()
     p_opts = grid.p_opt_values()
     p_rfs = grid.p_rf_values()

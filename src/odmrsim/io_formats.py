@@ -172,11 +172,12 @@ def _read_table(path, header: str, required: int) -> list[np.ndarray]:
 
     Blank lines are skipped and an empty cell reads as NaN, but the first
     `required` columns need a finite number in every row.  The first bad
-    cell in file order raises NonNumericCell naming its line.
+    cell in file order raises NonNumericCell naming its line, counted by
+    "\\n" alone (text mode reads "\\r\\n" as "\\n").
     """
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0] != header:
-        got = lines[0] if lines else "<empty file>"
+    lines = _read_text(path).split("\n")
+    if lines[0] != header:
+        got = lines[0] if lines != [""] else "<empty file>"
         raise MalformedHeader(f"{path}: expected header '{header}', got '{got}'")
     width = header.count(",") + 1
     # The body is split once, on commas, into its cells in file order; a

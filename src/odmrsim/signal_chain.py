@@ -560,6 +560,30 @@ def _dwell_lags(cfg: LockInConfig, dwell_n: int, n_dwells: int) -> int:
     return min(1 + math.ceil(_LAG_TAUS * tau_n / dwell_n), n_dwells)
 
 
+def _dwell_layout(plan: SweepPlan, cfg: LockInConfig) -> tuple[int, int, int]:
+    """dwell_n, settle_n and n_dwells of an AM sweep, lead-in dwell included.
+
+    Raises ValueError, before any array exists, for a dwell over
+    MAX_SAMPLES samples, one shorter than the settling discard, or one
+    whose dwell-response operator would hold over MAX_SAMPLES weights.
+    """
+    if plan.dwell_s * cfg.sample_rate_hz > MAX_SAMPLES:
+        raise ValueError(
+            f"dwell_s x lockin.sample_rate_hz must be at most {MAX_SAMPLES} samples"
+        )
+    if plan.dwell_s < cfg.settle_discard_s - 1e-12:
+        raise ValueError("dwell_s must be at least 5 x lockin.time_constant_s")
+    dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
+    n_dwells = plan.n_points + 1
+    n_lags = _dwell_lags(cfg, dwell_n, n_dwells)
+    if n_lags * dwell_n > MAX_SAMPLES:
+        raise ValueError(
+            f"dwell_s: the lock-in response of one dwell spans {n_lags} "
+            f"dwells of {dwell_n} samples, more than {MAX_SAMPLES} samples"
+        )
+    return dwell_n, min(cfg.settle_samples, dwell_n - 1), n_dwells
+
+
 @functools.lru_cache(maxsize=8)
 def _dwell_response(
     cfg: LockInConfig, dwell_n: int, settle_n: int, n_dwells: int
@@ -618,7 +642,7 @@ def simulate_am_sweep(
 ) -> SweepRecord:
     """Simulate a square-wave AM ODMR sweep through the lock-in.
 
-    Each swept point is held for plan.dwell_s (must be at least 5 tau);
+    Each swept point is held for plan.dwell_s (as _dwell_layout bounds it);
     the reading is the demodulated output averaged after the settling
     discard, and dc_v is the cycle-averaged raw voltage over the same
     window.  An extra discarded lead-in dwell at the first frequency
@@ -671,12 +695,11 @@ def simulate_am_cells(
     as its counts would read).  Lengths of p_opt_w, p_rf_w and seeds that
     differ, a power whose linewidth or photon rate overflows, or a summed
     dip depth above 1 (a negative photon rate) raise ValueError, naming the
-    lengths or the first such cell's power.
+    lengths or the first such cell's power, as does a dwell _dwell_layout refuses.
     """
     if cfg.mode != "am":
         raise ValueError("simulate_am_cells needs an 'am' lock-in config")
-    if plan.dwell_s < cfg.settle_discard_s - 1e-12:
-        raise ValueError("dwell_s must be at least 5 lock-in time constants")
+    dwell_n, settle_n, n_dwells = _dwell_layout(plan, cfg)
 
     p_opt = np.asarray(p_opt_w, dtype=float)
     p_rf = np.asarray(p_rf_w, dtype=float)
@@ -696,13 +719,9 @@ def simulate_am_cells(
             photon_rate(scene.pl_rate_per_w, po)
         raise
     dt = cfg.dt_s
-    dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
-    settle_n = min(cfg.settle_samples, dwell_n - 1)
-
     _refuse_negative_rate(depth, p_opt, p_rf)
     # Dwell 0 is the discarded lead-in at the first frequency.
     levels = np.concatenate((depth[:, :1], depth), axis=1)
-    n_dwells = levels.shape[1]
     base, lags, r_on, r_off, w_lock, w_dc = _dwell_response(
         cfg, dwell_n, settle_n, n_dwells
     )
@@ -911,7 +930,8 @@ def simulate_fm_tracking(
     settled samples raises ScheduleMismatch (step_windows) and a level
     beyond MAX_FIELD_T FieldOutOfRange, naming the step of largest |bz|:
     its index, start time and level; a summed dip depth above 1, a
-    negative photon rate, raises ValueError.
+    negative photon rate, raises ValueError.  With shot noise, a step whose
+    settled window draws no photon raises ValueError naming the step.
     """
     if cfg.mode != "fm":
         raise ValueError("simulate_fm_tracking needs an 'fm' lock-in config")
@@ -1000,6 +1020,7 @@ def simulate_fm_tracking(
         db = timeline.bz_t[k] - bias
         cycle_rate = rate_at(nu_cycle, db) if sigma_in == 0 else None
         settled = np.empty(i1 - i0)
+        dark = shot_noise  # until a count in its settled window is not 0
         for start in range(first, i1, _BLOCK):
             n = min(_BLOCK, i1 - start)
             if sigma_in == 0:
@@ -1024,6 +1045,13 @@ def simulate_fm_tracking(
             tail = start + n - i0
             if tail > 0:
                 settled[max(tail - n, 0) : tail] = estimate[-tail:]
+                dark = dark and not rate[-tail:].any()
+        if dark:  # its lock-in would read 0 and every estimate the bias
+            raise ValueError(
+                f"step {k} at t = {timeline.starts_s[k]:.6g} s drew no photon in its "
+                f"settled window (lineshape.pl_rate_per_w {scene.pl_rate_per_w:g} "
+                "per W)"
+            )
         step_means[k] = np.mean(settled)
         step_stds[k] = np.std(settled, ddof=1)
         del settled  # before the next step allocates its window

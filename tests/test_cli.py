@@ -31,6 +31,7 @@ from odmrsim import (
 )
 from odmrsim.cli import main
 from odmrsim.io_formats import dump_json
+from odmrsim.signal_chain import _dwell_layout
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -80,6 +81,15 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def refusal(tmp_path, capsys, command, data, code, *flags):
+    """stderr of a command on config data that exits code and leaves no --out."""
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path, data), "--out", str(out)]
+    assert main([*argv, *flags]) == code
+    assert not out.exists()
+    return capsys.readouterr().err
 
 
 def test_spectrum_outputs_and_manifest(tmp_path):
@@ -668,14 +678,36 @@ def test_unknown_config_key_is_format_error(tmp_path):
             {**MINI_MAP_CONFIG, "sweep": {**MINI_MAP_CONFIG["sweep"], "dwell_s": 0.02}},
             "sweep.dwell_s must be at least 5 x lockin.time_constant_s",
         ),
+        # Each section's range checks, at a value just outside the range.
+        *(
+            ("spectrum", {section: {name: value}}, f"{section}.{name} must be")
+            for section, name, value in [
+                ("lineshape", "pl_rate_per_w", 0.0),
+                ("sweep", "f_start_hz", -1.0),
+                ("sweep", "p_opt_w", -1.0),
+                ("sweep", "p_rf_w", -1.0),
+                ("sweep", "n_fields", 0),
+                ("sweep", "dwell_s", 0.0),
+                ("schedule", "step_period_s", 0.0),
+                ("schedule", "n_steps", 0),
+                ("schedule", "output_decimation", 0),
+                ("schedule", "field_noise_step_sigma_t", -1e-9),
+                ("lockin", "mod_freq_hz", 0.0),
+                ("spin", "hyperfine_offset_hz", -1.0),
+            ]
+        ),
+        *(
+            (
+                "map",
+                {"sweep": {"grid": {**MINI_MAP_CONFIG["sweep"]["grid"], name: value}}},
+                f"sweep.grid.{name} must be",
+            )
+            for name, value in [("p_opt_min_w", 0), ("p_opt_max_w", 0), ("n_opt", 0)]
+        ),
     ],
 )
 def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
-    assert not out.exists()
+    assert key in refusal(tmp_path, capsys, command, data, 2)
 
 
 @pytest.mark.parametrize(
@@ -687,11 +719,7 @@ def test_rejected_config_writes_nothing(tmp_path, capsys, command, data, key):
     ids=["axial", "transverse"],
 )
 def test_spectrum_scan_beyond_field_limit_writes_nothing(tmp_path, capsys, data):
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
-    assert "exceeds 0.1 T" in capsys.readouterr().err
-    assert not out.exists()
+    assert "exceeds 0.1 T" in refusal(tmp_path, capsys, "spectrum", data, 1)
 
 
 def test_failed_fit_writes_nothing(tmp_path, capsys):
@@ -725,11 +753,8 @@ def test_steps_discards_five_time_constants(tmp_path, tau, period):
 
 def test_failed_steps_writes_nothing(tmp_path, capsys):
     lockin = {**MINI_STEPS_CONFIG["lockin"], "fm_deviation_hz": 5e7}
-    cfg = write_config(tmp_path, {**MINI_STEPS_CONFIG, "lockin": lockin})
-    out = tmp_path / "out"
-    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
-    assert "fm deviation" in capsys.readouterr().err
-    assert not out.exists()
+    data = {**MINI_STEPS_CONFIG, "lockin": lockin}
+    assert "fm deviation" in refusal(tmp_path, capsys, "steps", data, 1)
 
 
 @pytest.mark.parametrize(
@@ -748,13 +773,9 @@ def test_out_of_range_field_noise_exits_1_before_drawing(
     monkeypatch.setattr(signal_chain.np.random, "default_rng", unexpected)
     data = json.loads((CONFIG_DIR / "field_steps_tracking.json").read_text())
     data["schedule"]["field_noise_step_sigma_t"] = sigma
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
+    err = refusal(tmp_path, capsys, "steps", data, 1)
     assert f"field_noise_step_sigma_t {sigma:g} T" in err
     assert f"per-sample sigma of {per_sample}" in err
-    assert not out.exists()
 
 
 def test_staircase_level_out_of_field_range_exits_1_before_drawing(
@@ -772,13 +793,33 @@ def test_staircase_level_out_of_field_range_exits_1_before_drawing(
     data = json.loads((CONFIG_DIR / "shot_noise_tracking.json").read_text())
     data["detector"]["shot_noise"] = False
     data["schedule"].update(step_period_s=6.0, step_t=0.05)
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
+    err = refusal(tmp_path, capsys, "steps", data, 1)
     assert "step 7 at t = 42 s, bz = 0.176 T: |B| = 0.176 T exceeds 0.1 T" in err
     assert "Traceback" not in err
-    assert not out.exists()
+
+
+def test_steps_names_the_first_step_dark_in_its_window(tmp_path, capsys, monkeypatch):
+    # Step 1 (one block) draws one count in its settling discard and none in
+    # its settled window; step 0 is lit.
+    from odmrsim import signal_chain
+
+    shot_counts = signal_chain._shot_counts
+    blocks = []
+
+    def dark_after_step_0(*args):
+        counts = shot_counts(*args)
+        blocks.append(counts.size)
+        if len(blocks) > 1:
+            counts[:] = 0.0
+            counts[0] = 1.0
+        return counts
+
+    monkeypatch.setattr(signal_chain, "_shot_counts", dark_after_step_0)
+    data = {**MINI_STEPS_CONFIG, "detector": {"shot_noise": True}}
+    assert "step 1 at t = 10 s drew no photon" in refusal(
+        tmp_path, capsys, "steps", data, 1
+    )
+    assert blocks == [5000, 5000]
 
 
 @pytest.mark.parametrize(
@@ -803,6 +844,13 @@ def test_staircase_level_out_of_field_range_exits_1_before_drawing(
             },
             "lines change within",
         ),
+        # 4e-4 photons/s: every count is 0, so the lock-in would read 0 and
+        # each estimate the bias, a perfect magnetometer.
+        (
+            {"lineshape": {"pl_rate_per_w": 1e-3}},
+            "step 0 at t = 0 s drew no photon in its settled window "
+            "(lineshape.pl_rate_per_w 0.001 per W)",
+        ),
     ],
     ids=[
         "no-contrast",
@@ -810,14 +858,12 @@ def test_staircase_level_out_of_field_range_exits_1_before_drawing(
         "no-nu2-line",
         "nu2-changes-branch",
         "line-set-changes",
+        "no-light",
     ],
 )
 def test_untrackable_steps_scene_writes_nothing(tmp_path, capsys, data, message):
-    cfg = write_config(tmp_path, {**MINI_STEPS_CONFIG, **data})
-    out = tmp_path / "out"
-    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    data = {**MINI_STEPS_CONFIG, **data}
+    assert message in refusal(tmp_path, capsys, "steps", data, 1)
 
 
 @pytest.mark.parametrize(
@@ -839,11 +885,7 @@ def test_untrackable_steps_scene_writes_nothing(tmp_path, capsys, data, message)
     ids=["spectrum-linewidth", "steps-photon-rate"],
 )
 def test_overflowing_power_writes_nothing(tmp_path, capsys, command, data, message):
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert message in refusal(tmp_path, capsys, command, data, 1)
 
 
 @pytest.mark.parametrize(
@@ -860,13 +902,9 @@ def test_overflowing_power_writes_nothing(tmp_path, capsys, command, data, messa
 def test_flat_discriminator_names_the_rf_power(tmp_path, capsys, p_rf_w):
     data = json.loads((CONFIG_DIR / "shot_noise_tracking.json").read_text())
     data["sweep"]["p_rf_w"] = p_rf_w
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main(["steps", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
+    err = refusal(tmp_path, capsys, "steps", data, 1)
     assert f"flat discriminator response (p_rf_w {p_rf_w:g} W, linewidth " in err
     assert "Traceback" not in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -887,12 +925,8 @@ def test_negative_photon_rate_writes_nothing(
         "detector": {"shot_noise": shot_noise},
         "lineshape": {"fwhm0_hz": 2e8, "contrast_max": 0.95},
     }
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
+    err = refusal(tmp_path, capsys, command, data, 1)
     assert f"{powers}: the summed dip depth {depth:g} exceeds 1, a negative" in err
-    assert not out.exists()
 
 
 # The detector gain enters only the volts steps writes: at every gain each
@@ -1033,11 +1067,7 @@ def test_failed_map_writes_nothing(tmp_path, capsys):
     data["detector"]["shot_noise"] = True
     data["lineshape"] = {"pl_rate_per_w": 1e4}
     data["sweep"]["grid"].update(n_opt=2, n_rf=2)
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main(["map", "--config", cfg, "--out", str(out)]) == 1
-    assert "no map cell" in capsys.readouterr().err
-    assert not out.exists()
+    assert "no map cell" in refusal(tmp_path, capsys, "map", data, 1)
 
 
 def test_out_naming_a_file_exits_2(tmp_path, capsys):
@@ -1252,8 +1282,8 @@ def test_shot_noise_cell_runs_samples_only_below_gaussian_threshold(
         out = tmp_path / f"map_{shot_noise}"
         assert main(["map", "--config", cfg, "--out", str(out)]) == 0
         runs.append({key: counted[key] - before[key] for key in counted})
-    dwell_n = round(doc.sweep.dwell_s * doc.lockin.sample_rate_hz)
-    samples = (doc.sweep.n_points + 1) * dwell_n if per_sample else 0
+    dwell_n, _, n_dwells = _dwell_layout(doc.sweep, doc.lockin)
+    samples = n_dwells * dwell_n if per_sample else 0
     assert runs == [{"shot": 0, "demod": 0}, {"shot": samples, "demod": 0}]
 
 
@@ -1278,10 +1308,9 @@ def test_map_runs_no_demodulator_in_any_noise_regime(
     cfg = write_config(tmp_path, data)
     out = tmp_path / "out"
     assert main(["map", "--config", cfg, "--out", str(out)]) == 0
-    sweep = data["sweep"]
-    dwell_n = round(sweep["dwell_s"] * data["lockin"]["sample_rate_hz"])
-    samples = (sweep["n_points"] + 1) * dwell_n
-    assert counted == {"shot": per_sample_cells * samples, "demod": 0}
+    doc = load_config(cfg)
+    dwell_n, _, n_dwells = _dwell_layout(doc.sweep, doc.lockin)
+    assert counted == {"shot": per_sample_cells * n_dwells * dwell_n, "demod": 0}
 
 
 # The mini steps run is 2 x 10 s at 500 Hz: 10,000 samples.
@@ -1332,11 +1361,7 @@ def test_unanalysable_input_rejected_before_simulating(
         raise AssertionError(f"{simulator} ran")
 
     monkeypatch.setattr(cli, simulator, unexpected)
-    cfg = write_config(tmp_path, data)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
-    assert key in capsys.readouterr().err
-    assert not out.exists()
+    assert key in refusal(tmp_path, capsys, command, data, 2, *flags)
 
 
 def test_oversized_operator_window_exits_2_before_building_it(

@@ -80,6 +80,10 @@ def test_sweep_header_and_cell_errors(tmp_path):
     bad_header.write_text("freq,lockin\n1,2\n")
     with pytest.raises(MalformedHeader):
         load_sweep(bad_header)
+    for text, got in (("", "<empty file>"), ("\n", "")):
+        bad_header.write_text(text)
+        with pytest.raises(MalformedHeader, match=f"got '{got}'$"):
+            load_sweep(bad_header)
 
     missing_cell = tmp_path / "b.csv"
     missing_cell.write_text("frequency_hz,lockin_v,dc_v\n1.0,2.0\n")
@@ -118,7 +122,7 @@ def scan_reference(path, text, header, required):
     """
     width = header.count(",") + 1
     rows = []
-    for lineno, line in enumerate(text.splitlines()[1:], 2):
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n")[1:], 2):
         if not line:
             continue
         where = f"{path}: line {lineno}"
@@ -140,20 +144,25 @@ def scan_reference(path, text, header, required):
     ]
 
 
-# A finite number, written in one of several ways, with spaces around it.
+# Line breaks to str.splitlines that float() strips as whitespace; it
+# refuses the other three, \x1c to \x1e, so bad_cells holds those.
+line_breaks = ["\x0b", "\x0c", "\x85", "\u2028", "\u2029"]
+# A finite number, written in one of several ways, with padding around it.
 numbers = (
     st.tuples(
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from(["{!r}", "{:.17g}", "{:.3e}", "{:g}"]),
-        st.sampled_from(["", " ", "  "]),
-        st.sampled_from(["", " "]),
+        st.sampled_from(["", " ", "  ", *line_breaks]),
+        st.sampled_from(["", " ", *line_breaks]),
     )
     .map(lambda t: t[2] + t[1].format(t[0]) + t[3])
     .filter(lambda cell: math.isfinite(float(cell)))
 )
 optional_cells = numbers | st.sampled_from(["", "nan", " nan", "inf", "-inf"])
 table_rows = st.tuples(numbers, numbers, optional_cells).map(list)
-bad_cells = st.sampled_from(["", "nan", "inf", "1e999", "x", "1.0.0", "1,2", "--1"])
+bad_cells = st.sampled_from(
+    ["", "nan", "inf", "1e999", "x", "1.0.0", "1,2", "--1", "1\x1c", "\x1d1", "1\x1e2"]
+)
 
 
 @st.composite
@@ -388,6 +397,8 @@ def test_manifest_write_verify_and_tamper(tmp_path):
     assert data["format_version"] == FORMAT_VERSION
     assert verify_manifest(tmp_path / "manifest.json") == {"file.csv": True}
     out.write_text("tampered\n")
+    assert verify_manifest(tmp_path / "manifest.json") == {"file.csv": False}
+    out.unlink()
     assert verify_manifest(tmp_path / "manifest.json") == {"file.csv": False}
 
 

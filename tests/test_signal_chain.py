@@ -52,6 +52,7 @@ from odmrsim.signal_chain import (
     _cycle_cos,
     _CycleMean,
     _Demodulator,
+    _dwell_layout,
     _dwell_response,
     _filter_energy_pure,
     _line_table,
@@ -476,46 +477,42 @@ def am_sweep_case(p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_c
 
 
 AM_SWEEP_CASES = pytest.mark.parametrize(
-    "p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle",
+    "case",  # p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
     [
         # Cells of the shipped 20x20 map: its argmin and a corner.
         pytest.param(
-            0.4, 0.9736842105263158, 0.05, 5e-3, 41, 10,
+            (0.4, 0.9736842105263158, 0.05, 5e-3, 41, 10),
             id="0.4-0.9736842105263158-0.05-0.005",
         ),
-        pytest.param(0.02, 0.05, 0.05, 5e-3, 41, 10, id="0.02-0.05-0.05-0.005"),
+        pytest.param((0.02, 0.05, 0.05, 5e-3, 41, 10), id="0.02-0.05-0.05-0.005"),
         # 617-sample dwells: the gate phase carries across dwells and blocks.
-        pytest.param(0.2, 1.0, 0.01234, 2e-3, 41, 10, id="0.2-1.0-0.01234-0.002"),
+        pytest.param((0.2, 1.0, 0.01234, 2e-3, 41, 10), id="0.2-1.0-0.01234-0.002"),
         # Six 617-sample dwells: fewer dwells than the ten start phases.
-        pytest.param(0.2, 1.0, 0.01234, 2e-3, 5, 10, id="617-sample-dwells-5-points"),
+        pytest.param((0.2, 1.0, 0.01234, 2e-3, 5, 10), id="617-sample-dwells-5-points"),
         # Whole-cycle dwells at 20 samples per cycle.
         pytest.param(
-            0.4, 0.9736842105263158, 0.05, 5e-3, 41, 20, id="20-samples-per-cycle"
+            (0.4, 0.9736842105263158, 0.05, 5e-3, 41, 20), id="20-samples-per-cycle"
         ),
         # A dwell of exactly 5 tau: the settled window is its last sample.
-        pytest.param(0.2, 1.0, 0.01, 2e-3, 41, 10, id="dwell-5-tau-1-settled-sample"),
+        pytest.param((0.2, 1.0, 0.01, 2e-3, 41, 10), id="dwell-5-tau-1-settled-sample"),
         # Whole-cycle dwells whose 1,247 settled samples are not whole cycles.
-        pytest.param(0.2, 1.0, 0.05, 5.01e-3, 41, 10, id="1247-settled-samples"),
+        pytest.param((0.2, 1.0, 0.05, 5.01e-3, 41, 10), id="1247-settled-samples"),
         # Odd n: the gate is on for 6 of 11 samples, and the 679-sample
         # dwells start at every phase.
-        pytest.param(0.2, 1.0, 0.01234, 2e-3, 41, 11, id="11-samples-per-cycle"),
+        pytest.param((0.2, 1.0, 0.01234, 2e-3, 41, 11), id="11-samples-per-cycle"),
     ],
 )
 
 
 @AM_SWEEP_CASES
 @pytest.mark.parametrize("shot_noise", [False, True])
-def test_am_sweep_matches_per_dwell_reference(
-    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle, shot_noise
-):
-    scene, cfg, plan = am_sweep_case(
-        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-    )
+def test_am_sweep_matches_per_dwell_reference(case, shot_noise):
+    scene, cfg, plan = am_sweep_case(*case)
     if shot_noise:
         # About 50 counts in the brightest sample: below the Gaussian
         # threshold every count is a Poisson draw, which the sweep still
         # takes sample by sample in the reference's order.
-        scene = replace(scene, pl_rate_per_w=50.0 / (p_opt * cfg.dt_s))
+        scene = replace(scene, pl_rate_per_w=50.0 / (scene.p_opt_w * cfg.dt_s))
         assert scene.photon_rate_hz() * cfg.dt_s < GAUSSIAN_MEAN_THRESHOLD
     # The sweep in units of rate0: simulate_am_cells at one cell.
     seeds = [np.random.SeedSequence((0, 3, 7))] if shot_noise else None
@@ -578,18 +575,13 @@ def impulse_weights(cfg, dwell_n, settle_n, n_lags, start):
 
 
 @AM_SWEEP_CASES
-def test_dwell_noise_factors_match_impulse_response_grams(
-    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-):
+def test_dwell_noise_factors_match_impulse_response_grams(case):
     # A Gaussian-regime sweep draws each dwell's noise on its settled means
     # through R_on and R_off; their R^T R must be the Gram matrices of the
     # samples' weights over the gate-on and the gate-off samples.
-    _, cfg, plan = am_sweep_case(
-        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-    )
-    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
-    settle_n = min(cfg.settle_samples, dwell_n - 1)
-    _, lags, r_on, r_off, _, _ = _dwell_response(cfg, dwell_n, settle_n, n_points + 1)
+    _, cfg, plan = am_sweep_case(*case)
+    dwell_n, settle_n, n_dwells = _dwell_layout(plan, cfg)
+    _, lags, r_on, r_off, _, _ = _dwell_response(cfg, dwell_n, settle_n, n_dwells)
     n_phases, n_lags = lags.shape
     for p in range(n_phases):
         start = p * dwell_n % cfg.samples_per_cycle
@@ -603,20 +595,15 @@ def test_dwell_noise_factors_match_impulse_response_grams(
 
 
 @AM_SWEEP_CASES
-def test_dwell_response_weights_match_impulse_responses(
-    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-):
+def test_dwell_response_weights_match_impulse_responses(case):
     # A sub-threshold sweep weighs its count residual with the operator's
     # own weights: dc, and lock times the reference at the dwell's start
     # phase.  At every start phase they must be the weights that unit
     # impulses through the chain give, within 16 ulp of the largest weight
     # (at most 9 measured).
-    _, cfg, plan = am_sweep_case(
-        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-    )
-    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
-    settle_n = min(cfg.settle_samples, dwell_n - 1)
-    _, lags, _, _, lock, dc = _dwell_response(cfg, dwell_n, settle_n, n_points + 1)
+    _, cfg, plan = am_sweep_case(*case)
+    dwell_n, settle_n, n_dwells = _dwell_layout(plan, cfg)
+    _, lags, _, _, lock, dc = _dwell_response(cfg, dwell_n, settle_n, n_dwells)
     n_phases, n_lags = lags.shape
     assert lock.shape == (n_lags, dwell_n) and dc.shape == (dwell_n,)
     ref = 2.0 * _cycle_cos(cfg)
@@ -643,18 +630,12 @@ def forward_dip_response(cfg, phase, dwell_n, settle_n, offset, dips):
 
 
 @AM_SWEEP_CASES
-def test_dwell_response_matches_forward_demodulator(
-    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-):
+def test_dwell_response_matches_forward_demodulator(case):
     # base and lags come from the chain's adjoint weights; run forward, the
     # demodulator must give the same readings within a few ulp of the
     # largest, base's lead-in transient included.
-    _, cfg, plan = am_sweep_case(
-        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-    )
-    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
-    settle_n = min(cfg.settle_samples, dwell_n - 1)
-    n_dwells = n_points + 1
+    _, cfg, plan = am_sweep_case(*case)
+    dwell_n, settle_n, n_dwells = _dwell_layout(plan, cfg)
     base, lags = _dwell_response(cfg, dwell_n, settle_n, n_dwells)[:2]
     n_phases, n_lags = lags.shape
     pulse = np.zeros(n_lags)
@@ -721,19 +702,17 @@ class BasisNormals(np.random.Generator):
 
 
 def start_phases(case):
-    _, cfg, plan = am_sweep_case(*case.values)
+    _, cfg, plan = am_sweep_case(*case.values[0])
     n = cfg.samples_per_cycle
-    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
-    return min(n // math.gcd(dwell_n, n), plan.n_points + 1)
+    dwell_n, _, n_dwells = _dwell_layout(plan, cfg)
+    return min(n // math.gcd(dwell_n, n), n_dwells)
 
 
 @pytest.mark.parametrize(
     AM_SWEEP_CASES.args[0],
     [case for case in AM_SWEEP_CASES.args[1] if start_phases(case) > 1],
 )
-def test_gaussian_am_sweep_noise_covariance_is_exact(
-    p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-):
+def test_gaussian_am_sweep_noise_covariance_is_exact(case):
     # The per-dwell draw is linear in its normals.  With one normal at a
     # time set to 2^30 and the rest to 0, the sweep less its noise-free
     # output is 2^30 times one column of that linear map, so the covariance
@@ -741,16 +720,14 @@ def test_gaussian_am_sweep_noise_covariance_is_exact(
     # be the covariance the per-sample chain gives, from unit impulses
     # through the demodulator and the cycle mean at each dwell's own gate
     # phase, with each sample's variance s (1 - level gate).
-    scene, cfg, plan = am_sweep_case(
-        p_opt, p_rf, dwell_s, time_constant_s, n_points, samples_per_cycle
-    )
+    scene, cfg, plan = am_sweep_case(*case)
     # A peak contrast near 0.5, so (1 - level) is far from 1 and differs
     # from dwell to dwell; 4e4 counts per sample keep every dwell Gaussian.
     broadening = replace(
         scene.broadening, contrast_max=0.5, rf_contrast_sat_w=1e-3, opt_sat_w=1e-3
     )
     scene = replace(
-        scene, broadening=broadening, pl_rate_per_w=4e4 / (p_opt * cfg.dt_s)
+        scene, broadening=broadening, pl_rate_per_w=4e4 / (scene.p_opt_w * cfg.dt_s)
     )
     levels = synthesize_odmr(
         scene.lines(), scene.broadening, scene.p_rf_w, scene.p_opt_w,
@@ -773,9 +750,7 @@ def test_gaussian_am_sweep_noise_covariance_is_exact(
     columns = [(outputs(k, scale)[0] - free) / scale for k in range(np.prod(size))]
     got = np.transpose(columns) @ np.array(columns)
 
-    n_dwells = n_points + 1
-    dwell_n = round(plan.dwell_s * cfg.sample_rate_hz)
-    settle_n = min(cfg.settle_samples, dwell_n - 1)
+    dwell_n, settle_n, n_dwells = _dwell_layout(plan, cfg)
     n_lags = _dwell_response(cfg, dwell_n, settle_n, n_dwells)[1].shape[1]
     k_v = scene.detector.volts_per_photon_rate
     s = k_v * k_v * scene.photon_rate_hz() / cfg.dt_s
@@ -805,9 +780,7 @@ def test_dwell_response_column_sum_is_sampled_gain(n):
     # reference: (2/n) sum_{cos<0} |cos(2 pi k / n)|, not 2/pi.
     doc = load_config(CONFIG_DIR / "sensitivity_map_quenched.json")
     cfg = replace(doc.lockin, sample_rate_hz=n * doc.lockin.mod_freq_hz)
-    dwell_n = round(doc.sweep.dwell_s * cfg.sample_rate_hz)
-    settle_n = min(cfg.settle_samples, dwell_n - 1)
-    _, lags = _dwell_response(cfg, dwell_n, settle_n, doc.sweep.n_points + 1)[:2]
+    _, lags = _dwell_response(cfg, *_dwell_layout(doc.sweep, cfg))[:2]
     cos = np.cos(2.0 * math.pi * np.arange(n) / n)
     gain = (2.0 / n) * np.sum(np.abs(cos[cos < 0]))
     assert lags.shape[0] == 1  # every dwell starts at the same gate phase
@@ -844,6 +817,20 @@ def test_am_cells_are_per_cell_sweeps(regime):
         record = simulate_am_sweep(cell, plan, cfg, seed=seeds[k], shot_noise=noisy)
         assert np.array_equal(cell.in_volts(lockin[k]), record.lockin_v)
         assert np.array_equal(cell.in_volts(dc[k]), record.dc_v)
+
+
+@pytest.mark.parametrize("pl_rate_per_w", [1.2e12, 1e9], ids=["gaussian", "poisson"])
+def test_am_cells_keep_a_dark_cell_noise_free(pl_rate_per_w):
+    # A cell at p_opt_w 0 has rate0 0: it draws nothing and keeps its
+    # noise-free readings, with no warning, and the others their one-cell runs.
+    cfg = sweep_config()
+    plan = SweepPlan(f_start_hz=95.5e6, f_stop_hz=100.5e6, n_points=21, dwell_s=0.025)
+    scene = replace(quenched_scene(), pl_rate_per_w=pl_rate_per_w)
+    p_opt, p_rf, seeds = [0.4, 0.0, 0.1], [1.0, 1.0, 0.5], [(3, 0), (3, 1), (3, 2)]
+    got = simulate_am_cells(scene, plan, cfg, p_opt, p_rf, seeds)
+    for k, own in enumerate([seeds[:1], None, seeds[2:]]):
+        one = simulate_am_cells(scene, plan, cfg, [p_opt[k]], [p_rf[k]], own)
+        assert all(np.array_equal(a[k], b[0]) for a, b in zip(got, one))
 
 
 def test_am_cells_name_the_first_overflowing_cell():
@@ -891,7 +878,7 @@ def test_am_sweep_guards():
     plan = SweepPlan(
         f_start_hz=96e6, f_stop_hz=100e6, n_points=5, dwell_s=0.01
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dwell_s must be at least 5 x lockin.time"):
         simulate_am_sweep(scene, plan, sweep_config())
     fm = LockInConfig(
         mode="fm",
@@ -905,6 +892,29 @@ def test_am_sweep_guards():
     )
     with pytest.raises(ValueError):
         simulate_am_sweep(scene, plan_ok, fm)
+
+
+@pytest.mark.parametrize(
+    "lockin, dwell_s, message",
+    [
+        ({}, 1e4, "dwell_s x lockin.sample_rate_hz must be at most 50000000"),
+        # A 5 tau dwell of 31.25M samples whose response reaches 9 dwells.
+        (
+            {"time_constant_s": 62500.0, "sample_rate_hz": 100.0, "mod_freq_hz": 10.0},
+            312500.0,
+            "dwell_s: the lock-in response of one dwell spans 9 dwells",
+        ),
+    ],
+    ids=["dwell-samples", "operator-window"],
+)
+def test_am_sweep_bounds_its_dwells_before_building_them(
+    monkeypatch, lockin, dwell_s, message
+):
+    monkeypatch.setattr("odmrsim.signal_chain._dwell_response", None)  # not callable
+    cfg = replace(sweep_config(), **lockin)
+    plan = SweepPlan(f_start_hz=96e6, f_stop_hz=100e6, n_points=41, dwell_s=dwell_s)
+    with pytest.raises(ValueError, match=message):
+        simulate_am_sweep(quenched_scene(), plan, cfg)
 
 
 def test_sweep_plan_validation():
