@@ -66,7 +66,6 @@ from .io_formats import (
 )
 from .lineshape import synthesize_odmr
 from .signal_chain import (
-    MAX_SAMPLES,
     FieldTimeline,
     Scene,
     photon_rate,
@@ -357,11 +356,10 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     scene = cfg.scene()
     sched = cfg.schedule
     duration = sched.step_period_s * sched.n_steps
-    if duration * cfg.lockin.sample_rate_hz > MAX_SAMPLES:
-        raise SchemaViolation(
-            "schedule.step_period_s x n_steps x lockin.sample_rate_hz "
-            f"must be at most {MAX_SAMPLES} samples"
-        )
+    try:
+        n_total = cfg.lockin.samples(duration, "step_period_s x n_steps")
+    except ValueError as exc:
+        raise SchemaViolation(f"schedule.{exc}") from None
     timeline = FieldTimeline.staircase(
         bias_t=cfg.field.bz_t,
         step_t=sched.step_t,
@@ -369,7 +367,6 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
         n_steps=sched.n_steps,
     )
     # Every step must keep two samples after its settling discard.
-    n_total = int(round(duration * cfg.lockin.sample_rate_hz))
     try:
         windows = step_windows(timeline, n_total, cfg.lockin)
     except ScheduleMismatch as exc:

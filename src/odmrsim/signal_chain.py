@@ -270,11 +270,16 @@ class LockInConfig:
         if self.fm_deviation_hz is None or self.fm_deviation_hz <= 0:
             raise ValueError("fm_deviation_hz must be positive")
         # The FM slope weighs one 8 tau dwell's samples; the discard is 5 tau.
-        if 8.0 * self.time_constant_s * self.sample_rate_hz > MAX_SAMPLES:
+        self.samples(8.0 * self.time_constant_s, "time_constant_s x 8")
+
+    def samples(self, duration_s: float, name: str) -> int:
+        """Samples in duration_s, rounded; ValueError naming name past MAX_SAMPLES."""
+        n = duration_s * self.sample_rate_hz
+        if n > MAX_SAMPLES:
             raise ValueError(
-                "time_constant_s x sample_rate_hz must be at most "
-                f"{MAX_SAMPLES // 8} samples"
+                f"{name} x lockin.sample_rate_hz must be at most {MAX_SAMPLES} samples"
             )
+        return int(round(n))
 
     @property
     def samples_per_cycle(self) -> int:
@@ -567,13 +572,9 @@ def _dwell_layout(plan: SweepPlan, cfg: LockInConfig) -> tuple[int, int, int]:
     MAX_SAMPLES samples, one shorter than the settling discard, or one
     whose dwell-response operator would hold over MAX_SAMPLES weights.
     """
-    if plan.dwell_s * cfg.sample_rate_hz > MAX_SAMPLES:
-        raise ValueError(
-            f"dwell_s x lockin.sample_rate_hz must be at most {MAX_SAMPLES} samples"
-        )
+    dwell_n = cfg.samples(plan.dwell_s, "dwell_s")
     if plan.dwell_s < cfg.settle_discard_s - 1e-12:
         raise ValueError("dwell_s must be at least 5 x lockin.time_constant_s")
-    dwell_n = int(round(plan.dwell_s * cfg.sample_rate_hz))
     n_dwells = plan.n_points + 1
     n_lags = _dwell_lags(cfg, dwell_n, n_dwells)
     if n_lags * dwell_n > MAX_SAMPLES:
@@ -795,7 +796,7 @@ def fm_discriminator_slope(peak: PeakShape, cfg: LockInConfig) -> float:
         nu, [peak.center_hz], [peak.contrast], peak.fwhm_hz
     )
     offset, dip = up_m - up_p, (down_p - up_p) - (down_m - up_m)
-    n = int(round(8.0 * cfg.time_constant_s * cfg.sample_rate_hz))
+    n = cfg.samples(8.0 * cfg.time_constant_s, "time_constant_s x 8")
     base, lags = _dwell_response(cfg, n, cfg.settle_samples, 1)[:2]
     return float(offset * base[0] + dip * lags[0, 0]) / (2.0 * h)
 
@@ -831,15 +832,16 @@ def step_windows(
     step k's first sample (FieldTimeline.first_samples); the last ends at n.
     Raises ScheduleMismatch when any step keeps fewer than two samples.
     """
-    first = np.minimum(timeline.first_samples(cfg.dt_s), n).tolist()
-    windows = list(zip([f + cfg.settle_samples for f in first], [*first[1:], n]))
-    for start, (i0, i1) in zip(timeline.starts_s, windows):
-        if i1 - i0 < 2:
-            raise ScheduleMismatch(
-                f"step at t = {start:.6g} s has {max(i1 - i0, 0)} samples "
-                "after the settling discard"
-            )
-    return windows
+    first = np.minimum(timeline.first_samples(cfg.dt_s), n)
+    i0, i1 = first + cfg.settle_samples, np.append(first[1:], n)
+    short = np.flatnonzero(i1 - i0 < 2)  # checked before any tuple exists
+    if short.size:
+        k = short[0]
+        raise ScheduleMismatch(
+            f"step at t = {timeline.starts_s[k]:.6g} s has "
+            f"{max(i1[k] - i0[k], 0)} samples after the settling discard"
+        )
+    return list(zip(i0.tolist(), i1.tolist()))
 
 
 def _line_table(scene: Scene) -> tuple[list[TransitionLine], np.ndarray, int]:
@@ -937,7 +939,7 @@ def simulate_fm_tracking(
         raise ValueError("simulate_fm_tracking needs an 'fm' lock-in config")
     if decimation < 1:
         raise ValueError("decimation must be at least 1")
-    n_total = int(round(duration_s * cfg.sample_rate_hz))
+    n_total = cfg.samples(duration_s, "duration_s")
     windows = step_windows(timeline, n_total, cfg)
     # |B| is largest at the level of largest |bz|; FieldVector checks the limit.
     k = int(np.argmax(np.abs(timeline.bz_t)))

@@ -571,6 +571,8 @@ def test_contrast_inverts_demodulation_gain():
     assert odmr_contrast(fit, 0.0636) == pytest.approx(0.016, rel=1e-6)
     with pytest.raises(ZeroDC):
         odmr_contrast(fit, 0.0)
+    with pytest.raises(ValueError, match="demod_gain must be positive"):
+        odmr_contrast(fit, 0.0636, demod_gain=0.0)
 
 
 def test_sensitivity_prefactor_value():

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -1105,6 +1106,36 @@ def test_unreplaceable_output_leaves_no_manifest_or_stage(tmp_path, capsys):
     assert names <= {"spectrum.csv", "spectrum.svg", "transitions.csv"}
 
 
+def test_failed_stage_write_keeps_the_previous_run(tmp_path, capsys):
+    # A directory in the way of the spectrum.csv stage fails its write
+    # after transitions.csv is staged: that stage goes, the old run stays.
+    out = tmp_path / "out"
+    assert main(["spectrum", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    (out / ".spectrum.csv.tmp").mkdir()
+    assert main(["spectrum", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out / '.spectrum.csv.tmp'}: " in err
+    assert "Traceback" not in err
+    assert not (out / ".transitions.csv.tmp").exists()
+    after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert after == before
+
+
+def test_interrupted_run_propagates_and_removes_its_out(tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    freq = np.linspace(95e6, 101e6, 201)
+    lockin = 4e-4 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12)
+    sweep = tmp_path / "sweep.csv"
+    write_sweep(SweepRecord(freq, lockin, np.full(freq.size, 0.0635)), sweep)
+    monkeypatch.setattr("odmrsim.cli.write_json_record", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fit", str(sweep), "--out", str(tmp_path / "new" / "run")])
+    assert not (tmp_path / "new").exists()
+
+
 def test_spectrum_and_fit_load_no_scipy(tmp_path):
     # The package runs on numpy alone: a fresh interpreter in which scipy
     # cannot be imported runs all four commands, and spectrum and fit load
@@ -1386,6 +1417,27 @@ def test_oversized_operator_window_exits_2_before_building_it(
     err = capsys.readouterr().err
     assert "sweep.dwell_s: the lock-in response of one dwell spans 9 dwells" in err
     assert not out.exists()
+
+
+def test_many_step_refusal_holds_no_per_step_tuples(tmp_path, capsys):
+    # 1,000,000 steps of 1 ns at 500 Hz: step 0 keeps no settled sample.
+    # The windows are checked as arrays, so the refusal's traced peak is
+    # about 49 B a step (41 B of it the staircase); building the list of
+    # per-step tuples before the check takes 137 B.
+    data = json.loads((CONFIG_DIR / "shot_noise_tracking.json").read_text())
+    n_steps = 1_000_000
+    data["schedule"].update(step_period_s=1e-9, n_steps=n_steps)
+    cfg = write_config(tmp_path, data)
+    tracemalloc.start()
+    try:
+        code = main(["steps", "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "step at t = 0 s has 0 samples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert peak / n_steps < 64
 
 
 def test_steps_without_svg_writes_a_one_sample_trace(tmp_path):

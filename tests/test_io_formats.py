@@ -550,6 +550,15 @@ def test_dump_json_rejects_nan():
         dump_json({"x": math.nan})
 
 
+def test_svg_plots_refuse_mismatched_inputs(tmp_path):
+    for x, y in ([0.0, 1.0], [1.0]), ([0.0], [1.0]):
+        with pytest.raises(ValueError, match="two equal-length arrays"):
+            line_plot(x, y, tmp_path / "line.svg")
+    with pytest.raises(ValueError, match="z_grid shape"):
+        heatmap([1.0, 2.0, 3.0], [0.1, 0.2], np.zeros((3, 2)), tmp_path / "heat.svg")
+    assert not any(tmp_path.iterdir())
+
+
 def test_svg_bytes_are_pinned(tmp_path):
     # Ticks at 0, at 0.01 <= |v| < 1e4 and at |v| >= 1e4 take the three
     # branches of the tick format; one heatmap cell is NaN.

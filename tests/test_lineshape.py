@@ -7,6 +7,7 @@ from odmrsim import (
     EmptyTransitionList,
     FieldVector,
     PRESETS,
+    PeakShape,
     Scene,
     SpinParams,
     saturated_contrast,
@@ -141,6 +142,8 @@ def test_contrast_double_saturation_spot_value():
 def test_contrast_vanishes_without_drive():
     assert saturated_contrast(QUENCHED, 0.0, 0.4) == 0.0
     assert saturated_contrast(QUENCHED, 1.0, 0.0) == 0.0
+    with pytest.raises(ValueError, match="powers must be non-negative"):
+        saturated_contrast(QUENCHED, -0.1, 0.4)
 
 
 def test_contrast_monotone_and_bounded():
@@ -181,6 +184,8 @@ def test_broadening_model_validation():
             opt_sat_w=0.2,
             rf_contrast_sat_w=2 / 3,
         )
+    with pytest.raises(ValueError, match="fwhm_hz must be positive"):
+        PeakShape(center_hz=98e6, fwhm_hz=0.0, contrast=0.016)
 
 
 def test_synthesize_peak_heights_scale_with_strength():

@@ -48,6 +48,7 @@ from odmrsim.config import load_config
 from odmrsim.lineshape import lorentzian_sum
 from odmrsim.signal_chain import (
     GAUSSIAN_MEAN_THRESHOLD,
+    MAX_SAMPLES,
     _am_gate,
     _cycle_cos,
     _CycleMean,
@@ -205,6 +206,18 @@ def test_lockin_config_validation():
         LockInConfig(mod_freq_hz=1.3e3, sample_rate_hz=1e4)
     with pytest.raises(ValueError):
         LockInConfig(mode="fm", fm_deviation_hz=None)
+    # The FM slope's 8 tau dwell: 8e3 s at 100 kHz is 8e8 samples.
+    with pytest.raises(ValueError, match="time_constant_s x 8 x lockin.sample_rate_hz"):
+        LockInConfig(time_constant_s=1e3)
+
+
+def test_lockin_samples_round_and_bound_seconds():
+    cfg = LockInConfig()  # 100 kHz
+    assert cfg.samples(0.123456, "d") == 12346
+    assert cfg.samples(500.0, "d") == MAX_SAMPLES
+    # The bound is on the product, before rounding.
+    with pytest.raises(ValueError, match="^d x lockin.sample_rate_hz must be at most"):
+        cfg.samples(500.000001, "d")
 
 
 def am_config(**kw):
@@ -393,6 +406,9 @@ def test_field_timeline_validation():
         FieldTimeline(
             starts_s=np.array([0.0, 2.0, 1.0]), bz_t=np.zeros(3)
         )
+    for starts, bz in ([], []), ([0.0, 1.0], [0.0]):
+        with pytest.raises(ValueError, match="equal-length, non-empty"):
+            FieldTimeline(starts_s=np.array(starts), bz_t=np.array(bz))
 
 
 def sweep_config():
@@ -1466,6 +1482,20 @@ def test_tracking_guards():
     dark_scene = quenched_scene(p_opt=0.0)
     with pytest.raises(ValueError):
         simulate_fm_tracking(tl, dark_scene, fm_config(), 10.0)
+    with pytest.raises(ValueError, match="decimation must be at least 1"):
+        simulate_fm_tracking(tl, scene, fm_config(), 10.0, decimation=0)
+
+
+def test_tracking_bounds_its_run_before_solving(monkeypatch):
+    # 8 steps over 1e7 s at 500 Hz is 5e9 samples: refused before the
+    # lines are solved, so no series is ever sized from it.
+    def unexpected(*args, **kwargs):
+        raise AssertionError("fm_discriminator_slope ran")
+
+    monkeypatch.setattr("odmrsim.signal_chain.fm_discriminator_slope", unexpected)
+    tl = FieldTimeline.staircase(1e-3, 0.0, 1.25e6, 8)
+    with pytest.raises(ValueError, match="^duration_s x lockin.sample_rate_hz"):
+        simulate_fm_tracking(tl, quenched_scene(), fm_config(), 1e7)
 
 
 def test_tracking_rejects_a_short_step_before_drawing(monkeypatch):

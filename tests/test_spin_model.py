@@ -126,6 +126,8 @@ def test_axial_frequencies_match_eigensolver_route():
         assert by_label["dark"].frequency_hz == pytest.approx(
             closed.dark_hz, rel=1e-9
         )
+    with pytest.raises(FieldOutOfRange, match="exceeds 0.1 T"):
+        axial_frequencies(params, -0.2)
 
 
 def test_level_crossing_field_value_and_degeneracy():
