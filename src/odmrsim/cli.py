@@ -9,9 +9,10 @@ steps     FM tracking of a stepped axial field, with step statistics.
 
 Every command writes its outputs plus a manifest.json holding the fully
 defaulted configuration, the seed and SHA-256 digests of each output.
-Each command computes its results first and then writes its files as
-temporary files in --out (see _publish); they are renamed into place,
-with manifest.json written last, only when all of them were written.
+Each command computes its results first and then writes its files, and
+then the manifest of them, as temporary files in --out (see _publish);
+they are renamed into place, manifest.json last, only when all of them
+were written.
 Exit codes: 0 success, 1 domain error (bad data, no peak, out of range),
 2 usage, config or file format error.
 
@@ -53,7 +54,6 @@ from .errors import ScheduleMismatch, SchemaViolation
 from .io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
-    MANIFEST_STAGE,
     csv_chunks,
     format_float,
     load_manifest,
@@ -85,13 +85,14 @@ def _publish(args, cfg: ConfigDoc, t0: float):
     """Move a run's files into --out once the run has written all of them.
 
     Yields stage(name), the path to write output name to: a temporary file
-    beside its target in --out.  When the block succeeds, the old manifest,
-    the files to be replaced and the other files it lists (bare names only)
-    are removed, each staged file is renamed onto its name and the manifest
-    of the renamed files is written last, so a manifest in --out always
-    describes the files beside it.  On any failure the staged files are
-    removed, and so is --out (with any parents) if this run created it.
-    An OSError becomes IoFailure.
+    beside its target in --out.  When the block succeeds, the manifest of
+    the staged files is staged too; then the files to be replaced and the
+    other files the old manifest lists (bare names only) are removed and
+    each staged file is renamed onto its name, the manifest last, so a
+    manifest in --out always describes the files beside it.  This is the
+    one code that renames files into --out.  On any failure the staged
+    files are removed, and so is --out (with any parents) if this run
+    created it.  An OSError becomes IoFailure.
     """
     # Temporary files beside their targets, not a staging directory, and
     # old files removed before the renames.  On ext4 (2-vCPU shared host)
@@ -99,14 +100,13 @@ def _publish(args, cfg: ConfigDoc, t0: float):
     # disk block (a rewrite after O_TRUNC) about 0.035 ms and an unlink or a
     # rename 0.005-0.03 ms, of a 1.2-1.4 ms `odmr fit` rerun: so the old
     # manifest, when it is a plain file of one link, becomes the new one's
-    # stage.  Paths are plain strings, --out normalised once as pathlib
-    # spells it.
+    # stage, which _write_text overwrites in place.  Paths are plain
+    # strings, --out normalised once as pathlib spells it.
     out_dir = os.fspath(Path(args.out))
     created = [] if os.path.exists(out_dir) else [
         p for p in (Path(out_dir), *Path(out_dir).parents) if not p.exists()
     ]
     manifest = os.path.join(out_dir, MANIFEST_NAME)
-    manifest_stage = os.path.join(out_dir, MANIFEST_STAGE)
     staged = {}
 
     def stage(name: str) -> str:
@@ -116,11 +116,13 @@ def _publish(args, cfg: ConfigDoc, t0: float):
     try:
         os.makedirs(out_dir, exist_ok=True)
         yield stage
+        outputs = dict(staged)
+        manifest_stage = stage(MANIFEST_NAME)
         # A directory that holds nothing but this run's names and their
         # stages has no file that an old manifest could list and this run
         # not replace: its manifest is not read.
         present = set(os.listdir(out_dir))
-        ours = {MANIFEST_NAME, MANIFEST_STAGE, *staged, *(f".{n}.tmp" for n in staged)}
+        ours = {*staged, *(f".{n}.tmp" for n in staged)}
         listed = {}
         if present - ours:
             with contextlib.suppress(FormatError):
@@ -137,24 +139,23 @@ def _publish(args, cfg: ConfigDoc, t0: float):
             old = os.lstat(manifest)
             if stat.S_ISREG(old.st_mode) and old.st_nlink == 1:
                 os.replace(manifest, manifest_stage)
-            else:
-                os.unlink(manifest)
+                present.remove(MANIFEST_NAME)
+        write_run_manifest(
+            manifest_stage,
+            command=args.command,
+            config=None,
+            seed=args.seed,
+            outputs=outputs,
+            duration_s=time.perf_counter() - t0,
+            config_json=cfg.manifest_json,
+        )
         for name in (*staged, *stale):
             if name in present:
                 os.unlink(os.path.join(out_dir, name))
         for name, path in staged.items():
             os.rename(path, os.path.join(out_dir, name))
-        write_run_manifest(
-            out_dir,
-            command=args.command,
-            config=None,
-            seed=args.seed,
-            output_paths=[os.path.join(out_dir, name) for name in staged],
-            duration_s=time.perf_counter() - t0,
-            config_json=cfg.manifest_json,
-        )
     except BaseException as exc:
-        for path in (*staged.values(), manifest_stage):
+        for path in staged.values():
             with contextlib.suppress(OSError):
                 os.unlink(path)
         if created:
@@ -211,7 +212,9 @@ def cmd_fit(args, cfg: ConfigDoc, t0: float) -> int:
     dc = float(_median(dc_v)) if dc_v.size else math.nan
     contrast = None
     if math.isfinite(dc) and dc > 0:
+        # A DC level so small that the ratio overflows gives none either.
         contrast = odmr_contrast(fit, dc)
+        contrast = contrast if math.isfinite(contrast) else None
 
     payload = {
         "format_version": FORMAT_VERSION,

@@ -28,9 +28,6 @@ from .errors import (
 
 FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
-# The manifest is written under this name and then renamed onto its own,
-# as cli._publish stages each output as ".<name>.tmp".
-MANIFEST_STAGE = f".{MANIFEST_NAME}.tmp"
 
 SWEEP_HEADER = "frequency_hz,lockin_v,dc_v"
 MAP_HEADER = "p_opt_w,p_rf_w,fwhm_hz,contrast,rate_hz,eta_t_rthz"
@@ -73,11 +70,16 @@ def csv_chunks(header: str, *columns) -> Iterator[str]:
 def _write_text(path, text):
     """Write text, a str or an iterable of str chunks, to path as UTF-8.
 
+    A file already at path is overwritten and then cut to length, not
+    truncated first: it keeps its disk block, where freeing it and taking a
+    new one cost 5-12% of an `odmr fit` rerun on ext4 (2-vCPU host).
     Returns path as given, as every writer does.
     """
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
+            fh.truncate()
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
     return path
@@ -265,35 +267,36 @@ def manifest_config_json(config: dict) -> str:
 
 
 def write_run_manifest(
-    out_dir,
+    path,
     command: str,
     config: dict | None,
     seed: int,
-    output_paths: list,
+    outputs: dict,
     duration_s: float,
     config_json: str | None = None,
 ) -> RunManifest:
-    """Write manifest.json, dump_json of the manifest, in out_dir.
+    """Write the manifest, dump_json of it, to path.
 
-    Each output is listed under its file name, in name order, with the
-    SHA-256 digest and byte count of one read.  config_json, when given,
-    must be manifest_config_json(config): a caller that writes many
-    manifests of one config encodes it once, since the indented encoder
-    runs in pure Python: about 45 us for a manifest of the default config,
-    on a 2-vCPU host.  The text is then all the manifest needs, so such a
-    caller may pass config None, which the returned RunManifest holds.
+    Each output is listed under its name in outputs, in name order, with
+    the SHA-256 digest and byte count of one read of the file outputs maps
+    it to.  config_json, when given, must be manifest_config_json(config):
+    a caller that writes many manifests of one config encodes it once,
+    since the indented encoder runs in pure Python: about 45 us for a
+    manifest of the default config, on a 2-vCPU host.  The text is then
+    all the manifest needs, so such a caller may pass config None, which
+    the returned RunManifest holds.
     """
     from . import __version__
 
-    outputs = {}
-    for path in sorted(output_paths, key=os.path.basename):
-        sha256, size = _digest(path)
-        outputs[os.path.basename(path)] = {"sha256": sha256, "bytes": size}
+    listed = {}
+    for name, file in sorted(outputs.items()):
+        sha256, size = _digest(file)
+        listed[name] = {"sha256": sha256, "bytes": size}
     manifest = RunManifest(
         command=command,
         seed=int(seed),
         config=config,
-        outputs=outputs,
+        outputs=listed,
         duration_s=float(duration_s),
         tool_version=__version__,
     )
@@ -304,20 +307,7 @@ def write_run_manifest(
     record = {**manifest.as_dict(), "config": "\0"}
     slot = '"config": "\\u0000"'
     text = dump_json(record).replace(slot, '"config": ' + config_json, 1)
-    # Written under its stage name and renamed into place, so no reader
-    # meets a half-written manifest.  A file already there (_publish moves
-    # the old manifest there) is overwritten and then cut to length, not
-    # truncated first: it keeps its disk block, where freeing it and taking
-    # a new one cost 5-12% of an `odmr fit` rerun on ext4 (2-vCPU host).
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    stage = os.path.join(out_dir, MANIFEST_STAGE)
-    try:
-        with open(os.open(stage, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(text.encode("utf-8"))
-            fh.truncate()
-        os.replace(stage, path)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_text(path, text)
     return manifest
 
 

@@ -211,6 +211,22 @@ def test_rerun_writes_no_file_linked_to_its_old_manifest(tmp_path):
     assert all(verify_manifest(out / "manifest.json").values())
 
 
+def test_clean_rerun_rewrites_its_old_manifest_in_place(tmp_path):
+    # The old manifest, a plain file with one link, becomes the new one's
+    # stage: the rerun's manifest is the same inode, and so keeps its disk
+    # block.  The open file holds the old inode, so no new file can take
+    # its number.
+    out = tmp_path / "run"
+    argv = ["fit", write_clean_sweep(tmp_path / "sweep.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "manifest.json", "rb") as old:
+        assert main(argv + ["--seed", "1"]) == 0
+        new = (out / "manifest.json").stat()
+        assert os.fstat(old.fileno()).st_ino == new.st_ino
+        assert json.loads(old.read())["seed"] == 1
+    assert sorted(p.name for p in out.iterdir()) == ["fit.json", "manifest.json"]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "map", "steps"])
 def test_no_hyperfine_manifest_config_reproduces_outputs(tmp_path, command):
     data = {"map": MINI_MAP_CONFIG, "steps": MINI_STEPS_CONFIG}.get(command, {})
@@ -537,7 +553,8 @@ def test_fit_edge_data_ends_without_numpy_warnings(tmp_path, capsys):
     # Warnings fail the suite, so these pin that extreme but readable sweeps
     # end in an exit code alone: non-finite cells are format errors, a fit
     # leaving floating-point range is a domain error, and a DC column with
-    # no number gives no contrast.
+    # no number, or so small a DC level that the contrast overflows, gives
+    # no contrast.
     freq = np.linspace(95e6, 101e6, 21)
     lockin = 1e-3 * 0.25e12 / ((freq - 98e6) ** 2 + 0.25e12)
     cases = {
@@ -545,13 +562,16 @@ def test_fit_edge_data_ends_without_numpy_warnings(tmp_path, capsys):
         "huge.csv": (freq, np.where(freq == freq[5], 1e300, lockin), 0.06, 1),
         "tiny.csv": (np.arange(21) * 5e-324, lockin, 0.06, 1),
         "nodc.csv": (freq, lockin, math.nan, 0),
+        "tinydc.csv": (freq, lockin, 5e-324, 0),
     }
     for name, (f, y, dc, expected) in cases.items():
         path = tmp_path / name
         write_sweep(SweepRecord(f, y, np.full(f.size, dc)), path)
-        assert main(["fit", str(path), "--out", str(tmp_path / "out")]) == expected
-    assert json.loads((tmp_path / "out" / "fit.json").read_text())["contrast"] is None
-    capsys.readouterr()
+        out = tmp_path / name.replace(".csv", "")
+        assert main(["fit", str(path), "--out", str(out)]) == expected
+        if expected == 0:
+            assert json.loads((out / "fit.json").read_text())["contrast"] is None
+    assert capsys.readouterr().out.count(", contrast n/a\n") == 2
 
 
 def test_fit_dc_median_past_the_float_range_is_finite(tmp_path, capsys):
@@ -1120,6 +1140,36 @@ def test_failed_stage_write_keeps_the_previous_run(tmp_path, capsys):
     assert not (out / ".transitions.csv.tmp").exists()
     after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
     assert after == before
+
+
+def test_unwritable_manifest_stage_publishes_nothing(tmp_path, capsys):
+    # The manifest is staged before any output is renamed: when its stage
+    # cannot be written, none of the run's outputs appears.
+    out = tmp_path / "out"
+    (out / ".manifest.json.tmp").mkdir(parents=True)
+    assert main(["spectrum", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / '.manifest.json.tmp'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [".manifest.json.tmp"]
+
+
+def test_failed_manifest_write_keeps_the_previous_outputs(
+    tmp_path, capsys, monkeypatch
+):
+    # The second sweep's fit.json differs (its source name does), but the
+    # manifest fails before any old file is removed or any stage renamed.
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    out = tmp_path / "out"
+    assert main(["fit", write_clean_sweep(tmp_path / "a.csv"), "--out", str(out)]) == 0
+    before = (out / "fit.json").read_bytes()
+    monkeypatch.setattr("odmrsim.cli.write_run_manifest", full_disk)
+    assert main(["fit", write_clean_sweep(tmp_path / "b.csv"), "--out", str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert (out / "fit.json").read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
 
 def test_interrupted_run_propagates_and_removes_its_out(tmp_path, monkeypatch):

@@ -384,11 +384,11 @@ def test_manifest_write_verify_and_tamper(tmp_path):
     out = tmp_path / "file.csv"
     out.write_text("hello\n")
     write_run_manifest(
-        tmp_path,
+        tmp_path / "manifest.json",
         command="spectrum",
         config={"a": 1},
         seed=3,
-        output_paths=[out],
+        outputs={"file.csv": out},
         duration_s=0.5,
     )
     data = load_manifest(tmp_path / "manifest.json")
@@ -413,16 +413,26 @@ def test_manifest_with_an_encoded_config_is_its_dump_json(tmp_path):
     out.write_text("hello\n")
     for config_json in (None, manifest_config_json(config)):
         manifest = write_run_manifest(
-            tmp_path,
+            tmp_path / "manifest.json",
             command="\0",
             config=config,
             seed=1,
-            output_paths=[out],
+            outputs={"file.csv": out},
             duration_s=0.25,
             config_json=config_json,
         )
         text = (tmp_path / "manifest.json").read_text()
         assert text == dump_json(manifest.as_dict())
+
+
+def test_write_text_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    # The file is overwritten in place and then cut to length.
+    path = tmp_path / "file.txt"
+    path.write_text("a longer old text\n" * 100)
+    inode = path.stat().st_ino
+    assert io_formats._write_text(path, ["new\n", "text\n"]) == path
+    assert path.read_bytes() == b"new\ntext\n"
+    assert path.stat().st_ino == inode
 
 
 def test_load_manifest_rejects_other_json(tmp_path):
