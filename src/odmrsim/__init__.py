@@ -76,7 +76,6 @@ from .io_formats import (
     RunManifest,
     SweepRecord,
     load_manifest,
-    load_map_csv,
     load_sweep,
     verify_manifest,
     write_map_csv,

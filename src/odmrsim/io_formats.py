@@ -14,7 +14,6 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -102,10 +101,6 @@ def _bare(name: str) -> bool:
     )
 
 
-def sha256_file(path) -> str:
-    return _digest(path)[0]
-
-
 def _digest(path) -> tuple[str, int]:
     """The SHA-256 hex digest and byte count of a file, from one read."""
     digest = hashlib.sha256()
@@ -127,14 +122,6 @@ def dump_json(obj) -> str:
 
 def write_json_record(obj, path):
     return _write_text(path, dump_json(obj))
-
-
-def load_json_record(path):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedHeader(f"{path}: invalid JSON: {exc}") from exc
 
 
 # sweep records
@@ -227,38 +214,19 @@ def write_map_csv(p_opt_w, p_rf_w, arrays, path):
     return _write_text(path, csv_chunks(MAP_HEADER, *columns))
 
 
-def load_map_csv(path) -> list[dict]:
-    """Load map rows as dicts keyed by the map column names."""
-    columns = _read_table(path, MAP_HEADER, required=2)
-    names = MAP_HEADER.split(",")
-    return [dict(zip(names, row)) for row in zip(*(c.tolist() for c in columns))]
-
-
 # run manifests
 
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Snapshot of a command run: inputs, seed and output digests."""
+    """What write_run_manifest wrote: the run's seed and output digests."""
 
     command: str
     seed: int
-    config: dict | None
     outputs: dict
     duration_s: float
     tool_version: str
     format_version: int = FORMAT_VERSION
-
-    def as_dict(self) -> dict:
-        return {
-            "format_version": self.format_version,
-            "tool_version": self.tool_version,
-            "command": self.command,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "config": self.config,
-            "outputs": self.outputs,
-        }
 
 
 def manifest_config_json(config: dict) -> str:
@@ -269,22 +237,19 @@ def manifest_config_json(config: dict) -> str:
 def write_run_manifest(
     path,
     command: str,
-    config: dict | None,
     seed: int,
+    config_json: str,
     outputs: dict,
     duration_s: float,
-    config_json: str | None = None,
 ) -> RunManifest:
-    """Write the manifest, dump_json of it, to path.
+    """Write a run's manifest to path, as dump_json of it, and return it.
 
-    Each output is listed under its name in outputs, in name order, with
-    the SHA-256 digest and byte count of one read of the file outputs maps
-    it to.  config_json, when given, must be manifest_config_json(config):
-    a caller that writes many manifests of one config encodes it once,
-    since the indented encoder runs in pure Python: about 45 us for a
-    manifest of the default config, on a 2-vCPU host.  The text is then
-    all the manifest needs, so such a caller may pass config None, which
-    the returned RunManifest holds.
+    The config block goes in as config_json, the text manifest_config_json
+    encodes (ConfigDoc.manifest_json caches it per document, since the
+    indented encoder runs in pure Python: about 45 us for the default
+    config on a 2-vCPU host).  Each output is listed under its name in
+    outputs, in name order, with the SHA-256 digest and byte count of one
+    read of the file outputs maps it to.
     """
     from . import __version__
 
@@ -292,28 +257,29 @@ def write_run_manifest(
     for name, file in sorted(outputs.items()):
         sha256, size = _digest(file)
         listed[name] = {"sha256": sha256, "bytes": size}
-    manifest = RunManifest(
-        command=command,
-        seed=int(seed),
-        config=config,
-        outputs=listed,
-        duration_s=float(duration_s),
-        tool_version=__version__,
-    )
-    if config_json is None:
-        config_json = manifest_config_json(config)
+    seed, duration_s = int(seed), float(duration_s)
     # The config goes in as a placeholder that only the config key's own
     # entry can spell, since a quote inside any other string is escaped.
-    record = {**manifest.as_dict(), "config": "\0"}
+    record = {
+        "format_version": FORMAT_VERSION,
+        "tool_version": __version__,
+        "command": command,
+        "seed": seed,
+        "duration_s": duration_s,
+        "config": "\0",
+        "outputs": listed,
+    }
     slot = '"config": "\\u0000"'
-    text = dump_json(record).replace(slot, '"config": ' + config_json, 1)
-    _write_text(path, text)
-    return manifest
+    _write_text(path, dump_json(record).replace(slot, '"config": ' + config_json, 1))
+    return RunManifest(command, seed, listed, duration_s, __version__)
 
 
 def load_manifest(path) -> dict:
     """A run manifest whose outputs map names to entries with a sha256."""
-    data = load_json_record(path)
+    try:
+        data = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedHeader(f"{path}: invalid JSON: {exc}") from exc
     outputs = data.get("outputs") if isinstance(data, dict) else None
     if not isinstance(outputs, dict) or not all(
         isinstance(entry, dict) and isinstance(entry.get("sha256"), str)
@@ -329,11 +295,12 @@ def verify_manifest(path) -> dict:
     A listed name that is not bare reports False and is never opened.
     """
     data = load_manifest(path)
-    base = Path(path).parent
+    base = os.path.dirname(path)
     result = {}
     for name, entry in data["outputs"].items():
         try:
-            result[name] = _bare(name) and sha256_file(base / name) == entry["sha256"]
+            file = os.path.join(base, name)
+            result[name] = _bare(name) and _digest(file)[0] == entry["sha256"]
         except IoFailure:
             result[name] = False
     return result

@@ -21,17 +21,17 @@ from hypothesis import strategies as st
 import odmrsim
 from odmrsim import (
     FormatError,
-    RunManifest,
+    IoFailure,
     SpinParams,
     SweepRecord,
     load_config,
-    load_map_csv,
     load_sweep,
     verify_manifest,
     write_sweep,
 )
 from odmrsim.cli import main
-from odmrsim.io_formats import dump_json
+from odmrsim import io_formats
+from odmrsim.io_formats import MAP_HEADER, dump_json, _read_table
 from odmrsim.signal_chain import _dwell_layout
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -76,6 +76,11 @@ MINI_STEPS_CONFIG = {
         "output_decimation": 10,
     },
 }
+
+
+def read_map(path):
+    """map.csv's columns by name, as float arrays."""
+    return dict(zip(MAP_HEADER.split(","), _read_table(path, MAP_HEADER, required=2)))
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -260,15 +265,17 @@ def test_manifest_is_dump_json_of_its_run_manifest(tmp_path, config):
     assert main(argv) == 0
     text = (tmp_path / "run" / "manifest.json").read_text()
     recorded = json.loads(text)
-    manifest = RunManifest(
-        command="spectrum",
-        seed=0,
-        config=cfg.as_dict(),
-        outputs=recorded["outputs"],
-        duration_s=recorded["duration_s"],
-        tool_version=odmrsim.__version__,
+    assert text == dump_json(
+        {
+            "format_version": odmrsim.FORMAT_VERSION,
+            "tool_version": odmrsim.__version__,
+            "command": "spectrum",
+            "seed": 0,
+            "duration_s": recorded["duration_s"],
+            "config": cfg.as_dict(),
+            "outputs": recorded["outputs"],
+        }
     )
-    assert text == dump_json(manifest.as_dict())
 
 
 def test_no_hyperfine_run_leaves_the_shared_defaults(tmp_path):
@@ -1100,30 +1107,86 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert out.read_text() == "not a directory\n"
 
 
-def test_failed_write_in_stage_leaves_no_out(tmp_path, capsys, monkeypatch):
-    def full_disk(*args, **kwargs):
-        raise OSError(28, "No space left on device")
+def raise_oserror(*args, **kwargs):
+    raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr("odmrsim.cli.line_plot", full_disk)
+
+def test_failed_write_in_stage_leaves_no_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("odmrsim.cli.line_plot", raise_oserror)
     out = tmp_path / "new" / "run"
     assert main(["spectrum", "--out", str(out), "--svg"]) == 2
     assert "No space left on device" in capsys.readouterr().err
     assert not (tmp_path / "new").exists()
 
 
-def test_unreplaceable_output_leaves_no_manifest_or_stage(tmp_path, capsys):
+def snapshot(out):
+    """Each entry of out: a file's bytes, or None for a directory."""
+    return {p.name: None if p.is_dir() else p.read_bytes() for p in out.iterdir()}
+
+
+def test_directory_in_the_way_keeps_every_previous_file(tmp_path, capsys):
+    # The rerun writes spectrum.svg, which is new, spectrum.csv, which it
+    # replaces, and manifest.json: a directory at any of them is refused
+    # before anything in --out changes, the old manifest included.
+    for name in ("spectrum.svg", "spectrum.csv", "manifest.json"):
+        out = tmp_path / name / "out"
+        assert main(["spectrum", "--seed", "1", "--out", str(out)]) == 0
+        (out / name).unlink(missing_ok=True)
+        (out / name).mkdir()
+        before = snapshot(out)
+        assert main(["spectrum", "--out", str(out), "--svg"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {out}: ")
+        assert err.endswith(f"Is a directory: '{out / name}'\n")
+        assert err.count("\n") == 1
+        assert snapshot(out) == before
+    # The old manifest lists no spectrum.svg, so that run still verifies.
+    svg_run = tmp_path / "spectrum.svg" / "out"
+    assert all(verify_manifest(svg_run / "manifest.json").values())
+
+
+def tear_manifest_writes(monkeypatch):
+    """Make io_formats._write_text write half of a manifest stage and fail."""
+    write = io_formats._write_text
+
+    def torn(path, text):
+        if not os.fspath(path).endswith(".manifest.json.tmp"):
+            return write(path, text)
+        write(path, text[: len(text) // 2])
+        raise IoFailure(f"cannot write {path}: [Errno 28] No space left on device")
+
+    monkeypatch.setattr(io_formats, "_write_text", torn)
+
+
+@pytest.mark.parametrize("failure", ["stage", "digest", "torn", "directory"])
+def test_failed_rerun_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, failure):
+    # Each way a rerun can fail before its commit: an output stage that
+    # cannot be written, a stage that cannot be hashed, a manifest stage
+    # written part-way and a directory in the way of an output.  --out,
+    # with a file the old manifest does not list, so that it is read,
+    # stays byte for byte as it was, its manifest the same file.
     out = tmp_path / "out"
-    assert main(["spectrum", "--out", str(out)]) == 0
-    (out / "spectrum.svg").mkdir()
+    assert main(["spectrum", "--seed", "1", "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("mine\n")
+    if failure == "stage":
+        monkeypatch.setattr("odmrsim.cli.line_plot", raise_oserror)
+    elif failure == "digest":
+        monkeypatch.setattr(io_formats, "_digest", raise_oserror)
+    elif failure == "torn":
+        tear_manifest_writes(monkeypatch)
+    else:
+        (out / "spectrum.svg").mkdir()
+    before = snapshot(out)
+    inode = (out / "manifest.json").stat().st_ino
+    capsys.readouterr()
     assert main(["spectrum", "--out", str(out), "--svg"]) == 2
     err = capsys.readouterr().err
-    assert "spectrum.svg" in err and "Traceback" not in err
-    assert (out / "spectrum.svg").is_dir()
-    # No stage is left, and the old manifest, which would no longer
-    # describe the files beside it, is gone.
-    names = {p.name for p in out.iterdir()}
-    assert "manifest.json" not in names
-    assert names <= {"spectrum.csv", "spectrum.svg", "transitions.csv"}
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert snapshot(out) == before
+    assert (out / "manifest.json").stat().st_ino == inode
+    monkeypatch.undo()
+    assert all(verify_manifest(out / "manifest.json").values())
 
 
 def test_failed_stage_write_keeps_the_previous_run(tmp_path, capsys):
@@ -1158,18 +1221,17 @@ def test_failed_manifest_write_keeps_the_previous_outputs(
     tmp_path, capsys, monkeypatch
 ):
     # The second sweep's fit.json differs (its source name does), but the
-    # manifest fails before any old file is removed or any stage renamed.
-    def full_disk(*args, **kwargs):
-        raise OSError(28, "No space left on device")
-
+    # manifest fails before any old file is removed or any stage renamed:
+    # the old manifest, moved onto the new one's stage, goes back.
     out = tmp_path / "out"
-    assert main(["fit", write_clean_sweep(tmp_path / "a.csv"), "--out", str(out)]) == 0
-    before = (out / "fit.json").read_bytes()
-    monkeypatch.setattr("odmrsim.cli.write_run_manifest", full_disk)
-    assert main(["fit", write_clean_sweep(tmp_path / "b.csv"), "--out", str(out)]) == 2
+    argv = ["--svg", "--out", str(out)]
+    assert main(["fit", write_clean_sweep(tmp_path / "a.csv"), *argv]) == 0
+    before = snapshot(out)
+    monkeypatch.setattr("odmrsim.cli.write_run_manifest", raise_oserror)
+    assert main(["fit", write_clean_sweep(tmp_path / "b.csv"), *argv]) == 2
     assert "No space left on device" in capsys.readouterr().err
-    assert (out / "fit.json").read_bytes() == before
-    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+    assert snapshot(out) == before
+    assert all(verify_manifest(out / "manifest.json").values())
 
 
 def test_interrupted_run_propagates_and_removes_its_out(tmp_path, monkeypatch):
@@ -1240,8 +1302,7 @@ def test_map_mini_grid_outputs(tmp_path):
     cfg = write_config(tmp_path, MINI_MAP_CONFIG)
     out = tmp_path / "maprun"
     assert main(["map", "--config", cfg, "--out", str(out), "--svg"]) == 0
-    rows = load_map_csv(out / "map.csv")
-    assert len(rows) == 9
+    assert read_map(out / "map.csv")["p_opt_w"].size == 9
     payload = json.loads((out / "argmin.json").read_text())
     assert payload["n_cells"] == 9
     assert payload["n_failed"] == 0
@@ -1282,7 +1343,7 @@ def test_noise_free_map_demodulates_no_per_cell_samples(tmp_path, monkeypatch):
             counts.append(0)
         out = tmp_path / f"map{side}"
         assert main(["map", "--config", cfg, "--out", str(out)]) == 0
-        assert len(load_map_csv(out / "map.csv")) == side * side
+        assert read_map(out / "map.csv")["p_opt_w"].size == side * side
     assert counted["demod"] == [0, 0]
     assert counted["comb"][0] == counted["comb"][1] > 0
 
@@ -1299,10 +1360,10 @@ def test_map_counts_a_dark_cell_as_failed(tmp_path):
     cfg = write_config(tmp_path, data)
     out = tmp_path / "out"
     assert main(["map", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
-    rows = load_map_csv(out / "map.csv")
-    assert [row["p_opt_w"] for row in rows] == [0.1, 1e9]
-    assert math.isnan(rows[0]["eta_t_rthz"])
-    assert math.isfinite(rows[1]["eta_t_rthz"])
+    columns = read_map(out / "map.csv")
+    assert columns["p_opt_w"].tolist() == [0.1, 1e9]
+    assert math.isnan(columns["eta_t_rthz"][0])
+    assert math.isfinite(columns["eta_t_rthz"][1])
     assert json.loads((out / "argmin.json").read_text())["n_failed"] == 1
 
 

@@ -1,5 +1,6 @@
 """Round trips and failure modes of the on-disk formats."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import odmrsim
 from odmrsim import (
     FORMAT_VERSION,
     IoFailure,
@@ -23,7 +25,6 @@ from odmrsim import (
     config_from_dict,
     load_config,
     load_manifest,
-    load_map_csv,
     load_sweep,
     verify_manifest,
     write_map_csv,
@@ -32,12 +33,12 @@ from odmrsim import (
 )
 from odmrsim import io_formats
 from odmrsim.io_formats import (
+    MAP_HEADER,
     SWEEP_HEADER,
     csv_chunks,
     dump_json,
     format_float,
     manifest_config_json,
-    sha256_file,
 )
 from odmrsim import svgplot
 from odmrsim.svgplot import heatmap, line_plot
@@ -250,7 +251,8 @@ def test_map_round_trip_with_failed_cell(tmp_path):
     cells = [np.array([[v, math.nan]]) for v in (5e5, 0.01, 1e11, 4e-9)]
     path = tmp_path / "map.csv"
     write_map_csv([0.1], [0.5, 1.0], cells, path)
-    rows = load_map_csv(path)
+    columns = io_formats._read_table(path, MAP_HEADER, required=2)
+    rows = [dict(zip(MAP_HEADER.split(","), row)) for row in zip(*columns)]
     assert rows[0]["eta_t_rthz"] == pytest.approx(4e-9)
     assert math.isnan(rows[1]["eta_t_rthz"])
     assert math.isnan(rows[1]["fwhm_hz"])
@@ -386,8 +388,8 @@ def test_manifest_write_verify_and_tamper(tmp_path):
     write_run_manifest(
         tmp_path / "manifest.json",
         command="spectrum",
-        config={"a": 1},
         seed=3,
+        config_json=manifest_config_json({"a": 1}),
         outputs={"file.csv": out},
         duration_s=0.5,
     )
@@ -411,18 +413,28 @@ def test_manifest_with_an_encoded_config_is_its_dump_json(tmp_path):
     }
     out = tmp_path / "file.csv"
     out.write_text("hello\n")
-    for config_json in (None, manifest_config_json(config)):
-        manifest = write_run_manifest(
-            tmp_path / "manifest.json",
-            command="\0",
-            config=config,
-            seed=1,
-            outputs={"file.csv": out},
-            duration_s=0.25,
-            config_json=config_json,
-        )
-        text = (tmp_path / "manifest.json").read_text()
-        assert text == dump_json(manifest.as_dict())
+    manifest = write_run_manifest(
+        tmp_path / "manifest.json",
+        command="\0",
+        seed=1,
+        config_json=manifest_config_json(config),
+        outputs={"file.csv": out},
+        duration_s=0.25,
+    )
+    assert manifest.outputs == {
+        "file.csv": {"sha256": hashlib.sha256(b"hello\n").hexdigest(), "bytes": 6}
+    }
+    assert (tmp_path / "manifest.json").read_text() == dump_json(
+        {
+            "format_version": FORMAT_VERSION,
+            "tool_version": odmrsim.__version__,
+            "command": "\0",
+            "seed": 1,
+            "duration_s": 0.25,
+            "config": config,
+            "outputs": manifest.outputs,
+        }
+    )
 
 
 def test_write_text_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
@@ -457,15 +469,19 @@ def test_verify_manifest_opens_only_bare_names(tmp_path, monkeypatch):
         str(outside): outside,
         "inside.txt": run / "inside.txt",
     }
-    outputs = {name: {"sha256": sha256_file(p)} for name, p in listed.items()}
+    outputs = {
+        name: {"sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+        for name, p in listed.items()
+    }
     (run / "manifest.json").write_text(json.dumps({"outputs": outputs}))
     opened = []
+    digest = io_formats._digest
 
-    def recording_sha256(path):
+    def recording_digest(path):
         opened.append(Path(path))
-        return sha256_file(path)
+        return digest(path)
 
-    monkeypatch.setattr(io_formats, "sha256_file", recording_sha256)
+    monkeypatch.setattr(io_formats, "_digest", recording_digest)
     assert verify_manifest(run / "manifest.json") == {
         "../outside.txt": False,
         str(outside): False,
@@ -589,10 +605,10 @@ def test_svg_bytes_are_pinned(tmp_path):
         x_label="x",
         y_label="y",
     )
-    assert sha256_file(tmp_path / "line.svg") == (
+    assert hashlib.sha256((tmp_path / "line.svg").read_bytes()).hexdigest() == (
         "c66008d166f20d38141aa68a050d7a5ab2481d0c3e72b8fe1cf85aa8687f9d12"
     )
-    assert sha256_file(tmp_path / "heat.svg") == (
+    assert hashlib.sha256((tmp_path / "heat.svg").read_bytes()).hexdigest() == (
         "f41c7e100857dce5655aada4ad4a5cd09b4ebc9e4bf6321adad125a6a60d22d8"
     )
 
