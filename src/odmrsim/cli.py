@@ -57,7 +57,6 @@ from .io_formats import (
     FORMAT_VERSION,
     MANIFEST_NAME,
     csv_chunks,
-    format_float,
     load_manifest,
     load_sweep,
     write_json_record,
@@ -414,10 +413,9 @@ def cmd_steps(args, cfg: ConfigDoc, t0: float) -> int:
     # place, so the kept series is not held twice.
     lockin = scene.in_volts(result.lockin, out=result.lockin)
     slope = float(scene.in_volts(result.slope_per_hz))
-    # One text per level, repeated over its step's rows; a step ends with its window.
-    levels = np.array([format_float(v) for v in timeline.bz_t], dtype=object)
+    # Each level repeated over its step's rows; a step ends with its window.
     rows_to_end = [-(-i1 // sched.output_decimation) for _, i1 in windows]
-    true = np.repeat(levels, np.diff([0, *rows_to_end]))
+    true = np.repeat(timeline.bz_t, np.diff([0, *rows_to_end]))
 
     payload = {
         "format_version": FORMAT_VERSION,

@@ -607,6 +607,27 @@ def test_fit_malformed_csv_is_format_error(tmp_path, capsys):
     assert "UTF-8" in capsys.readouterr().err
 
 
+def test_fit_reads_a_sweep_saved_with_a_byte_order_mark(tmp_path, capsys):
+    # Excel's "CSV UTF-8" starts the file with U+FEFF; the fit is the
+    # plain file's.  Another invisible character is refused and shown.
+    plain = Path(write_clean_sweep(tmp_path / "sweep.csv"))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    fits = []
+    for path, out in ((plain, "a"), (marked, "b")):
+        assert main(["fit", str(path), "--out", str(tmp_path / out)]) == 0
+        fits.append(json.loads((tmp_path / out / "fit.json").read_text()))
+        fits[-1].pop("source")
+    assert fits[0] == fits[1]
+    capsys.readouterr()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\u200b" + plain.read_text())
+    assert main(["fit", str(spaced), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "got '\\u200bfrequency_hz,lockin_v,dc_v'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bad_config_json_is_format_error(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{oops")

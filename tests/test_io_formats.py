@@ -5,6 +5,8 @@ import json
 import math
 import os
 import tempfile
+from dataclasses import astuple
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +81,19 @@ def test_sweep_nan_dc_round_trips_as_empty_cell(tmp_path):
 def test_sweep_header_and_cell_errors(tmp_path):
     bad_header = tmp_path / "a.csv"
     bad_header.write_text("freq,lockin\n1,2\n")
-    with pytest.raises(MalformedHeader):
+    expected = f"expected header '{SWEEP_HEADER}', got 'freq,lockin'$"
+    with pytest.raises(MalformedHeader, match=expected):
         load_sweep(bad_header)
+    # One leading byte-order mark is skipped; a second one is a character
+    # of the header, and the message spells it out.
+    good = write_sweep(make_record(), tmp_path / "good.csv")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + good.read_bytes())
+    for got, want in zip(astuple(load_sweep(marked)), astuple(load_sweep(good))):
+        np.testing.assert_array_equal(got, want)
+    marked.write_bytes(b"\xef\xbb\xbf" * 2 + good.read_bytes())
+    with pytest.raises(MalformedHeader, match=r"got '\\ufeff" + SWEEP_HEADER + "'$"):
+        load_sweep(marked)
     for text, got in (("", "<empty file>"), ("\n", "")):
         bad_header.write_text(text)
         with pytest.raises(MalformedHeader, match=f"got '{got}'$"):
@@ -552,9 +565,9 @@ def test_csv_chunks_stream_long_tables_in_chunks():
 
 
 def test_csv_chunks_write_object_text_as_str_text():
-    # An object column of str, as steps holds its levels by reference,
-    # writes the bytes of the same strings in a U column: texts of mixed
-    # lengths, across a chunk boundary where the row length changes.
+    # An object column of str writes the bytes of the same strings in a
+    # U column: texts of mixed lengths, across a chunk boundary where the
+    # row length changes.
     n = io_formats._CHUNK_ROWS + 5
     shared = [format_float(v) for v in (1e-3, -2.5e-9, 1e-3 + 5e-7, 7.0, 1e22)]
     shared += ["", "nu2_sat_minus" * 3]
@@ -569,6 +582,142 @@ def test_csv_chunks_write_object_text_as_str_text():
     assert "".join(chunks) == "l,v\n" + "".join(
         f"{label},{format_float(v)}\n" for label, v in zip(shared * n, values)
     )
+
+
+def _reference_csv(header, *columns) -> str:
+    """The CSV text of the chunked-% writer that csv_chunks replaced.
+
+    Each chunk is one % call: '%.17g' for a number, '%s' for text and for
+    the format_float text of a float column holding NaN (empty for NaN).
+    """
+    chunks = [header + "\n"]
+    columns = [np.asarray(c) for c in columns]
+    for start in range(0, len(columns[0]), 4096):
+        chunk = [c[start : start + 4096] for c in columns]
+        cells = np.empty((chunk[0].size, len(chunk)), dtype=object)
+        specs = []
+        for j, column in enumerate(chunk):
+            spec = "%s" if column.dtype.kind in "UO" else "%.17g"
+            if column.dtype.kind == "f" and np.isnan(column).any():
+                spec = "%s"
+                column = ["" if v != v else format_float(v) for v in column.tolist()]
+            cells[:, j] = column
+            specs.append(spec)
+        rows = (",".join(specs) + "\n") * len(cells)
+        chunks.append(rows % tuple(cells.ravel().tolist()))
+    return "".join(chunks)
+
+
+def _assert_csv_matches_reference(*columns):
+    header = ",".join(f"c{j}" for j in range(len(columns)))
+    assert _csv_text(header, *columns) == _reference_csv(header, *columns)
+
+
+_ROWS = (0, 1, io_formats._CHUNK_ROWS, io_formats._CHUNK_ROWS + 1)
+_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\0"), max_size=30
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_ROWS),
+    st.lists(st.floats(width=64), min_size=1, max_size=40),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8),
+    st.lists(_TEXT, min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_csv_chunks_match_the_chunked_percent_writer(rows, floats, ints, texts, seed):
+    # Every column kind the writer takes, each drawn value tiled over 0, 1,
+    # a chunk and a chunk and one rows in a drawn order; the holed column
+    # has NaN in some chunks only.
+    rng = np.random.default_rng(seed)
+
+    def pick(pool):
+        return np.asarray(pool)[rng.integers(len(pool), size=rows)]
+
+    numbers = pick(np.array(floats))
+    holed = pick(np.array(floats))
+    holed[rng.random(rows) < rng.random() * (rng.random() < 0.7)] = math.nan
+    _assert_csv_matches_reference(
+        numbers,
+        pick(np.array(ints, dtype=np.int64)),
+        pick(np.array(texts, dtype=str)),
+        pick(np.array(texts, dtype=object)),
+        holed,
+        numbers[::-1].copy(),
+    )
+
+
+def test_csv_chunks_match_near_rounding_ties():
+    # For each exponent e the kernel renders, values next to a tie of the
+    # 17th digit: the double nearest to the tie and two ulps either side.
+    rng = np.random.default_rng(11)
+    values = []
+    for e in range(-12, 45):
+        for digits in rng.integers(10**16, 10**17, 24).tolist():
+            tie = float(Decimal(10 * digits + 5).scaleb(e - 17))
+            for step in range(-2, 3):
+                values.append(tie)
+                tie = np.nextafter(tie, math.inf)
+            values.append(-tie)
+    values = np.array(values)
+    _assert_csv_matches_reference(values)
+    # The same ties found by search: halves of the scaled value's last ulp.
+    for scaled in (2.0**53 + 0.5, 10.0**16 + 0.5, 2.0**56 - 0.5, 10.0**17 - 0.5):
+        values = np.array([scaled * 10.0**k for k in range(-27, 28)])
+        _assert_csv_matches_reference(values)
+
+
+def test_csv_chunks_match_powers_of_ten_and_the_kernel_edges():
+    powers = 10.0 ** np.arange(-330, 309)
+    below, above = np.nextafter(powers, 0), np.nextafter(powers, math.inf)
+    _assert_csv_matches_reference(powers, below, above, -powers)
+    for edge in (1e-11, 1e44):
+        near = [edge]
+        for _ in range(6):
+            near = [np.nextafter(near[0], 0), *near, np.nextafter(near[-1], math.inf)]
+        near = np.array(near)
+        _assert_csv_matches_reference(near, -near, near * 10, near / 10)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308]
+    specials = np.array(specials)
+    _assert_csv_matches_reference(specials, specials[::-1].copy())
+
+
+def test_csv_chunks_match_a_column_of_many_exponents():
+    # One chunk holds every layout: exponent form on both sides of the
+    # fixed range, fixed form with and without leading zeros, and numbers
+    # whose 17 digits round up to the next power of ten.
+    rng = np.random.default_rng(12)
+    n = io_formats._CHUNK_ROWS + 100
+    values = rng.uniform(1, 10, n) * 10.0 ** rng.integers(-14, 47, n)
+    values *= rng.choice([-1.0, 1.0], n)
+    values[::7] = np.round(values[::7], 3)
+    tens = 10.0 ** rng.integers(-14, 47, n)
+    values[::11] = 9.99999999999999999 * tens[::11]
+    values[::13] = rng.integers(1, 1000, n)[::13] * tens[::13]
+    _assert_csv_matches_reference(values, np.sort(values))
+
+
+def test_csv_chunks_without_the_fast_path_match_it(monkeypatch):
+    # Where long double is double, every cell goes through %: the same bytes.
+    rng = np.random.default_rng(13)
+    n = 2 * io_formats._CHUNK_ROWS + 3
+    values = rng.normal(0, 1, n) * 10.0 ** rng.integers(-20, 50, n)
+    holed = values[::-1].copy()
+    holed[::5] = math.nan
+    labels = np.array([format_float(v) for v in rng.normal(1e-3, 1e-9, 16)])
+    labels = labels[np.arange(n) % 16]
+    columns = (values, labels, holed, np.arange(n))
+    fast = _csv_text("a,b,c,d", *columns)
+    monkeypatch.setattr(io_formats, "_FAST", False)
+    assert _csv_text("a,b,c,d", *columns) == fast == _reference_csv("a,b,c,d", *columns)
+
+
+def test_csv_chunks_refuse_a_nul_in_text():
+    for column in (np.array(["a", "b\0c"]), np.array(["a", "b\0"], dtype=object)):
+        with pytest.raises(ValueError, match="NUL"):
+            _csv_text("v,t", np.ones(2), column)
 
 
 def test_dump_json_rejects_nan():
