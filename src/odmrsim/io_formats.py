@@ -50,9 +50,10 @@ _CHUNK_ROWS = 1024
 # at most half its ulp, and its fraction is a whole number of ulps, so N is
 # proven unless the fraction is exactly 1/2.  Those cells, cells outside
 # 1e-11 <= |x| < 1e44, zero, NaN and inf go to '%', and so does every cell
-# where long double is not IEEE extended or quad (on macOS arm64 and
-# Windows it is double).
-_FAST = np.finfo(np.longdouble).nmant in (63, 112)
+# where long double is not the x87 80-bit format, the one where the kernel
+# is tested and measured (on macOS arm64 and Windows it is double, on
+# aarch64 Linux a quad computed in software).
+_FAST = np.finfo(np.longdouble).nmant == 63
 # Every exponent e the kernel meets runs from -13 to 45; the tables below
 # are indexed by e + 13.
 _E = np.arange(-13, 46)
@@ -77,17 +78,21 @@ _PREFIX = _FIRST[0, _ZEROS + 1] & np.uint64(0x3030303030303000)
 _SHIFT = (8 * _ZEROS).astype(np.uint64)
 _SUFFIX = np.array([int.from_bytes(b"\0\0\0e%+03d" % x, "little") for x in _E.tolist()])
 _SUFFIX = np.where(_FIXED, 0, _SUFFIX).astype(np.uint64)
-# _QUADS[g]: the text of a 4-digit group g as a little-endian word, from
-# the 100 two-digit pairs (built with integer operations the kernel uses,
-# so the import maps no further numpy loops).  Digits 1-16 come in groups
-# j = 0..3, and _KEEP[j][g] counts the digits from digit 0 through group
-# j's last non-zero digit (0 when the group is 0000).
+# _QUADS[g]: the text of a 4-digit group g as a little-endian word.  Digits
+# 1-16 come in groups j = 0..3, and _LAST[g] + 4 * j counts the digits from
+# digit 0 through group j's last non-zero digit (below 1 when the group is
+# 0000).  Both are built from the 100 two-digit pairs in the integer types
+# the kernel uses, so the import maps no further numpy loops, and each
+# 10,000-entry table in one operation, so no temporary of that size is left
+# in the heap.  _PAIR counts a pair's digits through its last non-zero one;
+# a group's last non-zero digit is in its low pair (_LOW, 4 or 5) unless
+# that pair is 00, else in its high pair (_HIGH, 2 or 3).
 _TENS, _UNITS = np.arange(100) // 10, np.arange(100) % 10
-_QUADS = _TENS + ord("0") + (_UNITS + ord("0")) * 256
-_QUADS = (_QUADS[:, None] + _QUADS * 65536).ravel().astype(np.uint64)
-_KEEP = np.where(_UNITS > 0, 2, _TENS > 0).astype(np.uint8)
-_KEEP = np.where(_KEEP[None] > 0, _KEEP[None] + 2, _KEEP[:, None]).ravel()
-_KEEP = np.where(_KEEP > 0, _KEEP + np.arange(1, 14, 4, dtype=np.uint8)[:, None], 0)
+_QUADS = (_TENS + ord("0") + (_UNITS + ord("0")) * 256).astype(np.uint64)
+_QUADS = (_QUADS[:, None] | _QUADS << 16).ravel()
+_PAIR = np.where(_UNITS > 0, 2, _TENS > 0)
+_HIGH, _LOW = np.where(_PAIR > 0, _PAIR + 1, -12), np.where(_PAIR > 0, _PAIR + 3, -99)
+_LAST = np.maximum(_HIGH[:, None], _LOW).ravel()
 
 
 def _scaled(a, e):
@@ -152,7 +157,9 @@ def _words(n: np.ndarray, e: np.ndarray, negative: np.ndarray) -> np.ndarray:
     # Fraction digits end with the last non-zero digit; those of a fixed
     # layout start after the units digit.  Keep the sign and the digits
     # up to the later of the two.
-    ends = np.maximum.reduce([_KEEP[j][g] for j, g in enumerate(groups)], initial=1)
+    ends = np.maximum(_LAST[groups[0]], 1)
+    for j in (1, 2, 3):
+        np.maximum(ends, _LAST[groups[j]] + 4 * j, out=ends)
     del groups, hi, n
     start = _START[e]
     keep = np.maximum(start, ends) + 1
@@ -198,7 +205,10 @@ def _text_bytes(column: np.ndarray) -> np.ndarray:
         if any("\0" in t for t in texts):
             raise ValueError("a CSV text cell holds a NUL character")
         column = np.array(texts, dtype=str)
-    codes = column.view(np.uint32).reshape(column.size, -1)
+    # An ASCII column, as transitions.csv's labels, is its code points:
+    # np.char.encode goes cell by cell, 0.5 ms a 1,024-row chunk and about
+    # 20 ms of a spectrum_fit pass.
+    codes = np.ascontiguousarray(column).view(np.uint32).reshape(column.size, -1)
     if codes.max() < 128:
         raw = codes.astype(np.uint8)
     else:

@@ -630,7 +630,7 @@ _TEXT = st.text(
 def test_csv_chunks_match_the_chunked_percent_writer(rows, floats, ints, texts, seed):
     # Every column kind the writer takes, each drawn value tiled over 0, 1,
     # a chunk and a chunk and one rows in a drawn order; the holed column
-    # has NaN in some chunks only.
+    # has NaN in some chunks only, and one U column is a strided view.
     rng = np.random.default_rng(seed)
 
     def pick(pool):
@@ -639,10 +639,12 @@ def test_csv_chunks_match_the_chunked_percent_writer(rows, floats, ints, texts, 
     numbers = pick(np.array(floats))
     holed = pick(np.array(floats))
     holed[rng.random(rows) < rng.random() * (rng.random() < 0.7)] = math.nan
+    strided = np.stack([pick(np.array(texts, dtype=str))] * 2, axis=1)[:, 1]
     _assert_csv_matches_reference(
         numbers,
         pick(np.array(ints, dtype=np.int64)),
         pick(np.array(texts, dtype=str)),
+        strided,
         pick(np.array(texts, dtype=object)),
         holed,
         numbers[::-1].copy(),
@@ -712,6 +714,13 @@ def test_csv_chunks_without_the_fast_path_match_it(monkeypatch):
     fast = _csv_text("a,b,c,d", *columns)
     monkeypatch.setattr(io_formats, "_FAST", False)
     assert _csv_text("a,b,c,d", *columns) == fast == _reference_csv("a,b,c,d", *columns)
+
+
+def test_csv_chunks_take_strided_columns():
+    text = np.array(["ab", "cd", "ef"])[::2]
+    values = np.arange(6.0)[::-3]
+    assert not text.flags.contiguous and not values.flags.contiguous
+    assert _csv_text("t,v", text, values) == "t,v\nab,5\nef,2\n"
 
 
 def test_csv_chunks_refuse_a_nul_in_text():
